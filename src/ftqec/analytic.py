@@ -28,7 +28,7 @@ from scipy.special import gammaln
 
 from .codes import CodeParams
 from .noise import NoiseParams
-from .simulator import ProtocolParams, ProtocolError
+from .protocol import ProtocolError, ProtocolParams, resting_time
 
 
 @dataclass(frozen=True)
@@ -180,21 +180,13 @@ def _s_count(code: CodeParams, noise: NoiseParams, consts: AnalyticConstants,
     return code.n * (rest_scale * t_r + (consts.nu * code.t + noise.t_m) * r_z)
 
 
-def resting_time(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
-                 alpha: float, beta: float) -> float:
-    cycle = 2.0 * code.w + 1.0 + 2.0 * noise.t_m
-    if pp.parallel_corrections is not None:
-        return cycle / pp.parallel_corrections
-    return cycle * (beta + pp.r * (1.0 - beta)) / (alpha * pp.n_rep)
-
-
 def exposure_counts(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
                     alpha: float, beta: float, r_x: float, r_z: float,
                     consts: AnalyticConstants = DEFAULT_CONSTANTS,
                     rest_scale: float = 1.0) -> dict:
     """Failure-location counts {"g", "s", "t_r"} for a recovery with r_x
     X-type and r_z Z-type extractions."""
-    t_r = resting_time(code, noise, pp, alpha, beta)
+    t_r = resting_time(code.w, noise.t_m, pp, alpha, beta)
     return {
         "g": _g_count(code, consts, r_x, r_z),
         "s": _s_count(code, noise, consts, t_r, r_z, rest_scale),
@@ -216,7 +208,7 @@ def solve_beta(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     beta = 0.5
     p0 = 0.0
     for _ in range(_BETA_MAX_ITER):
-        t_r = resting_time(code, noise, pp, alpha, beta)
+        t_r = resting_time(code.w, noise.t_m, pp, alpha, beta)
         g11 = _g_count(code, consts, 1, 1)
         g1r = _g_count(code, consts, 1, pp.r)
         s1 = _s_count(code, noise, consts, t_r, 1, rest_scale)
@@ -255,14 +247,6 @@ class EstimateBreakdown:
     usable: bool = True
     branch_leak: float = 0.0      # never-accepted probability mass left over
 
-    def g_of(self, r_x: float, r_z: float) -> float:
-        return self._code.n * (1.0 + r_x + (1.0 + self._consts.mu * self._code.t) * r_z)
-
-    def s_of(self, r_z: float) -> float:
-        return self._code.n * (self._rest_scale * self.t_r
-                               + (self._consts.nu * self._code.t
-                                  + self._noise.t_m) * r_z)
-
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in (
             "p_za", "alpha", "beta", "p_0", "t_r",
@@ -282,10 +266,6 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     if pp.r_prime > pp.r + pp.r_dprime:
         raise ProtocolError("r' exceeds the r + r'' syndrome pool")
     out = EstimateBreakdown()
-    out._code = code
-    out._noise = noise
-    out._consts = consts
-    out._rest_scale = rest_scale
 
     prep = preparation_stats(code, noise)
     out.p_za, out.alpha = prep["p_za"], prep["alpha"]
@@ -299,7 +279,7 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
 
     beta, p0 = solve_beta(code, noise, pp, consts, rest_scale)
     out.beta, out.p_0 = beta, p0
-    out.t_r = resting_time(code, noise, pp, out.alpha, beta)
+    out.t_r = resting_time(code.w, noise.t_m, pp, out.alpha, beta)
 
     g2_eff = 2.0 * noise.gamma2 / 3.0
     eps_eff = 2.0 * noise.eps / 3.0

@@ -11,8 +11,9 @@ Subcommands map one-to-one onto the library workflows:
 
 All tabular output is CSV without timestamps so reruns with the same seed
 and configuration are byte-identical.  Exit codes: 0 success, 2 bad
-configuration, 3 a numerical flag was raised (censored Monte Carlo or a
-below-break-even concatenation).
+configuration (including an unknown --code), 3 a numerical flag was raised
+(a censored Monte Carlo run, a code unusable at the requested noise, or a
+threshold recursion that diverges even at the lowest probed rate).
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ from typing import Optional
 from . import analytic, codes as codes_mod, concat as concat_mod
 from . import simulator, stats as stats_mod, sweep as sweep_mod
 from .noise import NoiseParams
-from .simulator import ProtocolParams, SimConfig, ProtocolError
+from .protocol import ProtocolError, ProtocolParams
+from .simulator import SimConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -242,8 +244,12 @@ def _cmd_estimate(cfg: RunConfig) -> int:
 
 def _cmd_threshold(cfg: RunConfig) -> int:
     code = codes_mod.params_from_catalog(cfg.code)
-    gamma0 = concat_mod.threshold(code, cfg.eps_over_gamma, cfg.t_m,
-                                  rel_width=cfg.rel_width)
+    try:
+        gamma0 = concat_mod.threshold(code, cfg.eps_over_gamma, cfg.t_m,
+                                      rel_width=cfg.rel_width)
+    except concat_mod.NoConvergenceError as exc:
+        print(f"threshold: code={cfg.code} {exc}", file=sys.stderr)
+        return EXIT_FLAGGED
     trace = concat_mod.level_trace(code, gamma0 * 0.5, cfg.eps_over_gamma,
                                    cfg.t_m)
     rows = [{"level": i + 1, "gamma": gamma0 * 0.5, "pbar": p}
@@ -302,6 +308,17 @@ def _cmd_ancilla_stats(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+#: subcommands that read --code from the catalog; the others construct it,
+#: and the unencoded "none" entry has catalog parameters but no construction
+_CATALOG_COMMANDS = ("estimate", "threshold")
+
+
+def _known_codes(subcommand: str) -> list[str]:
+    if subcommand in _CATALOG_COMMANDS:
+        return [row["name"] for row in codes_mod.catalog()]
+    return codes_mod.code_names()
+
+
 _COMMANDS = {
     "codes": _cmd_codes,
     "simulate": _cmd_simulate,
@@ -322,6 +339,9 @@ def run(argv: list[str]) -> int:
         handler = _COMMANDS[cfg.subcommand]
     except (KeyError, ValueError, OSError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if cfg.code not in _known_codes(cfg.subcommand):
+        print(f"configuration error: unknown code {cfg.code!r}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return handler(cfg)

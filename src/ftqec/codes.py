@@ -519,11 +519,12 @@ class CosetDecoder:
         return v
 
 
-_decoder_cache: dict[int, CosetDecoder] = {}
+_decoder_cache: dict[tuple, CosetDecoder] = {}
 
 
 def decoder_for(code: ClassicalCode) -> CosetDecoder:
-    key = id(code)
+    """Shared decoder per check matrix, so equal codes reuse one table."""
+    key = (code.H.shape, code.H.tobytes())
     if key not in _decoder_cache:
         _decoder_cache[key] = CosetDecoder(code)
     return _decoder_cache[key]

@@ -25,7 +25,7 @@ from . import analytic
 from .analytic import AnalyticConstants, DEFAULT_CONSTANTS, binom_pmf
 from .codes import CodeParams
 from .noise import NoiseParams
-from .simulator import ProtocolParams
+from .protocol import ProtocolParams
 
 
 @dataclass(frozen=True)
@@ -33,30 +33,13 @@ class ConcatSpec:
     """One inner-outer concatenation (inner encodes single qubits)."""
     inner: CodeParams
     outer: CodeParams
-    levels: int = 2
     n_rep_inner: float = 1.0
     n_rep_outer: float = 1.0
     t_m: int = 1
-    treatment: str = "level-recursive"   # or "monolithic"
 
     def __post_init__(self):
         if self.inner.k != 1:
             raise ValueError("inner code must encode a single qubit")
-        if self.levels < 2:
-            raise ValueError("a concatenation has at least two levels")
-
-
-@dataclass
-class LevelRates:
-    """Effective failure rates entering each level (level 0 = physical)."""
-    gamma_levels: list[float]
-    eps_levels: list[float]
-
-    @staticmethod
-    def from_trace(gamma: float, eps: float, trace: list[float]) -> "LevelRates":
-        """Physical rates followed by the crash rate each level hands up."""
-        return LevelRates(gamma_levels=[gamma] + list(trace),
-                          eps_levels=[eps] + list(trace))
 
 
 @dataclass
@@ -117,8 +100,6 @@ def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
 
     Repetition parameters are optimized independently per level unless given.
     """
-    if spec.treatment != "level-recursive":
-        raise ValueError("concat_estimate implements the level-recursive treatment")
     eta = eta_factor(spec.outer)
     noise_in = NoiseParams.uniform(gamma, eps, spec.t_m)
     if inner_protocol is None:
@@ -184,6 +165,10 @@ def _without_holes(code: CodeParams) -> CodeParams:
 # ---------------------------------------------------------------------------
 # multi-level threshold
 # ---------------------------------------------------------------------------
+
+class NoConvergenceError(RuntimeError):
+    """The multi-level recursion diverges even at the lowest probed rate."""
+
 
 LEVELS_CHECKED = 12
 _BISECTION_FLOOR = 1e-30
@@ -265,7 +250,7 @@ def threshold(code: CodeParams, eps_over_gamma: float, t_m: int,
         return _converges(trace)
 
     if not below(lo):
-        raise RuntimeError(f"no convergence even at gamma = {lo}")
+        raise NoConvergenceError(f"no convergence even at gamma = {lo}")
     while below(hi):
         hi *= 2.0
         if hi > 0.5:

@@ -90,18 +90,6 @@ class NetworkSet:
     def hole_count(self) -> int:
         return sum(r for _, r in self.g_step_rest) + sum(r for _, r in self.v_step_rest)
 
-    def g_resting_sets(self) -> dict[int, tuple[int, ...]]:
-        """Resting ancilla qubits per counted preparation step."""
-        if not hasattr(self, "_g_rest_sets"):
-            self._g_rest_sets = _g_resting_sets(self)
-        return self._g_rest_sets
-
-    def v_resting_sets(self) -> dict[int, tuple[int, ...]]:
-        """Resting qubits per counted verification step."""
-        if not hasattr(self, "_v_rest_sets"):
-            self._v_rest_sets = _v_resting_sets(self)
-        return self._v_rest_sets
-
     def export_text(self) -> str:
         """Line-oriented dump: ``t=<step> <kind> <q1> [<q2>]`` per event."""
         lines = []

@@ -5,7 +5,9 @@ operation.  Single-qubit gates fail with probability gamma1 (X, Y, Z equally
 likely); two-qubit gates fail with probability gamma2, drawing uniformly
 from the 15 non-identity two-qubit Paulis; preparations and measurements
 fail with gamma_p and gamma_m.  Resting qubits pick up X, Y or Z with
-probability eps/3 each per time step.
+probability eps/3 each per time step.  This module holds the rates, the
+compounding of long rests and the random streams; the lane-packed sampler
+that draws the failures is ``simulator._Injector``.
 
 Random streams are PCG64 generators derived from a 64-bit base seed and a
 stream index through SeedSequence spawning, so any worker layout that
@@ -40,8 +42,6 @@ TWO_QUBIT_FAILURES: tuple[tuple[Pauli, Pauli], ...] = tuple(
     (Pauli(a), Pauli(b)) for a in range(4) for b in range(4) if (a, b) != (0, 0)
 )
 
-_SINGLE = (Pauli.X, Pauli.Y, Pauli.Z)
-
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -71,78 +71,6 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent PCG64 stream ``index`` under a 64-bit base seed."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def sample_gate_failure(kind: str, np_: NoiseParams,
-                        rng: np.random.Generator):
-    """Draw the failure preceding one perfect operation.
-
-    kind: 'H' (or any single-qubit gate), 'CX'/'CZ', 'P0'/'P+', 'M'.
-    Returns a single Pauli for one-qubit kinds and a (Pauli, Pauli) pair
-    for two-qubit kinds; identity means no failure.
-    """
-    if kind in ("CX", "CZ"):
-        if rng.random() < np_.gamma2:
-            return TWO_QUBIT_FAILURES[rng.integers(15)]
-        return (Pauli.I, Pauli.I)
-    if kind in ("P0", "P+"):
-        p = np_.gamma_p
-    elif kind == "M":
-        p = np_.gamma_m
-    else:
-        p = np_.gamma1
-    if rng.random() < p:
-        return _SINGLE[rng.integers(3)]
-    return Pauli.I
-
-
-def apply_memory_noise(x_bits: np.ndarray, z_bits: np.ndarray,
-                       qubits, n_locations: int, eps: float,
-                       rng: np.random.Generator,
-                       mode: str = "exact") -> int:
-    """Inject memory failures into the frame planes for a set of qubits.
-
-    exact mode: ``n_locations`` must be a multiple of len(qubits); every
-    qubit rests for n_locations / len(qubits) steps and suffers independent
-    per-step failures.
-
-    redistribution mode: the number of failures is drawn as
-    Binomial(n_locations, eps) and each failure lands on a uniformly random
-    qubit of the set, so the mean count matches exact placement without
-    tracking which qubit rested when.
-
-    Returns the number of failures applied.
-    """
-    qubits = np.asarray(list(qubits), dtype=np.int64)
-    if eps == 0.0 or n_locations == 0 or qubits.size == 0:
-        return 0
-    count = 0
-    if mode == "exact":
-        steps, rem = divmod(n_locations, len(qubits))
-        if rem:
-            raise ValueError("exact mode needs locations divisible by qubit count")
-        for _ in range(steps):
-            hit = rng.random(qubits.size) < eps
-            for q in qubits[hit]:
-                pauli = _SINGLE[rng.integers(3)]
-                if pauli.flips_x:
-                    x_bits[q] ^= 1
-                if pauli.flips_z:
-                    z_bits[q] ^= 1
-                count += 1
-    elif mode == "redistribution":
-        k = rng.binomial(n_locations, eps)
-        for _ in range(int(k)):
-            q = qubits[rng.integers(qubits.size)]
-            pauli = _SINGLE[rng.integers(3)]
-            if pauli.flips_x:
-                x_bits[q] ^= 1
-            if pauli.flips_z:
-                z_bits[q] ^= 1
-            count += 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -24,42 +24,16 @@ from typing import Optional
 
 import numpy as np
 
+from . import analytic
 from . import codes as codes_mod
 from . import network as network_mod
 from .codes import ClassicalCode
 from .network import GateEvent
 from .noise import NoiseParams, Pauli, TWO_QUBIT_FAILURES, idle_flip_probability, stream
+from .protocol import ProtocolError, ProtocolParams, resting_time
 
 MASK_ALL = (1 << 64) - 1
 Q_MAX_DEFAULT = 10
-
-
-class ProtocolError(ValueError):
-    """Invalid protocol parameter combination."""
-
-
-@dataclass(frozen=True)
-class ProtocolParams:
-    """Syndrome repetition schedule and ancilla provisioning.
-
-    ``n_rep`` is the number of ancilla-block pairs provisioned per data
-    block.  ``parallel_corrections`` optionally pins the provisioning so
-    that alpha * n_rep = parallel_corrections * (beta + r (1 - beta)),
-    which fixes the data resting time independent of alpha and beta.
-    """
-    r: int
-    r_prime: int
-    r_dprime: int
-    n_rep: float = 1.0
-    parallel_corrections: Optional[float] = None
-
-    def __post_init__(self):
-        if not (1 <= self.r_prime <= self.r):
-            raise ProtocolError(f"need 1 <= r' <= r, got r'={self.r_prime} r={self.r}")
-        if not (1 <= self.r_dprime <= self.r):
-            raise ProtocolError(f"need 1 <= r'' <= r, got r''={self.r_dprime}")
-        if self.n_rep <= 0:
-            raise ProtocolError("n_rep must be positive")
 
 
 @dataclass
@@ -234,10 +208,6 @@ class _Injector:
             if pauli.flips_z:
                 frame.z[q] ^= bit
 
-    def holes_exact(self, frame: ErrorFrame, resting_qubits, eps: float) -> None:
-        for q in resting_qubits:
-            self.single(frame, q, eps)
-
 
 # ---------------------------------------------------------------------------
 # protocol state
@@ -343,8 +313,7 @@ class SimEngine:
     """Precomputed schedules, decoder and timing for one configuration."""
 
     def __init__(self, code: ClassicalCode, noise: NoiseParams,
-                 protocol: ProtocolParams, mem_mode: str = "redistribution",
-                 t_r_override: Optional[float] = None):
+                 protocol: ProtocolParams):
         self.base_code = code
         self.code = codes_mod.standardized_code(code)
         sf = codes_mod.standard_form(self.code)
@@ -354,7 +323,6 @@ class SimEngine:
         self.decoder = codes_mod.decoder_for(self.code)
         self.noise = noise
         self.protocol = protocol
-        self.mem_mode = mem_mode
         self.n = code.n
         self.rows = self.networks.rows
         self.t = code.t
@@ -363,7 +331,7 @@ class SimEngine:
                                  for l in range(self.rows)]
         self.row_support_anc = [[q + self.n for q in sup]
                                 for sup in self.row_support_data]
-        self.t_r = self._resting_time() if t_r_override is None else t_r_override
+        self.t_r = self._resting_time()
         self._g_steps = self._collect(self.networks.g_schedule)
         self._v_steps = self._collect(self.networks.v_schedule)
         self._phase_anc = list(self.networks.ancilla_qubits)
@@ -379,26 +347,21 @@ class SimEngine:
 
     def _resting_time(self) -> float:
         pp = self.protocol
-        w, t_m = self.params.w, self.noise.t_m
-        cycle = 2 * w + 1 + 2 * t_m
-        if pp.parallel_corrections is not None:
-            return cycle / pp.parallel_corrections
-        from . import analytic
-        prep = analytic.preparation_stats(self.params, self.noise)
-        beta, _ = analytic.solve_beta(self.params, self.noise, pp)
-        alpha = prep["alpha"]
-        if alpha <= 0.0:
-            raise ProtocolError("code unusable at this noise (alpha <= 0)")
-        demand = beta + pp.r * (1.0 - beta)
-        r_max = 1 + (alpha * pp.n_rep - 1) / (1 - beta) if beta < 1 else float("inf")
-        if pp.r > r_max + 1e-9:
-            raise ProtocolError(
-                f"r={pp.r} exceeds r_max={r_max:.3f} at n_rep={pp.n_rep}")
-        return cycle * demand / (alpha * pp.n_rep)
+        alpha = beta = 0.0            # unused by pinned provisioning
+        if pp.parallel_corrections is None:
+            alpha = analytic.preparation_stats(self.params, self.noise)["alpha"]
+            beta, _ = analytic.solve_beta(self.params, self.noise, pp)
+            if alpha <= 0.0:
+                raise ProtocolError("code unusable at this noise (alpha <= 0)")
+            r_max = 1 + (alpha * pp.n_rep - 1) / (1 - beta) if beta < 1 else float("inf")
+            if pp.r > r_max + 1e-9:
+                raise ProtocolError(
+                    f"r={pp.r} exceeds r_max={r_max:.3f} at n_rep={pp.n_rep}")
+        return resting_time(self.params.w, self.noise.t_m, pp, alpha, beta)
 
     # -- one syndrome extraction attempt ------------------------------------
     def _run_phase(self, frame: ErrorFrame, inj: _Injector, steps,
-                   rest_profile, resting_sets, phase_qubits, mask: int) -> None:
+                   rest_profile, phase_qubits, mask: int) -> None:
         noise = self.noise
         rest = dict(rest_profile)
         for t_step, events in steps:
@@ -423,19 +386,16 @@ class SimEngine:
                     propagate(ev, frame, mask)
             holes = rest.get(t_step, 0)
             if holes:
-                if self.mem_mode == "redistribution":
-                    inj.holes_redistributed(frame, holes, phase_qubits, noise.eps)
-                else:
-                    inj.holes_exact(frame, resting_sets.get(t_step, ()), noise.eps)
+                inj.holes_redistributed(frame, holes, phase_qubits, noise.eps)
 
     def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
         """Run G and V once for the masked lanes; return the verified sub-mask."""
         inj = _Injector(rng, mask)
         ns = self.networks
         self._run_phase(frame, inj, self._g_steps, ns.g_step_rest,
-                        ns.g_resting_sets(), self._phase_anc, mask)
+                        self._phase_anc, mask)
         self._run_phase(frame, inj, self._v_steps, ns.v_step_rest,
-                        ns.v_resting_sets(), self._phase_anc_ver, mask)
+                        self._phase_anc_ver, mask)
         bad = 0
         for l in range(self.rows):
             bad |= frame.x[2 * self.n + l]
@@ -656,7 +616,6 @@ class SimConfig:
     q_max: int = Q_MAX_DEFAULT
     target_failures: int = 100
     max_trials: int = 4_000_000
-    mem_mode: str = "redistribution"
     chunk_batches: int = 32   # stop-rule granularity: 32 * 64 trials
 
 
@@ -664,11 +623,10 @@ _engine_cache: dict = {}
 
 
 def _engine_for(config: SimConfig) -> SimEngine:
-    key = (config.code_name, config.noise, config.protocol, config.mem_mode)
+    key = (config.code_name, config.noise, config.protocol)
     if key not in _engine_cache:
         code = codes_mod.construct_code(config.code_name)
-        _engine_cache[key] = SimEngine(code, config.noise, config.protocol,
-                                       mem_mode=config.mem_mode)
+        _engine_cache[key] = SimEngine(code, config.noise, config.protocol)
     return _engine_cache[key]
 
 

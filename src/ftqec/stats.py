@@ -17,7 +17,8 @@ import numpy as np
 
 from . import codes as codes_mod
 from .noise import NoiseParams, stream
-from .simulator import ErrorFrame, ProtocolParams, SimEngine
+from .protocol import ProtocolParams
+from .simulator import ErrorFrame, SimEngine
 
 
 @dataclass

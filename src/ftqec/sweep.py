@@ -144,12 +144,9 @@ def build_surface(config: SweepConfig) -> Surface:
         noise = NoiseParams.uniform(gamma, eps, config.t_m)
         for nm, code in code_params.items():
             for n_rep in config.n_rep_grid:
-                try:
-                    pp, pbar = analytic.optimize_protocol(
-                        code, noise, r_values=r_values, n_rep=n_rep,
-                        constraint=constraint)
-                except Exception:
-                    continue
+                pp, pbar = analytic.optimize_protocol(
+                    code, noise, r_values=r_values, n_rep=n_rep,
+                    constraint=constraint)
                 if pbar >= 1.0:
                     continue
                 surface.offer(SweepPoint(

@@ -30,6 +30,21 @@ def test_invalid_protocol_is_config_error(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("subcommand", ["estimate", "simulate"])
+def test_unknown_code_is_config_error(subcommand, tmp_path, capsys):
+    rc = run([subcommand, "--code", "bogus", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'bogus'" in err
+
+
+def test_threshold_no_convergence_is_flagged(tmp_path, capsys):
+    rc = run(["threshold", "--code", "hamming", "--eps-over-gamma", "1",
+              "--tm", "1000000", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_FLAGGED
+    assert "no convergence" in capsys.readouterr().err
+
+
 def test_estimate_worked_example(tmp_path):
     rc = run(["estimate", "--code", "bch127-43", "--gamma", "1e-4",
               "--eps", "1e-6", "--tm", "25", "--nrep", "2.5",

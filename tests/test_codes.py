@@ -24,6 +24,13 @@ def span_min_weight(h):
     return best
 
 
+def test_decoder_shared_between_equal_codes():
+    a = codes.standardized_code(codes.construct_code("golay"))
+    b = codes.standardized_code(codes.construct_code("golay"))
+    assert a is not b
+    assert codes.decoder_for(a) is codes.decoder_for(b)
+
+
 def test_hamming_shape(hamming):
     assert (hamming.n, hamming.k, hamming.d) == (7, 1, 3)
     assert hamming.dim == 3

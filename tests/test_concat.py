@@ -108,14 +108,6 @@ def test_level_trace_decreasing_below_threshold():
     assert concat._converges(trace)
 
 
-def test_level_rates_start_physical():
-    trace = level_trace(GOLAY, 5e-4, 1.0, 1, levels=4)
-    rates = concat.LevelRates.from_trace(5e-4, 5e-4, trace)
-    assert rates.gamma_levels[0] == 5e-4
-    assert rates.eps_levels[0] == 5e-4
-    assert rates.gamma_levels[1:] == trace
-
-
 def test_threshold_needs_single_qubit_code():
     with pytest.raises(ValueError):
         threshold(BCH29, 1.0, 1)

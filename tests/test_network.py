@@ -85,7 +85,7 @@ def test_fully_busy_step_has_no_holes():
     # those qubits, and every (step, resting) pair is non-negative
     assert all(r >= 0 for _, r in ns.g_step_rest)
     assert all(r >= 0 for _, r in ns.v_step_rest)
-    sets_ = ns.g_resting_sets()
+    sets_ = network._g_resting_sets(ns)
     assert dict(ns.g_step_rest) == {t: len(qs) for t, qs in sets_.items()}
 
 

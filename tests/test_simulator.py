@@ -281,6 +281,17 @@ def test_r_max_enforced_for_provisioned_runs():
                   ProtocolParams(6, 2, 2, n_rep=1.0))
 
 
+@pytest.mark.parametrize("name,noise,pp", [
+    ("golay", NoiseParams.uniform(1e-4, 1e-6, 25),
+     ProtocolParams(4, 3, 3, parallel_corrections=1.0)),
+    ("hamming", NoiseParams.uniform(3e-3, 3e-5, 1),
+     ProtocolParams(2, 2, 2, n_rep=2.5)),
+])
+def test_engine_and_model_share_resting_time(name, noise, pp):
+    eng = SimEngine(codes.construct_code(name), noise, pp)
+    assert eng.t_r == analytic.crash_estimate(eng.params, noise, pp).t_r
+
+
 def test_csv_rows_schema():
     cfg = SimConfig("hamming", NoiseParams.uniform(0.0, 0.0, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
