@@ -19,6 +19,7 @@ failures escape detection.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -76,31 +77,24 @@ def _binom_series(n: float, m_max: int, p: float) -> np.ndarray:
         if 0 <= idx <= m_max:
             out[idx] = 1.0
         return out
-    valid = m <= n
     log_c = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
     logs = log_c + m * math.log(p) + (n - m) * math.log1p(-p)
-    out = np.where(valid, np.exp(np.where(valid, logs, 0.0)), 0.0)
-    return out
+    if m_max <= n:   # every order is reachable: nothing to mask
+        return np.exp(logs)
+    valid = m <= n
+    return np.where(valid, np.exp(np.where(valid, logs, 0.0)), 0.0)
 
 
 def bprime(g: float, s: float, m: int, gamma: float, eps: float) -> float:
     """Probability of a weight-m data error from g gate locations at rate
     gamma and s memory locations at rate eps: the convolution
     sum_j B(g, j, gamma) B(s, m-j, eps)."""
+    if m == 0 and 0.0 < gamma < 1.0 and 0.0 < eps < 1.0:
+        # (1-gamma)^g (1-eps)^s, bit for bit the m = 0 series product below
+        return float(np.exp(g * math.log1p(-gamma)) * np.exp(s * math.log1p(-eps)))
     bg = _binom_series(g, m, gamma)
     bs = _binom_series(s, m, eps)
     return float(np.dot(bg, bs[::-1]))
-
-
-def bprime_tail(g: float, s: float, m_lo: int, m_hi: int,
-                gamma: float, eps: float) -> float:
-    """Sum of bprime over m = m_lo..m_hi via one convolution."""
-    if m_lo > m_hi:
-        return 0.0
-    bg = _binom_series(g, m_hi, gamma)
-    bs = _binom_series(s, m_hi, eps)
-    conv = np.convolve(bg, bs)[: m_hi + 1]
-    return float(conv[m_lo:].sum())
 
 
 def uncorrectable_tail(g: float, s: float, t: int, n: int,
@@ -113,10 +107,12 @@ def uncorrectable_tail(g: float, s: float, t: int, n: int,
     complement 1 - sum_{m<=t} takes over; it is only trusted well above the
     double-precision cancellation floor.
     """
-    direct = bprime_tail(g, s, t + 1, n, gamma, eps)
-    bg = _binom_series(g, t, gamma)
-    bs = _binom_series(s, t, eps)
-    head = float(np.convolve(bg, bs)[: t + 1].sum())
+    bg = _binom_series(g, n, gamma)
+    bs = _binom_series(s, n, eps)
+    direct = float(np.convolve(bg, bs)[: n + 1][t + 1:].sum())
+    # the head comes from its own short convolution: summing the first t+1
+    # terms of the long one changes the last bits, and 1 - head amplifies them
+    head = float(np.convolve(bg[: t + 1], bs[: t + 1])[: t + 1].sum())
     complement = 1.0 - head
     if complement > 1e-12:
         return min(max(complement, direct), 1.0)
@@ -265,6 +261,15 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     """
     if pp.r_prime > pp.r + pp.r_dprime:
         raise ProtocolError("r' exceeds the r + r'' syndrome pool")
+    base, tail = _per_r_terms(code, noise, pp, consts, rest_scale, tail_model)
+    return _finish_estimate(base, tail, code, noise, pp, consts, rest_scale)
+
+
+def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
+                 consts: AnalyticConstants, rest_scale: float, tail_model):
+    """The terms of ``crash_estimate`` that do not depend on r' or r'':
+    a breakdown filled in up to ``p1_multi``, and the tail it used (None
+    when the block is unusable and the breakdown is final)."""
     out = EstimateBreakdown()
 
     prep = preparation_stats(code, noise)
@@ -275,7 +280,7 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     if not out.usable:
         out.pbar = 1.0
         out.beta = 0.0
-        return out
+        return out, None
 
     beta, p0 = solve_beta(code, noise, pp, consts, rest_scale)
     out.beta, out.p_0 = beta, p0
@@ -283,8 +288,7 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
 
     g2_eff = 2.0 * noise.gamma2 / 3.0
     eps_eff = 2.0 * noise.eps / 3.0
-    r, rp, rpp = pp.r, pp.r_prime, pp.r_dprime
-    n, t = code.n, code.t
+    r, n, t = pp.r, code.n, code.t
 
     out.g_1_1 = _g_count(code, consts, 1, 1)
     out.g_1_r = _g_count(code, consts, 1, r)
@@ -307,6 +311,20 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
 
     out.p1_single = p1(1)
     out.p1_multi = p1(r)
+    return out, tail
+
+
+def _finish_estimate(base: EstimateBreakdown, tail, code: CodeParams,
+                     noise: NoiseParams, pp: ProtocolParams,
+                     consts: AnalyticConstants,
+                     rest_scale: float) -> EstimateBreakdown:
+    """Complete a copy of ``_per_r_terms``' breakdown for the r' and r''
+    of ``pp``: agreement, wrong-syndrome acceptance, deferred rounds, pbar."""
+    out = copy.copy(base)
+    if not out.usable:
+        return out
+    beta = out.beta
+    r, rp, rpp = pp.r, pp.r_prime, pp.r_dprime
 
     good = 1.0 - out.p_za
     out.p_agree_1 = sum(binom_pmf(r, m, good) for m in range(rp, r + 1))
@@ -361,11 +379,13 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
     """Exhaustive grid minimization of pbar over (r, r', r'').
 
     Ties break toward smaller (r, r', r'').  ``constraint`` optionally
-    filters triples, e.g. the catalog's r-1 = r' = r''+1 family.
+    filters triples, e.g. the catalog's r-1 = r' = r''+1 family.  The
+    terms that depend on r alone are computed once per r.
     """
     best = None
     best_p = None
     for r in r_values:
+        per_r = None
         rps = rp_values if rp_values is not None else range(1, r + 1)
         rpps = rpp_values if rpp_values is not None else range(1, r + 1)
         for rp in rps:
@@ -378,8 +398,11 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
                     continue
                 pp = ProtocolParams(r=r, r_prime=rp, r_dprime=rpp, n_rep=n_rep,
                                     parallel_corrections=parallel_corrections)
-                est = crash_estimate(code, noise, pp, consts, rest_scale,
-                                     tail_model=tail_model)
+                if per_r is None:
+                    per_r = _per_r_terms(code, noise, pp, consts, rest_scale,
+                                         tail_model)
+                est = _finish_estimate(*per_r, code, noise, pp, consts,
+                                       rest_scale)
                 key = (est.pbar, r, rp, rpp)
                 if best_p is None or key < best_p:
                     best_p = key

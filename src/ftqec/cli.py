@@ -40,7 +40,9 @@ EXIT_FLAGGED = 3
 class RunConfig:
     """Fully serializable run description; reruns reproduce identical bytes."""
     subcommand: str
-    code: str = "hamming"
+    # None: hamming for the subcommands that need a code; ``codes`` exports
+    # a check matrix only for a code that was named
+    code: Optional[str] = None
     gamma: float = 1e-4
     eps: float = 1e-6
     t_m: int = 1
@@ -176,6 +178,8 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
             val = getattr(ns, arg)
             if val is not None and val is not False:
                 setattr(cfg, field_name, val)
+    if cfg.code is None and cfg.subcommand != "codes":
+        cfg.code = "hamming"
     return cfg
 
 
@@ -209,6 +213,9 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     print(f"simulate: code={cfg.code} gamma={cfg.gamma:g} pbar={stats.pbar:.4g} "
           f"stderr={stats.stderr:.2g} trials={stats.trials}"
           f"{' CENSORED' if stats.censored else ''}")
+    if stats.unverified:
+        print(f"simulate: {stats.unverified} ancilla preparations ran out of "
+              "attempts and were coupled unverified", file=sys.stderr)
     return EXIT_FLAGGED if stats.censored else EXIT_OK
 
 
@@ -340,7 +347,7 @@ def run(argv: list[str]) -> int:
     except (KeyError, ValueError, OSError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if cfg.code not in _known_codes(cfg.subcommand):
+    if cfg.code is not None and cfg.code not in _known_codes(cfg.subcommand):
         print(f"configuration error: unknown code {cfg.code!r}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -18,6 +18,7 @@ acceptance of a syndrome whose leader is heavier than t, crashes the run.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -43,6 +44,8 @@ class ErrorFrame:
     rows: int
     x: list[int] = field(default_factory=list)
     z: list[int] = field(default_factory=list)
+    # lanes coupled with an unverified ancilla, summed over preparations
+    unverified: int = 0
 
     def __post_init__(self):
         width = 2 * self.n + self.rows
@@ -264,6 +267,8 @@ class TrialStats:
     trials: int = 0
     censored: bool = False
     seed: int = 0
+    # lane-preparations that ran out of attempts and coupled unverified
+    unverified: int = 0
 
     @staticmethod
     def empty(q_max: int = Q_MAX_DEFAULT, seed: int = 0) -> "TrialStats":
@@ -274,6 +279,7 @@ class TrialStats:
         self.n_f += other.n_f
         self.n_s += other.n_s
         self.trials += other.trials
+        self.unverified += other.unverified
 
     def p(self, q: int) -> float:
         tot = self.n_f[q] + self.n_s[q]
@@ -403,14 +409,18 @@ class SimEngine:
 
     def prepare_verified(self, frame: ErrorFrame, rng, mask: int,
                          max_attempts: int = 64) -> None:
-        """Re-prepare until every masked lane holds a verified ancilla."""
+        """Re-prepare until every masked lane holds a verified ancilla.
+
+        Lanes still unverified after ``max_attempts`` go on with the last
+        attempt's ancilla and are counted in ``frame.unverified``.
+        """
         pending = mask
         for _ in range(max_attempts):
             if not pending:
                 return
             verified = self.attempt_preparation(frame, rng, pending)
             pending &= ~verified
-        # extreme-noise fallback: proceed with whatever the last attempt left
+        frame.unverified += bin(pending).count("1")
 
     def couple_and_measure(self, frame: ErrorFrame, rng, mask: int,
                            error_type: str) -> list[int]:
@@ -601,6 +611,7 @@ def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
         alive &= ~crashed
         stats.n_f[q] += bin(newly).count("1")
         stats.n_s[q] += bin(alive).count("1")
+    stats.unverified = frame.unverified
     return stats
 
 
@@ -619,15 +630,22 @@ class SimConfig:
     chunk_batches: int = 32   # stop-rule granularity: 32 * 64 trials
 
 
-_engine_cache: dict = {}
+# engines kept for reuse, least recently used dropped first
+_ENGINE_CACHE_SIZE = 8
+_engine_cache: OrderedDict = OrderedDict()
 
 
 def _engine_for(config: SimConfig) -> SimEngine:
     key = (config.code_name, config.noise, config.protocol)
-    if key not in _engine_cache:
+    engine = _engine_cache.get(key)
+    if engine is None:
         code = codes_mod.construct_code(config.code_name)
-        _engine_cache[key] = SimEngine(code, config.noise, config.protocol)
-    return _engine_cache[key]
+        engine = _engine_cache[key] = SimEngine(code, config.noise, config.protocol)
+        if len(_engine_cache) > _ENGINE_CACHE_SIZE:
+            _engine_cache.popitem(last=False)
+    else:
+        _engine_cache.move_to_end(key)
+    return engine
 
 
 def _run_batch_range(config: SimConfig, seed: int, lo: int, hi: int) -> TrialStats:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ftqec import analytic, codes
+from ftqec import analytic, codes, concat
 from ftqec.analytic import (AnalyticConstants, binom_pmf, bprime,
                             bprime_approx_binomial, bprime_approx_powerlaw,
                             crash_estimate, exposure_counts, model_curves,
@@ -58,6 +58,50 @@ def test_bprime_matches_integer_enumeration():
                                      * (1 - eps) ** (s - m + j))
                     got = bprime(float(g), float(s), m, gamma, eps)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_bprime_zero_order_closed_form_is_exact():
+    # the closed form returns the very float of the m = 0 series product
+    vals = (0.0, 1.0, 12.5, 300.0, 4000.0, 50000.0)
+    rates = (0.0, 1e-6, 1e-3, 0.2, 0.9)
+    for g in vals:
+        for s in vals:
+            for gamma in rates:
+                for eps in rates:
+                    want = float(np.dot(analytic._binom_series(g, 0, gamma),
+                                        analytic._binom_series(s, 0, eps)[::-1]))
+                    assert bprime(g, s, 0, gamma, eps) == want
+
+
+def _two_series_tail(g, s, t, n, gamma, eps):
+    """uncorrectable_tail as first written: separate length-n and length-t
+    series for the direct sum and the head."""
+    series = analytic._binom_series
+    direct = float(np.convolve(series(g, n, gamma),
+                               series(s, n, eps))[: n + 1][t + 1:].sum())
+    head = float(np.convolve(series(g, t, gamma), series(s, t, eps))[: t + 1].sum())
+    complement = 1.0 - head
+    if complement > 1e-12:
+        return min(max(complement, direct), 1.0)
+    return min(direct, 1.0)
+
+
+@pytest.mark.parametrize("g_hi,rate_lo,rate_hi", [
+    (3000.0, 1e-7, 1e-4),     # direct sum: little mass beyond t
+    (50000.0, 1e-2, 0.3),     # complement: the block saturates
+])
+def test_uncorrectable_tail_matches_two_series_formula(g_hi, rate_lo, rate_hi):
+    rng = np.random.default_rng(3)
+    saturated = 0
+    for _ in range(300):
+        g, s = rng.uniform(0.0, g_hi, 2)
+        gamma, eps = np.exp(rng.uniform(np.log(rate_lo), np.log(rate_hi), 2))
+        t = int(rng.integers(0, 8))
+        n = 2 * t + 1 + int(rng.integers(0, 120))
+        got = analytic.uncorrectable_tail(g, s, t, n, gamma, eps)
+        assert got == _two_series_tail(g, s, t, n, gamma, eps)
+        saturated += got > 0.5
+    assert (saturated > 150) == (g_hi > 10000.0)
 
 
 def test_bprime_first_approximation():
@@ -209,6 +253,48 @@ def test_optimize_hamming_high_noise():
                                         min(2, 3 if pp.r == 2 else 2),
                                         n_rep=1.0)).pbar
     assert alt / best < 1.6
+
+
+def _grid_minimum(code, noise, n_rep=1.0, parallel_corrections=None,
+                  rest_scale=1.0, tail_model=None):
+    """optimize_protocol's answer from one crash_estimate per triple."""
+    best = None
+    for r in range(1, 7):
+        for rp in range(1, r + 1):
+            for rpp in range(1, r + 1):
+                pp = ProtocolParams(r, rp, rpp, n_rep=n_rep,
+                                    parallel_corrections=parallel_corrections)
+                est = crash_estimate(code, noise, pp, rest_scale=rest_scale,
+                                     tail_model=tail_model)
+                key = (est.pbar, r, rp, rpp)
+                if best is None or key < best:
+                    best = key
+    return best
+
+
+_ETA = concat.eta_factor(codes.params_from_catalog("bch127-43"))
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("golay", {}),
+    ("hamming", {"n_rep": 2.5}),
+    ("golay", {"parallel_corrections": 1.0}),
+    ("golay", {"rest_scale": _ETA}),
+    ("bch127-43", {"rest_scale": 1.0 / _ETA}),
+    ("hamming+golay", {"tail_model": concat.hierarchical_tail(
+        codes.params_from_catalog("hamming"), codes.params_from_catalog("golay"))}),
+])
+@pytest.mark.parametrize("noise", [NoiseParams.uniform(1e-4, 1e-6, 25),
+                                   NoiseParams.uniform(1e-3, 1e-3, 1),
+                                   NoiseParams.uniform(3e-3, 3e-5, 25)])
+def test_optimize_equals_per_triple_minimum(name, kwargs, noise):
+    if name == "hamming+golay":
+        code = concat.supercode_params(codes.params_from_catalog("hamming"),
+                                       codes.params_from_catalog("golay"))
+    else:
+        code = codes.params_from_catalog(name)
+    pp, pbar = optimize_protocol(code, noise, **kwargs)
+    assert (pbar, pp.r, pp.r_prime, pp.r_dprime) == _grid_minimum(code, noise, **kwargs)
 
 
 def test_model_curaccuracy_grid_emitted(tmp_path):

@@ -94,6 +94,11 @@ def test_codes_subcommand(tmp_path, capsys):
     assert "differ from the catalog" in out
 
 
+def test_codes_without_code_exports_no_matrix(tmp_path):
+    assert run(["codes", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert [p.name for p in tmp_path.iterdir()] == ["codes.csv"]
+
+
 def test_threshold_subcommand_coarse(tmp_path):
     rc = run(["threshold", "--code", "golay", "--eps-over-gamma", "1",
               "--tm", "1", "--rel-width", "0.2", "--out-dir", str(tmp_path)])

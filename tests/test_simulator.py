@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -104,6 +105,47 @@ def test_verified_fraction_tracks_alpha():
         done += 64
     frac = passed / done
     assert abs(frac - alpha) <= 0.02
+
+
+def test_unverified_lanes_counted():
+    # one attempt at heavy noise leaves lanes unverified; the same stream
+    # replayed through attempt_preparation says how many
+    eng = engine(gamma=0.3, eps=0.3)
+    mask = (1 << 64) - 1
+    f = ErrorFrame(n=7, rows=eng.rows)
+    eng.prepare_verified(f, stream(5, 0), mask, max_attempts=1)
+    verified = eng.attempt_preparation(ErrorFrame(n=7, rows=eng.rows),
+                                       stream(5, 0), mask)
+    assert f.unverified == bin(mask & ~verified).count("1") > 0
+    quiet = ErrorFrame(n=7, rows=eng.rows)
+    engine().prepare_verified(quiet, stream(5, 0), mask, max_attempts=1)
+    assert quiet.unverified == 0
+
+
+def test_unverified_tally_independent_of_workers():
+    cfg = SimConfig("hamming", NoiseParams.uniform(0.3, 0.3, 1),
+                    ProtocolParams(2, 2, 2, parallel_corrections=1.0),
+                    q_max=2, max_trials=128, chunk_batches=2)
+    s1 = estimate_pbar_mc(cfg, seed=4, workers=1)
+    s2 = estimate_pbar_mc(cfg, seed=4, workers=2)
+    assert s1.unverified == s2.unverified > 0
+
+
+def test_engine_cache_bounded(monkeypatch):
+    monkeypatch.setattr(simulator, "_engine_cache", OrderedDict())
+    pp = ProtocolParams(2, 2, 2, parallel_corrections=1.0)
+    configs = [SimConfig("hamming", NoiseParams.uniform(1e-4 * (i + 1), 0.0, 1), pp)
+               for i in range(simulator._ENGINE_CACHE_SIZE + 3)]
+    first = simulator._engine_for(configs[0])
+    built = [first]
+    for cfg in configs[1:]:
+        assert simulator._engine_for(configs[0]) is first   # reused while recent
+        built.append(simulator._engine_for(cfg))
+        assert len(simulator._engine_cache) <= simulator._ENGINE_CACHE_SIZE
+    assert len(simulator._engine_cache) == simulator._ENGINE_CACHE_SIZE
+    assert simulator._engine_for(configs[-1]) is built[-1]
+    # the least recently used engine was dropped, so it is built again
+    assert simulator._engine_for(configs[1]) is not built[1]
 
 
 # -- recovery ------------------------------------------------------------------
