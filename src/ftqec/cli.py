@@ -312,6 +312,10 @@ def _cmd_ancilla_stats(cfg: RunConfig) -> int:
     _write_csv(out / "a_c_scatter.csv", scatter)
     print(f"ancilla-stats: code={cfg.code} a={fit.a:.1f} a'={fit.a_prime:.1f} "
           f"({len(fit.a_s)} syndromes fitted)")
+    unverified = sum(c.unverified for c in censuses)
+    if unverified:
+        print(f"ancilla-stats: {unverified} ancilla preparations ran out of "
+              "attempts and were read unverified", file=sys.stderr)
     return EXIT_OK
 
 

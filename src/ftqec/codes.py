@@ -434,6 +434,8 @@ class CosetDecoder:
         self.col_syndromes = gf2.rows_to_ints(code.H.T)
         self.weight_table: Optional[np.ndarray] = None
         self.vector_table: Optional[np.ndarray] = None
+        # meet-in-the-middle half tables: weight -> {syndrome: vector}
+        self._half_maps: dict[int, dict[int, int]] = {0: {0: 0}}
         if self.rows <= TABLE_BITS_LIMIT:
             self._build_table()
 
@@ -472,7 +474,7 @@ class CosetDecoder:
         if syndrome == 0:
             return 0, 0
         cols = self.col_syndromes
-        half_maps: dict[int, dict[int, int]] = {0: {0: 0}}
+        half_maps = self._half_maps
 
         def half(kk: int) -> dict[int, int]:
             if kk not in half_maps:

@@ -28,7 +28,7 @@ count for every code, which is what the memory-noise accounting assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class NetworkSet:
     coupling_cnot: list[GateEvent]    # ancilla-controlled CNOT onto data
     coupling_cphase: list[GateEvent]  # ancilla-controlled CZ onto data
     measure_schedule: list[GateEvent]
-    durations: dict = field(default_factory=dict)
     # per-step resting counts inside the counted windows, for memory noise
     g_step_rest: list[tuple[int, int]] = field(default_factory=list)
     v_step_rest: list[tuple[int, int]] = field(default_factory=list)
@@ -194,7 +193,6 @@ def synthesize_networks(sf: StandardForm, params: CodeParams) -> NetworkSet:
         raise NetworkSchedulingError("preparation fan-out exceeds w steps")
     for (i, j), c in sorted(g_colors.items()):
         g_events.append(GateEvent(CNOT, (anc(rows + j), anc(i)), 4 + c))
-    g_end = w + 3
 
     # verification graph: row l couples to ancilla qubit l (identity part)
     # and to ancilla qubit rows + j for each A[l, j] = 1
@@ -225,10 +223,10 @@ def synthesize_networks(sf: StandardForm, params: CodeParams) -> NetworkSet:
         g_schedule=g_events, v_schedule=v_events,
         coupling_cnot=coupling_cnot, coupling_cphase=coupling_cphase,
         measure_schedule=measure,
-        durations={"g": g_end + 1, "v": w + 4, "couple": 1, "measure": 2},
     )
-    ns.g_step_rest = _g_rest_profile(ns)
-    ns.v_step_rest = _v_rest_profile(ns)
+    ns.g_step_rest = _rest_profile(g_events, ns.ancilla_qubits, range(w + 4))
+    ns.v_step_rest = _rest_profile(
+        v_events, [*ns.ancilla_qubits, *ns.verification_qubits], range(1, w + 2))
     _assert_disjoint(ns.g_schedule)
     _assert_disjoint(ns.v_schedule)
     expected = hole_count_formula(n, k, w, params.N_A)
@@ -238,47 +236,21 @@ def synthesize_networks(sf: StandardForm, params: CodeParams) -> NetworkSet:
     return ns
 
 
-def _g_resting_sets(ns: NetworkSet) -> dict[int, tuple[int, ...]]:
-    """Resting ancilla qubits per step of the preparation window.
-
-    A qubit is counted from its preparation step through the end of the
-    CNOT phase (step w+3).
-    """
+def _rest_profile(schedule: list[GateEvent], qubits: Sequence[int],
+                  steps: range) -> list[tuple[int, int]]:
+    """(step, resting count) over ``steps``: a qubit rests at step t when it
+    is present (from its preparation in ``schedule``, if it has one) and no
+    gate acts on it at t."""
     start: dict[int, int] = {}
-    busy: dict[int, set[int]] = {}
-    for ev in ns.g_schedule:
+    busy: set[tuple[int, int]] = set()
+    for ev in schedule:
         for q in ev.qubits:
-            busy.setdefault(q, set()).add(ev.time_step)
+            busy.add((ev.time_step, q))
             if ev.kind in (PREP_ZERO, PREP_PLUS):
                 start[q] = ev.time_step
-    end = ns.w + 3
-    sets = {}
-    for t in range(0, end + 1):
-        sets[t] = tuple(q for q in ns.ancilla_qubits
-                        if start[q] <= t and t not in busy[q])
-    return sets
-
-
-def _v_resting_sets(ns: NetworkSet) -> dict[int, tuple[int, ...]]:
-    """Resting qubits per step of the verification coupling window
-    (steps 1..w+1, ancilla and verification bits all present)."""
-    busy: dict[int, set[int]] = {}
-    for ev in ns.v_schedule:
-        for q in ev.qubits:
-            busy.setdefault(q, set()).add(ev.time_step)
-    qubits = list(ns.ancilla_qubits) + list(ns.verification_qubits)
-    sets = {}
-    for t in range(1, ns.w + 2):
-        sets[t] = tuple(q for q in qubits if t not in busy.get(q, ()))
-    return sets
-
-
-def _g_rest_profile(ns: NetworkSet) -> list[tuple[int, int]]:
-    return [(t, len(qs)) for t, qs in _g_resting_sets(ns).items()]
-
-
-def _v_rest_profile(ns: NetworkSet) -> list[tuple[int, int]]:
-    return [(t, len(qs)) for t, qs in _v_resting_sets(ns).items()]
+    return [(t, sum(1 for q in qubits
+                    if start.get(q, 0) <= t and (t, q) not in busy))
+            for t in steps]
 
 
 def _assert_disjoint(schedule: Iterable[GateEvent]) -> None:
@@ -290,18 +262,3 @@ def _assert_disjoint(schedule: Iterable[GateEvent]) -> None:
                 raise NetworkSchedulingError(
                     f"qubit {q} used twice in step {ev.time_step}")
             seen.add(key)
-
-
-def count_holes(ns: NetworkSet, params: Optional[CodeParams] = None) -> int:
-    """Resting qubit-steps inside the G and V windows.
-
-    When ``params`` is given the count is checked against the closed-form
-    value (they agree whenever the schedules meet their w / w+1 budgets).
-    """
-    total = ns.hole_count()
-    if params is not None:
-        expected = hole_count_formula(params.n, params.k, params.w, params.N_A)
-        if total != expected:
-            raise NetworkSchedulingError(
-                f"counted {total} holes, formula gives {expected}")
-    return total

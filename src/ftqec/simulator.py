@@ -6,7 +6,11 @@ make millions of trials affordable, up to 64 independent trials run in
 parallel: each qubit's X and Z planes are Python ints whose bit L belongs
 to trial lane L, so gate propagation is a handful of integer XOR/AND ops
 regardless of how many lanes are alive.  All mutating operations take a
-lane mask and leave the other lanes untouched.
+lane mask and leave the other lanes untouched.  Each extraction phase
+(preparation G plus verification V, and coupling plus readout) is compiled
+once into a step program of (gates, hole count, hole register) entries, and
+one interpreter, ``SimEngine._run_phase``, applies every program's gate
+failures, propagation and memory holes.
 
 A trial alternates logical steps (one transversal gate failure pass plus
 the data's resting noise) with a complete recovery round: Z-error recovery
@@ -79,12 +83,6 @@ class ErrorFrame:
 
     def data_slice(self) -> range:
         return range(self.n)
-
-    def ancilla_slice(self) -> range:
-        return range(self.n, 2 * self.n)
-
-    def verification_slice(self) -> range:
-        return range(2 * self.n, 2 * self.n + self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +220,6 @@ class RecoveryState:
     prev_accepted: bool = True
     history: list[int] = field(default_factory=list)
 
-    def fresh(self) -> bool:
-        return self.prev_accepted
-
-    def note_rest(self) -> None:
-        self.prev_accepted = True
-        self.history.clear()
-
     def note_accept(self) -> None:
         self.prev_accepted = True
         self.history.clear()
@@ -312,15 +303,44 @@ class TrialStats:
 
 
 # ---------------------------------------------------------------------------
-# simulation engine
+# simulation engine: phase programs, their interpreter and syndromes
 # ---------------------------------------------------------------------------
+
+def _program(events, rest_profile=(), hole_qubits=()) -> list[tuple]:
+    """Compile a schedule into time-ordered ``(gates, hole_count,
+    hole_register)`` steps, keeping the schedule's gate order in a step."""
+    by_step: dict[int, list[GateEvent]] = {}
+    for ev in events:
+        by_step.setdefault(ev.time_step, []).append(ev)
+    rest = dict(rest_profile)
+    # gate-free steps are skipped, their holes undrawn: a known defect (ROADMAP)
+    return [(gates, rest.get(t, 0), hole_qubits) for t, gates in sorted(by_step.items())]
+
+
+def _syndromes(plane: list[int], supports, mask: int) -> list[int]:
+    """One packed syndrome per lane: bit l is the parity of ``plane`` over
+    ``supports[l]`` (entries only meaningful for lanes in the mask)."""
+    words = []
+    for sup in supports:
+        acc = 0
+        for q in sup:
+            acc ^= plane[q]
+        words.append(acc & mask)
+    out = [0] * 64
+    for lane in range(64):
+        if (mask >> lane) & 1:
+            s = 0
+            for l, wrd in enumerate(words):
+                s |= ((wrd >> lane) & 1) << l
+            out[lane] = s
+    return out
+
 
 class SimEngine:
     """Precomputed schedules, decoder and timing for one configuration."""
 
     def __init__(self, code: ClassicalCode, noise: NoiseParams,
                  protocol: ProtocolParams):
-        self.base_code = code
         self.code = codes_mod.standardized_code(code)
         sf = codes_mod.standard_form(self.code)
         self.params = codes_mod.derived_params(sf, code.n, code.k, code.d,
@@ -338,18 +358,15 @@ class SimEngine:
         self.row_support_anc = [[q + self.n for q in sup]
                                 for sup in self.row_support_data]
         self.t_r = self._resting_time()
-        self._g_steps = self._collect(self.networks.g_schedule)
-        self._v_steps = self._collect(self.networks.v_schedule)
-        self._phase_anc = list(self.networks.ancilla_qubits)
-        self._phase_anc_ver = (list(self.networks.ancilla_qubits)
-                               + list(self.networks.verification_qubits))
-
-    @staticmethod
-    def _collect(schedule: list[GateEvent]) -> list[tuple[int, list[GateEvent]]]:
-        by_step: dict[int, list[GateEvent]] = {}
-        for ev in schedule:
-            by_step.setdefault(ev.time_step, []).append(ev)
-        return sorted(by_step.items())
+        ns = self.networks
+        anc = list(ns.ancilla_qubits)
+        self._prep = (_program(ns.g_schedule, ns.g_step_rest, anc)
+                      + _program(ns.v_schedule, ns.v_step_rest,
+                                 anc + list(ns.verification_qubits)))
+        self._readout = {
+            "Z": _program(ns.coupling_cnot + ns.measure_schedule),
+            "X": _program(ns.coupling_cphase + ns.measure_schedule),
+        }
 
     def _resting_time(self) -> float:
         pp = self.protocol
@@ -366,12 +383,13 @@ class SimEngine:
         return resting_time(self.params.w, self.noise.t_m, pp, alpha, beta)
 
     # -- one syndrome extraction attempt ------------------------------------
-    def _run_phase(self, frame: ErrorFrame, inj: _Injector, steps,
-                   rest_profile, phase_qubits, mask: int) -> None:
+    def _run_phase(self, frame: ErrorFrame, inj: _Injector, program,
+                   mask: int) -> None:
+        """Run a phase program: each step's gate failures and propagation,
+        then that step's holes spread over its hole register."""
         noise = self.noise
-        rest = dict(rest_profile)
-        for t_step, events in steps:
-            for ev in events:
+        for gates, holes, register in program:
+            for ev in gates:
                 if ev.kind == network_mod.PREP_ZERO:
                     q = ev.qubits[0]
                     frame.x[q] &= ~mask
@@ -390,18 +408,12 @@ class SimEngine:
                 else:
                     inj.two_qubit(frame, ev.qubits[0], ev.qubits[1], noise.gamma2)
                     propagate(ev, frame, mask)
-            holes = rest.get(t_step, 0)
             if holes:
-                inj.holes_redistributed(frame, holes, phase_qubits, noise.eps)
+                inj.holes_redistributed(frame, holes, register, noise.eps)
 
     def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
         """Run G and V once for the masked lanes; return the verified sub-mask."""
-        inj = _Injector(rng, mask)
-        ns = self.networks
-        self._run_phase(frame, inj, self._g_steps, ns.g_step_rest,
-                        self._phase_anc, mask)
-        self._run_phase(frame, inj, self._v_steps, ns.v_step_rest,
-                        self._phase_anc_ver, mask)
+        self._run_phase(frame, _Injector(rng, mask), self._prep, mask)
         bad = 0
         for l in range(self.rows):
             bad |= frame.x[2 * self.n + l]
@@ -429,47 +441,14 @@ class SimEngine:
         Returns one packed syndrome int per lane (entries only meaningful
         for lanes in the mask).
         """
-        noise = self.noise
         inj = _Injector(rng, mask)
-        inj.idle(frame, self.networks.ancilla_qubits, noise.eps, noise.t_m)
-        gates = (self.networks.coupling_cnot if error_type == "Z"
-                 else self.networks.coupling_cphase)
-        for ev in gates:
-            inj.two_qubit(frame, ev.qubits[0], ev.qubits[1], noise.gamma2)
-            propagate(ev, frame, mask)
-        for ev in self.networks.measure_schedule:
-            if ev.kind == network_mod.HADAMARD:
-                inj.single(frame, ev.qubits[0], noise.gamma1)
-                propagate(ev, frame, mask)
-            else:
-                inj.single(frame, ev.qubits[0], noise.gamma_m)
-        words = [0] * self.rows
-        for l, sup in enumerate(self.row_support_anc):
-            acc = 0
-            for q in sup:
-                acc ^= frame.x[q]
-            words[l] = acc & mask
-        return self._unpack_syndromes(words, mask)
-
-    def _unpack_syndromes(self, words: list[int], mask: int) -> list[int]:
-        out = [0] * 64
-        for lane in range(64):
-            if (mask >> lane) & 1:
-                s = 0
-                for l, wrd in enumerate(words):
-                    s |= ((wrd >> lane) & 1) << l
-                out[lane] = s
-        return out
+        inj.idle(frame, self.networks.ancilla_qubits, self.noise.eps, self.noise.t_m)
+        self._run_phase(frame, inj, self._readout[error_type], mask)
+        return _syndromes(frame.x, self.row_support_anc, mask)
 
     def data_syndromes(self, frame: ErrorFrame, plane: str, mask: int) -> list[int]:
-        src = frame.x if plane == "x" else frame.z
-        words = [0] * self.rows
-        for l, sup in enumerate(self.row_support_data):
-            acc = 0
-            for q in sup:
-                acc ^= src[q]
-            words[l] = acc & mask
-        return self._unpack_syndromes(words, mask)
+        return _syndromes(frame.x if plane == "x" else frame.z,
+                          self.row_support_data, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +497,9 @@ def recover_block(frame: ErrorFrame, states: list[RecoveryState],
             continue
         st = states[lane]
         if first[lane] == 0:
-            st.note_rest()
+            st.note_accept()
             continue
-        total = pp.r if st.fresh() else pp.r_dprime
+        total = pp.r if st.prev_accepted else pp.r_dprime
         need[lane] = total
         pools[lane] = [first[lane]]
 
@@ -544,7 +523,7 @@ def recover_block(frame: ErrorFrame, states: list[RecoveryState],
     keep = pp.r + pp.r_dprime
     for lane, pool in pools.items():
         st = states[lane]
-        judged = pool if st.fresh() else (st.history + pool)[-keep:]
+        judged = pool if st.prev_accepted else (st.history + pool)[-keep:]
         accepted = judge_syndromes(judged, pp.r_prime)
         if accepted is None:
             st.note_fail(judged, keep)

@@ -29,6 +29,8 @@ class SyndromeCensus:
     t_m: int
     trials: int
     counts: dict[int, int] = field(default_factory=dict)
+    # lanes that ran out of preparation attempts and were read unverified
+    unverified: int = 0
 
     def probability(self, syndrome: int) -> float:
         return self.counts.get(syndrome, 0) / self.trials
@@ -65,7 +67,8 @@ def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
 
     Each trial starts from an error-free data block; unverified ancillas are
     re-prepared until one passes, matching the protocol's use of good
-    ancillas only.
+    ancillas only; lanes that run out of attempts are counted in
+    ``unverified``.
     """
     out = []
     for idx, noise in enumerate(noise_grid):
@@ -73,6 +76,7 @@ def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
         engine = SimEngine(code, noise,
                            ProtocolParams(1, 1, 1, parallel_corrections=1.0))
         counts: dict[int, int] = {}
+        unverified = 0
         done = 0
         batch_idx = 0
         while done < trials:
@@ -82,13 +86,15 @@ def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
             mask = (1 << lanes) - 1
             frame = ErrorFrame(n=engine.n, rows=engine.rows)
             engine.prepare_verified(frame, rng, mask)
+            unverified += frame.unverified
             syndromes = engine.couple_and_measure(frame, rng, mask, error_type)
             for lane in range(lanes):
                 s = syndromes[lane]
                 counts[s] = counts.get(s, 0) + 1
             done += lanes
         out.append(SyndromeCensus(gamma=noise.gamma2, eps=noise.eps,
-                                  t_m=noise.t_m, trials=trials, counts=counts))
+                                  t_m=noise.t_m, trials=trials, counts=counts,
+                                  unverified=unverified))
     return out
 
 

@@ -203,7 +203,7 @@ def test_criterion_5_oracles():
         sf = codes.standard_form(code)
         params = codes.derived_params(sf, code.n, code.k, code.d, name=name)
         ns = network.synthesize_networks(sf, params)
-        hole_ok &= (network.count_holes(ns) == params.N_h)
+        hole_ok &= (ns.hole_count() == params.N_h)
     ok &= hole_ok
     details.append("hole counts exact" + ("" if hole_ok else " MISS"))
 

@@ -133,6 +133,14 @@ def test_ancilla_stats_subcommand(tmp_path):
         assert {"syndrome", "a_s", "c_s", "leader_weight"} == set(scatter[0])
 
 
+def test_ancilla_stats_reports_unverified(tmp_path, capsys):
+    rc = run(["ancilla-stats", "--code", "hamming", "--gammas", "0.5",
+              "--eps-over-gamma", "1", "--tm", "1", "--trials", "640",
+              "--seed", "0", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    assert "read unverified" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = RunConfig(subcommand="estimate", code="hamming", gamma=1e-3,
                     eps=1e-5, t_m=1, r=2, r_prime=2, r_dprime=2, n_rep=2.5)

@@ -230,3 +230,18 @@ def test_is_crash_examples(hamming):
     assert not codes.is_crash(hamming, one, zero)
     assert codes.is_crash(hamming, two, zero)
     assert codes.is_crash(hamming, zero, two)
+
+
+def test_search_keeps_half_tables():
+    # 51 check rows exceed TABLE_BITS_LIMIT, so this decoder searches
+    dec = codes.CosetDecoder(codes.construct_code("bch63-39"))
+    assert dec.weight_table is None
+    cols = dec.col_syndromes
+    for syndrome in ((1 << dec.rows) - 1, cols[3] ^ cols[17]):
+        first = dec._search(syndrome, 3)
+        tables = dict(dec._half_maps)
+        assert dec._search(syndrome, 3) == first
+        assert dec._half_maps.keys() == tables.keys()
+        assert all(dec._half_maps[k] is tables[k] for k in tables)
+    assert dec._search((1 << dec.rows) - 1, 3) == (4, None)
+    assert dec._search(cols[3] ^ cols[17], 3) == (2, (1 << 3) | (1 << 17))

@@ -76,17 +76,17 @@ def test_schedules_fit_budgets():
 @pytest.mark.parametrize("name", ["hamming", "golay", "bch127-43"])
 def test_hole_count_matches_formula(name):
     params, ns = build(name)
-    assert network.count_holes(ns, params) == params.N_h
+    assert ns.hole_count() == params.N_h
 
 
 def test_fully_busy_step_has_no_holes():
-    _, ns = build("hamming")
+    params, ns = build("hamming")
     # the preparation step of the identity part leaves no counted rest for
     # those qubits, and every (step, resting) pair is non-negative
     assert all(r >= 0 for _, r in ns.g_step_rest)
     assert all(r >= 0 for _, r in ns.v_step_rest)
-    sets_ = network._g_resting_sets(ns)
-    assert dict(ns.g_step_rest) == {t: len(qs) for t, qs in sets_.items()}
+    # at G step 3 only the n - rows seed qubits, prepared at step 0, rest
+    assert dict(ns.g_step_rest)[3] == params.n - ns.rows
 
 
 def test_per_step_disjointness():

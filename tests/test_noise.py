@@ -86,13 +86,13 @@ def test_prep_measure_marginals(kind, param):
     eng = SimEngine(codes.construct_code("hamming"), noise,
                     ProtocolParams(1, 1, 1, parallel_corrections=1.0))
     rate = 2 * 0.09 / 3 if kind == PREP_ZERO else 0.09
-    steps = [(0, [GateEvent(kind, (0,), 0)])]
+    program = [([GateEvent(kind, (0,), 0)], 0, ())]
     inj = _Injector(stream(4, 0), MASK_ALL)
     n = 200_000
     hits = 0
     for _ in range(n // 64):
         frame = ErrorFrame(n=eng.n, rows=eng.rows)
-        eng._run_phase(frame, inj, steps, [], [], MASK_ALL)
+        eng._run_phase(frame, inj, program, MASK_ALL)
         if kind == PREP_ZERO:
             assert frame.z[0] == 0
         hits += flip_count(frame)

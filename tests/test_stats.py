@@ -36,6 +36,14 @@ def test_census_zero_noise():
     assert census.nonzero_fraction() == 0.0
 
 
+def test_census_counts_unverified_ancillas():
+    # at gamma = eps = 0.5 some lanes run out of their 64 preparation attempts
+    grid = [NoiseParams.uniform(0.5, 0.5, 1)]
+    census = syndrome_census("hamming", grid, trials=640, seed=0)[0]
+    assert census.unverified > 0
+    assert sum(census.counts.values()) == 640
+
+
 def test_zero_census_linear_coefficients():
     grid = [NoiseParams.uniform(0.0, 0.0, 1)]
     censuses = syndrome_census("hamming", grid, trials=256, seed=2)
