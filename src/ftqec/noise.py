@@ -6,8 +6,12 @@ likely); two-qubit gates fail with probability gamma2, drawing uniformly
 from the 15 non-identity two-qubit Paulis; preparations and measurements
 fail with gamma_p and gamma_m.  Resting qubits pick up X, Y or Z with
 probability eps/3 each per time step.  This module holds the rates, the
-compounding of long rests and the random streams; the lane-packed sampler
-that draws the failures is ``simulator._Injector``.
+compounding of long rests and the random streams.  The simulator samples
+this model from compiled single-fault tables (``simulator._fault_table``):
+at each gate, preparation, measurement or idle location an independent
+failure in each trial lane at the location's rate, and per time step's resting
+("hole") slots a Binomial(slots x lanes, eps) count of memory failures,
+each on a uniform qubit of the step's register, lane and Pauli.
 
 Random streams are PCG64 generators derived from a 64-bit base seed and a
 stream index through SeedSequence spawning, so any worker layout that

@@ -6,11 +6,18 @@ make millions of trials affordable, up to 64 independent trials run in
 parallel: each qubit's X and Z planes are Python ints whose bit L belongs
 to trial lane L, so gate propagation is a handful of integer XOR/AND ops
 regardless of how many lanes are alive.  All mutating operations take a
-lane mask and leave the other lanes untouched.  Each extraction phase
-(preparation G plus verification V, and coupling plus readout) is compiled
-once into a step program of (gates, hole count, hole register) entries, and
-one interpreter, ``SimEngine._run_phase``, applies every program's gate
-failures, propagation and memory holes.
+lane mask and leave the other lanes untouched.
+
+Faults are not applied gate by gate.  Frame propagation is linear over
+GF(2), so a phase leaves the frame at its noiseless image XOR the
+end-of-phase images of the faults that struck it.  Each extraction phase
+(preparation G plus verification V, and coupling plus readout), the data's
+rest and the logical step's noise are compiled once, by one backward sweep
+over its schedule, into a single-fault table: every fault location (gate,
+preparation, measurement, hole step, idle qubit) with its rate and the
+image of each of its Paulis.  One call then draws all of a phase's faults
+for the masked lanes in a few vectorised draws and scatters their images
+into the frame.
 
 A trial alternates logical steps (one transversal gate failure pass plus
 the data's resting noise) with a complete recovery round: Z-error recovery
@@ -81,9 +88,6 @@ class ErrorFrame:
         else:
             src[qubit] &= ~(1 << lane)
 
-    def data_slice(self) -> range:
-        return range(self.n)
-
 
 # ---------------------------------------------------------------------------
 # gate propagation (noise-free part)
@@ -116,98 +120,226 @@ def propagate(gate: GateEvent, frame: ErrorFrame, mask: int = MASK_ALL) -> Error
 
 
 # ---------------------------------------------------------------------------
-# packed noise injection
+# single-fault tables: compiled once per phase, sampled once per call
 # ---------------------------------------------------------------------------
 
+_SINGLE = ((Pauli.X,), (Pauli.Y,), (Pauli.Z,))
+# a |0> (|+>) preparation keeps only its X (Z) flips
+_PREP_FLIP = {network_mod.PREP_ZERO: ((Pauli.X,),),
+              network_mod.PREP_PLUS: ((Pauli.Z,),)}
+
+
+def _program(events, rest_profile=(), hole_qubits=()) -> list[tuple]:
+    """Compile a schedule into time-ordered ``(gates, hole_count,
+    hole_register)`` steps, one per gate step or rest-profile step, keeping
+    the schedule's gate order in a step."""
+    by_step: dict[int, list[GateEvent]] = {t: [] for t, _ in rest_profile}
+    for ev in events:
+        by_step.setdefault(ev.time_step, []).append(ev)
+    rest = dict(rest_profile)
+    return [(gates, rest.get(t, 0), hole_qubits) for t, gates in sorted(by_step.items())]
+
+
+@dataclass
+class _FaultTable:
+    """Every single fault of one phase with its end-of-phase image.
+
+    Image bit j is an X and bit m + j a Z on ``qubits[j]`` (m qubits); each
+    row of ``images`` holds one image as little-endian uint64 words.  A
+    phase runs as the noiseless pass of ``program`` followed by the XOR of
+    the sampled faults' images.
+
+    ``sites`` lists the fault locations in row order as ``(step, slot,
+    qubits, paulis, row)``: the fault strikes before gate ``slot`` of
+    program step ``step`` (after it, for a preparation), after the step's
+    gates when ``slot`` is their count (a hole), or before the phase when
+    ``step`` is -1 (an idle); Pauli ``paulis[p]`` acting on ``qubits`` has
+    image row ``row + p``.
+
+    Sampling goes by groups.  Group g draws Binomial(``slots[g]`` x lanes,
+    ``rates[g]``) failures, each on a uniform (slot, lane, offset < span[g])
+    triple whose image row is ``slot_row[offsets[g] + slot] + offset``.  In
+    a Bernoulli group a slot is one location, its span the location's Pauli
+    count, and failures take distinct (slot, lane) cells: every location
+    fails independently in every lane.  In a hole group a slot is one
+    resting qubit-step of a step sharing the group's register, its row run
+    that step's (register qubit, Pauli) images.
+    """
+    qubits: list[int]
+    program: list[tuple]
+    images: np.ndarray
+    sites: list[tuple]
+    rates: list[float]
+    slots: np.ndarray
+    span: np.ndarray
+    offsets: np.ndarray
+    distinct: np.ndarray
+    slot_row: np.ndarray
+
+    @property
+    def hole_slots(self) -> int:
+        """Resting qubit-steps charged per lane by one run of the phase."""
+        return int(self.slots[~self.distinct].sum())
+
+
+def _fault_table(program, qubits, noise: NoiseParams, idle=((), 0.0)) -> _FaultTable:
+    """Compile a phase program by one backward (Heisenberg) sweep.
+
+    During the sweep ``col_x[j]`` / ``col_z[j]`` hold the end-of-phase image
+    of an X / Z on ``qubits[j]`` at the current point of the phase, so a
+    gate updates at most two columns and every location reads its images
+    off them.  ``idle`` = (qubits, rate) adds one three-Pauli location per
+    qubit before the first step.
+    """
+    m = len(qubits)
+    local = {q: j for j, q in enumerate(qubits)}
+    col_x = [1 << j for j in range(m)]
+    col_z = [1 << (m + j) for j in range(m)]
+
+    def images_of(site_qubits, paulis) -> list[int]:
+        # Pauli values index each qubit's (I, X, Z, Y) images
+        imgs = [(0, col_x[j], col_z[j], col_x[j] ^ col_z[j])
+                for j in map(local.get, site_qubits)]
+        if len(imgs) == 2:
+            a, b = imgs
+            return [a[p] ^ b[r] for p, r in paulis]
+        return [imgs[0][p] for p, in paulis]
+
+    locations: dict[tuple, list] = {}   # (rate, Pauli count) -> [(site, images)]
+    holes: dict[tuple, list] = {}       # register -> [(slots, [(site, images)])]
+
+    def record(rate, site, paulis):
+        locations.setdefault((rate, len(paulis)), []).append(
+            (site + (paulis,), images_of(site[2], paulis)))
+
+    gate_rate = {network_mod.CNOT: noise.gamma2, network_mod.CPHASE: noise.gamma2,
+                 network_mod.HADAMARD: noise.gamma1, network_mod.MEASURE: noise.gamma_m}
+    for s in range(len(program) - 1, -1, -1):
+        gates, slots, register = program[s]
+        if slots:
+            holes.setdefault(tuple(register), []).append(
+                (slots, [((s, len(gates), (q,), _SINGLE), images_of((q,), _SINGLE))
+                         for q in register]))
+        for g in range(len(gates) - 1, -1, -1):
+            ev = gates[g]
+            k, qs = ev.kind, ev.qubits
+            if k in _PREP_FLIP:
+                record(2.0 * noise.gamma_p / 3.0, (s, g, qs), _PREP_FLIP[k])
+                col_x[local[qs[0]]] = col_z[local[qs[0]]] = 0
+                continue
+            # the failure precedes the gate: move the columns back past it
+            if k == network_mod.HADAMARD:
+                j = local[qs[0]]
+                col_x[j], col_z[j] = col_z[j], col_x[j]
+            elif k == network_mod.CNOT:
+                c, t = local[qs[0]], local[qs[1]]
+                col_x[c] ^= col_x[t]
+                col_z[t] ^= col_z[c]
+            elif k == network_mod.CPHASE:
+                c, t = local[qs[0]], local[qs[1]]
+                col_x[c] ^= col_z[t]
+                col_x[t] ^= col_z[c]
+            record(gate_rate[k], (s, g, qs),
+                   TWO_QUBIT_FAILURES if len(qs) == 2 else _SINGLE)
+    idle_qubits, idle_rate = idle
+    for q in idle_qubits:
+        record(idle_rate, (-1, 0, (q,)), _SINGLE)
+
+    sites, rows, slot_row, groups = [], [], [], []
+    for (rate, paulis), members in locations.items():
+        groups.append((rate, len(members), paulis, len(slot_row), True))
+        for site, imgs in members:
+            sites.append(site + (len(rows),))
+            slot_row.append(len(rows))
+            rows += imgs
+    for register, steps in holes.items():
+        groups.append((noise.eps, sum(n for n, _ in steps), 3 * len(register),
+                       len(slot_row), False))
+        for slots, members in steps:
+            slot_row += [len(rows)] * slots
+            for site, imgs in members:
+                sites.append(site + (len(rows),))
+                rows += imgs
+    words = (2 * m + 63) // 64
+    images = np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in rows),
+                           dtype="<u8").reshape(len(rows), words)
+    rates, slots, span, offsets, distinct = zip(*groups)
+    return _FaultTable(list(qubits), program, images, sites, list(rates),
+                       np.array(slots), np.array(span), np.array(offsets),
+                       np.array(distinct), np.array(slot_row))
+
+
+def _phase_tables(ns: network_mod.NetworkSet, noise: NoiseParams):
+    """Fault tables of the preparation G+V (over ancilla and verification
+    bits) and of the coupling-plus-readout of each error type (over data
+    and ancilla, with the t_m readout wait as an idle on the ancilla)."""
+    data, anc = list(range(ns.n)), list(ns.ancilla_qubits)
+    ver = list(ns.verification_qubits)
+    prep = (_program(ns.g_schedule, ns.g_step_rest, anc)
+            + _program(ns.v_schedule, ns.v_step_rest, anc + ver))
+    wait = (anc, idle_flip_probability(noise.eps, noise.t_m))
+    readout = {
+        "Z": _fault_table(_program(ns.coupling_cnot + ns.measure_schedule),
+                          data + anc, noise, wait),
+        "X": _fault_table(_program(ns.coupling_cphase + ns.measure_schedule),
+                          data + anc, noise, wait),
+    }
+    return _fault_table(prep, anc + ver, noise), readout
+
+
 def _lane_array(mask: int) -> np.ndarray:
-    return np.array([l for l in range(64) if (mask >> l) & 1], dtype=np.int64)
+    return np.flatnonzero(np.unpackbits(np.array([mask], dtype="<u8").view(np.uint8),
+                                        bitorder="little"))
 
 
-def _pick_lanes(lanes: np.ndarray, k: int, rng) -> np.ndarray:
-    if k >= lanes.size:
-        return lanes
-    return rng.choice(lanes, size=k, replace=False)
+def _inject(table: _FaultTable, frame: ErrorFrame, rng, mask: int) -> None:
+    """Sample every fault of one phase on the masked lanes and XOR their
+    images into the frame."""
+    n_lanes = bin(mask).count("1")
+    counts = [rng.binomial(s * n_lanes, r)
+              for s, r in zip(table.slots.tolist(), table.rates)]
+    if not any(counts):
+        return
+    g = np.repeat(np.arange(len(counts)), counts)
+    span = table.span[g]
+    rest, lane = np.divmod(rng.integers(table.slots[g] * span * n_lanes), n_lanes)
+    slot = table.offsets[g] + rest // span
+    cell = (slot * 64 + lane)[table.distinct[g]]
+    if np.unique(cell).size < cell.size:
+        # a location fails at most once per lane: a group whose draw repeats
+        # a (location, lane) cell draws its cells again without replacement
+        for h in np.unique(g[table.distinct[g]]):
+            at = np.flatnonzero(g == h)
+            if np.unique(slot[at] * 64 + lane[at]).size < at.size:
+                pick = rng.choice(table.slots[h] * n_lanes, size=at.size, replace=False)
+                slot[at], lane[at] = np.divmod(pick, n_lanes)
+                slot[at] += table.offsets[h]
+    rows = table.slot_row[slot] + rest % span
+    acc = np.zeros((64, table.images.shape[1]), dtype="<u8")
+    np.bitwise_xor.at(acc, _lane_array(mask)[lane], table.images[rows])
+    # bit-transpose the lane-major images into one lane word per image bit
+    bits = np.unpackbits(acc.view(np.uint8), axis=1, bitorder="little")
+    bits = np.ascontiguousarray(bits[:, :2 * len(table.qubits)].T)
+    words = np.packbits(bits, axis=1, bitorder="little").view("<u8").ravel().tolist()
+    m = len(table.qubits)
+    x, z = frame.x, frame.z
+    for q, wx, wz in zip(table.qubits, words[:m], words[m:]):
+        x[q] ^= wx
+        z[q] ^= wz
 
 
-class _Injector:
-    """Batched failure sampling for one lane mask."""
-
-    def __init__(self, rng: np.random.Generator, mask: int):
-        self.rng = rng
-        self.mask = mask
-        self.lanes = _lane_array(mask)
-
-    def two_qubit(self, frame: ErrorFrame, c: int, t: int, gamma2: float) -> None:
-        if gamma2 <= 0.0 or self.lanes.size == 0:
-            return
-        k = self.rng.binomial(self.lanes.size, gamma2)
-        if not k:
-            return
-        for lane in _pick_lanes(self.lanes, int(k), self.rng):
-            pc, pt = TWO_QUBIT_FAILURES[self.rng.integers(15)]
-            bit = 1 << int(lane)
-            if pc.flips_x:
-                frame.x[c] ^= bit
-            if pc.flips_z:
-                frame.z[c] ^= bit
-            if pt.flips_x:
-                frame.x[t] ^= bit
-            if pt.flips_z:
-                frame.z[t] ^= bit
-
-    def single(self, frame: ErrorFrame, q: int, p: float) -> None:
-        if p <= 0.0 or self.lanes.size == 0:
-            return
-        k = self.rng.binomial(self.lanes.size, p)
-        if not k:
-            return
-        for lane in _pick_lanes(self.lanes, int(k), self.rng):
-            pauli = (Pauli.X, Pauli.Y, Pauli.Z)[self.rng.integers(3)]
-            bit = 1 << int(lane)
-            if pauli.flips_x:
-                frame.x[q] ^= bit
-            if pauli.flips_z:
-                frame.z[q] ^= bit
-
-    def flip_plane(self, frame: ErrorFrame, q: int, p: float, plane: str) -> None:
-        """One-sided failure, e.g. the X flips surviving a |0> preparation."""
-        if p <= 0.0 or self.lanes.size == 0:
-            return
-        k = self.rng.binomial(self.lanes.size, p)
-        if not k:
-            return
-        target = frame.x if plane == "x" else frame.z
-        for lane in _pick_lanes(self.lanes, int(k), self.rng):
-            target[q] ^= 1 << int(lane)
-
-    def idle(self, frame: ErrorFrame, qubits, eps: float, steps: float) -> None:
-        """Aggregated resting noise: ``steps`` iid memory steps per qubit."""
-        p = idle_flip_probability(eps, steps)
-        if p <= 0.0:
-            return
-        for q in qubits:
-            self.single(frame, q, p)
-
-    def holes_redistributed(self, frame: ErrorFrame, resting_count: int,
-                            phase_qubits, eps: float) -> None:
-        """Hole noise with the failure count drawn for the true number of
-        resting slots but placed uniformly over the whole phase register."""
-        if eps <= 0.0 or resting_count == 0 or self.lanes.size == 0:
-            return
-        k = self.rng.binomial(resting_count * self.lanes.size, eps)
-        if not k:
-            return
-        qs = self.rng.integers(0, len(phase_qubits), size=int(k))
-        ls = self.rng.integers(0, self.lanes.size, size=int(k))
-        ps = self.rng.integers(0, 3, size=int(k))
-        for qi, li, pi in zip(qs, ls, ps):
-            q = phase_qubits[int(qi)]
-            bit = 1 << int(self.lanes[int(li)])
-            pauli = (Pauli.X, Pauli.Y, Pauli.Z)[int(pi)]
-            if pauli.flips_x:
-                frame.x[q] ^= bit
-            if pauli.flips_z:
-                frame.z[q] ^= bit
+def _syndromes(plane: list[int], checks_t: np.ndarray, mask: int) -> list[int]:
+    """One packed syndrome per lane: bit l is the parity of ``plane`` (one
+    lane word per check column) over check row l, with ``checks_t`` the
+    transposed check matrix; lanes outside the mask read 0."""
+    words = np.array(plane, dtype="<u8") & np.uint64(mask)
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    syn = np.packbits((bits.T @ checks_t).astype(np.uint8) & 1, axis=1, bitorder="little")
+    if syn.shape[1] > 8:
+        return [int.from_bytes(row.tobytes(), "little") for row in syn]
+    buf = np.zeros((64, 8), dtype=np.uint8)
+    buf[:, :syn.shape[1]] = syn
+    return buf.view("<u8").ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -303,38 +435,8 @@ class TrialStats:
 
 
 # ---------------------------------------------------------------------------
-# simulation engine: phase programs, their interpreter and syndromes
+# simulation engine
 # ---------------------------------------------------------------------------
-
-def _program(events, rest_profile=(), hole_qubits=()) -> list[tuple]:
-    """Compile a schedule into time-ordered ``(gates, hole_count,
-    hole_register)`` steps, keeping the schedule's gate order in a step."""
-    by_step: dict[int, list[GateEvent]] = {}
-    for ev in events:
-        by_step.setdefault(ev.time_step, []).append(ev)
-    rest = dict(rest_profile)
-    # gate-free steps are skipped, their holes undrawn: a known defect (ROADMAP)
-    return [(gates, rest.get(t, 0), hole_qubits) for t, gates in sorted(by_step.items())]
-
-
-def _syndromes(plane: list[int], supports, mask: int) -> list[int]:
-    """One packed syndrome per lane: bit l is the parity of ``plane`` over
-    ``supports[l]`` (entries only meaningful for lanes in the mask)."""
-    words = []
-    for sup in supports:
-        acc = 0
-        for q in sup:
-            acc ^= plane[q]
-        words.append(acc & mask)
-    out = [0] * 64
-    for lane in range(64):
-        if (mask >> lane) & 1:
-            s = 0
-            for l, wrd in enumerate(words):
-                s |= ((wrd >> lane) & 1) << l
-            out[lane] = s
-    return out
-
 
 class SimEngine:
     """Precomputed schedules, decoder and timing for one configuration."""
@@ -352,21 +454,15 @@ class SimEngine:
         self.n = code.n
         self.rows = self.networks.rows
         self.t = code.t
-        # row supports of the standardized check matrix, as frame indices
-        self.row_support_data = [np.nonzero(self.code.H[l])[0].tolist()
-                                 for l in range(self.rows)]
-        self.row_support_anc = [[q + self.n for q in sup]
-                                for sup in self.row_support_data]
+        # transposed check matrix; float32 so parity counts go through BLAS
+        self._checks_t = self.code.H.T.astype(np.float32)
         self.t_r = self._resting_time()
-        ns = self.networks
-        anc = list(ns.ancilla_qubits)
-        self._prep = (_program(ns.g_schedule, ns.g_step_rest, anc)
-                      + _program(ns.v_schedule, ns.v_step_rest,
-                                 anc + list(ns.verification_qubits)))
-        self._readout = {
-            "Z": _program(ns.coupling_cnot + ns.measure_schedule),
-            "X": _program(ns.coupling_cphase + ns.measure_schedule),
-        }
+        self._prep, self._readout = _phase_tables(self.networks, noise)
+        # data noise has no circuit after it: identity images on the data
+        data = list(range(self.n))
+        self._data_rest = _fault_table([], data, noise,
+                                       (data, idle_flip_probability(noise.eps, self.t_r)))
+        self._logical_gate = _fault_table([], data, noise, (data, noise.gamma2))
 
     def _resting_time(self) -> float:
         pp = self.protocol
@@ -383,40 +479,22 @@ class SimEngine:
         return resting_time(self.params.w, self.noise.t_m, pp, alpha, beta)
 
     # -- one syndrome extraction attempt ------------------------------------
-    def _run_phase(self, frame: ErrorFrame, inj: _Injector, program,
-                   mask: int) -> None:
-        """Run a phase program: each step's gate failures and propagation,
-        then that step's holes spread over its hole register."""
-        noise = self.noise
-        for gates, holes, register in program:
-            for ev in gates:
-                if ev.kind == network_mod.PREP_ZERO:
-                    q = ev.qubits[0]
-                    frame.x[q] &= ~mask
-                    frame.z[q] &= ~mask
-                    inj.flip_plane(frame, q, 2.0 * noise.gamma_p / 3.0, "x")
-                elif ev.kind == network_mod.PREP_PLUS:
-                    q = ev.qubits[0]
-                    frame.x[q] &= ~mask
-                    frame.z[q] &= ~mask
-                    inj.flip_plane(frame, q, 2.0 * noise.gamma_p / 3.0, "z")
-                elif ev.kind == network_mod.HADAMARD:
-                    inj.single(frame, ev.qubits[0], noise.gamma1)
-                    propagate(ev, frame, mask)
-                elif ev.kind == network_mod.MEASURE:
-                    inj.single(frame, ev.qubits[0], noise.gamma_m)
-                else:
-                    inj.two_qubit(frame, ev.qubits[0], ev.qubits[1], noise.gamma2)
-                    propagate(ev, frame, mask)
-            if holes:
-                inj.holes_redistributed(frame, holes, register, noise.eps)
-
     def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
-        """Run G and V once for the masked lanes; return the verified sub-mask."""
-        self._run_phase(frame, _Injector(rng, mask), self._prep, mask)
+        """Run G and V once for the masked lanes; return the verified sub-mask.
+
+        G+V prepares every ancilla and verification qubit before any fault
+        that survives it, so on the masked lanes those qubits end up holding
+        exactly the sampled fault images.
+        """
+        keep = ~mask
+        x, z = frame.x, frame.z
+        for q in self._prep.qubits:
+            x[q] &= keep
+            z[q] &= keep
+        _inject(self._prep, frame, rng, mask)
         bad = 0
-        for l in range(self.rows):
-            bad |= frame.x[2 * self.n + l]
+        for q in self.networks.verification_qubits:
+            bad |= x[q]
         return mask & ~bad
 
     def prepare_verified(self, frame: ErrorFrame, rng, mask: int,
@@ -438,17 +516,19 @@ class SimEngine:
                            error_type: str) -> list[int]:
         """Readout wait, transversal coupling, ancilla readout, syndromes.
 
-        Returns one packed syndrome int per lane (entries only meaningful
-        for lanes in the mask).
+        Returns one packed syndrome int per lane (0 for lanes outside the
+        mask).
         """
-        inj = _Injector(rng, mask)
-        inj.idle(frame, self.networks.ancilla_qubits, self.noise.eps, self.noise.t_m)
-        self._run_phase(frame, inj, self._readout[error_type], mask)
-        return _syndromes(frame.x, self.row_support_anc, mask)
+        table = self._readout[error_type]
+        for gates, _, _ in table.program:
+            for ev in gates:
+                propagate(ev, frame, mask)
+        _inject(table, frame, rng, mask)
+        return _syndromes(frame.x[self.n:2 * self.n], self._checks_t, mask)
 
     def data_syndromes(self, frame: ErrorFrame, plane: str, mask: int) -> list[int]:
-        return _syndromes(frame.x if plane == "x" else frame.z,
-                          self.row_support_data, mask)
+        return _syndromes((frame.x if plane == "x" else frame.z)[:self.n],
+                          self._checks_t, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +564,7 @@ def recover_block(frame: ErrorFrame, states: list[RecoveryState],
     """
     pp = engine.protocol
     if apply_rest:
-        inj = _Injector(rng, mask)
-        inj.idle(frame, frame.data_slice(), engine.noise.eps, engine.t_r)
+        _inject(engine._data_rest, frame, rng, mask)
 
     engine.prepare_verified(frame, rng, mask)
     first = engine.couple_and_measure(frame, rng, mask, error_type)
@@ -563,13 +642,10 @@ def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
     alive = mask
     stats = TrialStats.empty(q_max)
     stats.trials = bin(mask).count("1")
-    noise = engine.noise
     for q in range(1, q_max + 1):
         if not alive:
             break
-        inj = _Injector(rng, alive)
-        for dq in frame.data_slice():
-            inj.single(frame, dq, noise.gamma2)
+        _inject(engine._logical_gate, frame, rng, alive)
         _, crash_z = recover_block(frame, states_z, engine, rng, "Z", alive,
                                    apply_rest=True)
         alive_after_z = alive & ~crash_z

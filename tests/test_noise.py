@@ -1,15 +1,17 @@
-"""The failure model as the simulator samples it: ``simulator._Injector``
-acting on a lane-packed ``ErrorFrame``, 64 trial lanes per call."""
+"""The failure model as the simulator samples it: a phase's single-fault
+table (``simulator._fault_table``) drawn by ``simulator._inject`` into a
+lane-packed ``ErrorFrame``, 64 trial lanes per call."""
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from ftqec import codes
-from ftqec.network import GateEvent, MEASURE, PREP_ZERO
+from ftqec.network import CNOT, GateEvent, MEASURE, PREP_ZERO
 from ftqec.noise import (NoiseParams, Pauli, TWO_QUBIT_FAILURES,
                          idle_flip_probability, stream)
 from ftqec.protocol import ProtocolParams
-from ftqec.simulator import MASK_ALL, ErrorFrame, SimEngine, _Injector
+from ftqec.simulator import (MASK_ALL, ErrorFrame, SimEngine, _fault_table,
+                             _inject, _program)
 
 
 def lane_bits(word: int) -> np.ndarray:
@@ -27,6 +29,22 @@ def flip_count(frame: ErrorFrame) -> int:
     return sum(bin(x | z).count("1") for x, z in zip(frame.x, frame.z))
 
 
+def cnot_table(gamma2: float, idle_rate: float = 0.0):
+    """One CNOT(0, 1), optionally after an idle on qubit 0."""
+    return _fault_table(_program([GateEvent(CNOT, (0, 1), 0)]), [0, 1],
+                        NoiseParams(gamma2=gamma2), ([0], idle_rate))
+
+
+def idle_table(qubits, rate: float):
+    """Three-Pauli idles and nothing after them: identity images."""
+    return _fault_table([], list(qubits), NoiseParams(), (list(qubits), rate))
+
+
+def hole_table(slots: int, register, eps: float):
+    """One gate-free step with ``slots`` holes spread over ``register``."""
+    return _fault_table([([], slots, register)], list(register), NoiseParams(eps=eps))
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         NoiseParams(gamma2=1.5)
@@ -35,21 +53,25 @@ def test_params_validation():
 
 
 def test_two_qubit_zero_rate_is_identity():
-    inj = _Injector(stream(1, 0), MASK_ALL)
+    table = cnot_table(0.0)
+    rng = stream(1, 0)
     frame = ErrorFrame(n=1, rows=0)
     for _ in range(1000):
-        inj.two_qubit(frame, 0, 1, 0.0)
+        _inject(table, frame, rng, MASK_ALL)
     assert flip_count(frame) == 0
 
 
 def test_two_qubit_forced_failure_uniform():
-    # gamma2 = 1: each of the 15 failures at 1/15 within 3.5 sigma over 1e6 draws
-    inj = _Injector(stream(2, 0), MASK_ALL)
+    # gamma2 = 1: each of the 15 failures at 1/15 within 3.5 sigma over 1e6
+    # draws; the CNOT after the failure permutes the 15, so its images are
+    # uniform exactly when the failures are
+    table = cnot_table(1.0)
+    rng = stream(2, 0)
     n = 1_000_000
     tally = np.zeros(16, dtype=np.int64)
     for _ in range(n // 64):
         frame = ErrorFrame(n=1, rows=0)
-        inj.two_qubit(frame, 0, 1, 1.0)
+        _inject(table, frame, rng, MASK_ALL)
         pair = 4 * lane_paulis(frame, 0) + lane_paulis(frame, 1)
         tally += np.bincount(pair, minlength=16)
     counts = {(Pauli(i // 4), Pauli(i % 4)): int(c)
@@ -65,12 +87,13 @@ def test_two_qubit_forced_failure_uniform():
 
 
 def test_single_qubit_marginals():
-    inj = _Injector(stream(3, 0), MASK_ALL)
+    table = idle_table([0], 0.3)
+    rng = stream(3, 0)
     n = 1_000_000
     tally = np.zeros(4, dtype=np.int64)
     for _ in range(n // 64):
         frame = ErrorFrame(n=1, rows=0)
-        inj.single(frame, 0, 0.3)
+        _inject(table, frame, rng, MASK_ALL)
         tally += np.bincount(lane_paulis(frame, 0), minlength=4)
     for pauli in (Pauli.X, Pauli.Y, Pauli.Z):
         frac = tally[pauli] / n
@@ -80,19 +103,17 @@ def test_single_qubit_marginals():
 
 @pytest.mark.parametrize("kind,param", [(PREP_ZERO, "gamma_p"), (MEASURE, "gamma_m")])
 def test_prep_measure_marginals(kind, param):
-    # through the engine's own phase runner: a |0> preparation keeps only
-    # its X flips (rate 2 gamma_p / 3), a measurement fails at gamma_m
-    noise = NoiseParams(**{param: 0.09})
-    eng = SimEngine(codes.construct_code("hamming"), noise,
-                    ProtocolParams(1, 1, 1, parallel_corrections=1.0))
+    # a |0> preparation keeps only its X flips (rate 2 gamma_p / 3), a
+    # measurement fails at gamma_m
+    table = _fault_table([([GateEvent(kind, (0,), 0)], 0, ())], [0],
+                         NoiseParams(**{param: 0.09}))
     rate = 2 * 0.09 / 3 if kind == PREP_ZERO else 0.09
-    program = [([GateEvent(kind, (0,), 0)], 0, ())]
-    inj = _Injector(stream(4, 0), MASK_ALL)
+    rng = stream(4, 0)
     n = 200_000
     hits = 0
     for _ in range(n // 64):
-        frame = ErrorFrame(n=eng.n, rows=eng.rows)
-        eng._run_phase(frame, inj, program, MASK_ALL)
+        frame = ErrorFrame(n=1, rows=0)
+        _inject(table, frame, rng, MASK_ALL)
         if kind == PREP_ZERO:
             assert frame.z[0] == 0
         hits += flip_count(frame)
@@ -102,10 +123,10 @@ def test_prep_measure_marginals(kind, param):
 
 
 def test_memory_noise_zero_eps():
-    inj = _Injector(stream(5, 0), MASK_ALL)
+    rng = stream(5, 0)
     frame = ErrorFrame(n=4, rows=0)
-    inj.holes_redistributed(frame, 8, range(8), 0.0)
-    inj.idle(frame, range(8), 0.0, 100)
+    _inject(hole_table(8, range(8), 0.0), frame, rng, MASK_ALL)
+    _inject(idle_table(range(8), idle_flip_probability(0.0, 100)), frame, rng, MASK_ALL)
     assert flip_count(frame) == 0
 
 
@@ -113,11 +134,12 @@ def test_memory_noise_mean_count():
     # 16 calls of 1000 resting slots x 64 lanes at eps = 1e-3: mean 1024
     # failures within 3.5 sigma; spread over 64000 (qubit, lane) cells per
     # call, coinciding failures are too rare to matter
-    inj = _Injector(stream(6, 0), MASK_ALL)
+    table = hole_table(1000, range(1000), 1e-3)
+    rng = stream(6, 0)
     count = 0
     for _ in range(16):
         frame = ErrorFrame(n=500, rows=0)
-        inj.holes_redistributed(frame, 1000, range(1000), 1e-3)
+        _inject(table, frame, rng, MASK_ALL)
         count += flip_count(frame)
     mean = 16 * 1000 * 64 * 1e-3
     assert abs(count - mean) < 3.5 * mean ** 0.5
@@ -125,18 +147,17 @@ def test_memory_noise_mean_count():
 
 def test_memory_noise_forced_single_location():
     # a one-step rest at eps = 1 flips every lane
-    inj = _Injector(stream(7, 0), MASK_ALL)
     frame = ErrorFrame(n=1, rows=0)
-    inj.idle(frame, [0], 1.0, 1)
+    _inject(idle_table([0], idle_flip_probability(1.0, 1)), frame, stream(7, 0), MASK_ALL)
     assert frame.x[0] | frame.z[0] == MASK_ALL
 
 
 def test_memory_noise_exact_marginal():
     # idle noise draws each qubit independently; X or Y components: 2/3 of
     # failures flip the X plane
-    inj = _Injector(stream(8, 0), MASK_ALL)
     frame = ErrorFrame(n=2344, rows=0)
-    inj.idle(frame, range(frame.width), 0.01, 1)
+    table = idle_table(range(frame.width), idle_flip_probability(0.01, 1))
+    _inject(table, frame, stream(8, 0), MASK_ALL)
     n = frame.width * 64
     flips_x = sum(bin(v).count("1") for v in frame.x)
     expected = n * 0.01 * 2 / 3
@@ -145,16 +166,43 @@ def test_memory_noise_exact_marginal():
 
 
 def test_determinism_same_seed():
+    table = cnot_table(0.4, idle_rate=0.4)
     frames = []
     for _ in range(2):
-        inj = _Injector(stream(9, 5), MASK_ALL)
+        rng = stream(9, 5)
         frame = ErrorFrame(n=1, rows=0)
         for _ in range(50):
-            inj.two_qubit(frame, 0, 1, 0.4)
-            inj.single(frame, 0, 0.4)
+            _inject(table, frame, rng, MASK_ALL)
         frames.append((frame.x, frame.z))
     assert frames[0] == frames[1]
     assert any(frames[0][0]) or any(frames[0][1])
+
+
+def test_preparation_matches_per_gate_sampler():
+    # golay G+V at gamma = 3e-3, eps = 3e-4 against the per-gate sampler
+    # this table replaced (one binomial draw per gate, then lanes, then
+    # Paulis), which over 192,000 attempts (seed 2026) verified 118,625
+    # ancillas, 18,451 of them still carrying an error.  That sampler
+    # skipped the holes of gate-free steps; the table charges all of them,
+    # which here moves both fractions by about 0.001.
+    ref_alpha, ref_corrupt = 118_625 / 192_000, 18_451 / 118_625
+    eng = SimEngine(codes.construct_code("golay"), NoiseParams.uniform(3e-3, 3e-4, 1),
+                    ProtocolParams(1, 1, 1, parallel_corrections=1.0))
+    attempts = verified = corrupt = 0
+    for b in range(300):
+        frame = ErrorFrame(n=eng.n, rows=eng.rows)
+        ok = eng.attempt_preparation(frame, stream(7, b), MASK_ALL)
+        bad = 0
+        for q in eng.networks.ancilla_qubits:
+            bad |= frame.x[q] | frame.z[q]
+        attempts += 64
+        verified += bin(ok).count("1")
+        corrupt += bin(ok & bad).count("1")
+    alpha, frac = verified / attempts, corrupt / verified
+    sigma_alpha = (ref_alpha * (1 - ref_alpha) * (1 / attempts + 1 / 192_000)) ** 0.5
+    sigma_frac = (ref_corrupt * (1 - ref_corrupt) * (1 / verified + 1 / 118_625)) ** 0.5
+    assert abs(alpha - ref_alpha) < 3 * sigma_alpha
+    assert abs(frac - ref_corrupt) < 3 * sigma_frac
 
 
 def test_streams_independent():

@@ -4,7 +4,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from ftqec import analytic, codes, simulator
+from ftqec import analytic, codes, network, simulator
 from ftqec.network import GateEvent, CNOT, CPHASE, HADAMARD
 from ftqec.noise import NoiseParams, stream
 from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
@@ -122,23 +122,84 @@ def test_unverified_lanes_counted():
     assert quiet.unverified == 0
 
 
-@pytest.mark.xfail(strict=True, reason="holes of gate-free G/V steps are not "
-                   "drawn; see ROADMAP, Known defects")
 @pytest.mark.parametrize("name", ["hamming", "golay", "bch31"])
-def test_preparation_draws_every_hole(name, monkeypatch):
-    # one preparation attempt should charge memory noise on all N_h holes
-    drawn = []
-    holes = simulator._Injector.holes_redistributed
-
-    def record(self, frame, resting_count, phase_qubits, eps):
-        drawn.append(resting_count)
-        holes(self, frame, resting_count, phase_qubits, eps)
-
-    monkeypatch.setattr(simulator._Injector, "holes_redistributed", record)
+def test_preparation_draws_every_hole(name):
+    # one preparation attempt charges memory noise on all N_h holes,
+    # including those of gate-free G and V steps
     eng = engine(name, gamma=1e-3, eps=1e-3)
-    eng.attempt_preparation(ErrorFrame(n=eng.n, rows=eng.rows), stream(3, 0),
-                            (1 << 64) - 1)
-    assert sum(drawn) == eng.params.N_h
+    assert eng._prep.hole_slots == eng.params.N_h
+
+
+def _forward_images(table) -> np.ndarray:
+    """Images of every fault of a phase by forward propagation.
+
+    Each (location, Pauli) of the table gets its own lane of one wide frame,
+    is injected at its own point of the phase and pushed forward through
+    the rest of it with ``simulator.propagate``.  One extra lane starts with
+    an X and a Z on every phase qubit, to follow an incoming error."""
+    rows = table.images.shape[0]
+    lanes = (1 << (rows + 1)) - 1
+    top = max(table.qubits) + 1
+    frame = ErrorFrame(n=top, rows=0)
+    for q in table.qubits:
+        frame.x[q] = frame.z[q] = 1 << rows
+    at = {}
+    for step, slot, qubits, paulis, row in table.sites:
+        at.setdefault((step, slot), []).append((qubits, paulis, row))
+
+    def inject(key):
+        for qubits, paulis, row in at.pop(key, ()):
+            for p, ps in enumerate(paulis):
+                for q, pauli in zip(qubits, ps):
+                    if pauli.flips_x:
+                        frame.x[q] ^= 1 << (row + p)
+                    if pauli.flips_z:
+                        frame.z[q] ^= 1 << (row + p)
+
+    inject((-1, 0))
+    for s, (gates, _, _) in enumerate(table.program):
+        for g, ev in enumerate(gates):
+            if ev.kind in (network.PREP_ZERO, network.PREP_PLUS):
+                q = ev.qubits[0]
+                frame.x[q] = frame.z[q] = 0
+                inject((s, g))
+            else:
+                inject((s, g))
+                simulator.propagate(ev, frame, lanes)
+        inject((s, len(gates)))
+    assert not at, "a site outside the program"
+    planes = [frame.x[q] for q in table.qubits] + [frame.z[q] for q in table.qubits]
+    nbytes = (rows + 8) // 8
+    bits = np.unpackbits(np.frombuffer(b"".join(v.to_bytes(nbytes, "little")
+                                                for v in planes), dtype=np.uint8)
+                         .reshape(len(planes), nbytes), axis=1, bitorder="little")
+    return bits[:, :rows + 1].T
+
+
+@pytest.mark.parametrize("name", codes.code_names())
+def test_fault_table_matches_forward_propagation(name):
+    code = codes.construct_code(name)
+    sf = codes.standard_form(codes.standardized_code(code))
+    params = codes.derived_params(sf, code.n, code.k, code.d, name=name)
+    ns = network.synthesize_networks(sf, params)
+    prep, readout = simulator._phase_tables(ns, NoiseParams.uniform(1e-3, 1e-4, 5))
+    for label, table in (("G+V", prep), ("X", readout["X"]), ("Z", readout["Z"])):
+        rows = table.images.shape[0]
+        starts = sorted(row + p for _, _, _, paulis, row in table.sites
+                        for p in range(len(paulis)))
+        assert starts == list(range(rows)), label
+        m = len(table.qubits)
+        compiled = np.unpackbits(table.images.view(np.uint8), axis=1,
+                                 bitorder="little")[:, :2 * m]
+        forward = _forward_images(table)
+        assert np.array_equal(compiled, forward[:rows]), label
+        if label == "G+V":
+            # every ancilla and verification qubit is prepared inside G+V
+            assert not forward[rows].any()
+        # every gate of the program is one location of its table
+        assert sum(len(g) for g, _, _ in table.program) == sum(
+            1 for step, slot, *_ in table.sites
+            if step >= 0 and slot < len(table.program[step][0])), label
 
 
 def test_unverified_tally_independent_of_workers():
@@ -165,6 +226,24 @@ def test_engine_cache_bounded(monkeypatch):
     assert simulator._engine_for(configs[-1]) is built[-1]
     # the least recently used engine was dropped, so it is built again
     assert simulator._engine_for(configs[1]) is not built[1]
+
+
+@pytest.mark.parametrize("rows,n", [(12, 23), (85, 127)])
+def test_syndromes_match_per_lane_reference(rows, n):
+    # the vectorised reduction against a per-lane loop, on both sides of
+    # the 64-row packing boundary
+    gen = np.random.default_rng(rows)
+    checks = gen.integers(0, 2, (rows, n), dtype=np.uint8)
+    plane = [int(v) for v in gen.integers(0, 2**63, n)]
+    mask = int(gen.integers(0, 2**63)) | (1 << 63)
+    want = [0] * 64
+    for lane in range(64):
+        if (mask >> lane) & 1:
+            for l in range(rows):
+                parity = sum((plane[q] >> lane) & 1 for q in np.flatnonzero(checks[l]))
+                want[lane] |= (parity & 1) << l
+    got = simulator._syndromes(plane, checks.T.astype(np.float32), mask)
+    assert got == want
 
 
 # -- recovery ------------------------------------------------------------------
