@@ -12,8 +12,9 @@ The module provides:
   plus column-deletion shortening,
 * reduction of H to (I A) standard form and the scheduling parameters
   (w, N_A, N_GV, N_h) derived from A,
-* coset-leader decoding (full syndrome table for small codes, bounded-weight
-  meet-in-the-middle search for large ones) and the crash criterion.
+* bounded-distance coset-leader decoding from one sorted ball of low-weight
+  syndromes (every syndrome for the small codes; weights exact up to 2R,
+  with R the ball's radius, and 2R + 1 beyond), and the crash criterion.
 
 The catalog in data/catalog.json carries the (w, N_A) values consumed by the
 analytic model; constructed matrices feed the simulator.  The two need not
@@ -22,8 +23,8 @@ agree entry by entry (the standard-form reduction is not unique), so
 """
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
@@ -406,146 +407,169 @@ def compare_with_catalog(name: str) -> dict:
 # coset-leader decoding
 # ---------------------------------------------------------------------------
 
-TABLE_BITS_LIMIT = 26   # build a full syndrome table up to 2^26 entries
-
-
-def _syndrome_to_int(h: np.ndarray, e: np.ndarray) -> int:
-    s = (h.astype(np.int64) @ e.astype(np.int64)) % 2
-    out = 0
-    for i in np.nonzero(s)[0]:
-        out |= 1 << int(i)
-    return out
+BALL_LIMIT = 1 << 21   # most syndromes one decoder's ball may hold
+_SORTED_QUERIES = 4096   # above this many, a lookup sorts its queries first
+_MIX = np.uint64(0x9E3779B97F4A7C15)   # folds wide syndromes into one sort key
 
 
 class CosetDecoder:
-    """Minimum-weight decoding of H-syndromes.
+    """Bounded-distance minimum-weight decoding of H-syndromes.
 
-    For codes whose H has at most TABLE_BITS_LIMIT rows, a full syndrome
-    table is built by breadth-first layering over error weights, giving the
-    leader weight and one leader vector for every syndrome.  Larger codes
-    fall back to an ascending-weight meet-in-the-middle search; weights
-    beyond the search bound are reported as bound + 1.
+    The decoder holds a ball: every syndrome whose coset leader has weight
+    at most R, with that weight and one leader, found by breadth-first
+    layering over error weights and sorted for binary search.  R is at
+    least max(ceil(t/2), 2), and layer r + 1 is added while the ball plus
+    the C(n, r + 1) bound on it stays within BALL_LIMIT, so hamming, golay
+    and golay21 get every syndrome.  A syndrome s outside the ball is looked
+    up as s xor (a syndrome of layer j) for j = 1..R; the first j with a hit
+    has a leader of weight exactly R + j.  Weights are therefore exact up to
+    2R >= max(t, 4), and a heavier leader reads 2R + 1.  A code whose floor
+    ball could exceed BALL_LIMIT (qr99, qr101, qr103, bch127-29) raises
+    CodeConstructionError.  Syndromes are packed ints (bit i = row i), held
+    as ``words`` uint64 words each; one wider than a word is sorted by a
+    folded key and compared in full.
     """
 
     def __init__(self, code: ClassicalCode):
         self.code = code
-        self.rows = code.H.shape[0]
-        self.n = code.n
-        self.col_syndromes = gf2.rows_to_ints(code.H.T)
-        self.weight_table: Optional[np.ndarray] = None
-        self.vector_table: Optional[np.ndarray] = None
-        # meet-in-the-middle half tables: weight -> {syndrome: vector}
-        self._half_maps: dict[int, dict[int, int]] = {0: {0: 0}}
-        if self.rows <= TABLE_BITS_LIMIT:
-            self._build_table()
+        self.rows, self.n = code.H.shape
+        self.words = -(-self.rows // 64)
+        cols = self._pack(gf2.rows_to_ints(code.H.T))
+        floor = max(-(-code.t // 2), 2)
+        ball = np.zeros((1, self.words), dtype=np.uint64)
+        layers = [(ball, np.zeros((1, 0), dtype=np.uint16))]
+        while len(ball) < 1 << self.rows:
+            r = len(layers) - 1
+            if len(ball) + math.comb(self.n, r + 1) > BALL_LIMIT:
+                if r < floor:
+                    raise CodeConstructionError(
+                        f"{code.name}: a syndrome ball of radius {floor} could "
+                        f"hold more than BALL_LIMIT = {BALL_LIMIT} entries")
+                break
+            layers.append(self._next_layer(ball, layers[-1], cols))
+            ball = np.concatenate([ball, layers[-1][0]])
+        self.radius = len(layers) - 1
+        self._layers = layers
+        weight = np.concatenate([np.full(len(s), w, dtype=np.uint8)
+                                 for w, (s, _) in enumerate(layers)])
+        leaders = np.concatenate([np.pad(lead, ((0, 0), (0, self.radius - w)))
+                                  for w, (_, lead) in enumerate(layers)])
+        key = self._key(ball)
+        order = np.argsort(key, kind="stable")
+        self._keys, self._ball = key[order], ball[order]
+        self._weight, self._leaders = weight[order], leaders[order]
+        self._run = int(np.unique(self._keys, return_counts=True)[1].max())
 
-    def _build_table(self) -> None:
-        size = 1 << self.rows
-        wt = np.full(size, 255, dtype=np.uint8)
-        vec = np.zeros(size, dtype=np.uint64)
-        wt[0] = 0
-        cols = np.array(self.col_syndromes, dtype=np.uint64)
-        col_bits = (np.uint64(1) << np.arange(self.n, dtype=np.uint64))
-        frontier_s = np.array([0], dtype=np.uint64)
-        frontier_v = np.array([0], dtype=np.uint64)
-        weight = 0
-        while frontier_s.size and weight < self.n:
-            weight += 1
-            cand_s = (frontier_s[:, None] ^ cols[None, :]).ravel()
-            cand_v = (frontier_v[:, None] | col_bits[None, :]).ravel()
-            fresh = wt[cand_s] == 255
-            cand_s = cand_s[fresh]
-            cand_v = cand_v[fresh]
-            uniq, first = np.unique(cand_s, return_index=True)
-            wt[uniq] = weight
-            vec[uniq] = cand_v[first]
-            frontier_s = uniq
-            frontier_v = cand_v[first]
-        self.weight_table = wt
-        self.vector_table = vec
+    def _next_layer(self, ball, layer, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Syndromes of weight r + 1 and their leaders, from the ball and layer r.
 
-    # -- bounded search ----------------------------------------------------
-    def _search(self, syndrome: int, max_weight: int) -> tuple[int, Optional[int]]:
-        """Ascending-weight meet-in-the-middle search.
-
-        Returns (weight, vector-bitmask) or (max_weight + 1, None) when no
-        pattern of weight <= max_weight matches.
+        A first occurrence past the ball, among the ball followed by every
+        layer-r syndrome xor every column, is a syndrome of weight r + 1.
         """
-        if syndrome == 0:
-            return 0, 0
-        cols = self.col_syndromes
-        half_maps = self._half_maps
+        front, front_leaders = layer
+        grown = np.concatenate([ball, (front[:, None] ^ cols).reshape(-1, self.words)])
+        first = self._first(grown)
+        fresh = first[first >= len(ball)]
+        f, c = np.divmod(fresh - len(ball), self.n)
+        return grown[fresh], np.column_stack([front_leaders[f], c.astype(np.uint16)])
 
-        def half(kk: int) -> dict[int, int]:
-            if kk not in half_maps:
-                table: dict[int, int] = {}
-                for combo in itertools.combinations(range(self.n), kk):
-                    s = 0
-                    v = 0
-                    for i in combo:
-                        s ^= cols[i]
-                        v |= 1 << i
-                    if s not in table:
-                        table[s] = v
-                half_maps[kk] = table
-            return half_maps[kk]
+    def _first(self, syn: np.ndarray) -> np.ndarray:
+        """Index of the first occurrence of each distinct syndrome, in key order."""
+        key = self._key(syn)
+        order = np.lexsort((*syn.T, key) if self.words > 1 else (key,))
+        s = syn[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (s[1:] != s[:-1]).any(axis=1)
+        return order[new]
 
-        for w in range(1, max_weight + 1):
-            w1 = w // 2
-            w2 = w - w1
-            right = half(w2)
-            for combo in itertools.combinations(range(self.n), w1):
-                s = syndrome
-                v = 0
-                for i in combo:
-                    s ^= cols[i]
-                    v |= 1 << i
-                hit = right.get(s)
-                if hit is not None and (hit & v) == 0:
-                    return w, v | hit
-        return max_weight + 1, None
+    def _pack(self, syndromes) -> np.ndarray:
+        """Packed-int syndromes as an (m, words) uint64 array."""
+        raw = b"".join(int(s).to_bytes(8 * self.words, "little") for s in syndromes)
+        return np.frombuffer(raw, dtype="<u8").reshape(-1, self.words)
 
-    # -- public API ---------------------------------------------------------
-    def leader_weight(self, syndrome: int, max_weight: Optional[int] = None) -> int:
-        if self.weight_table is not None:
-            return int(self.weight_table[syndrome])
-        bound = max_weight if max_weight is not None else 2 * self.code.t + 1
-        return self._search(syndrome, bound)[0]
+    def _key(self, syn: np.ndarray) -> np.ndarray:
+        """Sort key of each syndrome: itself when it fits one word."""
+        key = syn[:, 0]
+        for i in range(1, self.words):
+            key = key * _MIX ^ syn[:, i]
+        return key
 
-    def leader_vector(self, syndrome: int, max_weight: Optional[int] = None) -> Optional[int]:
-        """Bitmask of one minimum-weight error for this syndrome."""
-        if self.weight_table is not None:
-            return int(self.vector_table[syndrome])
-        bound = max_weight if max_weight is not None else 2 * self.code.t + 1
-        w, v = self._search(syndrome, bound)
-        return v
+    def _find(self, syn: np.ndarray) -> np.ndarray:
+        """Ball position of each syndrome, -1 for one outside the ball."""
+        if len(self._keys) == 1 << self.rows:   # complete: keys 0 .. 2^rows - 1
+            return syn[:, 0].astype(np.int64)
+        key = self._key(syn)
+        last = len(self._keys) - 1
+        idx = np.arange(len(key))
+        if len(key) > _SORTED_QUERIES:
+            # binary search runs far faster over sorted queries, and the
+            # sorted copy names the few keys the ball holds
+            s = np.sort(key)
+            held = s[self._keys[np.minimum(np.searchsorted(self._keys, s), last)] == s]
+            idx = np.nonzero(np.isin(key, held))[0]
+        at = np.searchsorted(self._keys, key[idx])
+        found = np.full(len(key), -1, dtype=np.int64)
+        for k in range(self._run):
+            i = np.minimum(at + k, last)
+            hit = (self._keys[i] == key[idx]) & (self._ball[i] == syn[idx]).all(axis=1)
+            found[idx[hit]] = i[hit]
+        return found
+
+    def decode(self, syndromes) -> tuple[np.ndarray, np.ndarray]:
+        """Leader weight and one leader for each packed syndrome.
+
+        Row i of the leaders array lists the columns of syndrome i's leader
+        in its first weights[i] entries; a weight of 2R + 1 means heavier
+        than 2R, with no leader.
+        """
+        radius = self.radius
+        q = self._pack(syndromes)
+        pos = self._find(q)
+        weight = np.where(pos >= 0, self._weight[pos], 2 * radius + 1)
+        leaders = np.zeros((len(q), 2 * radius), dtype=np.uint16)
+        leaders[:, :radius] = self._leaders[pos]
+        for i in np.nonzero(pos < 0)[0]:
+            for j, (layer, layer_leaders) in enumerate(self._layers[1:], 1):
+                found = self._find(q[i] ^ layer)
+                a = int(np.argmax(found >= 0))
+                if found[a] >= 0:
+                    # the ball's half of a weight R + j leader has weight R
+                    weight[i] = radius + j
+                    leaders[i, :radius] = self._leaders[found[a]]
+                    leaders[i, radius:radius + j] = layer_leaders[a]
+                    break
+        return weight, leaders
+
+    # -- scalar entry points ------------------------------------------------
+    def leader_weight(self, syndrome: int) -> int:
+        return int(self.decode([syndrome])[0][0])
+
+    def leader_vector(self, syndrome: int) -> Optional[int]:
+        """Bitmask of one minimum-weight error, None beyond weight 2R."""
+        weights, leaders = self.decode([syndrome])
+        if weights[0] > 2 * self.radius:
+            return None
+        return sum(1 << int(c) for c in leaders[0, :weights[0]])
 
 
 _decoder_cache: dict[tuple, CosetDecoder] = {}
 
 
 def decoder_for(code: ClassicalCode) -> CosetDecoder:
-    """Shared decoder per check matrix, so equal codes reuse one table."""
+    """Shared decoder per check matrix, so equal codes reuse one ball."""
     key = (code.H.shape, code.H.tobytes())
     if key not in _decoder_cache:
         _decoder_cache[key] = CosetDecoder(code)
     return _decoder_cache[key]
 
 
-def coset_leader_weight(code: ClassicalCode, syndrome,
-                        max_weight: Optional[int] = None) -> int:
-    """Minimum weight of an error with H e = syndrome.
+def coset_leader_weight(code: ClassicalCode, syndrome: int) -> int:
+    """Minimum weight of an error with H e = syndrome (a packed int).
 
-    ``syndrome`` may be a bit vector over the rows of H or a packed int.
-    A result of (bound + 1) means the leader exceeds the search bound,
-    which only occurs for codes too large for a full table.
+    Weights are exact up to twice the decoder's ball radius R; a result of
+    2R + 1 means the leader is heavier than that (see CosetDecoder).
     """
-    if not isinstance(syndrome, (int, np.integer)):
-        s = np.asarray(syndrome, dtype=np.uint8) & 1
-        if s.shape[0] != code.H.shape[0]:
-            raise ValueError("syndrome length must equal the number of check rows")
-        syndrome = int(sum(1 << i for i in np.nonzero(s)[0]))
-    return decoder_for(code).leader_weight(int(syndrome), max_weight)
+    return decoder_for(code).leader_weight(syndrome)
 
 
 def syndrome_of(code: ClassicalCode, error_bits) -> int:
@@ -553,15 +577,11 @@ def syndrome_of(code: ClassicalCode, error_bits) -> int:
     e = np.asarray(error_bits, dtype=np.uint8) & 1
     if e.shape[0] != code.n:
         raise ValueError("error vector length must equal n")
-    return _syndrome_to_int(code.H, e)
+    return gf2.rows_to_ints(gf2.matmul(code.H, e[:, None]).T)[0]
 
 
-def is_crash(code: ClassicalCode, e_x, e_z, t: Optional[int] = None) -> bool:
+def is_crash(code: ClassicalCode, e_x, e_z) -> bool:
     """True when either error component has coset-leader weight above t."""
-    tt = code.t if t is None else t
-    dec = decoder_for(code)
-    for e in (e_x, e_z):
-        s = syndrome_of(code, e)
-        if dec.leader_weight(s, max_weight=tt) > tt:
-            return True
-    return False
+    weights, _ = decoder_for(code).decode(
+        [syndrome_of(code, e_x), syndrome_of(code, e_z)])
+    return bool((weights > code.t).any())

@@ -532,24 +532,8 @@ class SimEngine:
 
 
 # ---------------------------------------------------------------------------
-# public single-lane operations
+# recovery and trials
 # ---------------------------------------------------------------------------
-
-def extract_syndrome(frame: ErrorFrame, engine: SimEngine, noise: NoiseParams,
-                     error_type: str, rng) -> dict:
-    """One ancilla preparation, verification and (if verified) syndrome readout.
-
-    Returns {"verified": bool, "syndrome": ndarray or None} for lane 0.
-    """
-    mask = 1
-    verified = engine.attempt_preparation(frame, rng, mask)
-    if not verified:
-        return {"verified": False, "syndrome": None}
-    syndromes = engine.couple_and_measure(frame, rng, mask, error_type)
-    s = syndromes[0]
-    vec = np.array([(s >> l) & 1 for l in range(engine.rows)], dtype=np.uint8)
-    return {"verified": True, "syndrome": vec}
-
 
 def recover_block(frame: ErrorFrame, states: list[RecoveryState],
                   engine: SimEngine, rng, error_type: str,
@@ -596,10 +580,12 @@ def recover_block(frame: ErrorFrame, states: list[RecoveryState],
             if need[lane] >= k:
                 pools[lane].append(extra[lane])
 
-    corrected = 0
-    crashed = 0
+    if not pools:
+        return 0, 0
     plane = frame.x if error_type == "X" else frame.z
     keep = pp.r + pp.r_dprime
+    lanes: list[int] = []
+    accepted_syndromes: list[int] = []
     for lane, pool in pools.items():
         st = states[lane]
         judged = pool if st.prev_accepted else (st.history + pool)[-keep:]
@@ -607,30 +593,21 @@ def recover_block(frame: ErrorFrame, states: list[RecoveryState],
         if accepted is None:
             st.note_fail(judged, keep)
             continue
-        weight = engine.decoder.leader_weight(accepted, max_weight=engine.t)
-        if weight > engine.t:
-            crashed |= 1 << lane
-            st.note_accept()
-            continue
-        vec = engine.decoder.leader_vector(accepted)
-        bit = 1 << lane
-        v = vec
-        while v:
-            q = (v & -v).bit_length() - 1
-            plane[q] ^= bit
-            v &= v - 1
-        corrected |= 1 << lane
         st.note_accept()
+        lanes.append(lane)
+        accepted_syndromes.append(accepted)
+    corrected = 0
+    crashed = 0
+    weights, leaders = engine.decoder.decode(accepted_syndromes)
+    for lane, weight, leader in zip(lanes, weights.tolist(), leaders.tolist()):
+        bit = 1 << lane
+        if weight > engine.t:
+            crashed |= bit
+            continue
+        for q in leader[:weight]:
+            plane[q] ^= bit
+        corrected |= bit
     return corrected, crashed
-
-
-def run_trial(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT) -> int:
-    """Single-lane trial; returns the number of steps survived (0..q_max)."""
-    stats = run_batch(engine, rng, q_max=q_max, mask=1)
-    for q in range(1, q_max + 1):
-        if stats.n_f[q]:
-            return q - 1
-    return q_max
 
 
 def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
@@ -656,12 +633,13 @@ def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
         if survivors:
             syn_x = engine.data_syndromes(frame, "x", survivors)
             syn_z = engine.data_syndromes(frame, "z", survivors)
-            dec = engine.decoder
-            for lane in range(64):
-                if (survivors >> lane) & 1:
-                    if (dec.leader_weight(syn_x[lane], max_weight=engine.t) > engine.t
-                            or dec.leader_weight(syn_z[lane], max_weight=engine.t) > engine.t):
-                        crashed |= 1 << lane
+            # lanes outside survivors, and lanes with no data error, read 0
+            lanes = [lane for lane in range(64) if syn_x[lane] or syn_z[lane]]
+            weights, _ = engine.decoder.decode([syn_x[lane] for lane in lanes]
+                                               + [syn_z[lane] for lane in lanes])
+            for lane, weight in zip(lanes + lanes, weights):
+                if weight > engine.t:
+                    crashed |= 1 << lane
         newly = alive & crashed
         alive &= ~crashed
         stats.n_f[q] += bin(newly).count("1")

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,22 @@ def test_unknown_code_is_config_error(subcommand, tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "'bogus'" in err
+
+
+def test_simulate_refuses_code_without_decoder(tmp_path):
+    # qr103's weight-5 syndrome ball would exceed codes.BALL_LIMIT; the
+    # child's address space is capped so a decoder that tries anyway fails
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "ftqec.cli", "simulate", "--code", "qr103",
+         "--gamma", "1e-3", "--parallel-corrections", "1", "--trials", "64",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)))
+    assert done.returncode == cli.EXIT_CONFIG
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1
 
 
 def test_threshold_no_convergence_is_flagged(tmp_path, capsys):

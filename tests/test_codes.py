@@ -188,22 +188,6 @@ def test_leader_weight_bounded_by_error_weight(golay, rng):
         assert codes.coset_leader_weight(golay, s) <= e.sum()
 
 
-def test_bounded_search_matches_table(golay):
-    # force the search path and compare with the table on random syndromes
-    dec = codes.CosetDecoder(golay)
-    rng = np.random.default_rng(8)
-    table = dec.weight_table
-    dec.weight_table = None
-    dec.vector_table = None
-    for _ in range(15):
-        s = int(rng.integers(1 << 12))
-        w_table = int(table[s])
-        assert dec.leader_weight(s, max_weight=7) == w_table
-        vec = dec.leader_vector(s, max_weight=7)
-        assert bin(vec).count("1") == w_table
-    dec.weight_table = table
-
-
 def test_leader_vector_reproduces_syndrome(golay):
     dec = codes.decoder_for(golay)
     rng = np.random.default_rng(9)
@@ -232,16 +216,70 @@ def test_is_crash_examples(hamming):
     assert codes.is_crash(hamming, zero, two)
 
 
-def test_search_keeps_half_tables():
-    # 51 check rows exceed TABLE_BITS_LIMIT, so this decoder searches
-    dec = codes.CosetDecoder(codes.construct_code("bch63-39"))
-    assert dec.weight_table is None
-    cols = dec.col_syndromes
-    for syndrome in ((1 << dec.rows) - 1, cols[3] ^ cols[17]):
-        first = dec._search(syndrome, 3)
-        tables = dict(dec._half_maps)
-        assert dec._search(syndrome, 3) == first
-        assert dec._half_maps.keys() == tables.keys()
-        assert all(dec._half_maps[k] is tables[k] for k in tables)
-    assert dec._search((1 << dec.rows) - 1, 3) == (4, None)
-    assert dec._search(cols[3] ^ cols[17], 3) == (2, (1 << 3) | (1 << 17))
+# -- the syndrome ball ---------------------------------------------------------
+
+def ball_decoder(name):
+    """Shared decoder of a named code, checked first to be the bounded ball:
+    a dense 2^rows table over qr47's 24 check rows takes gigabytes."""
+    assert codes.BALL_LIMIT <= 1 << 21
+    return codes.decoder_for(codes.construct_code(name))
+
+
+@pytest.mark.parametrize("name,radius,size", [
+    ("hamming", 3, 16), ("golay", 7, 4096), ("golay21", 7, 4096),
+    ("bch31", 6, 805_939), ("qr47", 5, 1_729_648), ("qr79", 4, 1_584_741),
+    ("bch127-43", 3, 341_504),
+])
+def test_ball_radius(name, radius, size):
+    # every syndrome for the small codes; elsewhere the largest radius whose
+    # C(n, r) bound keeps the ball within BALL_LIMIT
+    dec = ball_decoder(name)
+    assert (dec.radius, len(dec._keys)) == (radius, size)
+
+
+@pytest.mark.parametrize("name", ["qr99", "qr101", "qr103", "bch127-29"])
+def test_oversized_ball_is_refused(name):
+    with pytest.raises(CodeConstructionError):
+        codes.CosetDecoder(codes.construct_code(name))
+
+
+@pytest.mark.parametrize("name", ["hamming", "golay", "golay21", "bch31",
+                                  "qr47", "bch63-39", "bch127-43"])
+def test_decoder_matches_enumeration(name):
+    dec = ball_decoder(name)
+    code = dec.code
+    cols = gf2.rows_to_ints(code.H.T)
+    # every error of weight <= 3: the lightest error seen per syndrome
+    best = {}
+    for w in range(4):
+        for combo in itertools.combinations(cols, w):
+            s = 0
+            for c in combo:
+                s ^= c
+            best.setdefault(s, w)
+    syndromes = list(best)
+    weights, _ = dec.decode(syndromes)
+    assert weights.tolist() == [best[s] for s in syndromes]
+    assert all(dec.leader_weight(s) == best[s] for s in syndromes[::997])
+    # random errors up to weight 2R + 2: never heavier than the error, and
+    # the leader reproduces the syndrome at exactly the reported weight
+    rng = np.random.default_rng(11)
+    top = 2 * dec.radius + 1
+    for w in range(1, top + 2):
+        for _ in range(3):
+            support = rng.choice(code.n, size=min(w, code.n), replace=False)
+            s = 0
+            for i in support:
+                s ^= cols[i]
+            got = dec.leader_weight(s)
+            assert got <= min(w, top)
+            v = dec.leader_vector(s)
+            if got == top:
+                assert v is None
+                continue
+            assert bin(v).count("1") == got
+            acc = 0
+            for i in range(code.n):
+                if (v >> i) & 1:
+                    acc ^= cols[i]
+            assert acc == s

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +13,8 @@ from ftqec.network import GateEvent, CNOT, CPHASE, HADAMARD
 from ftqec.noise import NoiseParams, stream
 from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
                              RecoveryState, SimConfig, SimEngine,
-                             estimate_pbar_mc, extract_syndrome,
-                             judge_syndromes, recover_block, run_batch,
-                             run_trial)
+                             estimate_pbar_mc, judge_syndromes, recover_block,
+                             run_batch)
 
 
 def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
@@ -57,12 +60,17 @@ def test_zero_frame_fixed_under_gates():
 
 # -- syndrome extraction ------------------------------------------------------
 
+def _extract(eng, f, error_type, rng):
+    """Lane 0's syndrome bits from one preparation that must verify."""
+    assert eng.attempt_preparation(f, rng, 1) == 1
+    s = eng.couple_and_measure(f, rng, 1, error_type)[0]
+    return np.array([(s >> l) & 1 for l in range(eng.rows)], dtype=np.uint8)
+
+
 def test_extract_zero_noise_zero_frame():
     eng = engine()
     f = ErrorFrame(n=7, rows=4)
-    res = extract_syndrome(f, eng, eng.noise, "X", stream(0, 0))
-    assert res["verified"]
-    assert not res["syndrome"].any()
+    assert not _extract(eng, f, "X", stream(0, 0)).any()
 
 
 @pytest.mark.parametrize("j", range(7))
@@ -70,18 +78,14 @@ def test_extract_single_x_error_gives_column(j):
     eng = engine()
     f = ErrorFrame(n=7, rows=4)
     f.set_lane("x", j, 0, 1)
-    res = extract_syndrome(f, eng, eng.noise, "X", stream(0, j))
-    assert res["verified"]
-    assert np.array_equal(res["syndrome"], eng.code.H[:, j])
+    assert np.array_equal(_extract(eng, f, "X", stream(0, j)), eng.code.H[:, j])
 
 
 def test_extract_single_z_error_z_type(golay):
     eng = engine("golay")
     f = ErrorFrame(n=23, rows=12)
     f.set_lane("z", 11, 0, 1)
-    res = extract_syndrome(f, eng, eng.noise, "Z", stream(0, 1))
-    assert res["verified"]
-    assert np.array_equal(res["syndrome"], eng.code.H[:, 11])
+    assert np.array_equal(_extract(eng, f, "Z", stream(0, 1)), eng.code.H[:, 11])
 
 
 def test_verified_fraction_tracks_alpha():
@@ -126,8 +130,12 @@ def test_unverified_lanes_counted():
 def test_preparation_draws_every_hole(name):
     # one preparation attempt charges memory noise on all N_h holes,
     # including those of gate-free G and V steps
-    eng = engine(name, gamma=1e-3, eps=1e-3)
-    assert eng._prep.hole_slots == eng.params.N_h
+    code = codes.construct_code(name)
+    sf = codes.standard_form(codes.standardized_code(code))
+    params = codes.derived_params(sf, code.n, code.k, code.d, name=name)
+    prep, _ = simulator._phase_tables(network.synthesize_networks(sf, params),
+                                      NoiseParams.uniform(1e-3, 1e-3, 1))
+    assert prep.hole_slots == params.N_h
 
 
 def _forward_images(table) -> np.ndarray:
@@ -312,7 +320,8 @@ def test_planted_y_error_corrected_in_one_round():
 
 def test_zero_noise_trial_survives():
     eng = engine()
-    assert run_trial(eng, stream(4, 0)) == 10
+    stats = run_batch(eng, stream(4, 0), mask=1)
+    assert stats.n_f.sum() == 0 and stats.n_s[10] == 1
 
 
 def test_zero_noise_batch_all_survive():
@@ -443,3 +452,33 @@ def test_csv_rows_schema():
                      "r_prime", "r_dprime", "Q", "n_f", "n_s", "p_Q", "pbar",
                      "stderr", "seed", "trials"}
     assert set(rows[0]) == expected_keys
+
+
+def test_bch127_43_batch_pinned():
+    # one 64-trial batch on a code whose ball holds only weights <= 3 of its
+    # t = 6, so decoding leans on the layer scan
+    eng = SimEngine(codes.construct_code("bch127-43"),
+                    NoiseParams.uniform(1e-3, 1e-5, 25),
+                    ProtocolParams(4, 3, 3, parallel_corrections=1.0))
+    stats = run_batch(eng, stream(1, 0))
+    assert stats.n_f.tolist() == [0, 18, 16, 9, 5, 9, 2, 2, 0, 2, 1]
+    assert stats.n_s.tolist() == [0, 46, 30, 21, 16, 7, 5, 3, 3, 1, 0]
+
+
+def test_qr47_engine_fits_in_4gb():
+    # the address-space limit applies to the child process only
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from ftqec import codes, simulator\n"
+        "from ftqec.noise import NoiseParams\n"
+        "from ftqec.protocol import ProtocolParams\n"
+        "simulator.SimEngine(codes.construct_code('qr47'),\n"
+        "                    NoiseParams.uniform(1e-3, 1e-5, 25),\n"
+        "                    ProtocolParams(4, 3, 3, parallel_corrections=1.0))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(simulator.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) < 1 << 20     # peak RSS under 1 GiB, in KiB
