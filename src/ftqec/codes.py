@@ -408,7 +408,6 @@ def compare_with_catalog(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 BALL_LIMIT = 1 << 21   # most syndromes one decoder's ball may hold
-_SORTED_QUERIES = 4096   # above this many, a lookup sorts its queries first
 _MIX = np.uint64(0x9E3779B97F4A7C15)   # folds wide syndromes into one sort key
 
 
@@ -417,17 +416,17 @@ class CosetDecoder:
 
     The decoder holds a ball: every syndrome whose coset leader has weight
     at most R, with that weight and one leader, found by breadth-first
-    layering over error weights and sorted for binary search.  R is at
-    least max(ceil(t/2), 2), and layer r + 1 is added while the ball plus
-    the C(n, r + 1) bound on it stays within BALL_LIMIT, so hamming, golay
-    and golay21 get every syndrome.  A syndrome s outside the ball is looked
-    up as s xor (a syndrome of layer j) for j = 1..R; the first j with a hit
-    has a leader of weight exactly R + j.  Weights are therefore exact up to
-    2R >= max(t, 4), and a heavier leader reads 2R + 1.  A code whose floor
-    ball could exceed BALL_LIMIT (qr99, qr101, qr103, bch127-29) raises
-    CodeConstructionError.  Syndromes are packed ints (bit i = row i), held
-    as ``words`` uint64 words each; one wider than a word is sorted by a
-    folded key and compared in full.
+    layering over error weights and sorted for binary search.  R is the
+    floor max(ceil(t/2), 2), except that a code whose 2^rows syndromes fit
+    in BALL_LIMIT (hamming, golay, golay21, bch31) adds layer r + 1 while
+    the ball plus the C(n, r + 1) bound on it stays within the limit.  A
+    syndrome s outside the ball is looked up as s xor (a syndrome of layer
+    j) for j = 1..R; the first j with a hit has a leader of weight exactly
+    R + j.  Weights are therefore exact up to 2R >= max(t, 4), and a
+    heavier leader reads 2R + 1.  A code whose floor ball could exceed
+    BALL_LIMIT (qr99, qr101, qr103, bch127-29) raises CodeConstructionError.
+    Syndromes are packed ints (bit i = row i) held as ``words`` uint64
+    words, sorted by one distinct key each: the word, or a fold of them.
     """
 
     def __init__(self, code: ClassicalCode):
@@ -436,9 +435,10 @@ class CosetDecoder:
         self.words = -(-self.rows // 64)
         cols = self._pack(gf2.rows_to_ints(code.H.T))
         floor = max(-(-code.t // 2), 2)
+        grow = 1 << self.rows <= BALL_LIMIT
         ball = np.zeros((1, self.words), dtype=np.uint64)
         layers = [(ball, np.zeros((1, 0), dtype=np.uint16))]
-        while len(ball) < 1 << self.rows:
+        while len(ball) < 1 << self.rows and (grow or len(layers) <= floor):
             r = len(layers) - 1
             if len(ball) + math.comb(self.n, r + 1) > BALL_LIMIT:
                 if r < floor:
@@ -455,10 +455,11 @@ class CosetDecoder:
         leaders = np.concatenate([np.pad(lead, ((0, 0), (0, self.radius - w)))
                                   for w, (_, lead) in enumerate(layers)])
         key = self._key(ball)
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key)
         self._keys, self._ball = key[order], ball[order]
         self._weight, self._leaders = weight[order], leaders[order]
-        self._run = int(np.unique(self._keys, return_counts=True)[1].max())
+        if (self._keys[1:] == self._keys[:-1]).any():
+            raise CodeConstructionError(f"{code.name}: two syndromes share a sort key")
 
     def _next_layer(self, ball, layer, cols) -> tuple[np.ndarray, np.ndarray]:
         """Syndromes of weight r + 1 and their leaders, from the ball and layer r.
@@ -475,8 +476,8 @@ class CosetDecoder:
 
     def _first(self, syn: np.ndarray) -> np.ndarray:
         """Index of the first occurrence of each distinct syndrome, in key order."""
-        key = self._key(syn)
-        order = np.lexsort((*syn.T, key) if self.words > 1 else (key,))
+        # the fold is invertible, so the key and words 1.. fix a syndrome
+        order = np.lexsort((*syn.T[1:], self._key(syn)))
         s = syn[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (s[1:] != s[:-1]).any(axis=1)
@@ -500,19 +501,15 @@ class CosetDecoder:
             return syn[:, 0].astype(np.int64)
         key = self._key(syn)
         last = len(self._keys) - 1
-        idx = np.arange(len(key))
-        if len(key) > _SORTED_QUERIES:
-            # binary search runs far faster over sorted queries, and the
-            # sorted copy names the few keys the ball holds
-            s = np.sort(key)
-            held = s[self._keys[np.minimum(np.searchsorted(self._keys, s), last)] == s]
-            idx = np.nonzero(np.isin(key, held))[0]
+        # binary search runs far faster over sorted queries, and the sorted
+        # copy names the few keys the ball holds
+        s = np.sort(key)
+        held = s[self._keys[np.minimum(np.searchsorted(self._keys, s), last)] == s]
+        idx = np.nonzero(np.isin(key, held))[0]
         at = np.searchsorted(self._keys, key[idx])
+        hit = (self._ball[at] == syn[idx]).all(axis=1)
         found = np.full(len(key), -1, dtype=np.int64)
-        for k in range(self._run):
-            i = np.minimum(at + k, last)
-            hit = (self._keys[i] == key[idx]) & (self._ball[i] == syn[idx]).all(axis=1)
-            found[idx[hit]] = i[hit]
+        found[idx[hit]] = at[hit]
         return found
 
     def decode(self, syndromes) -> tuple[np.ndarray, np.ndarray]:

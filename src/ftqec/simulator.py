@@ -444,11 +444,12 @@ class SimEngine:
     def __init__(self, code: ClassicalCode, noise: NoiseParams,
                  protocol: ProtocolParams):
         self.code = codes_mod.standardized_code(code)
+        # first, so a code without a decoder is refused before the synthesis
+        self.decoder = codes_mod.decoder_for(self.code)
         sf = codes_mod.standard_form(self.code)
         self.params = codes_mod.derived_params(sf, code.n, code.k, code.d,
                                                name=code.name)
         self.networks = network_mod.synthesize_networks(sf, self.params)
-        self.decoder = codes_mod.decoder_for(self.code)
         self.noise = noise
         self.protocol = protocol
         self.n = code.n
