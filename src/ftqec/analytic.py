@@ -262,7 +262,9 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     if pp.r_prime > pp.r + pp.r_dprime:
         raise ProtocolError("r' exceeds the r + r'' syndrome pool")
     base, tail = _per_r_terms(code, noise, pp, consts, rest_scale, tail_model)
-    return _finish_estimate(base, tail, code, noise, pp, consts, rest_scale)
+    pmf = _agreement_pmf(base.p_za, (pp.r, pp.r + pp.r_dprime))
+    return _finish_estimate(_floor_estimate(base, code, noise, pp, pmf), tail,
+                            code, noise, pp, consts, rest_scale)
 
 
 def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
@@ -314,22 +316,41 @@ def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     return out, tail
 
 
-def _finish_estimate(base: EstimateBreakdown, tail, code: CodeParams,
-                     noise: NoiseParams, pp: ProtocolParams,
-                     consts: AnalyticConstants,
-                     rest_scale: float) -> EstimateBreakdown:
-    """Complete a copy of ``_per_r_terms``' breakdown for the r' and r''
-    of ``pp``: agreement, wrong-syndrome acceptance, deferred rounds, pbar."""
+def _agreement_pmf(p_za: float, pools) -> dict:
+    """binom_pmf(N, m, 1 - p_za) for m = 0..N, one row per pool size N in
+    ``pools``: the agreement sums of every triple of a grid read these rows,
+    since p_za does not depend on the triple."""
+    good = 1.0 - p_za
+    return {pool: [binom_pmf(pool, m, good) for m in range(pool + 1)]
+            for pool in set(pools)}
+
+
+def _pbar(out: EstimateBreakdown, s_sum: float) -> float:
+    """The crash probability from the branch terms and the deferred sum."""
+    beta = out.beta
+    pbar = 2.0 * (beta * out.p1_single
+                  + (1.0 - beta) * (out.p_agree_1
+                                    * (out.p_ws + (1.0 - out.p_ws) * out.p1_multi)
+                                    + s_sum))
+    return min(max(pbar, 0.0), 1.0)
+
+
+def _floor_estimate(base: EstimateBreakdown, code: CodeParams,
+                    noise: NoiseParams, pp: ProtocolParams,
+                    pmf: dict) -> EstimateBreakdown:
+    """A copy of ``_per_r_terms``' breakdown completed for the r' and r'' of
+    ``pp`` up to the deferred rounds: agreement, wrong-syndrome acceptance,
+    r_bar and the branch leak.  Its pbar is the final one when the block is
+    unusable or leaks; otherwise it is the floor ``_pbar(out, 0.0)``, which
+    ``_finish_estimate`` replaces."""
     out = copy.copy(base)
     if not out.usable:
         return out
     beta = out.beta
     r, rp, rpp = pp.r, pp.r_prime, pp.r_dprime
 
-    good = 1.0 - out.p_za
-    out.p_agree_1 = sum(binom_pmf(r, m, good) for m in range(rp, r + 1))
-    out.p_agree_later = sum(binom_pmf(r + rpp, m, good)
-                            for m in range(rp, r + rpp + 1))
+    out.p_agree_1 = sum(pmf[r][rp:])
+    out.p_agree_later = sum(pmf[r + rpp][rp:])
     out.p_ws = (code.N_GV * (noise.gamma2 / 3.0) ** rp
                 + code.N_h * (noise.eps / 3.0) ** rp)
     out.r_bar = beta + (1.0 - beta) * (out.p_agree_1 * r
@@ -341,9 +362,19 @@ def _finish_estimate(base: EstimateBreakdown, tail, code: CodeParams,
     # the estimate loses meaning, so report the block as uncorrected
     out.branch_leak = ((1.0 - out.p_agree_1)
                        * (1.0 - out.p_agree_later) ** (_S_MAX_TERMS - 1))
-    if out.branch_leak > _S_TRUNCATION_REL:
-        out.pbar = 1.0
+    out.pbar = 1.0 if out.branch_leak > _S_TRUNCATION_REL else _pbar(out, 0.0)
+    return out
+
+
+def _finish_estimate(out: EstimateBreakdown, tail, code: CodeParams,
+                     noise: NoiseParams, pp: ProtocolParams,
+                     consts: AnalyticConstants,
+                     rest_scale: float) -> EstimateBreakdown:
+    """Complete ``_floor_estimate``'s breakdown in place with the deferred
+    rounds and the final pbar."""
+    if not out.usable or out.branch_leak > _S_TRUNCATION_REL:
         return out
+    r, rpp = pp.r, pp.r_dprime
 
     # deferred recoveries: first attempt found no consistent syndrome
     s_sum = 0.0
@@ -359,13 +390,21 @@ def _finish_estimate(base: EstimateBreakdown, tail, code: CodeParams,
         if j > 2 and (term < _S_TRUNCATION_REL * s_sum or prefix < _S_TRUNCATION_REL):
             break
     out.deferred_sum = s_sum
-
-    pbar = 2.0 * (beta * out.p1_single
-                  + (1.0 - beta) * (out.p_agree_1
-                                    * (out.p_ws + (1.0 - out.p_ws) * out.p1_multi)
-                                    + s_sum))
-    out.pbar = min(max(pbar, 0.0), 1.0)
+    out.pbar = _pbar(out, s_sum)
     return out
+
+
+def _floor_holds(est: EstimateBreakdown) -> bool:
+    """Whether ``_finish_estimate`` cannot lower ``est.pbar``.
+
+    Every deferred term is a product of 1 - p_agree_1, powers of
+    1 - p_agree_later and factors that are never negative, and ``_pbar``
+    is non-decreasing in the deferred sum while 1 - beta >= 0, since float
+    rounding is monotone.  Rounding can push a sum of agreement
+    probabilities above 1; a term may then be negative and the floor is
+    not a bound.
+    """
+    return est.beta <= 1.0 and est.p_agree_1 <= 1.0 and est.p_agree_later <= 1.0
 
 
 def optimize_protocol(code: CodeParams, noise: NoiseParams,
@@ -376,40 +415,57 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
                       rest_scale: float = 1.0,
                       constraint=None,
                       tail_model=None) -> tuple[ProtocolParams, float]:
-    """Exhaustive grid minimization of pbar over (r, r', r'').
+    """Minimize pbar over the (r, r', r'') grid by an exact bounded search.
 
-    Ties break toward smaller (r, r', r'').  ``constraint`` optionally
-    filters triples, e.g. the catalog's r-1 = r' = r''+1 family.  The
-    terms that depend on r alone are computed once per r.
+    Returns the triple of least (pbar, r, r', r''), so ties break toward
+    smaller (r, r', r'').  ``constraint`` optionally filters triples, e.g.
+    the catalog's r-1 = r' = r''+1 family.  The terms that depend on r
+    alone are computed once per r, the agreement binomials once per grid.
+
+    Every triple first gets a floor: the pbar its branch terms give with
+    no deferred rounds (``_floor_estimate``).  The deferred rounds add only
+    non-negative terms, and ``_pbar``, the one expression that gives both
+    the floor and the final pbar, is non-decreasing in their sum under
+    float rounding, so the finished pbar is never below the floor
+    (``_floor_holds`` names the rounding cases where that fails; those
+    triples are always finished).
+    Triples are finished in order of (floor, r, r', r''), and the search
+    stops at the first floor key above the best key found: no later triple
+    can beat it.  The answer is bit for bit that of finishing every triple.
     """
-    best = None
-    best_p = None
-    for r in r_values:
-        per_r = None
-        rps = rp_values if rp_values is not None else range(1, r + 1)
-        rpps = rpp_values if rpp_values is not None else range(1, r + 1)
-        for rp in rps:
-            if rp > r:
-                continue
-            for rpp in rpps:
-                if rpp > r:
-                    continue
-                if constraint is not None and not constraint(r, rp, rpp):
-                    continue
-                pp = ProtocolParams(r=r, r_prime=rp, r_dprime=rpp, n_rep=n_rep,
-                                    parallel_corrections=parallel_corrections)
-                if per_r is None:
-                    per_r = _per_r_terms(code, noise, pp, consts, rest_scale,
-                                         tail_model)
-                est = _finish_estimate(*per_r, code, noise, pp, consts,
-                                       rest_scale)
-                key = (est.pbar, r, rp, rpp)
-                if best_p is None or key < best_p:
-                    best_p = key
-                    best = pp
-    if best is None:
+    grid = [ProtocolParams(r=r, r_prime=rp, r_dprime=rpp, n_rep=n_rep,
+                           parallel_corrections=parallel_corrections)
+            for r in r_values
+            for rp in (rp_values if rp_values is not None else range(1, r + 1))
+            if rp <= r
+            for rpp in (rpp_values if rpp_values is not None else range(1, r + 1))
+            if rpp <= r and (constraint is None or constraint(r, rp, rpp))]
+    if not grid:
         raise ProtocolError("empty protocol grid")
-    return best, best_p[0]
+    per_r = {}
+    for pp in grid:
+        if pp.r not in per_r:
+            per_r[pp.r] = _per_r_terms(code, noise, pp, consts, rest_scale,
+                                       tail_model)
+    pmf = _agreement_pmf(per_r[grid[0].r][0].p_za,
+                         [n for pp in grid for n in (pp.r, pp.r + pp.r_dprime)])
+    queue = []
+    for pp in grid:
+        est = _floor_estimate(per_r[pp.r][0], code, noise, pp, pmf)
+        floor = est.pbar if _floor_holds(est) else -math.inf
+        queue.append(((floor, pp.r, pp.r_prime, pp.r_dprime), est, pp))
+    queue.sort(key=lambda item: item[0])
+
+    best_key = best = None
+    for floor_key, est, pp in queue:
+        if best_key is not None and floor_key > best_key:
+            break
+        est = _finish_estimate(est, per_r[pp.r][1], code, noise, pp, consts,
+                               rest_scale)
+        key = (est.pbar, pp.r, pp.r_prime, pp.r_dprime)
+        if best_key is None or key < best_key:
+            best_key, best = key, pp
+    return best, best_key[0]
 
 
 # ---------------------------------------------------------------------------

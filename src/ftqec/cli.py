@@ -294,9 +294,10 @@ def _cmd_ancilla_stats(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     rows = []
     for census in censuses:
+        weights = stats_mod.leader_weights(decoder, census.counts)
         for s, c in sorted(census.counts.items()):
             rows.append({"gamma": census.gamma, "syndrome": s,
-                         "leader_weight": decoder.leader_weight(s),
+                         "leader_weight": weights[s],
                          "count": c, "trials": census.trials})
     _write_csv(out / "census.csv", rows)
     hist_rows = []
@@ -306,8 +307,9 @@ def _cmd_ancilla_stats(cfg: RunConfig) -> int:
             hist_rows.append({"leader_weight": weight, "c_s_bin": center,
                               "count": count})
     _write_csv(out / "c_s_histogram.csv", hist_rows)
+    weights = stats_mod.leader_weights(decoder, fit.a_s)
     scatter = [{"syndrome": s, "a_s": fit.a_s[s], "c_s": fit.c_s[s],
-                "leader_weight": decoder.leader_weight(s)}
+                "leader_weight": weights[s]}
                for s in sorted(fit.a_s)]
     _write_csv(out / "a_c_scatter.csv", scatter)
     print(f"ancilla-stats: code={cfg.code} a={fit.a:.1f} a'={fit.a_prime:.1f} "

@@ -409,10 +409,6 @@ class TrialStats:
         return float(self.n_f[q]) / tot if tot else float("nan")
 
     @property
-    def p_q(self) -> np.ndarray:
-        return np.array([self.p(q) for q in range(1, self.q_max + 1)])
-
-    @property
     def pbar(self) -> float:
         vals = [self.p(q) for q in range(self.q_max - 3, self.q_max + 1)]
         if any(np.isnan(v) for v in vals):

@@ -39,13 +39,20 @@ class SyndromeCensus:
         good = self.counts.get(0, 0)
         return 1.0 - good / self.trials
 
-    def weight_class_probability(self, decoder, weight: int) -> float:
-        """Total probability of syndromes whose coset leader has ``weight``."""
-        tot = 0
-        for s, c in self.counts.items():
-            if decoder.leader_weight(s) == weight:
-                tot += c
-        return tot / self.trials
+    def weight_class_probabilities(self, decoder) -> dict[int, float]:
+        """Total probability of the syndromes of each coset-leader weight."""
+        totals: dict[int, int] = {}
+        for s, w in leader_weights(decoder, self.counts).items():
+            totals[w] = totals.get(w, 0) + self.counts[s]
+        return {w: tot / self.trials for w, tot in totals.items()}
+
+
+def leader_weights(decoder, syndromes) -> dict[int, int]:
+    """Coset-leader weight of each syndrome, from one batched decode."""
+    syndromes = list(syndromes)
+    if not syndromes:
+        return {}
+    return dict(zip(syndromes, decoder.decode(syndromes)[0].tolist()))
 
 
 @dataclass
@@ -130,14 +137,16 @@ def weight_class_fit(censuses: list[SyndromeCensus], decoder) -> PowerLawFit:
         if res is not None:
             fit.a_s[s], fit.c_s[s] = res
 
-    def linear_coeff(prob_of):
-        num = sum(prob_of(c) * c.gamma for c in censuses)
+    by_weight = [c.weight_class_probabilities(decoder) for c in censuses]
+
+    def linear_coeff(probs):
+        num = sum(p * c.gamma for p, c in zip(probs, censuses))
         den = sum(c.gamma ** 2 for c in censuses)
         return num / den if den else 0.0
 
-    fit.a = linear_coeff(lambda c: c.weight_class_probability(decoder, 1))
+    fit.a = linear_coeff([p.get(1, 0.0) for p in by_weight])
     fit.a_prime = linear_coeff(
-        lambda c: sum(c.weight_class_probability(decoder, w) for w in (2, 3, 4)))
+        [sum(p.get(w, 0.0) for w in (2, 3, 4)) for p in by_weight])
     return fit
 
 
@@ -145,8 +154,9 @@ def c_s_histogram(fit: PowerLawFit, decoder, weight: int,
                   bin_width: float = 0.1) -> dict[float, int]:
     """Histogram of fitted exponents for syndromes of one leader weight."""
     hist: dict[float, int] = {}
+    weights = leader_weights(decoder, fit.c_s)
     for s, c in fit.c_s.items():
-        if decoder.leader_weight(s) != weight:
+        if weights[s] != weight:
             continue
         center = (math.floor(c / bin_width) + 0.5) * bin_width
         hist[round(center, 6)] = hist.get(round(center, 6), 0) + 1
@@ -164,8 +174,9 @@ def repeated_error_collision(census: SyndromeCensus, decoder,
     """Estimated probability that r' independent preparations share the same
     multi-bit error, the mechanism bounded by the wrong-syndrome floor."""
     total = 0.0
+    weights = leader_weights(decoder, census.counts)
     for s, c in census.counts.items():
-        if s == 0 or decoder.leader_weight(s) <= 1:
+        if s == 0 or weights[s] <= 1:
             continue
         total += (c / census.trials) ** r_prime
     return total

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ftqec import analytic, codes, concat
+from ftqec import analytic, codes, concat, sweep
 from ftqec.analytic import (AnalyticConstants, binom_pmf, bprime,
                             bprime_approx_binomial, bprime_approx_powerlaw,
                             crash_estimate, exposure_counts, model_curves,
@@ -255,13 +255,16 @@ def test_optimize_hamming_high_noise():
     assert alt / best < 1.6
 
 
-def _grid_minimum(code, noise, n_rep=1.0, parallel_corrections=None,
-                  rest_scale=1.0, tail_model=None):
+def _grid_minimum(code, noise, r_values=range(1, 7), rp_values=None,
+                  rpp_values=None, constraint=None, n_rep=1.0,
+                  parallel_corrections=None, rest_scale=1.0, tail_model=None):
     """optimize_protocol's answer from one crash_estimate per triple."""
     best = None
-    for r in range(1, 7):
-        for rp in range(1, r + 1):
-            for rpp in range(1, r + 1):
+    for r in r_values:
+        for rp in (rp_values if rp_values is not None else range(1, r + 1)):
+            for rpp in (rpp_values if rpp_values is not None else range(1, r + 1)):
+                if rp > r or rpp > r or (constraint and not constraint(r, rp, rpp)):
+                    continue
                 pp = ProtocolParams(r, rp, rpp, n_rep=n_rep,
                                     parallel_corrections=parallel_corrections)
                 est = crash_estimate(code, noise, pp, rest_scale=rest_scale,
@@ -273,6 +276,11 @@ def _grid_minimum(code, noise, n_rep=1.0, parallel_corrections=None,
 
 
 _ETA = concat.eta_factor(codes.params_from_catalog("bch127-43"))
+_CATALOG = sweep.SweepConfig(gammas=(1e-4,), protocol_family="catalog")
+# saturated: pinned triples all tie at pbar = 1.0, unpinned ones are unusable
+_SATURATED_NOISE = NoiseParams.uniform(0.3, 3e-3, 25)
+# golay: rounding lifts two agreement sums above 1, for (5, 1, 5) and (6, 1, 4)
+_ROUNDING_NOISE = NoiseParams.uniform(1e-4, 1e-4, 1)
 
 
 @pytest.mark.parametrize("name,kwargs", [
@@ -283,10 +291,15 @@ _ETA = concat.eta_factor(codes.params_from_catalog("bch127-43"))
     ("bch127-43", {"rest_scale": 1.0 / _ETA}),
     ("hamming+golay", {"tail_model": concat.hierarchical_tail(
         codes.params_from_catalog("hamming"), codes.params_from_catalog("golay"))}),
+    ("golay", {"r_values": (5, 2, 6, 3), "rp_values": (3, 1, 2),
+               "rpp_values": (2, 6, 1, 4)}),
+    ("golay", {"r_values": _CATALOG.family_r_values(),
+               "constraint": _CATALOG.family_constraint()}),
 ])
 @pytest.mark.parametrize("noise", [NoiseParams.uniform(1e-4, 1e-6, 25),
                                    NoiseParams.uniform(1e-3, 1e-3, 1),
-                                   NoiseParams.uniform(3e-3, 3e-5, 25)])
+                                   NoiseParams.uniform(3e-3, 3e-5, 25),
+                                   _SATURATED_NOISE, _ROUNDING_NOISE])
 def test_optimize_equals_per_triple_minimum(name, kwargs, noise):
     if name == "hamming+golay":
         code = concat.supercode_params(codes.params_from_catalog("hamming"),
@@ -295,6 +308,35 @@ def test_optimize_equals_per_triple_minimum(name, kwargs, noise):
         code = codes.params_from_catalog(name)
     pp, pbar = optimize_protocol(code, noise, **kwargs)
     assert (pbar, pp.r, pp.r_prime, pp.r_dprime) == _grid_minimum(code, noise, **kwargs)
+
+
+def test_equivalence_grid_reaches_edge_cases():
+    golay = codes.params_from_catalog("golay")
+    triples = [(r, rp, rpp) for r in range(1, 7) for rp in range(1, r + 1)
+               for rpp in range(1, r + 1)]
+    assert not preparation_stats(golay, _SATURATED_NOISE)["usable"]
+    assert all(crash_estimate(golay, _SATURATED_NOISE,
+                              ProtocolParams(*t, parallel_corrections=1.0)).pbar == 1.0
+               for t in triples)
+    rounded = [crash_estimate(golay, _ROUNDING_NOISE, ProtocolParams(*t))
+               for t in triples]
+    assert any(est.p_agree_1 > 1.0 or est.p_agree_later > 1.0 for est in rounded)
+
+
+def test_optimize_finishes_few_triples(monkeypatch):
+    # the bounded search finishes the deferred sum for a handful of the 91
+    # triples; the rest are pruned by their floors
+    finish = analytic._finish_estimate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return finish(*args)
+
+    monkeypatch.setattr(analytic, "_finish_estimate", counted)
+    golay = codes.params_from_catalog("golay")
+    optimize_protocol(golay, NoiseParams.uniform(1e-3, 1e-3, 1))
+    assert 1 <= len(calls) <= 10
 
 
 def test_model_curaccuracy_grid_emitted(tmp_path):

@@ -121,3 +121,32 @@ def test_repeated_error_collision_bounded(golay_census, golay_decoder):
     bound = params.N_GV * (gamma / 3) ** 2 + params.N_h * (census.eps / 3) ** 2
     assert collision <= 4 * bound
     assert collision >= bound / 64
+
+
+def _scalar_class_probability(census, decoder, weight):
+    return sum(c for s, c in census.counts.items()
+               if decoder.leader_weight(s) == weight) / census.trials
+
+
+def test_batched_decoding_matches_scalar(golay_census, golay_decoder):
+    # the fit, histogram and collision sum decode each census in one batch;
+    # decoding one syndrome at a time gives the same numbers bit for bit
+    dec = golay_decoder
+    fit = weight_class_fit(golay_census, dec)
+    den = sum(c.gamma ** 2 for c in golay_census)
+    a = sum(_scalar_class_probability(c, dec, 1) * c.gamma
+            for c in golay_census) / den
+    a_prime = sum(sum(_scalar_class_probability(c, dec, w) for w in (2, 3, 4))
+                  * c.gamma for c in golay_census) / den
+    assert (fit.a, fit.a_prime) == (a, a_prime)
+    for weight in (1, 2, 3):
+        hist = {}
+        for s, c_s in fit.c_s.items():
+            if dec.leader_weight(s) == weight:
+                center = round((math.floor(c_s / 0.1) + 0.5) * 0.1, 6)
+                hist[center] = hist.get(center, 0) + 1
+        assert c_s_histogram(fit, dec, weight) == hist
+    census = golay_census[-1]
+    collision = sum((c / census.trials) ** 2 for s, c in census.counts.items()
+                    if s and dec.leader_weight(s) > 1)
+    assert repeated_error_collision(census, dec, r_prime=2) == collision
