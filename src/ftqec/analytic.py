@@ -19,9 +19,8 @@ failures escape detection.
 """
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -98,17 +97,25 @@ def bprime(g: float, s: float, m: int, gamma: float, eps: float) -> float:
 
 
 def uncorrectable_tail(g: float, s: float, t: int, n: int,
-                       gamma: float, eps: float) -> float:
+                       gamma: float, eps: float,
+                       memory_series: Optional[dict] = None) -> float:
     """Probability of an uncorrectable accumulation: more than t failures.
 
     The direct sum over m = t+1..n is numerically exact when the expected
     failure count is small, where essentially no mass sits beyond n.  When
     failures saturate the block the direct sum loses that mass, so the
     complement 1 - sum_{m<=t} takes over; it is only trusted well above the
-    double-precision cancellation floor.
+    double-precision cancellation floor.  ``memory_series`` keeps each
+    memory count's binomial series for callers that reuse the count.
     """
     bg = _binom_series(g, n, gamma)
-    bs = _binom_series(s, n, eps)
+    if memory_series is None:
+        bs = _binom_series(s, n, eps)
+    else:
+        key = (s, n, eps)
+        bs = memory_series.get(key)
+        if bs is None:
+            bs = memory_series[key] = _binom_series(s, n, eps)
     direct = float(np.convolve(bg, bs)[: n + 1][t + 1:].sum())
     # the head comes from its own short convolution: summing the first t+1
     # terms of the long one changes the last bits, and 1 - head amplifies them
@@ -263,15 +270,18 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
         raise ProtocolError("r' exceeds the r + r'' syndrome pool")
     base, tail = _per_r_terms(code, noise, pp, consts, rest_scale, tail_model)
     pmf = _agreement_pmf(base.p_za, (pp.r, pp.r + pp.r_dprime))
-    return _finish_estimate(_floor_estimate(base, code, noise, pp, pmf), tail,
+    return _finish_estimate(base, _floor_terms(base, code, noise, pp, pmf), tail,
                             code, noise, pp, consts, rest_scale)
 
 
 def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
-                 consts: AnalyticConstants, rest_scale: float, tail_model):
+                 consts: AnalyticConstants, rest_scale: float, tail_model,
+                 memory_series: Optional[dict] = None):
     """The terms of ``crash_estimate`` that do not depend on r' or r'':
     a breakdown filled in up to ``p1_multi``, and the tail it used (None
-    when the block is unusable and the breakdown is final)."""
+    when the block is unusable and the breakdown is final).  The p1 tails
+    take each memory count's series from ``memory_series``, which a grid
+    shares across its r values."""
     out = EstimateBreakdown()
 
     prep = preparation_stats(code, noise)
@@ -300,16 +310,20 @@ def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     out.s_r = _s_count(code, noise, consts, out.t_r, r, rest_scale)
 
     if tail_model is None:
-        def tail(g: float, s: float) -> float:
-            return uncorrectable_tail(g, s, t, n, g2_eff, eps_eff)
+        def tail(g: float, s: float, memory: Optional[dict] = None) -> float:
+            return uncorrectable_tail(g, s, t, n, g2_eff, eps_eff, memory)
     else:
-        def tail(g: float, s: float) -> float:
+        def tail(g: float, s: float, memory: Optional[dict] = None) -> float:
             return tail_model(g, s, g2_eff, eps_eff)
+
+    # the four p1 tails share the memory counts s_1 and s_r
+    memory = {} if memory_series is None else memory_series
 
     def p1(r_x: float) -> float:
         g_a = _g_count(code, consts, r_x, 1)
         g_b = _g_count(code, consts, r_x, r)
-        return (beta * tail(g_a, out.s_1) + (1.0 - beta) * tail(g_b, out.s_r))
+        return (beta * tail(g_a, out.s_1, memory)
+                + (1.0 - beta) * tail(g_b, out.s_r, memory))
 
     out.p1_single = p1(1)
     out.p1_multi = p1(r)
@@ -325,53 +339,53 @@ def _agreement_pmf(p_za: float, pools) -> dict:
             for pool in set(pools)}
 
 
-def _pbar(out: EstimateBreakdown, s_sum: float) -> float:
+def _pbar(base: EstimateBreakdown, p_agree_1: float, p_ws: float,
+          s_sum: float) -> float:
     """The crash probability from the branch terms and the deferred sum."""
-    beta = out.beta
-    pbar = 2.0 * (beta * out.p1_single
-                  + (1.0 - beta) * (out.p_agree_1
-                                    * (out.p_ws + (1.0 - out.p_ws) * out.p1_multi)
+    beta = base.beta
+    pbar = 2.0 * (beta * base.p1_single
+                  + (1.0 - beta) * (p_agree_1
+                                    * (p_ws + (1.0 - p_ws) * base.p1_multi)
                                     + s_sum))
     return min(max(pbar, 0.0), 1.0)
 
 
-def _floor_estimate(base: EstimateBreakdown, code: CodeParams,
-                    noise: NoiseParams, pp: ProtocolParams,
-                    pmf: dict) -> EstimateBreakdown:
-    """A copy of ``_per_r_terms``' breakdown completed for the r' and r'' of
-    ``pp`` up to the deferred rounds: agreement, wrong-syndrome acceptance,
-    r_bar and the branch leak.  Its pbar is the final one when the block is
-    unusable or leaks; otherwise it is the floor ``_pbar(out, 0.0)``, which
+def _floor_terms(base: EstimateBreakdown, code: CodeParams,
+                 noise: NoiseParams, pp: ProtocolParams, pmf: dict) -> dict:
+    """The fields that the r' and r'' of ``pp`` add to ``_per_r_terms``'
+    breakdown before the deferred rounds: agreement, wrong-syndrome
+    acceptance, r_bar, the branch leak and pbar (none for an unusable
+    block, whose pbar is final).  That pbar is final when the block leaks;
+    otherwise it is the floor ``_pbar(..., 0.0)``, which
     ``_finish_estimate`` replaces."""
-    out = copy.copy(base)
-    if not out.usable:
-        return out
-    beta = out.beta
+    if not base.usable:
+        return {}
+    beta = base.beta
     r, rp, rpp = pp.r, pp.r_prime, pp.r_dprime
 
-    out.p_agree_1 = sum(pmf[r][rp:])
-    out.p_agree_later = sum(pmf[r + rpp][rp:])
-    out.p_ws = (code.N_GV * (noise.gamma2 / 3.0) ** rp
-                + code.N_h * (noise.eps / 3.0) ** rp)
-    out.r_bar = beta + (1.0 - beta) * (out.p_agree_1 * r
-                                       + (1.0 - out.p_agree_1) * rpp)
+    p_agree_1 = sum(pmf[r][rp:])
+    p_agree_later = sum(pmf[r + rpp][rp:])
+    p_ws = (code.N_GV * (noise.gamma2 / 3.0) ** rp
+            + code.N_h * (noise.eps / 3.0) ** rp)
+    r_bar = beta + (1.0 - beta) * (p_agree_1 * r + (1.0 - p_agree_1) * rpp)
 
     # domain check: the branch enumeration assumes recoveries settle on a
     # syndrome within the summation horizon; when a finite fraction of the
     # probability mass never accepts, every crash channel is starved and
     # the estimate loses meaning, so report the block as uncorrected
-    out.branch_leak = ((1.0 - out.p_agree_1)
-                       * (1.0 - out.p_agree_later) ** (_S_MAX_TERMS - 1))
-    out.pbar = 1.0 if out.branch_leak > _S_TRUNCATION_REL else _pbar(out, 0.0)
-    return out
+    branch_leak = (1.0 - p_agree_1) * (1.0 - p_agree_later) ** (_S_MAX_TERMS - 1)
+    pbar = 1.0 if branch_leak > _S_TRUNCATION_REL else _pbar(base, p_agree_1, p_ws, 0.0)
+    return {"p_agree_1": p_agree_1, "p_agree_later": p_agree_later, "p_ws": p_ws,
+            "r_bar": r_bar, "branch_leak": branch_leak, "pbar": pbar}
 
 
-def _finish_estimate(out: EstimateBreakdown, tail, code: CodeParams,
-                     noise: NoiseParams, pp: ProtocolParams,
+def _finish_estimate(base: EstimateBreakdown, terms: dict, tail,
+                     code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
                      consts: AnalyticConstants,
                      rest_scale: float) -> EstimateBreakdown:
-    """Complete ``_floor_estimate``'s breakdown in place with the deferred
-    rounds and the final pbar."""
+    """A copy of ``_per_r_terms``' breakdown with ``_floor_terms``' fields,
+    the deferred rounds and the final pbar."""
+    out = replace(base, **terms)
     if not out.usable or out.branch_leak > _S_TRUNCATION_REL:
         return out
     r, rpp = pp.r, pp.r_dprime
@@ -390,12 +404,13 @@ def _finish_estimate(out: EstimateBreakdown, tail, code: CodeParams,
         if j > 2 and (term < _S_TRUNCATION_REL * s_sum or prefix < _S_TRUNCATION_REL):
             break
     out.deferred_sum = s_sum
-    out.pbar = _pbar(out, s_sum)
+    out.pbar = _pbar(out, out.p_agree_1, out.p_ws, s_sum)
     return out
 
 
-def _floor_holds(est: EstimateBreakdown) -> bool:
-    """Whether ``_finish_estimate`` cannot lower ``est.pbar``.
+def _floor_holds(base: EstimateBreakdown, terms: dict) -> bool:
+    """Whether ``_finish_estimate`` cannot lower the floor pbar of
+    ``terms``.
 
     Every deferred term is a product of 1 - p_agree_1, powers of
     1 - p_agree_later and factors that are never negative, and ``_pbar``
@@ -404,7 +419,8 @@ def _floor_holds(est: EstimateBreakdown) -> bool:
     probabilities above 1; a term may then be negative and the floor is
     not a bound.
     """
-    return est.beta <= 1.0 and est.p_agree_1 <= 1.0 and est.p_agree_later <= 1.0
+    return (base.beta <= 1.0 and terms.get("p_agree_1", 0.0) <= 1.0
+            and terms.get("p_agree_later", 0.0) <= 1.0)
 
 
 def optimize_protocol(code: CodeParams, noise: NoiseParams,
@@ -423,7 +439,7 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
     alone are computed once per r, the agreement binomials once per grid.
 
     Every triple first gets a floor: the pbar its branch terms give with
-    no deferred rounds (``_floor_estimate``).  The deferred rounds add only
+    no deferred rounds (``_floor_terms``).  The deferred rounds add only
     non-negative terms, and ``_pbar``, the one expression that gives both
     the floor and the final pbar, is non-decreasing in their sum under
     float rounding, so the finished pbar is never below the floor
@@ -442,26 +458,27 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
             if rpp <= r and (constraint is None or constraint(r, rp, rpp))]
     if not grid:
         raise ProtocolError("empty protocol grid")
-    per_r = {}
+    per_r, memory = {}, {}
     for pp in grid:
         if pp.r not in per_r:
             per_r[pp.r] = _per_r_terms(code, noise, pp, consts, rest_scale,
-                                       tail_model)
+                                       tail_model, memory)
     pmf = _agreement_pmf(per_r[grid[0].r][0].p_za,
                          [n for pp in grid for n in (pp.r, pp.r + pp.r_dprime)])
     queue = []
     for pp in grid:
-        est = _floor_estimate(per_r[pp.r][0], code, noise, pp, pmf)
-        floor = est.pbar if _floor_holds(est) else -math.inf
-        queue.append(((floor, pp.r, pp.r_prime, pp.r_dprime), est, pp))
+        base = per_r[pp.r][0]
+        terms = _floor_terms(base, code, noise, pp, pmf)
+        floor = terms.get("pbar", base.pbar) if _floor_holds(base, terms) else -math.inf
+        queue.append(((floor, pp.r, pp.r_prime, pp.r_dprime), terms, pp))
     queue.sort(key=lambda item: item[0])
 
     best_key = best = None
-    for floor_key, est, pp in queue:
+    for floor_key, terms, pp in queue:
         if best_key is not None and floor_key > best_key:
             break
-        est = _finish_estimate(est, per_r[pp.r][1], code, noise, pp, consts,
-                               rest_scale)
+        base, tail = per_r[pp.r]
+        est = _finish_estimate(base, terms, tail, code, noise, pp, consts, rest_scale)
         key = (est.pbar, pp.r, pp.r_prime, pp.r_dprime)
         if best_key is None or key < best_key:
             best_key, best = key, pp

@@ -4,9 +4,8 @@ The error state of one data block, one (serially reused) ancilla block and
 its verification bits is a pair of bit planes over 2n + (n+k)/2 qubits.  To
 make millions of trials affordable, up to 64 independent trials run in
 parallel: each qubit's X and Z planes are Python ints whose bit L belongs
-to trial lane L, so gate propagation is a handful of integer XOR/AND ops
-regardless of how many lanes are alive.  All mutating operations take a
-lane mask and leave the other lanes untouched.
+to trial lane L.  All mutating operations take a lane mask and leave the
+other lanes untouched.
 
 Faults are not applied gate by gate.  Frame propagation is linear over
 GF(2), so a phase leaves the frame at its noiseless image XOR the
@@ -15,9 +14,16 @@ end-of-phase images of the faults that struck it.  Each extraction phase
 rest and the logical step's noise are compiled once, by one backward sweep
 over its schedule, into a single-fault table: every fault location (gate,
 preparation, measurement, hole step, idle qubit) with its rate and the
-image of each of its Paulis.  One call then draws all of a phase's faults
-for the masked lanes in a few vectorised draws and scatters their images
-into the frame.
+image of each of its Paulis.  The same sweep gives the phase's noiseless
+map, which the readout applies as one word-level GF(2) map that also
+yields the syndromes.
+
+Phase faults never depend on the frame, so they are drawn ahead of use.
+Each batch holds one fault pool per phase table on its frame, drawn from
+its own stream ``POOL_ROWS`` lane-samples at a time (``_draw``, a few
+vectorised draws per refill); a call hands the next sample to each masked
+lane and XORs only the samples that carry a fault into the lane words.  A
+preparation hands a lane samples in pool order until one verifies.
 
 A trial alternates logical steps (one transversal gate failure pass plus
 the data's resting noise) with a complete recovery round: Z-error recovery
@@ -29,6 +35,7 @@ acceptance of a syndrome whose leader is heavier than t, crashes the run.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,6 +53,8 @@ from .protocol import ProtocolError, ProtocolParams, resting_time
 
 MASK_ALL = (1 << 64) - 1
 Q_MAX_DEFAULT = 10
+# lane-samples drawn per fault-pool refill
+POOL_ROWS = 512
 
 
 @dataclass
@@ -57,6 +66,8 @@ class ErrorFrame:
     z: list[int] = field(default_factory=list)
     # lanes coupled with an unverified ancilla, summed over preparations
     unverified: int = 0
+    # the batch's fault pools by phase, made on first use (``SimEngine._pools``)
+    pools: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         width = 2 * self.n + self.rows
@@ -147,7 +158,8 @@ class _FaultTable:
     Image bit j is an X and bit m + j a Z on ``qubits[j]`` (m qubits); each
     row of ``images`` holds one image as little-endian uint64 words.  A
     phase runs as the noiseless pass of ``program`` followed by the XOR of
-    the sampled faults' images.
+    the sampled faults' images.  The noiseless pass is linear:
+    ``transfer[b]`` is the end-of-phase image of start-of-phase bit b.
 
     ``sites`` lists the fault locations in row order as ``(step, slot,
     qubits, paulis, row)``: the fault strikes before gate ``slot`` of
@@ -156,17 +168,18 @@ class _FaultTable:
     ``step`` is -1 (an idle); Pauli ``paulis[p]`` acting on ``qubits`` has
     image row ``row + p``.
 
-    Sampling goes by groups.  Group g draws Binomial(``slots[g]`` x lanes,
-    ``rates[g]``) failures, each on a uniform (slot, lane, offset < span[g])
-    triple whose image row is ``slot_row[offsets[g] + slot] + offset``.  In
-    a Bernoulli group a slot is one location, its span the location's Pauli
-    count, and failures take distinct (slot, lane) cells: every location
-    fails independently in every lane.  In a hole group a slot is one
-    resting qubit-step of a step sharing the group's register, its row run
-    that step's (register qubit, Pauli) images.
+    Sampling goes by groups.  Group g draws Binomial(``slots[g]`` x
+    samples, ``rates[g]``) failures, each on a uniform (slot, sample,
+    offset < span[g]) triple whose image row is ``slot_row[offsets[g] +
+    slot] + offset``.  In a Bernoulli group a slot is one location, its span
+    the location's Pauli count, and failures take distinct (slot, sample)
+    cells: every location fails independently in every sample.  In a hole
+    group a slot is one resting qubit-step of a step sharing the group's
+    register, its row run that step's (register qubit, Pauli) images.
     """
     qubits: list[int]
     program: list[tuple]
+    transfer: list[int]
     images: np.ndarray
     sites: list[tuple]
     rates: list[float]
@@ -188,8 +201,9 @@ def _fault_table(program, qubits, noise: NoiseParams, idle=((), 0.0)) -> _FaultT
     During the sweep ``col_x[j]`` / ``col_z[j]`` hold the end-of-phase image
     of an X / Z on ``qubits[j]`` at the current point of the phase, so a
     gate updates at most two columns and every location reads its images
-    off them.  ``idle`` = (qubits, rate) adds one three-Pauli location per
-    qubit before the first step.
+    off them, and at the end they hold the phase's noiseless map.
+    ``idle`` = (qubits, rate) adds one three-Pauli location per qubit before
+    the first step.
     """
     m = len(qubits)
     local = {q: j for j, q in enumerate(qubits)}
@@ -264,9 +278,9 @@ def _fault_table(program, qubits, noise: NoiseParams, idle=((), 0.0)) -> _FaultT
     images = np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in rows),
                            dtype="<u8").reshape(len(rows), words)
     rates, slots, span, offsets, distinct = zip(*groups)
-    return _FaultTable(list(qubits), program, images, sites, list(rates),
-                       np.array(slots), np.array(span), np.array(offsets),
-                       np.array(distinct), np.array(slot_row))
+    return _FaultTable(list(qubits), program, col_x + col_z, images, sites,
+                       list(rates), np.array(slots), np.array(span),
+                       np.array(offsets), np.array(distinct), np.array(slot_row))
 
 
 def _phase_tables(ns: network_mod.NetworkSet, noise: NoiseParams):
@@ -287,59 +301,285 @@ def _phase_tables(ns: network_mod.NetworkSet, noise: NoiseParams):
     return _fault_table(prep, anc + ver, noise), readout
 
 
-def _lane_array(mask: int) -> np.ndarray:
-    return np.flatnonzero(np.unpackbits(np.array([mask], dtype="<u8").view(np.uint8),
-                                        bitorder="little"))
+# lanes of each byte value, by byte position in a 64-lane mask
+_BYTE_LANES = [[[8 * i + b for b in range(8) if (v >> b) & 1] for v in range(256)]
+               for i in range(8)]
 
 
-def _inject(table: _FaultTable, frame: ErrorFrame, rng, mask: int) -> None:
-    """Sample every fault of one phase on the masked lanes and XOR their
-    images into the frame."""
-    n_lanes = bin(mask).count("1")
-    counts = [rng.binomial(s * n_lanes, r)
+def _lanes(mask: int) -> list[int]:
+    out = []
+    for lanes, byte in zip(_BYTE_LANES, mask.to_bytes(8, "little")):
+        out += lanes[byte]
+    return out
+
+
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """One int per row of a 0/1 matrix, column j as bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    if packed.shape[1] > 8:
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    buf = np.zeros((len(packed), 8), dtype=np.uint8)
+    buf[:, :packed.shape[1]] = packed
+    return buf.view("<u8").ravel().tolist()
+
+
+def _draw(table: _FaultTable, rng, rows: int) -> np.ndarray:
+    """Sample every fault of one phase in ``rows`` independent lane-samples.
+
+    Returns one row of little-endian uint64 words per sample: the XOR of
+    the images of the faults that struck it.
+    """
+    counts = [rng.binomial(s * rows, r)
               for s, r in zip(table.slots.tolist(), table.rates)]
+    acc = np.zeros((rows, table.images.shape[1]), dtype="<u8")
     if not any(counts):
-        return
+        return acc
     g = np.repeat(np.arange(len(counts)), counts)
     span = table.span[g]
-    rest, lane = np.divmod(rng.integers(table.slots[g] * span * n_lanes), n_lanes)
+    rest, row = np.divmod(rng.integers(table.slots[g] * span * rows), rows)
     slot = table.offsets[g] + rest // span
-    cell = (slot * 64 + lane)[table.distinct[g]]
-    if np.unique(cell).size < cell.size:
-        # a location fails at most once per lane: a group whose draw repeats
-        # a (location, lane) cell draws its cells again without replacement
+    cell = np.sort((slot * rows + row)[table.distinct[g]])
+    if (cell[1:] == cell[:-1]).any():
+        # a location fails at most once per sample: a group whose draw
+        # repeats a (location, sample) cell draws its cells again without
+        # replacement
         for h in np.unique(g[table.distinct[g]]):
             at = np.flatnonzero(g == h)
-            if np.unique(slot[at] * 64 + lane[at]).size < at.size:
-                pick = rng.choice(table.slots[h] * n_lanes, size=at.size, replace=False)
-                slot[at], lane[at] = np.divmod(pick, n_lanes)
+            if np.unique(slot[at] * rows + row[at]).size < at.size:
+                pick = rng.choice(table.slots[h] * rows, size=at.size, replace=False)
+                slot[at], row[at] = np.divmod(pick, rows)
                 slot[at] += table.offsets[h]
-    rows = table.slot_row[slot] + rest % span
-    acc = np.zeros((64, table.images.shape[1]), dtype="<u8")
-    np.bitwise_xor.at(acc, _lane_array(mask)[lane], table.images[rows])
-    # bit-transpose the lane-major images into one lane word per image bit
-    bits = np.unpackbits(acc.view(np.uint8), axis=1, bitorder="little")
-    bits = np.ascontiguousarray(bits[:, :2 * len(table.qubits)].T)
-    words = np.packbits(bits, axis=1, bitorder="little").view("<u8").ravel().tolist()
+    np.bitwise_xor.at(acc, row, table.images[table.slot_row[slot] + rest % span])
+    return acc
+
+
+def _values(images: np.ndarray) -> list[int]:
+    """Each row of little-endian uint64 words as one int."""
+    values = images[:, 0].tolist()
+    for w in range(1, images.shape[1]):
+        values = [v | u << 64 * w for v, u in zip(values, images[:, w].tolist())]
+    return values
+
+
+def _targets(table: _FaultTable) -> list[tuple[int, int]]:
+    """(plane, qubit) of each image bit, plane 0 for X and 1 for Z."""
+    return [(0, q) for q in table.qubits] + [(1, q) for q in table.qubits]
+
+
+def _flip(planes: tuple, targets: list, value: int, lane: int) -> None:
+    """XOR one image (an int over ``targets``) into one lane."""
+    bit = 1 << lane
+    while value:
+        low = value & -value
+        p, q = targets[low.bit_length() - 1]
+        planes[p][q] ^= bit
+        value ^= low
+
+
+def _scatter(frame: ErrorFrame, table: _FaultTable, images: np.ndarray,
+             lanes) -> None:
+    """XOR sample k of ``images`` (drawn from ``table``) into lane ``lanes[k]``."""
+    planes, targets = (frame.x, frame.z), _targets(table)
+    for lane, value in zip(lanes, _values(images)):
+        _flip(planes, targets, value, lane)
+
+
+class _Pool:
+    """Lane-samples of one phase, drawn ``POOL_ROWS`` at a time from the
+    pool's own stream and handed out in draw order.
+
+    After a refill ``hit`` lists the samples that carry a fault, in
+    increasing order, with the part of their images that lies in the word
+    mask ``apply`` (all of them by default) in ``values``.  Given
+    ``checks`` (a 0/1 matrix, one row per image bit and one column per
+    check), ``tags[i]`` packs the parities of hit i's whole image under the
+    checks.
+    """
+
+    def __init__(self, table: _FaultTable, rng, checks=None, apply=None):
+        self.table, self.rng, self.checks, self.apply = table, rng, checks, apply
+        self.targets = _targets(table)
+        self.at = POOL_ROWS        # next sample; the pool starts empty
+
+    def refill(self) -> tuple[np.ndarray, np.ndarray]:
+        """Draw the next samples; return the hits and their whole images."""
+        images = _draw(self.table, self.rng, POOL_ROWS)
+        hit = np.flatnonzero(np.bitwise_or.reduce(images, axis=1))
+        images = images[hit]
+        self.hit = hit.tolist()
+        self.values = _values(images if self.apply is None else images & self.apply)
+        if self.checks is None:
+            self.tags = [0] * hit.size
+        else:
+            bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
+            self.tags = _row_ints((bits @ self.checks).astype(np.int64) & 1)
+        self.at = 0
+        return hit, images
+
+    def hand_out(self, frame: ErrorFrame, lanes: list[int]) -> list[tuple[int, int]]:
+        """XOR the next ``len(lanes)`` samples into ``lanes``, one each, and
+        return ``(lane, tag)`` for every sample that carried a fault."""
+        planes, out, done = (frame.x, frame.z), [], 0
+        while done < len(lanes):
+            if self.at == POOL_ROWS:
+                self.refill()
+            hit = self.hit
+            stop = min(POOL_ROWS, self.at + len(lanes) - done)
+            lo = bisect_left(hit, self.at)
+            for i in range(lo, bisect_left(hit, stop, lo)):
+                lane = lanes[done + hit[i] - self.at]
+                _flip(planes, self.targets, self.values[i], lane)
+                out.append((lane, self.tags[i]))
+            done += stop - self.at
+            self.at = stop
+        return out
+
+
+class _PrepPool(_Pool):
+    """The G+V pool: a sample verifies when its image has none of the bits
+    of the word mask ``verify`` (the X bits of the verification qubits)."""
+
+    def __init__(self, table: _FaultTable, rng, verify: np.ndarray):
+        super().__init__(table, rng)
+        self.verify = verify
+
+    def refill(self) -> tuple[np.ndarray, np.ndarray]:
+        hit, images = super().refill()
+        ok = np.ones(POOL_ROWS, dtype=bool)
+        ok[hit[(images & self.verify).any(axis=1)]] = False
+        ok = np.flatnonzero(ok)
+        self.verified = ok.tolist()
+        # attempts a lane needs at most while this refill lasts
+        self.longest = int(np.diff(ok, prepend=-1).max()) if ok.size else POOL_ROWS + 1
+        self.image = dict(zip(self.hit, self.values))
+        return hit, images
+
+    def hand_out_verified(self, frame: ErrorFrame, lanes: list[int],
+                          max_attempts: int) -> int:
+        """Give each lane in turn the next samples until one verifies; a
+        lane whose ``max_attempts`` samples in a row all fail keeps the last
+        of them.  XOR each kept sample into its lane and return how many
+        lanes kept an unverified one."""
+        planes = (frame.x, frame.z)
+        if self.at == POOL_ROWS:
+            self.refill()
+        first = bisect_left(self.verified, self.at)
+        if self.longest <= max_attempts and first + len(lanes) <= len(self.verified):
+            # no lane runs out of attempts or out of this refill
+            picks = self.verified[first:first + len(lanes)]
+            self.at = picks[-1] + 1
+            for lane, k in zip(lanes, picks):
+                if k in self.image:
+                    _flip(planes, self.targets, self.image[k], lane)
+            return 0
+        unverified = 0
+        for lane in lanes:
+            failed = 0
+            while True:
+                if self.at == POOL_ROWS:
+                    self.refill()
+                left = max_attempts - failed
+                nxt = bisect_left(self.verified, self.at)
+                if nxt < len(self.verified) and self.verified[nxt] - self.at < left:
+                    pick = self.verified[nxt]
+                    break
+                if self.at + left <= POOL_ROWS:
+                    pick = self.at + left - 1
+                    unverified += 1
+                    break
+                # the run of failures goes on into the next refill
+                failed += POOL_ROWS - self.at
+                self.at = POOL_ROWS
+            self.at = pick + 1
+            if pick in self.image:
+                _flip(planes, self.targets, self.image[pick], lane)
+        return unverified
+
+
+def _word_mask(positions, width: int) -> np.ndarray:
+    """Little-endian uint64 words over ``width`` bits with ``positions`` set."""
+    bits = np.zeros((width + 63) // 64 * 64, dtype=np.uint8)
+    bits[list(positions)] = 1
+    return np.packbits(bits, bitorder="little").view("<u8")
+
+
+def _bit_positions(v: int) -> list[int]:
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
+
+
+@dataclass
+class _ReadoutMap:
+    """A readout's noiseless pass plus its syndromes as one word-level
+    GF(2) map.
+
+    Input word b is the start-of-phase lane word of bit b (the X words of
+    the table's qubits ``lo..hi-1``, then their Z words), and input 2m is a
+    zero word.  Output o is the XOR of inputs ``cols[starts[o]:starts[o +
+    1]]``: first the end-of-phase word of every data bit the readout
+    changes, written back to ``write[o]`` = (plane, qubit), then one word
+    per syndrome bit.  ``weights`` packs syndrome bits into 64-bit words.
+    """
+    lo: int
+    hi: int
+    cols: np.ndarray
+    starts: np.ndarray
+    write: list[tuple[int, int]]
+    weights: np.ndarray
+
+
+def _readout_map(table: _FaultTable, data: int,
+                 syndrome_bits: list[list[int]]) -> _ReadoutMap:
+    """Compile the noiseless pass of a readout over data plus ancilla by
+    transposing ``table.transfer`` into per-output input sets.
+
+    The first ``data`` table qubits are the data block, whose end-of-phase
+    words the map writes back; the measured ancilla's are discarded.
+    Syndrome bit l reads the XOR of end-of-phase bits ``syndrome_bits[l]``.
+    """
     m = len(table.qubits)
+    lo = table.qubits[0]
+    if table.qubits != list(range(lo, lo + m)):
+        raise ValueError("a readout map needs consecutive qubits")
+    inputs = [0] * 2 * m               # end-of-phase bit -> start-of-phase bits
+    for b, image in enumerate(table.transfer):
+        for o in _bit_positions(image):
+            inputs[o] |= 1 << b
+    changed = [o for o in range(2 * m) if o % m < data and inputs[o] != 1 << o]
+    outputs = [inputs[o] for o in changed]
+    for bits in syndrome_bits:
+        acc = 0
+        for o in bits:
+            acc ^= inputs[o]
+        outputs.append(acc)
+    cols, starts = [], []
+    for acc in outputs:
+        starts.append(len(cols))
+        cols += _bit_positions(acc) or [2 * m]
+    c = np.arange(len(syndrome_bits))
+    weights = np.zeros(((c.size + 63) // 64, c.size), dtype=np.uint64)
+    weights[c // 64, c] = np.uint64(1) << (c % 64).astype(np.uint64)
+    return _ReadoutMap(lo, lo + m, np.array(cols, dtype=np.intp),
+                       np.array(starts, dtype=np.intp),
+                       [(o // m, lo + o % m) for o in changed], weights)
+
+
+def _apply_readout(rmap: _ReadoutMap, frame: ErrorFrame, mask: int) -> list[int]:
+    """Run the map's noiseless pass on the masked lanes of the frame and
+    return one packed syndrome per lane (0 outside the mask)."""
     x, z = frame.x, frame.z
-    for q, wx, wz in zip(table.qubits, words[:m], words[m:]):
-        x[q] ^= wx
-        z[q] ^= wz
-
-
-def _syndromes(plane: list[int], checks_t: np.ndarray, mask: int) -> list[int]:
-    """One packed syndrome per lane: bit l is the parity of ``plane`` (one
-    lane word per check column) over check row l, with ``checks_t`` the
-    transposed check matrix; lanes outside the mask read 0."""
-    words = np.array(plane, dtype="<u8") & np.uint64(mask)
-    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    syn = np.packbits((bits.T @ checks_t).astype(np.uint8) & 1, axis=1, bitorder="little")
-    if syn.shape[1] > 8:
-        return [int.from_bytes(row.tobytes(), "little") for row in syn]
-    buf = np.zeros((64, 8), dtype=np.uint8)
-    buf[:, :syn.shape[1]] = syn
-    return buf.view("<u8").ravel().tolist()
+    words = np.array(x[rmap.lo:rmap.hi] + z[rmap.lo:rmap.hi] + [0],
+                     dtype=np.uint64) & np.uint64(mask)
+    out = np.bitwise_xor.reduceat(words[rmap.cols], rmap.starts)
+    planes, keep, n = (x, z), ~mask, len(rmap.write)
+    for (p, q), w in zip(rmap.write, out[:n].tolist()):
+        planes[p][q] = (planes[p][q] & keep) ^ w
+    bits = np.unpackbits(out[n:].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    return _values((rmap.weights @ bits).T)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +691,6 @@ class SimEngine:
         self.n = code.n
         self.rows = self.networks.rows
         self.t = code.t
-        # transposed check matrix; float32 so parity counts go through BLAS
-        self._checks_t = self.code.H.T.astype(np.float32)
         self.t_r = self._resting_time()
         self._prep, self._readout = _phase_tables(self.networks, noise)
         # data noise has no circuit after it: identity images on the data
@@ -460,6 +698,25 @@ class SimEngine:
         self._data_rest = _fault_table([], data, noise,
                                        (data, idle_flip_probability(noise.eps, self.t_r)))
         self._logical_gate = _fault_table([], data, noise, (data, noise.gamma2))
+        # a syndrome bit reads the ancilla X bits (readout bits n..2n-1) of
+        # its check row, and a readout leaves only its data bits (X: 0..n-1,
+        # Z: 2n..3n-1) in the frame; a G+V sample verifies with no X on a
+        # verification qubit (G+V bits n..n+rows-1)
+        n, checks = self.n, self.code.H
+        self._readout_maps = {
+            e: _readout_map(t, n, [[n + i for i in np.flatnonzero(row)] for row in checks])
+            for e, t in self._readout.items()}
+        # the data checks read the X (Z) plane as a readout that runs no
+        # gates (the data rest's identity map) and writes nothing back
+        self._data_checks = {
+            plane: _readout_map(self._data_rest, 0,
+                                [[k * n + i for i in np.flatnonzero(row)] for row in checks])
+            for k, plane in enumerate("xz")}
+        self._syndrome_checks = np.zeros(((4 * n + 63) // 64 * 64, len(checks)),
+                                         dtype=np.float32)
+        self._syndrome_checks[n:2 * n] = checks.T
+        self._data_words = _word_mask([*range(n), *range(2 * n, 3 * n)], 4 * n)
+        self._verify_word = _word_mask(range(n, n + self.rows), 2 * len(self._prep.qubits))
 
     def _resting_time(self) -> float:
         pp = self.protocol
@@ -475,57 +732,78 @@ class SimEngine:
                     f"r={pp.r} exceeds r_max={r_max:.3f} at n_rep={pp.n_rep}")
         return resting_time(self.params.w, self.noise.t_m, pp, alpha, beta)
 
-    # -- one syndrome extraction attempt ------------------------------------
-    def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
-        """Run G and V once for the masked lanes; return the verified sub-mask.
+    def _pools(self, frame: ErrorFrame, rng) -> dict:
+        """The frame's fault pools: G+V, the two readouts, the data's rest
+        and the logical gate, each on its own child stream of ``rng`` in
+        that order, spawned on the frame's first pooled draw."""
+        if frame.pools is None:
+            prep, z, x, rest, gate = rng.spawn(5)
+            frame.pools = {
+                "prep": _PrepPool(self._prep, prep, self._verify_word),
+                "Z": _Pool(self._readout["Z"], z, self._syndrome_checks, self._data_words),
+                "X": _Pool(self._readout["X"], x, self._syndrome_checks, self._data_words),
+                "rest": _Pool(self._data_rest, rest),
+                "gate": _Pool(self._logical_gate, gate)}
+        return frame.pools
 
-        G+V prepares every ancilla and verification qubit before any fault
-        that survives it, so on the masked lanes those qubits end up holding
-        exactly the sampled fault images.
-        """
-        keep = ~mask
-        x, z = frame.x, frame.z
-        for q in self._prep.qubits:
-            x[q] &= keep
-            z[q] &= keep
-        _inject(self._prep, frame, rng, mask)
+    def _reset_ancilla(self, frame: ErrorFrame, mask: int) -> None:
+        """Clear the ancilla and verification qubits on the masked lanes.
+
+        G+V prepares each of them before any fault that survives it, so
+        those lanes then hold exactly the fault image XORed in next."""
+        keep, lo, hi = ~mask, self.n, 2 * self.n + self.rows
+        frame.x[lo:hi] = [v & keep for v in frame.x[lo:hi]]
+        frame.z[lo:hi] = [v & keep for v in frame.z[lo:hi]]
+
+    # -- one syndrome extraction ---------------------------------------------
+    def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
+        """Run G and V once for the masked lanes, drawing straight from
+        ``rng``; return the verified sub-mask."""
+        lanes = _lanes(mask)
+        self._reset_ancilla(frame, mask)
+        _scatter(frame, self._prep, _draw(self._prep, rng, len(lanes)), lanes)
         bad = 0
         for q in self.networks.verification_qubits:
-            bad |= x[q]
+            bad |= frame.x[q]
         return mask & ~bad
 
     def prepare_verified(self, frame: ErrorFrame, rng, mask: int,
                          max_attempts: int = 64) -> None:
         """Re-prepare until every masked lane holds a verified ancilla.
 
-        Lanes still unverified after ``max_attempts`` go on with the last
-        attempt's ancilla and are counted in ``frame.unverified``.
+        Attempts come from the frame's G+V pool: each masked lane in turn
+        takes the next samples until one verifies.  A lane whose
+        ``max_attempts`` attempts all fail goes on with the last one and is
+        counted in ``frame.unverified``.
         """
-        pending = mask
-        for _ in range(max_attempts):
-            if not pending:
-                return
-            verified = self.attempt_preparation(frame, rng, pending)
-            pending &= ~verified
-        frame.unverified += bin(pending).count("1")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if not mask:
+            return
+        self._reset_ancilla(frame, mask)
+        frame.unverified += self._pools(frame, rng)["prep"].hand_out_verified(
+            frame, _lanes(mask), max_attempts)
 
     def couple_and_measure(self, frame: ErrorFrame, rng, mask: int,
                            error_type: str) -> list[int]:
         """Readout wait, transversal coupling, ancilla readout, syndromes.
 
         Returns one packed syndrome int per lane (0 for lanes outside the
-        mask).
+        mask).  The measured ancilla is discarded: its words keep their
+        values until the next preparation resets them.
         """
-        table = self._readout[error_type]
-        for gates, _, _ in table.program:
-            for ev in gates:
-                propagate(ev, frame, mask)
-        _inject(table, frame, rng, mask)
-        return _syndromes(frame.x[self.n:2 * self.n], self._checks_t, mask)
+        syndromes = _apply_readout(self._readout_maps[error_type], frame, mask)
+        for lane, tag in self._pools(frame, rng)[error_type].hand_out(frame, _lanes(mask)):
+            syndromes[lane] ^= tag
+        return syndromes
+
+    def add_noise(self, frame: ErrorFrame, rng, mask: int, phase: str) -> None:
+        """The data's rest (``phase`` "rest") or the logical gate's failures
+        ("gate") on the masked lanes, from the frame's pools."""
+        self._pools(frame, rng)[phase].hand_out(frame, _lanes(mask))
 
     def data_syndromes(self, frame: ErrorFrame, plane: str, mask: int) -> list[int]:
-        return _syndromes((frame.x if plane == "x" else frame.z)[:self.n],
-                          self._checks_t, mask)
+        return _apply_readout(self._data_checks[plane], frame, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +823,7 @@ def recover_block(frame: ErrorFrame, states: list[RecoveryState],
     """
     pp = engine.protocol
     if apply_rest:
-        _inject(engine._data_rest, frame, rng, mask)
+        engine.add_noise(frame, rng, mask, "rest")
 
     engine.prepare_verified(frame, rng, mask)
     first = engine.couple_and_measure(frame, rng, mask, error_type)
@@ -619,7 +897,7 @@ def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
     for q in range(1, q_max + 1):
         if not alive:
             break
-        _inject(engine._logical_gate, frame, rng, alive)
+        engine.add_noise(frame, rng, alive, "gate")
         _, crash_z = recover_block(frame, states_z, engine, rng, "Z", alive,
                                    apply_rest=True)
         alive_after_z = alive & ~crash_z

@@ -75,7 +75,8 @@ def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
     Each trial starts from an error-free data block; unverified ancillas are
     re-prepared until one passes, matching the protocol's use of good
     ancillas only; lanes that run out of attempts are counted in
-    ``unverified``.
+    ``unverified``.  Noise point ``i`` draws every batch from the one
+    stream ``stream(seed, i)``.
     """
     out = []
     for idx, noise in enumerate(noise_grid):
@@ -85,16 +86,18 @@ def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
         counts: dict[int, int] = {}
         unverified = 0
         done = 0
-        batch_idx = 0
+        rng = stream(seed, idx)
+        pools = None
         while done < trials:
-            rng = stream(seed, idx * 1_000_000 + batch_idx)
-            batch_idx += 1
             lanes = min(64, trials - done)
             mask = (1 << lanes) - 1
-            frame = ErrorFrame(n=engine.n, rows=engine.rows)
+            # an error-free block per batch; the noise point's fault pools
+            # carry over from batch to batch
+            frame = ErrorFrame(n=engine.n, rows=engine.rows, pools=pools)
             engine.prepare_verified(frame, rng, mask)
             unverified += frame.unverified
             syndromes = engine.couple_and_measure(frame, rng, mask, error_type)
+            pools = frame.pools
             for lane in range(lanes):
                 s = syndromes[lane]
                 counts[s] = counts.get(s, 0) + 1

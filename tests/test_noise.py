@@ -1,6 +1,6 @@
 """The failure model as the simulator samples it: a phase's single-fault
-table (``simulator._fault_table``) drawn by ``simulator._inject`` into a
-lane-packed ``ErrorFrame``, 64 trial lanes per call."""
+table (``simulator._fault_table``) drawn by ``simulator._draw`` and XORed
+into a lane-packed ``ErrorFrame``, 64 trial lanes per call."""
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -10,8 +10,13 @@ from ftqec.network import CNOT, GateEvent, MEASURE, PREP_ZERO
 from ftqec.noise import (NoiseParams, Pauli, TWO_QUBIT_FAILURES,
                          idle_flip_probability, stream)
 from ftqec.protocol import ProtocolParams
-from ftqec.simulator import (MASK_ALL, ErrorFrame, SimEngine, _fault_table,
-                             _inject, _program)
+from ftqec.simulator import (MASK_ALL, ErrorFrame, SimEngine, _draw, _fault_table,
+                             _program, _scatter)
+
+
+def inject(table, frame: ErrorFrame, rng) -> None:
+    """One draw of a phase on all 64 lanes of the frame."""
+    _scatter(frame, table, _draw(table, rng, 64), range(64))
 
 
 def lane_bits(word: int) -> np.ndarray:
@@ -57,7 +62,7 @@ def test_two_qubit_zero_rate_is_identity():
     rng = stream(1, 0)
     frame = ErrorFrame(n=1, rows=0)
     for _ in range(1000):
-        _inject(table, frame, rng, MASK_ALL)
+        inject(table, frame, rng)
     assert flip_count(frame) == 0
 
 
@@ -71,7 +76,7 @@ def test_two_qubit_forced_failure_uniform():
     tally = np.zeros(16, dtype=np.int64)
     for _ in range(n // 64):
         frame = ErrorFrame(n=1, rows=0)
-        _inject(table, frame, rng, MASK_ALL)
+        inject(table, frame, rng)
         pair = 4 * lane_paulis(frame, 0) + lane_paulis(frame, 1)
         tally += np.bincount(pair, minlength=16)
     counts = {(Pauli(i // 4), Pauli(i % 4)): int(c)
@@ -93,7 +98,7 @@ def test_single_qubit_marginals():
     tally = np.zeros(4, dtype=np.int64)
     for _ in range(n // 64):
         frame = ErrorFrame(n=1, rows=0)
-        _inject(table, frame, rng, MASK_ALL)
+        inject(table, frame, rng)
         tally += np.bincount(lane_paulis(frame, 0), minlength=4)
     for pauli in (Pauli.X, Pauli.Y, Pauli.Z):
         frac = tally[pauli] / n
@@ -113,7 +118,7 @@ def test_prep_measure_marginals(kind, param):
     hits = 0
     for _ in range(n // 64):
         frame = ErrorFrame(n=1, rows=0)
-        _inject(table, frame, rng, MASK_ALL)
+        inject(table, frame, rng)
         if kind == PREP_ZERO:
             assert frame.z[0] == 0
         hits += flip_count(frame)
@@ -125,8 +130,8 @@ def test_prep_measure_marginals(kind, param):
 def test_memory_noise_zero_eps():
     rng = stream(5, 0)
     frame = ErrorFrame(n=4, rows=0)
-    _inject(hole_table(8, range(8), 0.0), frame, rng, MASK_ALL)
-    _inject(idle_table(range(8), idle_flip_probability(0.0, 100)), frame, rng, MASK_ALL)
+    inject(hole_table(8, range(8), 0.0), frame, rng)
+    inject(idle_table(range(8), idle_flip_probability(0.0, 100)), frame, rng)
     assert flip_count(frame) == 0
 
 
@@ -139,7 +144,7 @@ def test_memory_noise_mean_count():
     count = 0
     for _ in range(16):
         frame = ErrorFrame(n=500, rows=0)
-        _inject(table, frame, rng, MASK_ALL)
+        inject(table, frame, rng)
         count += flip_count(frame)
     mean = 16 * 1000 * 64 * 1e-3
     assert abs(count - mean) < 3.5 * mean ** 0.5
@@ -148,7 +153,7 @@ def test_memory_noise_mean_count():
 def test_memory_noise_forced_single_location():
     # a one-step rest at eps = 1 flips every lane
     frame = ErrorFrame(n=1, rows=0)
-    _inject(idle_table([0], idle_flip_probability(1.0, 1)), frame, stream(7, 0), MASK_ALL)
+    inject(idle_table([0], idle_flip_probability(1.0, 1)), frame, stream(7, 0))
     assert frame.x[0] | frame.z[0] == MASK_ALL
 
 
@@ -157,7 +162,7 @@ def test_memory_noise_exact_marginal():
     # failures flip the X plane
     frame = ErrorFrame(n=2344, rows=0)
     table = idle_table(range(frame.width), idle_flip_probability(0.01, 1))
-    _inject(table, frame, stream(8, 0), MASK_ALL)
+    inject(table, frame, stream(8, 0))
     n = frame.width * 64
     flips_x = sum(bin(v).count("1") for v in frame.x)
     expected = n * 0.01 * 2 / 3
@@ -172,7 +177,7 @@ def test_determinism_same_seed():
         rng = stream(9, 5)
         frame = ErrorFrame(n=1, rows=0)
         for _ in range(50):
-            _inject(table, frame, rng, MASK_ALL)
+            inject(table, frame, rng)
         frames.append((frame.x, frame.z))
     assert frames[0] == frames[1]
     assert any(frames[0][0]) or any(frames[0][1])

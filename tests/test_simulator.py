@@ -111,19 +111,92 @@ def test_verified_fraction_tracks_alpha():
     assert abs(frac - alpha) <= 0.02
 
 
+def _sequential_unverified(verified: np.ndarray, lanes: int, max_attempts: int) -> int:
+    """Lanes whose ``max_attempts`` attempts all fail when each lane in turn
+    retries on the next samples of one sequence."""
+    at = unverified = 0
+    for _ in range(lanes):
+        for _ in range(max_attempts):
+            at += 1
+            if verified[at - 1]:
+                break
+        else:
+            unverified += 1
+    return unverified
+
+
 def test_unverified_lanes_counted():
-    # one attempt at heavy noise leaves lanes unverified; the same stream
-    # replayed through attempt_preparation says how many
+    # heavy noise leaves lanes unverified; the batch's G+V pool, replayed
+    # from its stream (the first of five spawned from the batch stream),
+    # says how many
     eng = engine(gamma=0.3, eps=0.3)
     mask = (1 << 64) - 1
-    f = ErrorFrame(n=7, rows=eng.rows)
-    eng.prepare_verified(f, stream(5, 0), mask, max_attempts=1)
-    verified = eng.attempt_preparation(ErrorFrame(n=7, rows=eng.rows),
-                                       stream(5, 0), mask)
-    assert f.unverified == bin(mask & ~verified).count("1") > 0
-    quiet = ErrorFrame(n=7, rows=eng.rows)
-    engine().prepare_verified(quiet, stream(5, 0), mask, max_attempts=1)
-    assert quiet.unverified == 0
+    images = simulator._draw(eng._prep, stream(5, 0).spawn(5)[0], simulator.POOL_ROWS)
+    bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
+    # X bits of the verification qubits, which follow the ancilla
+    verified = ~bits[:, eng.n:eng.n + eng.rows].any(axis=1)
+    for max_attempts in (1, 3):
+        f = ErrorFrame(n=7, rows=eng.rows)
+        eng.prepare_verified(f, stream(5, 0), mask, max_attempts=max_attempts)
+        assert f.unverified == _sequential_unverified(verified, 64, max_attempts) > 0
+        quiet = ErrorFrame(n=7, rows=eng.rows)
+        engine().prepare_verified(quiet, stream(5, 0), mask, max_attempts=max_attempts)
+        assert quiet.unverified == 0
+
+
+def test_prepare_verified_matches_sequential_retries(monkeypatch):
+    # G+V samples from a fixed sequence: sample k carries k in its ancilla
+    # bits and fails verification where ``fails`` says.  A run of 12
+    # failures inside the first refill exhausts a lane's 8 attempts, and a
+    # run of 20 crosses the refill, so some lane spends its 8 attempts on
+    # both sides of it.  Every lane must keep the sample that per-lane
+    # sequential retries give it.
+    eng = engine()
+    n, rows, max_attempts = eng.n, eng.rows, 8
+    pool_rows = simulator.POOL_ROWS
+    m = len(eng._prep.qubits)
+    fails = np.random.default_rng(8).random(3 * pool_rows) < 0.3
+    fails[200:212] = True
+    fails[pool_rows - 12:pool_rows + 8] = True
+    values = [(k & 127) | (k >> 7) << m | int(fails[k]) << n for k in range(3 * pool_rows)]
+    images = np.array([[v & (2**64 - 1), v >> 64] for v in values], dtype=np.uint64)
+    chunks = iter(np.split(images, 3))
+
+    def draw(table, rng, count):
+        assert table is eng._prep and count == pool_rows
+        return next(chunks)
+
+    monkeypatch.setattr(simulator, "_draw", draw)
+    gen = np.random.default_rng(9)
+    masks = [(1 << 64) - 1] * 4 + [int(v) for v in gen.integers(1, 2**63, 8)]
+    f = ErrorFrame(n=n, rows=rows)
+    at = unverified = 0
+    crossed = inside = False
+    for mask in masks:
+        eng.prepare_verified(f, stream(0, 0), mask, max_attempts=max_attempts)
+        for lane in range(64):
+            if not (mask >> lane) & 1:
+                continue
+            start = at
+            for _ in range(max_attempts):
+                at += 1
+                if not fails[at - 1]:
+                    break
+            else:
+                unverified += 1
+                crossed |= start < pool_rows <= at - 1
+                inside |= at <= pool_rows
+            kept = sum(((f.x[q] >> lane) & 1) << j for j, q in enumerate(range(n, 2 * n)))
+            kept |= sum(((f.z[q] >> lane) & 1) << (7 + j) for j, q in enumerate(range(n, 2 * n)))
+            assert kept == at - 1, (mask, lane)
+            assert (f.x[2 * n] >> lane) & 1 == fails[at - 1]
+    assert crossed and inside and at > pool_rows
+    assert f.unverified == unverified
+
+
+def test_prepare_verified_needs_an_attempt():
+    with pytest.raises(ValueError):
+        engine().prepare_verified(ErrorFrame(n=7, rows=4), stream(0, 0), 1, max_attempts=0)
 
 
 @pytest.mark.parametrize("name", ["hamming", "golay", "bch31"])
@@ -210,6 +283,36 @@ def test_fault_table_matches_forward_propagation(name):
             if step >= 0 and slot < len(table.program[step][0])), label
 
 
+@pytest.mark.parametrize("name", codes.code_names())
+def test_readout_map_matches_propagation(name):
+    # the compiled readout map against gate-by-gate propagation on random
+    # frames: the same data planes and syndromes on the masked lanes, and
+    # nothing changed on the others
+    code = codes.standardized_code(codes.construct_code(name))
+    sf = codes.standard_form(code)
+    params = codes.derived_params(sf, code.n, code.k, code.d, name=name)
+    ns = network.synthesize_networks(sf, params)
+    _, readout = simulator._phase_tables(ns, NoiseParams())
+    n = code.n
+    syndrome_bits = [[n + i for i in np.flatnonzero(row)] for row in code.H]
+    gen = np.random.default_rng(n)
+    for error_type, table in readout.items():
+        rmap = simulator._readout_map(table, n, syndrome_bits)
+        for mask in ((1 << 64) - 1, int(gen.integers(1, 2**63))):
+            frame = ErrorFrame(n=n, rows=ns.rows)
+            frame.x = [int(v) for v in gen.integers(0, 2**64, frame.width, dtype=np.uint64)]
+            frame.z = [int(v) for v in gen.integers(0, 2**64, frame.width, dtype=np.uint64)]
+            ref = ErrorFrame(n=n, rows=ns.rows, x=list(frame.x), z=list(frame.z))
+            got = simulator._apply_readout(rmap, frame, mask)
+            for gates, _, _ in table.program:
+                for ev in gates:
+                    simulator.propagate(ev, ref, mask)
+            want = _lane_syndromes(ref.x[n:2 * n], code.H, mask)
+            assert got == want, error_type
+            assert frame.x[:n] == ref.x[:n] and frame.z[:n] == ref.z[:n], error_type
+            assert frame.x[2 * n:] == ref.x[2 * n:] and frame.z[2 * n:] == ref.z[2 * n:]
+
+
 def test_unverified_tally_independent_of_workers():
     cfg = SimConfig("hamming", NoiseParams.uniform(0.3, 0.3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
@@ -217,6 +320,7 @@ def test_unverified_tally_independent_of_workers():
     s1 = estimate_pbar_mc(cfg, seed=4, workers=1)
     s2 = estimate_pbar_mc(cfg, seed=4, workers=2)
     assert s1.unverified == s2.unverified > 0
+    assert np.array_equal(s1.n_f, s2.n_f) and np.array_equal(s1.n_s, s2.n_s)
 
 
 def test_engine_cache_bounded(monkeypatch):
@@ -236,22 +340,35 @@ def test_engine_cache_bounded(monkeypatch):
     assert simulator._engine_for(configs[1]) is not built[1]
 
 
+def _lane_syndromes(plane: list[int], checks: np.ndarray, mask: int) -> list[int]:
+    """Per-lane loop: bit l of lane L's syndrome is the parity of lane L of
+    ``plane`` over check row l; lanes outside the mask read 0."""
+    out = [0] * 64
+    for lane in range(64):
+        if (mask >> lane) & 1:
+            for l in range(len(checks)):
+                parity = sum((plane[q] >> lane) & 1 for q in np.flatnonzero(checks[l]))
+                out[lane] |= (parity & 1) << l
+    return out
+
+
 @pytest.mark.parametrize("rows,n", [(12, 23), (85, 127)])
 def test_syndromes_match_per_lane_reference(rows, n):
     # the vectorised reduction against a per-lane loop, on both sides of
-    # the 64-row packing boundary
+    # the 64-row packing boundary: data checks read as a readout of the
+    # data's rest, which has no gates and writes nothing back
     gen = np.random.default_rng(rows)
     checks = gen.integers(0, 2, (rows, n), dtype=np.uint8)
-    plane = [int(v) for v in gen.integers(0, 2**63, n)]
+    frame = ErrorFrame(n=n, rows=0)
+    frame.x = [int(v) for v in gen.integers(0, 2**63, 2 * n)]
+    frame.z = [int(v) for v in gen.integers(0, 2**63, 2 * n)]
     mask = int(gen.integers(0, 2**63)) | (1 << 63)
-    want = [0] * 64
-    for lane in range(64):
-        if (mask >> lane) & 1:
-            for l in range(rows):
-                parity = sum((plane[q] >> lane) & 1 for q in np.flatnonzero(checks[l]))
-                want[lane] |= (parity & 1) << l
-    got = simulator._syndromes(plane, checks.T.astype(np.float32), mask)
-    assert got == want
+    rest = simulator._fault_table([], list(range(n)), NoiseParams(), (range(n), 0.0))
+    for k, plane in enumerate((frame.x, frame.z)):
+        rmap = simulator._readout_map(rest, 0, [[k * n + i for i in np.flatnonzero(row)]
+                                                for row in checks])
+        got = simulator._apply_readout(rmap, frame, mask)
+        assert got == _lane_syndromes(plane[:n], checks, mask)
 
 
 # -- recovery ------------------------------------------------------------------
@@ -461,8 +578,8 @@ def test_bch127_43_batch_pinned():
                     NoiseParams.uniform(1e-3, 1e-5, 25),
                     ProtocolParams(4, 3, 3, parallel_corrections=1.0))
     stats = run_batch(eng, stream(1, 0))
-    assert stats.n_f.tolist() == [0, 18, 16, 9, 5, 9, 2, 2, 0, 2, 1]
-    assert stats.n_s.tolist() == [0, 46, 30, 21, 16, 7, 5, 3, 3, 1, 0]
+    assert stats.n_f.tolist() == [0, 14, 16, 5, 10, 6, 8, 3, 0, 1, 1]
+    assert stats.n_s.tolist() == [0, 50, 34, 29, 19, 13, 5, 2, 2, 1, 0]
 
 
 def test_qr47_engine_fits_in_4gb():
