@@ -97,25 +97,22 @@ def bprime(g: float, s: float, m: int, gamma: float, eps: float) -> float:
 
 
 def uncorrectable_tail(g: float, s: float, t: int, n: int,
-                       gamma: float, eps: float,
-                       memory_series: Optional[dict] = None) -> float:
+                       gamma: float, eps: float) -> float:
     """Probability of an uncorrectable accumulation: more than t failures.
 
     The direct sum over m = t+1..n is numerically exact when the expected
     failure count is small, where essentially no mass sits beyond n.  When
     failures saturate the block the direct sum loses that mass, so the
     complement 1 - sum_{m<=t} takes over; it is only trusted well above the
-    double-precision cancellation floor.  ``memory_series`` keeps each
-    memory count's binomial series for callers that reuse the count.
+    double-precision cancellation floor.
     """
-    bg = _binom_series(g, n, gamma)
-    if memory_series is None:
-        bs = _binom_series(s, n, eps)
-    else:
-        key = (s, n, eps)
-        bs = memory_series.get(key)
-        if bs is None:
-            bs = memory_series[key] = _binom_series(s, n, eps)
+    return _tail_of_series(_binom_series(g, n, gamma), _binom_series(s, n, eps), t)
+
+
+def _tail_of_series(bg: np.ndarray, bs: np.ndarray, t: int) -> float:
+    """``uncorrectable_tail`` from the gate and memory failure series over
+    m = 0..n."""
+    n = len(bg) - 1
     direct = float(np.convolve(bg, bs)[: n + 1][t + 1:].sum())
     # the head comes from its own short convolution: summing the first t+1
     # terms of the long one changes the last bits, and 1 - head amplifies them
@@ -268,7 +265,7 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     """
     if pp.r_prime > pp.r + pp.r_dprime:
         raise ProtocolError("r' exceeds the r + r'' syndrome pool")
-    base, tail = _per_r_terms(code, noise, pp, consts, rest_scale, tail_model)
+    base, tail = _per_r_terms(code, noise, pp, consts, rest_scale, tail_model, {})
     pmf = _agreement_pmf(base.p_za, (pp.r, pp.r + pp.r_dprime))
     return _finish_estimate(base, _floor_terms(base, code, noise, pp, pmf), tail,
                             code, noise, pp, consts, rest_scale)
@@ -276,12 +273,12 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
 
 def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
                  consts: AnalyticConstants, rest_scale: float, tail_model,
-                 memory_series: Optional[dict] = None):
+                 memory_series: dict):
     """The terms of ``crash_estimate`` that do not depend on r' or r'':
     a breakdown filled in up to ``p1_multi``, and the tail it used (None
     when the block is unusable and the breakdown is final).  The p1 tails
-    take each memory count's series from ``memory_series``, which a grid
-    shares across its r values."""
+    read each memory count's series from ``memory_series`` (count ->
+    series), which a grid shares across its r values."""
     out = EstimateBreakdown()
 
     prep = preparation_stats(code, noise)
@@ -310,20 +307,26 @@ def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     out.s_r = _s_count(code, noise, consts, out.t_r, r, rest_scale)
 
     if tail_model is None:
-        def tail(g: float, s: float, memory: Optional[dict] = None) -> float:
-            return uncorrectable_tail(g, s, t, n, g2_eff, eps_eff, memory)
-    else:
-        def tail(g: float, s: float, memory: Optional[dict] = None) -> float:
-            return tail_model(g, s, g2_eff, eps_eff)
+        def tail(g: float, s: float) -> float:
+            return uncorrectable_tail(g, s, t, n, g2_eff, eps_eff)
 
-    # the four p1 tails share the memory counts s_1 and s_r
-    memory = {} if memory_series is None else memory_series
+        # the four p1 tails share the memory counts s_1 and s_r
+        for s in (out.s_1, out.s_r):
+            if s not in memory_series:
+                memory_series[s] = _binom_series(s, n, eps_eff)
+
+        def p1_tail(g: float, s: float) -> float:
+            return _tail_of_series(_binom_series(g, n, g2_eff), memory_series[s], t)
+    else:
+        def tail(g: float, s: float) -> float:
+            return tail_model(g, s, g2_eff, eps_eff)
+        p1_tail = tail
 
     def p1(r_x: float) -> float:
         g_a = _g_count(code, consts, r_x, 1)
         g_b = _g_count(code, consts, r_x, r)
-        return (beta * tail(g_a, out.s_1, memory)
-                + (1.0 - beta) * tail(g_b, out.s_r, memory))
+        return (beta * p1_tail(g_a, out.s_1)
+                + (1.0 - beta) * p1_tail(g_b, out.s_r))
 
     out.p1_single = p1(1)
     out.p1_multi = p1(r)

@@ -19,8 +19,9 @@ map, which the readout applies as one word-level GF(2) map that also
 yields the syndromes.
 
 Phase faults never depend on the frame, so they are drawn ahead of use.
-Each batch holds one fault pool per phase table on its frame, drawn from
-its own stream ``POOL_ROWS`` lane-samples at a time (``_draw``, a few
+A batch's frame carries one fault pool per phase table, made with the
+frame from the batch stream (``SimEngine.pools``) and drawn from its own
+child stream ``POOL_ROWS`` lane-samples at a time (``_draw``, a few
 vectorised draws per refill); a call hands the next sample to each masked
 lane and XORs only the samples that carry a fault into the lane words.  A
 preparation hands a lane samples in pool order until one verifies.
@@ -66,7 +67,8 @@ class ErrorFrame:
     z: list[int] = field(default_factory=list)
     # lanes coupled with an unverified ancilla, summed over preparations
     unverified: int = 0
-    # the batch's fault pools by phase, made on first use (``SimEngine._pools``)
+    # the batch's fault pools by phase (``SimEngine.pools``), which the
+    # engine's pooled phases draw from
     pools: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -313,16 +315,6 @@ def _lanes(mask: int) -> list[int]:
     return out
 
 
-def _row_ints(bits: np.ndarray) -> list[int]:
-    """One int per row of a 0/1 matrix, column j as bit j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    if packed.shape[1] > 8:
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
-    buf = np.zeros((len(packed), 8), dtype=np.uint8)
-    buf[:, :packed.shape[1]] = packed
-    return buf.view("<u8").ravel().tolist()
-
-
 def _draw(table: _FaultTable, rng, rows: int) -> np.ndarray:
     """Sample every fault of one phase in ``rows`` independent lane-samples.
 
@@ -359,6 +351,14 @@ def _values(images: np.ndarray) -> list[int]:
     for w in range(1, images.shape[1]):
         values = [v | u << 64 * w for v, u in zip(values, images[:, w].tolist())]
     return values
+
+
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """One int per row of a 0/1 matrix, column j as bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(packed), (packed.shape[1] + 7) // 8 * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return _values(words.view("<u8"))
 
 
 def _targets(table: _FaultTable) -> list[tuple[int, int]]:
@@ -437,7 +437,15 @@ class _Pool:
 
 class _PrepPool(_Pool):
     """The G+V pool: a sample verifies when its image has none of the bits
-    of the word mask ``verify`` (the X bits of the verification qubits)."""
+    of the word mask ``verify`` (the X bits of the verification qubits).
+
+    A lane retries on the next samples until one verifies, and after
+    ``max_attempts`` failures in a row keeps the last of them, so the
+    samples lanes keep do not depend on where one call ends and the next
+    begins: they are the verified samples and every ``max_attempts``-th
+    failure of a run, counted from the last kept sample.  ``kept`` caches
+    them for the current refill and attempt limit.
+    """
 
     def __init__(self, table: _FaultTable, rng, verify: np.ndarray):
         super().__init__(table, rng)
@@ -445,54 +453,48 @@ class _PrepPool(_Pool):
 
     def refill(self) -> tuple[np.ndarray, np.ndarray]:
         hit, images = super().refill()
-        ok = np.ones(POOL_ROWS, dtype=bool)
-        ok[hit[(images & self.verify).any(axis=1)]] = False
-        ok = np.flatnonzero(ok)
-        self.verified = ok.tolist()
-        # attempts a lane needs at most while this refill lasts
-        self.longest = int(np.diff(ok, prepend=-1).max()) if ok.size else POOL_ROWS + 1
+        self.ok = np.ones(POOL_ROWS, dtype=bool)
+        self.ok[hit[(images & self.verify).any(axis=1)]] = False
         self.image = dict(zip(self.hit, self.values))
+        self.kept = None
         return hit, images
+
+    def _keep(self, max_attempts: int, failed: int) -> None:
+        """Cache ``(max_attempts, kept, forced, left)`` for this refill from
+        sample ``at`` on, after ``failed`` failures since the last kept
+        sample: the kept samples, the unverified ones among them, and the
+        failures left after the last one."""
+        at = np.arange(self.at, POOL_ROWS)
+        ok = self.ok[self.at:]
+        last_ok = np.maximum.accumulate(np.where(ok, at, self.at - 1 - failed))
+        keep = ok | ((at - last_ok) % max_attempts == 0)
+        self.kept = (max_attempts, at[keep].tolist(), set(at[keep & ~ok].tolist()),
+                     int(POOL_ROWS - 1 - last_ok[-1]) % max_attempts)
 
     def hand_out_verified(self, frame: ErrorFrame, lanes: list[int],
                           max_attempts: int) -> int:
-        """Give each lane in turn the next samples until one verifies; a
-        lane whose ``max_attempts`` samples in a row all fail keeps the last
-        of them.  XOR each kept sample into its lane and return how many
-        lanes kept an unverified one."""
-        planes = (frame.x, frame.z)
-        if self.at == POOL_ROWS:
-            self.refill()
-        first = bisect_left(self.verified, self.at)
-        if self.longest <= max_attempts and first + len(lanes) <= len(self.verified):
-            # no lane runs out of attempts or out of this refill
-            picks = self.verified[first:first + len(lanes)]
-            self.at = picks[-1] + 1
-            for lane, k in zip(lanes, picks):
+        """XOR the next kept sample into each lane in turn and return how
+        many lanes kept an unverified one."""
+        planes, unverified, failed, done = (frame.x, frame.z), 0, 0, 0
+        while done < len(lanes):
+            if self.at == POOL_ROWS:
+                self.refill()
+            if self.kept is None or self.kept[0] != max_attempts:
+                self._keep(max_attempts, failed)
+            _, kept, forced, left = self.kept
+            lo = bisect_left(kept, self.at)
+            picks = kept[lo:lo + len(lanes) - done]
+            for lane, k in zip(lanes[done:], picks):
                 if k in self.image:
                     _flip(planes, self.targets, self.image[k], lane)
-            return 0
-        unverified = 0
-        for lane in lanes:
-            failed = 0
-            while True:
-                if self.at == POOL_ROWS:
-                    self.refill()
-                left = max_attempts - failed
-                nxt = bisect_left(self.verified, self.at)
-                if nxt < len(self.verified) and self.verified[nxt] - self.at < left:
-                    pick = self.verified[nxt]
-                    break
-                if self.at + left <= POOL_ROWS:
-                    pick = self.at + left - 1
-                    unverified += 1
-                    break
-                # the run of failures goes on into the next refill
-                failed += POOL_ROWS - self.at
-                self.at = POOL_ROWS
-            self.at = pick + 1
-            if pick in self.image:
-                _flip(planes, self.targets, self.image[pick], lane)
+            if forced:
+                unverified += len(forced.intersection(picks))
+            done += len(picks)
+            if done < len(lanes):
+                # the lane's run of failures goes on into the next refill
+                failed, self.at = left, POOL_ROWS
+            else:
+                self.at = picks[-1] + 1
         return unverified
 
 
@@ -732,19 +734,16 @@ class SimEngine:
                     f"r={pp.r} exceeds r_max={r_max:.3f} at n_rep={pp.n_rep}")
         return resting_time(self.params.w, self.noise.t_m, pp, alpha, beta)
 
-    def _pools(self, frame: ErrorFrame, rng) -> dict:
-        """The frame's fault pools: G+V, the two readouts, the data's rest
-        and the logical gate, each on its own child stream of ``rng`` in
-        that order, spawned on the frame's first pooled draw."""
-        if frame.pools is None:
-            prep, z, x, rest, gate = rng.spawn(5)
-            frame.pools = {
-                "prep": _PrepPool(self._prep, prep, self._verify_word),
+    def pools(self, rng) -> dict:
+        """Fresh fault pools for one batch's frame: G+V, the two readouts,
+        the data's rest and the logical gate, each on its own child stream
+        of ``rng`` in that order."""
+        prep, z, x, rest, gate = rng.spawn(5)
+        return {"prep": _PrepPool(self._prep, prep, self._verify_word),
                 "Z": _Pool(self._readout["Z"], z, self._syndrome_checks, self._data_words),
                 "X": _Pool(self._readout["X"], x, self._syndrome_checks, self._data_words),
                 "rest": _Pool(self._data_rest, rest),
                 "gate": _Pool(self._logical_gate, gate)}
-        return frame.pools
 
     def _reset_ancilla(self, frame: ErrorFrame, mask: int) -> None:
         """Clear the ancilla and verification qubits on the masked lanes.
@@ -767,7 +766,7 @@ class SimEngine:
             bad |= frame.x[q]
         return mask & ~bad
 
-    def prepare_verified(self, frame: ErrorFrame, rng, mask: int,
+    def prepare_verified(self, frame: ErrorFrame, mask: int,
                          max_attempts: int = 64) -> None:
         """Re-prepare until every masked lane holds a verified ancilla.
 
@@ -781,10 +780,10 @@ class SimEngine:
         if not mask:
             return
         self._reset_ancilla(frame, mask)
-        frame.unverified += self._pools(frame, rng)["prep"].hand_out_verified(
+        frame.unverified += frame.pools["prep"].hand_out_verified(
             frame, _lanes(mask), max_attempts)
 
-    def couple_and_measure(self, frame: ErrorFrame, rng, mask: int,
+    def couple_and_measure(self, frame: ErrorFrame, mask: int,
                            error_type: str) -> list[int]:
         """Readout wait, transversal coupling, ancilla readout, syndromes.
 
@@ -793,14 +792,14 @@ class SimEngine:
         values until the next preparation resets them.
         """
         syndromes = _apply_readout(self._readout_maps[error_type], frame, mask)
-        for lane, tag in self._pools(frame, rng)[error_type].hand_out(frame, _lanes(mask)):
+        for lane, tag in frame.pools[error_type].hand_out(frame, _lanes(mask)):
             syndromes[lane] ^= tag
         return syndromes
 
-    def add_noise(self, frame: ErrorFrame, rng, mask: int, phase: str) -> None:
+    def add_noise(self, frame: ErrorFrame, mask: int, phase: str) -> None:
         """The data's rest (``phase`` "rest") or the logical gate's failures
         ("gate") on the masked lanes, from the frame's pools."""
-        self._pools(frame, rng)[phase].hand_out(frame, _lanes(mask))
+        frame.pools[phase].hand_out(frame, _lanes(mask))
 
     def data_syndromes(self, frame: ErrorFrame, plane: str, mask: int) -> list[int]:
         return _apply_readout(self._data_checks[plane], frame, mask)
@@ -811,7 +810,7 @@ class SimEngine:
 # ---------------------------------------------------------------------------
 
 def recover_block(frame: ErrorFrame, states: list[RecoveryState],
-                  engine: SimEngine, rng, error_type: str,
+                  engine: SimEngine, error_type: str,
                   mask: int = 1, apply_rest: bool = True) -> tuple[int, int]:
     """One recovery of the masked lanes for one error type.
 
@@ -823,10 +822,10 @@ def recover_block(frame: ErrorFrame, states: list[RecoveryState],
     """
     pp = engine.protocol
     if apply_rest:
-        engine.add_noise(frame, rng, mask, "rest")
+        engine.add_noise(frame, mask, "rest")
 
-    engine.prepare_verified(frame, rng, mask)
-    first = engine.couple_and_measure(frame, rng, mask, error_type)
+    engine.prepare_verified(frame, mask)
+    first = engine.couple_and_measure(frame, mask, error_type)
 
     need: dict[int, int] = {}
     pools: dict[int, list[int]] = {}
@@ -849,8 +848,8 @@ def recover_block(frame: ErrorFrame, states: list[RecoveryState],
                 sub |= 1 << lane
         if not sub:
             break
-        engine.prepare_verified(frame, rng, sub)
-        extra = engine.couple_and_measure(frame, rng, sub, error_type)
+        engine.prepare_verified(frame, sub)
+        extra = engine.couple_and_measure(frame, sub, error_type)
         for lane in need:
             if need[lane] >= k:
                 pools[lane].append(extra[lane])
@@ -888,7 +887,7 @@ def recover_block(frame: ErrorFrame, states: list[RecoveryState],
 def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
               mask: int = MASK_ALL) -> TrialStats:
     """Run up to 64 lane-parallel trials to crash or q_max steps."""
-    frame = ErrorFrame(n=engine.n, rows=engine.rows)
+    frame = ErrorFrame(n=engine.n, rows=engine.rows, pools=engine.pools(rng))
     states_z = [RecoveryState() for _ in range(64)]
     states_x = [RecoveryState() for _ in range(64)]
     alive = mask
@@ -897,11 +896,11 @@ def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
     for q in range(1, q_max + 1):
         if not alive:
             break
-        engine.add_noise(frame, rng, alive, "gate")
-        _, crash_z = recover_block(frame, states_z, engine, rng, "Z", alive,
+        engine.add_noise(frame, alive, "gate")
+        _, crash_z = recover_block(frame, states_z, engine, "Z", alive,
                                    apply_rest=True)
         alive_after_z = alive & ~crash_z
-        _, crash_x = recover_block(frame, states_x, engine, rng, "X",
+        _, crash_x = recover_block(frame, states_x, engine, "X",
                                    alive_after_z, apply_rest=False)
         crashed = crash_z | crash_x
         survivors = alive & ~crashed

@@ -86,18 +86,16 @@ def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
         counts: dict[int, int] = {}
         unverified = 0
         done = 0
-        rng = stream(seed, idx)
-        pools = None
+        pools = engine.pools(stream(seed, idx))
         while done < trials:
             lanes = min(64, trials - done)
             mask = (1 << lanes) - 1
             # an error-free block per batch; the noise point's fault pools
             # carry over from batch to batch
             frame = ErrorFrame(n=engine.n, rows=engine.rows, pools=pools)
-            engine.prepare_verified(frame, rng, mask)
+            engine.prepare_verified(frame, mask)
             unverified += frame.unverified
-            syndromes = engine.couple_and_measure(frame, rng, mask, error_type)
-            pools = frame.pools
+            syndromes = engine.couple_and_measure(frame, mask, error_type)
             for lane in range(lanes):
                 s = syndromes[lane]
                 counts[s] = counts.get(s, 0) + 1

@@ -232,12 +232,11 @@ def test_criterion_6_zero_noise():
     code = codes.construct_code("hamming")
     eng = SimEngine(code, NoiseParams(), ProtocolParams(2, 2, 2,
                                                         parallel_corrections=1.0))
-    frame = ErrorFrame(n=7, rows=4)
+    frame = ErrorFrame(n=7, rows=4, pools=eng.pools(stream(SEED, 0)))
     states = [RecoveryState() for _ in range(64)]
     for _ in range(5):
-        recover_block(frame, states, eng, stream(SEED, 0), "Z", 1)
-        recover_block(frame, states, eng, stream(SEED, 1), "X", 1,
-                      apply_rest=False)
+        recover_block(frame, states, eng, "Z", 1)
+        recover_block(frame, states, eng, "X", 1, apply_rest=False)
     fixed = not frame.x_bits.any() and not frame.z_bits.any()
     ok &= fixed
     details.append("all-zero frame fixed" + ("" if fixed else " MISS"))
@@ -247,10 +246,10 @@ def test_criterion_6_zero_noise():
     planted_ok = True
     for qubit in range(7):
         for plane, etype in (("x", "X"), ("z", "Z")):
-            f = ErrorFrame(n=7, rows=4)
+            f = ErrorFrame(n=7, rows=4, pools=eng1.pools(stream(SEED, 2)))
             f.set_lane(plane, qubit, 0, 1)
             sts = [RecoveryState() for _ in range(64)]
-            recover_block(f, sts, eng1, stream(SEED, 2), etype, 1)
+            recover_block(f, sts, eng1, etype, 1)
             planted_ok &= (not f.x_bits[:7].any() and not f.z_bits[:7].any())
     ok &= planted_ok
     details.append("planted singles corrected" + ("" if planted_ok else " MISS"))

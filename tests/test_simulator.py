@@ -62,8 +62,9 @@ def test_zero_frame_fixed_under_gates():
 
 def _extract(eng, f, error_type, rng):
     """Lane 0's syndrome bits from one preparation that must verify."""
+    f.pools = eng.pools(rng)
     assert eng.attempt_preparation(f, rng, 1) == 1
-    s = eng.couple_and_measure(f, rng, 1, error_type)[0]
+    s = eng.couple_and_measure(f, 1, error_type)[0]
     return np.array([(s >> l) & 1 for l in range(eng.rows)], dtype=np.uint8)
 
 
@@ -136,26 +137,29 @@ def test_unverified_lanes_counted():
     # X bits of the verification qubits, which follow the ancilla
     verified = ~bits[:, eng.n:eng.n + eng.rows].any(axis=1)
     for max_attempts in (1, 3):
-        f = ErrorFrame(n=7, rows=eng.rows)
-        eng.prepare_verified(f, stream(5, 0), mask, max_attempts=max_attempts)
+        f = ErrorFrame(n=7, rows=eng.rows, pools=eng.pools(stream(5, 0)))
+        eng.prepare_verified(f, mask, max_attempts=max_attempts)
         assert f.unverified == _sequential_unverified(verified, 64, max_attempts) > 0
-        quiet = ErrorFrame(n=7, rows=eng.rows)
-        engine().prepare_verified(quiet, stream(5, 0), mask, max_attempts=max_attempts)
+        quiet_eng = engine()
+        quiet = ErrorFrame(n=7, rows=eng.rows, pools=quiet_eng.pools(stream(5, 0)))
+        quiet_eng.prepare_verified(quiet, mask, max_attempts=max_attempts)
         assert quiet.unverified == 0
 
 
 def test_prepare_verified_matches_sequential_retries(monkeypatch):
     # G+V samples from a fixed sequence: sample k carries k in its ancilla
-    # bits and fails verification where ``fails`` says.  A run of 12
-    # failures inside the first refill exhausts a lane's 8 attempts, and a
-    # run of 20 crosses the refill, so some lane spends its 8 attempts on
-    # both sides of it.  Every lane must keep the sample that per-lane
-    # sequential retries give it.
+    # bits and fails verification where ``fails`` says.  Runs of 7 and 12
+    # failures inside the first refill exhaust a lane's attempts, and a
+    # run of 20 crosses the refill, so some lane spends its attempts on
+    # both sides of it.  Calls alternate between limits of 8 and 5
+    # attempts.  Every lane must keep the sample that per-lane sequential
+    # retries give it.
     eng = engine()
-    n, rows, max_attempts = eng.n, eng.rows, 8
+    n, rows = eng.n, eng.rows
     pool_rows = simulator.POOL_ROWS
     m = len(eng._prep.qubits)
     fails = np.random.default_rng(8).random(3 * pool_rows) < 0.3
+    fails[120:127] = True
     fails[200:212] = True
     fails[pool_rows - 12:pool_rows + 8] = True
     values = [(k & 127) | (k >> 7) << m | int(fails[k]) << n for k in range(3 * pool_rows)]
@@ -169,11 +173,12 @@ def test_prepare_verified_matches_sequential_retries(monkeypatch):
     monkeypatch.setattr(simulator, "_draw", draw)
     gen = np.random.default_rng(9)
     masks = [(1 << 64) - 1] * 4 + [int(v) for v in gen.integers(1, 2**63, 8)]
-    f = ErrorFrame(n=n, rows=rows)
+    f = ErrorFrame(n=n, rows=rows, pools=eng.pools(stream(0, 0)))
     at = unverified = 0
-    crossed = inside = False
-    for mask in masks:
-        eng.prepare_verified(f, stream(0, 0), mask, max_attempts=max_attempts)
+    crossed, inside = False, set()
+    for call, mask in enumerate(masks):
+        max_attempts = (8, 5)[call % 2]
+        eng.prepare_verified(f, mask, max_attempts=max_attempts)
         for lane in range(64):
             if not (mask >> lane) & 1:
                 continue
@@ -185,18 +190,19 @@ def test_prepare_verified_matches_sequential_retries(monkeypatch):
             else:
                 unverified += 1
                 crossed |= start < pool_rows <= at - 1
-                inside |= at <= pool_rows
+                if at <= pool_rows:
+                    inside.add(max_attempts)
             kept = sum(((f.x[q] >> lane) & 1) << j for j, q in enumerate(range(n, 2 * n)))
             kept |= sum(((f.z[q] >> lane) & 1) << (7 + j) for j, q in enumerate(range(n, 2 * n)))
             assert kept == at - 1, (mask, lane)
             assert (f.x[2 * n] >> lane) & 1 == fails[at - 1]
-    assert crossed and inside and at > pool_rows
+    assert crossed and inside == {8, 5} and at > pool_rows
     assert f.unverified == unverified
 
 
 def test_prepare_verified_needs_an_attempt():
     with pytest.raises(ValueError):
-        engine().prepare_verified(ErrorFrame(n=7, rows=4), stream(0, 0), 1, max_attempts=0)
+        engine().prepare_verified(ErrorFrame(n=7, rows=4), 1, max_attempts=0)
 
 
 @pytest.mark.parametrize("name", ["hamming", "golay", "bch31"])
@@ -399,10 +405,10 @@ def test_judge_acceptance_frequency():
 
 def test_zero_noise_recovery_is_identity():
     eng = engine()
-    f = ErrorFrame(n=7, rows=4)
+    f = ErrorFrame(n=7, rows=4, pools=eng.pools(stream(1, 0)))
     states = [RecoveryState() for _ in range(64)]
     for _ in range(3):
-        corrected, crashed = recover_block(f, states, eng, stream(1, 0), "X", 1)
+        corrected, crashed = recover_block(f, states, eng, "X", 1)
         assert corrected == 0 and crashed == 0
     assert not f.x_bits.any() and not f.z_bits.any()
     assert states[0].prev_accepted
@@ -411,25 +417,24 @@ def test_zero_noise_recovery_is_identity():
 @pytest.mark.parametrize("plane,qubit", [("x", 0), ("x", 4), ("z", 2), ("z", 6)])
 def test_planted_single_error_corrected(plane, qubit):
     eng = engine(pp=ProtocolParams(1, 1, 1, parallel_corrections=1.0))
-    f = ErrorFrame(n=7, rows=4)
+    f = ErrorFrame(n=7, rows=4, pools=eng.pools(stream(2, qubit)))
     f.set_lane(plane, qubit, 0, 1)
     states = [RecoveryState() for _ in range(64)]
     error_type = "X" if plane == "x" else "Z"
-    corrected, crashed = recover_block(f, states, eng, stream(2, qubit),
-                                       error_type, 1)
+    corrected, crashed = recover_block(f, states, eng, error_type, 1)
     assert corrected == 1 and crashed == 0
     assert not f.x_bits[:7].any() and not f.z_bits[:7].any()
 
 
 def test_planted_y_error_corrected_in_one_round():
     eng = engine("golay", pp=ProtocolParams(1, 1, 1, parallel_corrections=1.0))
-    f = ErrorFrame(n=23, rows=12)
+    f = ErrorFrame(n=23, rows=12, pools=eng.pools(stream(3, 0)))
     f.set_lane("x", 9, 0, 1)
     f.set_lane("z", 9, 0, 1)
     states_z = [RecoveryState() for _ in range(64)]
     states_x = [RecoveryState() for _ in range(64)]
-    recover_block(f, states_z, eng, stream(3, 0), "Z", 1, apply_rest=True)
-    recover_block(f, states_x, eng, stream(3, 1), "X", 1, apply_rest=False)
+    recover_block(f, states_z, eng, "Z", 1, apply_rest=True)
+    recover_block(f, states_x, eng, "X", 1, apply_rest=False)
     assert not f.x_bits[:23].any() and not f.z_bits[:23].any()
 
 
