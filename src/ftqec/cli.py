@@ -180,6 +180,8 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
                 setattr(cfg, field_name, val)
     if cfg.code is None and cfg.subcommand != "codes":
         cfg.code = "hamming"
+    if cfg.trials < 0:
+        raise ValueError(f"trials must be >= 0, got {cfg.trials}")
     return cfg
 
 

@@ -243,6 +243,9 @@ def threshold(code: CodeParams, eps_over_gamma: float, t_m: int,
     multi-level recursions.  Returns gamma_0."""
     if code.k != 1:
         raise ValueError("threshold recursion needs a k = 1 code")
+    # the bisection stops only once hi / lo <= 1 + rel_width
+    if not rel_width > 0:
+        raise ValueError(f"rel_width must be > 0, got {rel_width}")
 
     def below(gamma: float) -> bool:
         trace = level_trace(code, gamma, eps_over_gamma, t_m,

@@ -35,8 +35,12 @@ class ProtocolParams:
             raise ProtocolError(f"need 1 <= r' <= r, got r'={self.r_prime} r={self.r}")
         if not (1 <= self.r_dprime <= self.r):
             raise ProtocolError(f"need 1 <= r'' <= r, got r''={self.r_dprime}")
-        if self.n_rep <= 0:
-            raise ProtocolError("n_rep must be positive")
+        # written as "not > 0" so that NaN fails too
+        if not self.n_rep > 0:
+            raise ProtocolError(f"n_rep must be > 0, got {self.n_rep}")
+        if self.parallel_corrections is not None and not self.parallel_corrections > 0:
+            raise ProtocolError(
+                f"parallel_corrections must be > 0, got {self.parallel_corrections}")
 
 
 def resting_time(w: int, t_m: int, pp: ProtocolParams,

@@ -585,23 +585,8 @@ def _apply_readout(rmap: _ReadoutMap, frame: ErrorFrame, mask: int) -> list[int]
 
 
 # ---------------------------------------------------------------------------
-# protocol state
+# syndrome agreement
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RecoveryState:
-    """Per-lane, per-error-type memory of the repetition protocol."""
-    prev_accepted: bool = True
-    history: list[int] = field(default_factory=list)
-
-    def note_accept(self) -> None:
-        self.prev_accepted = True
-        self.history.clear()
-
-    def note_fail(self, pool: list[int], keep: int) -> None:
-        self.prev_accepted = False
-        self.history = pool[-keep:]
-
 
 def judge_syndromes(pool: list[int], r_prime: int) -> Optional[int]:
     """Accept a syndrome value occurring at least r' times in the pool.
@@ -809,65 +794,55 @@ class SimEngine:
 # recovery and trials
 # ---------------------------------------------------------------------------
 
-def recover_block(frame: ErrorFrame, states: list[RecoveryState],
+def recover_block(frame: ErrorFrame, pending: dict[int, list[int]],
                   engine: SimEngine, error_type: str,
-                  mask: int = 1, apply_rest: bool = True) -> tuple[int, int]:
+                  mask: int = 1) -> tuple[int, int]:
     """One recovery of the masked lanes for one error type.
+
+    ``pending`` maps each lane whose last recovery of this type reached no
+    agreement to the syndromes it carries forward (at most r + r'', oldest
+    first); every other lane's last recovery was settled.  A zero first
+    syndrome is accepted at once and settles the lane.  Otherwise a settled
+    lane takes r syndromes and a pending one r'', and the last r + r''
+    syndromes of the two recoveries are judged; a lane that reaches no
+    agreement stays (or becomes) pending with them.
 
     Returns (corrected_mask, crash_mask): lanes whose data was corrected,
     and lanes that accepted a syndrome with coset leader heavier than t.
-    The data's resting noise covers the whole round; when the X and Z
-    recoveries run back to back the second call must pass
-    ``apply_rest=False`` so the shared window is not double counted.
     """
     pp = engine.protocol
-    if apply_rest:
-        engine.add_noise(frame, mask, "rest")
-
     engine.prepare_verified(frame, mask)
     first = engine.couple_and_measure(frame, mask, error_type)
 
     need: dict[int, int] = {}
     pools: dict[int, list[int]] = {}
-    for lane in range(64):
-        if not (mask >> lane) & 1:
-            continue
-        st = states[lane]
-        if first[lane] == 0:
-            st.note_accept()
-            continue
-        total = pp.r if st.prev_accepted else pp.r_dprime
-        need[lane] = total
-        pools[lane] = [first[lane]]
-
-    max_total = max(need.values(), default=1)
-    for k in range(2, max_total + 1):
-        sub = 0
-        for lane, total in need.items():
-            if total >= k:
-                sub |= 1 << lane
-        if not sub:
-            break
-        engine.prepare_verified(frame, sub)
-        extra = engine.couple_and_measure(frame, sub, error_type)
-        for lane in need:
-            if need[lane] >= k:
-                pools[lane].append(extra[lane])
-
+    for lane in _lanes(mask):
+        if first[lane]:
+            need[lane] = pp.r_dprime if lane in pending else pp.r
+            pools[lane] = [first[lane]]
+        elif lane in pending:
+            del pending[lane]
     if not pools:
         return 0, 0
+
+    for k in range(2, max(need.values()) + 1):
+        sub = sum(1 << lane for lane, total in need.items() if total >= k)
+        engine.prepare_verified(frame, sub)
+        extra = engine.couple_and_measure(frame, sub, error_type)
+        for lane, total in need.items():
+            if total >= k:
+                pools[lane].append(extra[lane])
+
     plane = frame.x if error_type == "X" else frame.z
     keep = pp.r + pp.r_dprime
     lanes: list[int] = []
     accepted_syndromes: list[int] = []
     for lane, pool in pools.items():
-        st = states[lane]
-        judged = pool if st.prev_accepted else (st.history + pool)[-keep:]
+        judged = (pending.pop(lane, []) + pool)[-keep:]
         accepted = judge_syndromes(judged, pp.r_prime)
         if accepted is None:
-            st.note_fail(judged, keep)
+            pending[lane] = judged
             continue
-        st.note_accept()
         lanes.append(lane)
         accepted_syndromes.append(accepted)
     corrected = 0
@@ -888,8 +863,8 @@ def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
               mask: int = MASK_ALL) -> TrialStats:
     """Run up to 64 lane-parallel trials to crash or q_max steps."""
     frame = ErrorFrame(n=engine.n, rows=engine.rows, pools=engine.pools(rng))
-    states_z = [RecoveryState() for _ in range(64)]
-    states_x = [RecoveryState() for _ in range(64)]
+    pending_z: dict[int, list[int]] = {}
+    pending_x: dict[int, list[int]] = {}
     alive = mask
     stats = TrialStats.empty(q_max)
     stats.trials = bin(mask).count("1")
@@ -897,11 +872,10 @@ def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
         if not alive:
             break
         engine.add_noise(frame, alive, "gate")
-        _, crash_z = recover_block(frame, states_z, engine, "Z", alive,
-                                   apply_rest=True)
-        alive_after_z = alive & ~crash_z
-        _, crash_x = recover_block(frame, states_x, engine, "X",
-                                   alive_after_z, apply_rest=False)
+        # the data's rest covers the whole round, Z and X recovery alike
+        engine.add_noise(frame, alive, "rest")
+        _, crash_z = recover_block(frame, pending_z, engine, "Z", alive)
+        _, crash_x = recover_block(frame, pending_x, engine, "X", alive & ~crash_z)
         crashed = crash_z | crash_x
         survivors = alive & ~crashed
         if survivors:

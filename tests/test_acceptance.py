@@ -225,7 +225,7 @@ def _xor_subset(vals, mask):
 
 def test_criterion_6_zero_noise():
     from ftqec.noise import stream
-    from ftqec.simulator import ErrorFrame, RecoveryState, SimEngine, recover_block
+    from ftqec.simulator import ErrorFrame, SimEngine, recover_block
 
     ok = True
     details = []
@@ -233,10 +233,11 @@ def test_criterion_6_zero_noise():
     eng = SimEngine(code, NoiseParams(), ProtocolParams(2, 2, 2,
                                                         parallel_corrections=1.0))
     frame = ErrorFrame(n=7, rows=4, pools=eng.pools(stream(SEED, 0)))
-    states = [RecoveryState() for _ in range(64)]
+    pending = {}
     for _ in range(5):
-        recover_block(frame, states, eng, "Z", 1)
-        recover_block(frame, states, eng, "X", 1, apply_rest=False)
+        eng.add_noise(frame, 1, "rest")
+        recover_block(frame, pending, eng, "Z", 1)
+        recover_block(frame, pending, eng, "X", 1)
     fixed = not frame.x_bits.any() and not frame.z_bits.any()
     ok &= fixed
     details.append("all-zero frame fixed" + ("" if fixed else " MISS"))
@@ -248,8 +249,8 @@ def test_criterion_6_zero_noise():
         for plane, etype in (("x", "X"), ("z", "Z")):
             f = ErrorFrame(n=7, rows=4, pools=eng1.pools(stream(SEED, 2)))
             f.set_lane(plane, qubit, 0, 1)
-            sts = [RecoveryState() for _ in range(64)]
-            recover_block(f, sts, eng1, etype, 1)
+            eng1.add_noise(f, 1, "rest")
+            recover_block(f, {}, eng1, etype, 1)
             planted_ok &= (not f.x_bits[:7].any() and not f.z_bits[:7].any())
     ok &= planted_ok
     details.append("planted singles corrected" + ("" if planted_ok else " MISS"))

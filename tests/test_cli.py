@@ -58,6 +58,46 @@ def test_simulate_refuses_code_without_decoder(tmp_path):
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("subcommand,flag,value", [
+    ("estimate", "--parallel-corrections", "0"),
+    ("estimate", "--parallel-corrections", "-2"),
+    ("estimate", "--parallel-corrections", "nan"),
+    ("estimate", "--nrep", "nan"),
+    ("simulate", "--parallel-corrections", "0"),
+    ("simulate", "--parallel-corrections", "-2"),
+])
+def test_nonpositive_provisioning_is_config_error(subcommand, flag, value, tmp_path, capsys):
+    # a trial cap keeps a simulate that is not refused short
+    cap = ["--trials", "64"] if subcommand == "simulate" else []
+    rc = run([subcommand, "--code", "hamming", flag, value, *cap, "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["simulate", "--parallel-corrections", "1"],
+                                  ["ancilla-stats"]], ids=["simulate", "ancilla-stats"])
+def test_negative_trials_is_config_error(args, tmp_path, capsys):
+    rc = run(args + ["--code", "hamming", "--trials", "-5", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rel_width", ["0", "-1"])
+def test_threshold_refuses_nonpositive_rel_width(rel_width, tmp_path):
+    # the bisection could never narrow to a ratio of 1 + rel_width <= 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "ftqec.cli", "threshold", "--code", "hamming",
+         "--eps-over-gamma", "1", "--tm", "1", "--rel-width", rel_width,
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == cli.EXIT_CONFIG
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1
+
+
 def test_threshold_no_convergence_is_flagged(tmp_path, capsys):
     rc = run(["threshold", "--code", "hamming", "--eps-over-gamma", "1",
               "--tm", "1000000", "--out-dir", str(tmp_path)])

@@ -12,9 +12,8 @@ from ftqec import analytic, codes, network, simulator
 from ftqec.network import GateEvent, CNOT, CPHASE, HADAMARD
 from ftqec.noise import NoiseParams, stream
 from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
-                             RecoveryState, SimConfig, SimEngine,
-                             estimate_pbar_mc, judge_syndromes, recover_block,
-                             run_batch)
+                             SimConfig, SimEngine, estimate_pbar_mc,
+                             judge_syndromes, recover_block, run_batch)
 
 
 def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
@@ -406,12 +405,13 @@ def test_judge_acceptance_frequency():
 def test_zero_noise_recovery_is_identity():
     eng = engine()
     f = ErrorFrame(n=7, rows=4, pools=eng.pools(stream(1, 0)))
-    states = [RecoveryState() for _ in range(64)]
+    pending = {}
     for _ in range(3):
-        corrected, crashed = recover_block(f, states, eng, "X", 1)
+        eng.add_noise(f, 1, "rest")
+        corrected, crashed = recover_block(f, pending, eng, "X", 1)
         assert corrected == 0 and crashed == 0
     assert not f.x_bits.any() and not f.z_bits.any()
-    assert states[0].prev_accepted
+    assert 0 not in pending
 
 
 @pytest.mark.parametrize("plane,qubit", [("x", 0), ("x", 4), ("z", 2), ("z", 6)])
@@ -419,9 +419,9 @@ def test_planted_single_error_corrected(plane, qubit):
     eng = engine(pp=ProtocolParams(1, 1, 1, parallel_corrections=1.0))
     f = ErrorFrame(n=7, rows=4, pools=eng.pools(stream(2, qubit)))
     f.set_lane(plane, qubit, 0, 1)
-    states = [RecoveryState() for _ in range(64)]
     error_type = "X" if plane == "x" else "Z"
-    corrected, crashed = recover_block(f, states, eng, error_type, 1)
+    eng.add_noise(f, 1, "rest")
+    corrected, crashed = recover_block(f, {}, eng, error_type, 1)
     assert corrected == 1 and crashed == 0
     assert not f.x_bits[:7].any() and not f.z_bits[:7].any()
 
@@ -431,11 +431,54 @@ def test_planted_y_error_corrected_in_one_round():
     f = ErrorFrame(n=23, rows=12, pools=eng.pools(stream(3, 0)))
     f.set_lane("x", 9, 0, 1)
     f.set_lane("z", 9, 0, 1)
-    states_z = [RecoveryState() for _ in range(64)]
-    states_x = [RecoveryState() for _ in range(64)]
-    recover_block(f, states_z, eng, "Z", 1, apply_rest=True)
-    recover_block(f, states_x, eng, "X", 1, apply_rest=False)
+    eng.add_noise(f, 1, "rest")
+    recover_block(f, {}, eng, "Z", 1)
+    recover_block(f, {}, eng, "X", 1)
     assert not f.x_bits[:23].any() and not f.z_bits[:23].any()
+
+
+def test_deferred_rounds_follow_the_repetition_rule(monkeypatch):
+    # (r, r', r'') = (4, 3, 2): a settled lane takes 4 syndromes, a pending
+    # one 2, and the last 6 syndromes of two recoveries are judged
+    eng = engine("golay", pp=ProtocolParams(4, 3, 2, parallel_corrections=1.0))
+    col = {q: sum(int(b) << i for i, b in enumerate(eng.code.H[:, q])) for q in (5, 11, 17)}
+    a, b, c, d = 1, 2, col[5], 4
+    f = ErrorFrame(n=eng.n, rows=eng.rows, pools=eng.pools(stream(5, 0)))
+    for lane, q in ((0, 5), (1, 11), (2, 17)):
+        f.set_lane("x", q, lane, 1)
+    script = {0: [a, b, a, b, c, d, a, c, c, 7],
+              1: [0, 0, 0, col[11], 9, col[11], col[11]],
+              2: [col[17], col[17], col[17], a, 0, 0, 0],
+              3: [a, b, c, d, 0, a, b, a, b, 0]}
+    calls = []
+
+    def scripted(frame, mask, error_type):
+        lanes = [lane for lane in range(64) if (mask >> lane) & 1]
+        calls.append(lanes)
+        out = [0] * 64
+        for lane in lanes:
+            out[lane] = script[lane].pop(0)
+        return out
+
+    monkeypatch.setattr(eng, "couple_and_measure", scripted)
+    pending = {}
+    rounds = [
+        # (extractions, pending after, corrected)
+        ([[0, 1, 2, 3], [0, 2, 3], [0, 2, 3], [0, 2, 3]],
+         {0: [a, b, a, b], 3: [a, b, c, d]}, 1 << 2),
+        # lane 3's zero first syndrome settles it
+        ([[0, 1, 2, 3], [0]], {0: [a, b, a, b, c, d]}, 0),
+        # a (three times in all) has left the last six: no agreement
+        ([[0, 1, 2, 3], [0, 3], [3], [3]], {0: [a, b, c, d, a, c], 3: [a, b, a, b]}, 0),
+        ([[0, 1, 2, 3], [0, 1], [1], [1]], {}, 0b11),
+    ]
+    for extractions, after, corrected in rounds:
+        calls.clear()
+        assert recover_block(f, pending, eng, "X", 0b1111) == (corrected, 0)
+        assert calls == extractions
+        assert pending == after
+    assert not any(script.values())
+    assert not any(f.x) and not any(f.z)
 
 
 # -- trials ---------------------------------------------------------------------
