@@ -13,9 +13,9 @@ The model composes, for a given code, noise level and repetition schedule:
   acceptance floor,
 
 and finally folds the branches into pbar, the crash probability per
-recovery.  Two dimensionless constants (mu, nu), fitted once against the
-Monte-Carlo results, absorb the details of which late verification
-failures escape detection.
+recovery.  Two dimensionless constants, ``MU`` and ``NU``, fitted once
+against the Monte-Carlo results, absorb the details of which late
+verification failures escape detection.
 """
 from __future__ import annotations
 
@@ -31,14 +31,11 @@ from .noise import NoiseParams
 from .protocol import ProtocolError, ProtocolParams, resting_time
 
 
-@dataclass(frozen=True)
-class AnalyticConstants:
-    """Fitted escape-counting constants; override only for sensitivity studies."""
-    mu: float = 0.35
-    nu: float = 1.0
-
-
-DEFAULT_CONSTANTS = AnalyticConstants()
+# fitted escape-counting constants: the late verification failures that
+# escape detection add MU * t gate and NU * t memory locations per data
+# qubit to every Z-type extraction (``_g_count``, ``_s_count``)
+MU = 0.35
+NU = 1.0
 
 _S_TRUNCATION_REL = 1e-3
 _S_MAX_TERMS = 200
@@ -170,32 +167,16 @@ def preparation_stats(code: CodeParams, noise: NoiseParams) -> dict:
             "usable": usable}
 
 
-def _g_count(code: CodeParams, consts: AnalyticConstants,
-             r_x: float, r_z: float) -> float:
-    return code.n * (1.0 + r_x + (1.0 + consts.mu * code.t) * r_z)
+def _g_count(code: CodeParams, r_x: float, r_z: float) -> float:
+    return code.n * (1.0 + r_x + (1.0 + MU * code.t) * r_z)
 
 
-def _s_count(code: CodeParams, noise: NoiseParams, consts: AnalyticConstants,
+def _s_count(code: CodeParams, noise: NoiseParams,
              t_r: float, r_z: float, rest_scale: float = 1.0) -> float:
-    return code.n * (rest_scale * t_r + (consts.nu * code.t + noise.t_m) * r_z)
-
-
-def exposure_counts(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
-                    alpha: float, beta: float, r_x: float, r_z: float,
-                    consts: AnalyticConstants = DEFAULT_CONSTANTS,
-                    rest_scale: float = 1.0) -> dict:
-    """Failure-location counts {"g", "s", "t_r"} for a recovery with r_x
-    X-type and r_z Z-type extractions."""
-    t_r = resting_time(code.w, noise.t_m, pp, alpha, beta)
-    return {
-        "g": _g_count(code, consts, r_x, r_z),
-        "s": _s_count(code, noise, consts, t_r, r_z, rest_scale),
-        "t_r": t_r,
-    }
+    return code.n * (rest_scale * t_r + (NU * code.t + noise.t_m) * r_z)
 
 
 def solve_beta(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
-               consts: AnalyticConstants = DEFAULT_CONSTANTS,
                rest_scale: float = 1.0) -> tuple[float, float]:
     """Fixed point of the zero-syndrome fraction; returns (beta, p_0)."""
     prep = preparation_stats(code, noise)
@@ -209,10 +190,10 @@ def solve_beta(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     p0 = 0.0
     for _ in range(_BETA_MAX_ITER):
         t_r = resting_time(code.w, noise.t_m, pp, alpha, beta)
-        g11 = _g_count(code, consts, 1, 1)
-        g1r = _g_count(code, consts, 1, pp.r)
-        s1 = _s_count(code, noise, consts, t_r, 1, rest_scale)
-        sr = _s_count(code, noise, consts, t_r, pp.r, rest_scale)
+        g11 = _g_count(code, 1, 1)
+        g1r = _g_count(code, 1, pp.r)
+        s1 = _s_count(code, noise, t_r, 1, rest_scale)
+        sr = _s_count(code, noise, t_r, pp.r, rest_scale)
         p0 = (beta * bprime(g11, s1, 0, g2_eff, eps_eff)
               + (1.0 - beta) * bprime(g1r, sr, 0, g2_eff, eps_eff))
         beta_new = p0 * (1.0 - p_za)
@@ -256,7 +237,6 @@ class EstimateBreakdown:
 
 
 def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
-                   consts: AnalyticConstants = DEFAULT_CONSTANTS,
                    rest_scale: float = 1.0,
                    tail_model=None) -> EstimateBreakdown:
     """Full model evaluation; ``rest_scale`` rescales the data resting term
@@ -265,15 +245,14 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     """
     if pp.r_prime > pp.r + pp.r_dprime:
         raise ProtocolError("r' exceeds the r + r'' syndrome pool")
-    base, tail = _per_r_terms(code, noise, pp, consts, rest_scale, tail_model, {})
+    base, tail = _per_r_terms(code, noise, pp, rest_scale, tail_model, {})
     pmf = _agreement_pmf(base.p_za, (pp.r, pp.r + pp.r_dprime))
     return _finish_estimate(base, _floor_terms(base, code, noise, pp, pmf), tail,
-                            code, noise, pp, consts, rest_scale)
+                            code, noise, pp, rest_scale)
 
 
 def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
-                 consts: AnalyticConstants, rest_scale: float, tail_model,
-                 memory_series: dict):
+                 rest_scale: float, tail_model, memory_series: dict):
     """The terms of ``crash_estimate`` that do not depend on r' or r'':
     a breakdown filled in up to ``p1_multi``, and the tail it used (None
     when the block is unusable and the breakdown is final).  The p1 tails
@@ -291,7 +270,7 @@ def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
         out.beta = 0.0
         return out, None
 
-    beta, p0 = solve_beta(code, noise, pp, consts, rest_scale)
+    beta, p0 = solve_beta(code, noise, pp, rest_scale)
     out.beta, out.p_0 = beta, p0
     out.t_r = resting_time(code.w, noise.t_m, pp, out.alpha, beta)
 
@@ -299,12 +278,12 @@ def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     eps_eff = 2.0 * noise.eps / 3.0
     r, n, t = pp.r, code.n, code.t
 
-    out.g_1_1 = _g_count(code, consts, 1, 1)
-    out.g_1_r = _g_count(code, consts, 1, r)
-    out.g_r_1 = _g_count(code, consts, r, 1)
-    out.g_r_r = _g_count(code, consts, r, r)
-    out.s_1 = _s_count(code, noise, consts, out.t_r, 1, rest_scale)
-    out.s_r = _s_count(code, noise, consts, out.t_r, r, rest_scale)
+    out.g_1_1 = _g_count(code, 1, 1)
+    out.g_1_r = _g_count(code, 1, r)
+    out.g_r_1 = _g_count(code, r, 1)
+    out.g_r_r = _g_count(code, r, r)
+    out.s_1 = _s_count(code, noise, out.t_r, 1, rest_scale)
+    out.s_r = _s_count(code, noise, out.t_r, r, rest_scale)
 
     if tail_model is None:
         def tail(g: float, s: float) -> float:
@@ -323,8 +302,8 @@ def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
         p1_tail = tail
 
     def p1(r_x: float) -> float:
-        g_a = _g_count(code, consts, r_x, 1)
-        g_b = _g_count(code, consts, r_x, r)
+        g_a = _g_count(code, r_x, 1)
+        g_b = _g_count(code, r_x, r)
         return (beta * p1_tail(g_a, out.s_1)
                 + (1.0 - beta) * p1_tail(g_b, out.s_r))
 
@@ -384,7 +363,6 @@ def _floor_terms(base: EstimateBreakdown, code: CodeParams,
 
 def _finish_estimate(base: EstimateBreakdown, terms: dict, tail,
                      code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
-                     consts: AnalyticConstants,
                      rest_scale: float) -> EstimateBreakdown:
     """A copy of ``_per_r_terms``' breakdown with ``_floor_terms``' fields,
     the deferred rounds and the final pbar."""
@@ -398,8 +376,8 @@ def _finish_estimate(base: EstimateBreakdown, terms: dict, tail,
     prefix = 1.0 - out.p_agree_1
     for j in range(2, _S_MAX_TERMS + 1):
         rz = j * out.r_bar
-        g_j = _g_count(code, consts, r + (j - 1) * rpp, rz)
-        s_j = _s_count(code, noise, consts, out.t_r, rz, rest_scale)
+        g_j = _g_count(code, r + (j - 1) * rpp, rz)
+        s_j = _s_count(code, noise, out.t_r, rz, rest_scale)
         p_j = tail(g_j, s_j)
         term = prefix * out.p_agree_later * (out.p_ws + (1.0 - out.p_ws) * p_j) / j
         s_sum += term
@@ -430,7 +408,6 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
                       r_values=range(1, 7), rp_values=None, rpp_values=None,
                       n_rep: float = 1.0,
                       parallel_corrections: Optional[float] = None,
-                      consts: AnalyticConstants = DEFAULT_CONSTANTS,
                       rest_scale: float = 1.0,
                       constraint=None,
                       tail_model=None) -> tuple[ProtocolParams, float]:
@@ -464,8 +441,7 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
     per_r, memory = {}, {}
     for pp in grid:
         if pp.r not in per_r:
-            per_r[pp.r] = _per_r_terms(code, noise, pp, consts, rest_scale,
-                                       tail_model, memory)
+            per_r[pp.r] = _per_r_terms(code, noise, pp, rest_scale, tail_model, memory)
     pmf = _agreement_pmf(per_r[grid[0].r][0].p_za,
                          [n for pp in grid for n in (pp.r, pp.r + pp.r_dprime)])
     queue = []
@@ -481,7 +457,7 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
         if best_key is not None and floor_key > best_key:
             break
         base, tail = per_r[pp.r]
-        est = _finish_estimate(base, terms, tail, code, noise, pp, consts, rest_scale)
+        est = _finish_estimate(base, terms, tail, code, noise, pp, rest_scale)
         key = (est.pbar, pp.r, pp.r_prime, pp.r_dprime)
         if best_key is None or key < best_key:
             best_key, best = key, pp

@@ -104,7 +104,13 @@ def _parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--code", default=None, help="export this code's check matrix")
 
-    sp = sub.add_parser("simulate", help="Monte-Carlo crash rate")
+    sp = sub.add_parser(
+        "simulate", help="Monte-Carlo crash rate",
+        description="Without --parallel-corrections the protocol needs "
+                    "r <= r_max = 1 + (alpha n_rep - 1)/(1 - beta), so the "
+                    "default --nrep 1 is refused (exit 2) whenever the "
+                    "verified fraction alpha is below 1: raise --nrep or pin "
+                    "--parallel-corrections.")
     common(sp)
     sp.add_argument("--code", default=None)
     sp.add_argument("--gamma", type=float, default=None)

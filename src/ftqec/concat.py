@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import analytic
-from .analytic import AnalyticConstants, DEFAULT_CONSTANTS, binom_pmf
+from .analytic import binom_pmf
 from .codes import CodeParams
 from .noise import NoiseParams
 from .protocol import ProtocolParams
@@ -92,25 +92,18 @@ def eta_factor(outer: CodeParams) -> float:
 
 
 def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
-                    consts: AnalyticConstants = DEFAULT_CONSTANTS,
-                    inner_protocol: Optional[ProtocolParams] = None,
                     outer_protocol: Optional[ProtocolParams] = None,
                     r_values=range(1, 7), constraint=None) -> ConcatEstimate:
     """Crash probability per recovery of the two-level code.
 
-    Repetition parameters are optimized independently per level unless given.
+    Repetition parameters are optimized independently per level; the outer
+    level runs ``outer_protocol`` instead when it is given.
     """
     eta = eta_factor(spec.outer)
     noise_in = NoiseParams.uniform(gamma, eps, spec.t_m)
-    if inner_protocol is None:
-        inner_protocol, inner_pbar = analytic.optimize_protocol(
-            spec.inner, noise_in, r_values=r_values,
-            n_rep=spec.n_rep_inner, consts=consts, rest_scale=eta,
-            constraint=constraint)
-    else:
-        inner_pbar = analytic.crash_estimate(
-            spec.inner, noise_in, inner_protocol, consts,
-            rest_scale=eta).pbar
+    inner_protocol, inner_pbar = analytic.optimize_protocol(
+        spec.inner, noise_in, r_values=r_values, n_rep=spec.n_rep_inner,
+        rest_scale=eta, constraint=constraint)
     below = inner_pbar >= 0.5
     if below:
         return ConcatEstimate(pbar=1.0, inner_pbar=inner_pbar, eta=eta,
@@ -123,11 +116,11 @@ def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
     if outer_protocol is None:
         outer_protocol, outer_pbar = analytic.optimize_protocol(
             outer_code, noise_out, r_values=r_values,
-            n_rep=spec.n_rep_outer, consts=consts, rest_scale=1.0 / eta,
+            n_rep=spec.n_rep_outer, rest_scale=1.0 / eta,
             constraint=constraint)
     else:
         outer_pbar = analytic.crash_estimate(
-            outer_code, noise_out, outer_protocol, consts,
+            outer_code, noise_out, outer_protocol,
             rest_scale=1.0 / eta).pbar
     return ConcatEstimate(pbar=outer_pbar, inner_pbar=inner_pbar, eta=eta,
                           below_breakeven=False,
@@ -137,21 +130,14 @@ def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
 
 def monolithic_estimate(inner: CodeParams, outer: CodeParams,
                         gamma: float, eps: float, t_m: int,
-                        protocol: Optional[ProtocolParams] = None,
                         n_rep: float = 1.0,
-                        r_values=range(1, 7),
-                        consts: AnalyticConstants = DEFAULT_CONSTANTS) -> tuple[float, CodeParams]:
+                        r_values=range(1, 7)) -> tuple[float, CodeParams]:
     """Crash probability treating the pair as one large CSS code."""
     combo = supercode_params(inner, outer)
     noise = NoiseParams.uniform(gamma, eps, t_m)
     tail = hierarchical_tail(inner, outer)
-    if protocol is None:
-        protocol, pbar = analytic.optimize_protocol(
-            combo, noise, r_values=r_values, n_rep=n_rep,
-            consts=consts, tail_model=tail)
-    else:
-        pbar = analytic.crash_estimate(combo, noise, protocol, consts,
-                                       tail_model=tail).pbar
+    _, pbar = analytic.optimize_protocol(
+        combo, noise, r_values=r_values, n_rep=n_rep, tail_model=tail)
     return pbar, combo
 
 
@@ -171,45 +157,34 @@ class NoConvergenceError(RuntimeError):
 
 
 LEVELS_CHECKED = 12
+# generous provisioning, the top of the practical range: pushing n_rep
+# higher shrinks the resting time toward zero and inflates the
+# memory-limited thresholds beyond their calibration
+THRESHOLD_N_REP = 10.0
+# the physical gate rates the threshold bisection starts from
+THRESHOLD_BRACKET = (1e-6, 3e-2)
 _BISECTION_FLOOR = 1e-30
 
 
 def level_trace(code: CodeParams, gamma: float, eps_over_gamma: float,
-                t_m: int, levels: int = LEVELS_CHECKED,
-                r_values=range(1, 7),
-                consts: AnalyticConstants = DEFAULT_CONSTANTS,
-                n_rep: float = 10.0) -> list[float]:
+                t_m: int, levels: int = LEVELS_CHECKED) -> list[float]:
     """Per-level crash probabilities of ``code`` concatenated with itself.
 
     Level 1 runs at the physical noise and measurement time; level 2 absorbs
     the inner recoveries (no holes, unit measurement time); levels 3 and up
     iterate the stationary map at unit measurement time with the full hole
-    count.  ``n_rep`` defaults to generous provisioning (the top of the
-    practical range); pushing it higher shrinks the resting time toward
-    zero and inflates the memory-limited thresholds beyond their
-    calibration.
+    count, and stop once the rate reaches 1 or falls below the bisection
+    floor.  Every level is optimized at ``THRESHOLD_N_REP``.
     """
     trace = []
-    noise1 = NoiseParams.uniform(gamma, gamma * eps_over_gamma, t_m)
-    _, p1 = analytic.optimize_protocol(code, noise1, r_values=r_values,
-                                       n_rep=n_rep, consts=consts)
-    trace.append(p1)
-    if levels == 1:
-        return trace
-    hole_free = _without_holes(code)
-    noise2 = NoiseParams.uniform(p1, p1, t_m=1)
-    _, p2 = analytic.optimize_protocol(hole_free, noise2, r_values=r_values,
-                                       n_rep=n_rep, consts=consts)
-    trace.append(p2)
-    p_prev = p2
-    for _ in range(3, levels + 1):
-        noise_l = NoiseParams.uniform(p_prev, p_prev, t_m=1)
-        _, p_l = analytic.optimize_protocol(code, noise_l, r_values=r_values,
-                                            n_rep=n_rep, consts=consts)
-        trace.append(p_l)
-        if p_l >= 1.0 or p_l < _BISECTION_FLOOR:
+    noise = NoiseParams.uniform(gamma, gamma * eps_over_gamma, t_m)
+    for level in range(1, levels + 1):
+        level_code = _without_holes(code) if level == 2 else code
+        _, p = analytic.optimize_protocol(level_code, noise, n_rep=THRESHOLD_N_REP)
+        trace.append(p)
+        if level >= 3 and (p >= 1.0 or p < _BISECTION_FLOOR):
             break
-        p_prev = p_l
+        noise = NoiseParams.uniform(p, p, t_m=1)
     return trace
 
 
@@ -235,12 +210,10 @@ def _converges(trace: list[float]) -> bool:
 
 
 def threshold(code: CodeParams, eps_over_gamma: float, t_m: int,
-              rel_width: float = 1e-2, r_values=range(1, 7),
-              consts: AnalyticConstants = DEFAULT_CONSTANTS,
-              lo: float = 1e-6, hi: float = 3e-2,
-              n_rep: float = 10.0) -> float:
+              rel_width: float = 1e-2) -> float:
     """Bisect the physical gate rate separating convergent from divergent
-    multi-level recursions.  Returns gamma_0."""
+    multi-level recursions, starting from ``THRESHOLD_BRACKET``.  Returns
+    gamma_0."""
     if code.k != 1:
         raise ValueError("threshold recursion needs a k = 1 code")
     # the bisection stops only once hi / lo <= 1 + rel_width
@@ -248,10 +221,9 @@ def threshold(code: CodeParams, eps_over_gamma: float, t_m: int,
         raise ValueError(f"rel_width must be > 0, got {rel_width}")
 
     def below(gamma: float) -> bool:
-        trace = level_trace(code, gamma, eps_over_gamma, t_m,
-                            r_values=r_values, consts=consts, n_rep=n_rep)
-        return _converges(trace)
+        return _converges(level_trace(code, gamma, eps_over_gamma, t_m))
 
+    lo, hi = THRESHOLD_BRACKET
     if not below(lo):
         raise NoConvergenceError(f"no convergence even at gamma = {lo}")
     while below(hi):

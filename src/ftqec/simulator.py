@@ -716,7 +716,8 @@ class SimEngine:
             r_max = 1 + (alpha * pp.n_rep - 1) / (1 - beta) if beta < 1 else float("inf")
             if pp.r > r_max + 1e-9:
                 raise ProtocolError(
-                    f"r={pp.r} exceeds r_max={r_max:.3f} at n_rep={pp.n_rep}")
+                    f"r={pp.r} exceeds r_max={r_max:.3f} at n_rep={pp.n_rep}: "
+                    "raise n_rep or pin parallel_corrections")
         return resting_time(self.params.w, self.noise.t_m, pp, alpha, beta)
 
     def pools(self, rng) -> dict:
@@ -796,7 +797,7 @@ class SimEngine:
 
 def recover_block(frame: ErrorFrame, pending: dict[int, list[int]],
                   engine: SimEngine, error_type: str,
-                  mask: int = 1) -> tuple[int, int]:
+                  mask: int) -> tuple[int, int]:
     """One recovery of the masked lanes for one error type.
 
     ``pending`` maps each lane whose last recovery of this type reached no

@@ -28,16 +28,16 @@ def test_criterion_1_worked_example():
     code = codes.params_from_catalog("bch127-43")
     noise = NoiseParams.uniform(1e-4, 1e-6, t_m=25)
     pp = ProtocolParams(5, 4, 3, n_rep=2.5)
+    # r = 5, so s(5) and g(5,5) are the breakdown's s_r and g_r_r
     est = analytic.crash_estimate(code, noise, pp)
-    exp = analytic.exposure_counts(code, noise, pp, est.alpha, est.beta, 5, 5)
     checks = {
         "N_GV": code.N_GV == 3689,
         "N_h": code.N_h == 8893,
-        "t_R": 138 <= exp["t_r"] <= 148,
+        "t_R": 138 <= est.t_r <= 148,
         "alpha": 0.73 <= est.alpha <= 0.75,
         "beta": 0.75 <= est.beta <= 0.85,
-        "s(5)": 35000 <= exp["s"] <= 41000,
-        "g(5,5)": abs(exp["g"] - 2540) <= 254,
+        "s(5)": 35000 <= est.s_r <= 41000,
+        "g(5,5)": abs(est.g_r_r - 2540) <= 254,
         "P_agree(1)": 0.75 <= est.p_agree_1 <= 0.85,
         "P_ws": 2.5e-15 <= est.p_ws <= 1e-14,
         "pbar": 1e-10 <= est.pbar <= 9e-10,
@@ -45,7 +45,7 @@ def test_criterion_1_worked_example():
     bad = [k for k, ok in checks.items() if not ok]
     report("criterion 1", not bad,
            f"worked example: pbar={est.pbar:.3g}, alpha={est.alpha:.4f}, "
-           f"beta={est.beta:.4f}, t_R={exp['t_r']:.1f}"
+           f"beta={est.beta:.4f}, t_R={est.t_r:.1f}"
            + (f"; out of window: {bad}" if bad else ""))
 
 

@@ -83,6 +83,15 @@ def test_negative_trials_is_config_error(args, tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_simulate_default_protocol_refusal_names_fixes(tmp_path, capsys):
+    # n_rep = 1 without pinned provisioning puts r_max below 1 whenever alpha < 1
+    rc = run(["simulate", "--code", "hamming", "--trials", "64", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "raise n_rep" in err and "pin parallel_corrections" in err
+
+
 @pytest.mark.parametrize("rel_width", ["0", "-1"])
 def test_threshold_refuses_nonpositive_rel_width(rel_width, tmp_path):
     # the bisection could never narrow to a ratio of 1 + rel_width <= 1
