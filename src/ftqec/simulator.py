@@ -2,10 +2,11 @@
 
 The error state of one data block, one (serially reused) ancilla block and
 its verification bits is a pair of bit planes over 2n + (n+k)/2 qubits.  To
-make millions of trials affordable, up to 64 independent trials run in
+make millions of trials affordable, many independent trials run in
 parallel: each qubit's X and Z planes are Python ints whose bit L belongs
-to trial lane L.  All mutating operations take a lane mask and leave the
-other lanes untouched.
+to trial lane L, 64 lanes per batch and up to ``FRAME_BATCHES`` batches
+per frame.  All mutating operations take a lane mask and leave the other
+lanes untouched.
 
 Faults are not applied gate by gate.  Frame propagation is linear over
 GF(2), so a phase leaves the frame at its noiseless image XOR the
@@ -15,16 +16,18 @@ rest and the logical step's noise are compiled once, by one backward sweep
 over its schedule, into a single-fault table: every fault location (gate,
 preparation, measurement, hole step, idle qubit) with its rate and the
 image of each of its Paulis.  The same sweep gives the phase's noiseless
-map, which the readout applies as one word-level GF(2) map that also
+map, which the readout applies as one GF(2) map over lane words that also
 yields the syndromes.
 
 Phase faults never depend on the frame, so they are drawn ahead of use.
-A batch's frame carries one fault pool per phase table, made with the
-frame from the batch stream (``SimEngine.pools``) and drawn from its own
-child stream ``POOL_ROWS`` lane-samples at a time (``_draw``, a few
-vectorised draws per refill); a call hands the next sample to each masked
-lane and XORs only the samples that carry a fault into the lane words.  A
-preparation hands a lane samples in pool order until one verifies.
+Each batch of a frame has its own fault pool per phase table, made from
+the batch's stream (``SimEngine.pools``) and drawn from its own child
+stream ``POOL_ROWS`` lane-samples at a time (``_draw``, a few vectorised
+draws per refill); a call hands the next sample of a batch's pool to each
+of the batch's masked lanes in lane order and XORs only the samples that
+carry a fault into the lane words.  A preparation hands a lane samples in
+pool order until one verifies.  So a batch draws the same samples
+whichever batches share its frame.
 
 A trial alternates logical steps (one transversal gate failure pass plus
 the data's resting noise) with a complete recovery round: Z-error recovery
@@ -40,6 +43,9 @@ from bisect import bisect_left
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
+from operator import or_
 from typing import Optional
 
 import numpy as np
@@ -52,10 +58,13 @@ from .network import GateEvent
 from .noise import NoiseParams, Pauli, TWO_QUBIT_FAILURES, idle_flip_probability, stream
 from .protocol import ProtocolError, ProtocolParams, resting_time
 
-MASK_ALL = (1 << 64) - 1
 Q_MAX_DEFAULT = 10
 # lane-samples drawn per fault-pool refill
 POOL_ROWS = 512
+# 64-lane batches run side by side in one frame
+FRAME_BATCHES = 32
+# nonzero syndromes up to which a readout transposes lane by lane
+_SPARSE_LANES = 4
 
 
 @dataclass
@@ -67,9 +76,9 @@ class ErrorFrame:
     z: list[int] = field(default_factory=list)
     # lanes coupled with an unverified ancilla, summed over preparations
     unverified: int = 0
-    # the batch's fault pools by phase (``SimEngine.pools``), which the
-    # engine's pooled phases draw from
-    pools: Optional[dict] = field(default=None, repr=False, compare=False)
+    # each batch's fault pools by phase (``SimEngine.pools``), batch b on
+    # lanes 64b..64b+63; the engine's pooled phases draw from them
+    pools: list[dict] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         width = 2 * self.n + self.rows
@@ -82,54 +91,10 @@ class ErrorFrame:
     def width(self) -> int:
         return 2 * self.n + self.rows
 
-    def lane_bits(self, plane: str, lane: int = 0) -> np.ndarray:
-        src = self.x if plane == "x" else self.z
-        return np.array([(v >> lane) & 1 for v in src], dtype=np.uint8)
-
     @property
-    def x_bits(self) -> np.ndarray:
-        return self.lane_bits("x", 0)
-
-    @property
-    def z_bits(self) -> np.ndarray:
-        return self.lane_bits("z", 0)
-
-    def set_lane(self, plane: str, qubit: int, lane: int = 0, value: int = 1) -> None:
-        src = self.x if plane == "x" else self.z
-        if value:
-            src[qubit] |= 1 << lane
-        else:
-            src[qubit] &= ~(1 << lane)
-
-
-# ---------------------------------------------------------------------------
-# gate propagation (noise-free part)
-# ---------------------------------------------------------------------------
-
-def propagate(gate: GateEvent, frame: ErrorFrame, mask: int = MASK_ALL) -> ErrorFrame:
-    """Propagate frame errors through one perfect gate.
-
-    Hadamard swaps a qubit's X and Z values; controlled-not adds the
-    control's X to the target and the target's Z to the control;
-    controlled-phase adds each side's X to the other side's Z.
-    Preparations and measurements do not propagate.
-    """
-    k = gate.kind
-    x, z = frame.x, frame.z
-    if k == network_mod.HADAMARD:
-        q = gate.qubits[0]
-        diff = (x[q] ^ z[q]) & mask
-        x[q] ^= diff
-        z[q] ^= diff
-    elif k == network_mod.CNOT:
-        c, t = gate.qubits
-        x[t] ^= x[c] & mask
-        z[c] ^= z[t] & mask
-    elif k == network_mod.CPHASE:
-        c, t = gate.qubits
-        z[t] ^= x[c] & mask
-        z[c] ^= x[t] & mask
-    return frame
+    def lanes(self) -> int:
+        """Lanes of the frame: 64 per batch, and 64 for a frame without pools."""
+        return 64 * max(1, len(self.pools))
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +268,23 @@ def _phase_tables(ns: network_mod.NetworkSet, noise: NoiseParams):
     return _fault_table(prep, anc + ver, noise), readout
 
 
-# lanes of each byte value, by byte position in a 64-lane mask
-_BYTE_LANES = [[[8 * i + b for b in range(8) if (v >> b) & 1] for v in range(256)]
-               for i in range(8)]
+@lru_cache(maxsize=16)
+def _lanes(mask: int) -> tuple[int, ...]:
+    """The lanes set in ``mask``, in increasing order; the last few listings
+    are kept, as every call of a step lists the same alive lanes."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
 
 
-def _lanes(mask: int) -> list[int]:
-    out = []
-    for lanes, byte in zip(_BYTE_LANES, mask.to_bytes(8, "little")):
-        out += lanes[byte]
+def _batch_lanes(frame: ErrorFrame, mask: int) -> list[tuple[dict, tuple[int, ...]]]:
+    """(pools, lanes) of each batch of the frame with lanes in ``mask``."""
+    lanes = _lanes(mask)
+    out, lo = [], 0
+    for b, pools in enumerate(frame.pools):
+        hi = bisect_left(lanes, 64 * b + 64, lo)
+        if hi > lo:
+            out.append((pools, lanes[lo:hi]))
+            lo = hi
     return out
 
 
@@ -516,21 +489,21 @@ def _bit_positions(v: int) -> list[int]:
 
 @dataclass
 class _ReadoutMap:
-    """A readout's noiseless pass plus its syndromes as one word-level
-    GF(2) map.
+    """A readout's noiseless pass plus its syndromes as one GF(2) map over
+    lane words.
 
-    Input word b is the start-of-phase lane word of bit b (the X words of
-    the table's qubits ``lo..hi-1``, then their Z words), and input 2m is a
-    zero word.  Output o is the XOR of inputs ``cols[starts[o]:starts[o +
-    1]]``: first the end-of-phase word of every data bit the readout
-    changes, written back to ``write[o]`` = (plane, qubit), then one word
-    per syndrome bit.  ``weights`` packs syndrome bits into 64-bit words.
+    Input b is the start-of-phase lane word of bit b: the X words of the
+    table's qubits ``lo..hi-1``, then their Z words.  End-of-phase word o
+    is input word o XOR input word b for every pair ``(o, b)`` of
+    ``moves``.  ``write`` lists the data bits the readout changes as (bit,
+    plane, qubit), and syndrome bit l is the XOR of end-of-phase bits
+    ``checks[l]``; ``weights`` packs syndrome bits into 64-bit words.
     """
     lo: int
     hi: int
-    cols: np.ndarray
-    starts: np.ndarray
-    write: list[tuple[int, int]]
+    moves: list[tuple[int, int]]
+    write: list[tuple[int, int, int]]
+    checks: list[tuple[int, ...]]
     weights: np.ndarray
 
 
@@ -552,36 +525,49 @@ def _readout_map(table: _FaultTable, data: int,
         for o in _bit_positions(image):
             inputs[o] |= 1 << b
     changed = [o for o in range(2 * m) if o % m < data and inputs[o] != 1 << o]
-    outputs = [inputs[o] for o in changed]
-    for bits in syndrome_bits:
-        acc = 0
-        for o in bits:
-            acc ^= inputs[o]
-        outputs.append(acc)
-    cols, starts = [], []
-    for acc in outputs:
-        starts.append(len(cols))
-        cols += _bit_positions(acc) or [2 * m]
+    checks = [tuple(map(int, bits)) for bits in syndrome_bits]
+    read = sorted({o for bits in checks for o in bits}.union(changed))
     c = np.arange(len(syndrome_bits))
     weights = np.zeros(((c.size + 63) // 64, c.size), dtype=np.uint64)
     weights[c // 64, c] = np.uint64(1) << (c % 64).astype(np.uint64)
-    return _ReadoutMap(lo, lo + m, np.array(cols, dtype=np.intp),
-                       np.array(starts, dtype=np.intp),
-                       [(o // m, lo + o % m) for o in changed], weights)
+    return _ReadoutMap(lo, lo + m,
+                       [(o, b) for o in read for b in _bit_positions(inputs[o] ^ 1 << o)],
+                       [(o, o // m, lo + o % m) for o in changed],
+                       checks, weights)
 
 
 def _apply_readout(rmap: _ReadoutMap, frame: ErrorFrame, mask: int) -> list[int]:
     """Run the map's noiseless pass on the masked lanes of the frame and
-    return one packed syndrome per lane (0 outside the mask)."""
+    return one packed syndrome per lane (0 outside the mask): transposed
+    lane by lane when few read nonzero, else by numpy's bit unpacking."""
     x, z = frame.x, frame.z
-    words = np.array(x[rmap.lo:rmap.hi] + z[rmap.lo:rmap.hi] + [0],
-                     dtype=np.uint64) & np.uint64(mask)
-    out = np.bitwise_xor.reduceat(words[rmap.cols], rmap.starts)
-    planes, keep, n = (x, z), ~mask, len(rmap.write)
-    for (p, q), w in zip(rmap.write, out[:n].tolist()):
-        planes[p][q] = (planes[p][q] & keep) ^ w
-    bits = np.unpackbits(out[n:].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    return _values((rmap.weights @ bits).T)
+    words = x[rmap.lo:rmap.hi] + z[rmap.lo:rmap.hi]
+    end = list(words)
+    for o, b in rmap.moves:
+        end[o] ^= words[b]
+    planes, keep = (x, z), ~mask
+    for o, p, q in rmap.write:
+        planes[p][q] = (planes[p][q] & keep) ^ (end[o] & mask)
+    bits, hot = [], 0
+    for cols in rmap.checks:
+        acc = 0
+        for c in cols:
+            acc ^= end[c]
+        acc &= mask
+        bits.append(acc)
+        hot |= acc
+    if hot.bit_count() > _SPARSE_LANES:
+        size = frame.lanes // 8
+        raw = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in bits), np.uint8)
+        by_bit = np.unpackbits(raw.reshape(len(bits), size), axis=1, bitorder="little")
+        return _values((rmap.weights @ by_bit).T)
+    syndromes, bits = [0] * frame.lanes, bits[::-1]
+    for lane in _bit_positions(hot):
+        acc = 0
+        for w in bits:
+            acc = acc << 1 | w >> lane & 1
+        syndromes[lane] = acc
+    return syndromes
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +707,7 @@ class SimEngine:
         return resting_time(self.params.w, self.noise.t_m, pp, alpha, beta)
 
     def pools(self, rng) -> dict:
-        """Fresh fault pools for one batch's frame: G+V, the two readouts,
+        """Fresh fault pools for one batch of a frame: G+V, the two readouts,
         the data's rest and the logical gate, each on its own child stream
         of ``rng`` in that order."""
         prep, z, x, rest, gate = rng.spawn(5)
@@ -756,18 +742,18 @@ class SimEngine:
                          max_attempts: int = 64) -> None:
         """Re-prepare until every masked lane holds a verified ancilla.
 
-        Attempts come from the frame's G+V pool: each masked lane in turn
-        takes the next samples until one verifies.  A lane whose
-        ``max_attempts`` attempts all fail goes on with the last one and is
-        counted in ``frame.unverified``.
+        Attempts come from the G+V pool of the lane's batch: each masked
+        lane of a batch in turn takes the next samples until one verifies.
+        A lane whose ``max_attempts`` attempts all fail goes on with the
+        last one and is counted in ``frame.unverified``.
         """
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if not mask:
             return
         self._reset_ancilla(frame, mask)
-        frame.unverified += frame.pools["prep"].hand_out_verified(
-            frame, _lanes(mask), max_attempts)
+        for pools, lanes in _batch_lanes(frame, mask):
+            frame.unverified += pools["prep"].hand_out_verified(frame, lanes, max_attempts)
 
     def couple_and_measure(self, frame: ErrorFrame, mask: int,
                            error_type: str) -> list[int]:
@@ -778,14 +764,16 @@ class SimEngine:
         values until the next preparation resets them.
         """
         syndromes = _apply_readout(self._readout_maps[error_type], frame, mask)
-        for lane, tag in frame.pools[error_type].hand_out(frame, _lanes(mask)):
-            syndromes[lane] ^= tag
+        for pools, lanes in _batch_lanes(frame, mask):
+            for lane, tag in pools[error_type].hand_out(frame, lanes):
+                syndromes[lane] ^= tag
         return syndromes
 
     def add_noise(self, frame: ErrorFrame, mask: int, phase: str) -> None:
         """The data's rest (``phase`` "rest") or the logical gate's failures
-        ("gate") on the masked lanes, from the frame's pools."""
-        frame.pools[phase].hand_out(frame, _lanes(mask))
+        ("gate") on the masked lanes, from their batches' pools."""
+        for pools, lanes in _batch_lanes(frame, mask):
+            pools[phase].hand_out(frame, lanes)
 
     def data_syndromes(self, frame: ErrorFrame, plane: str, mask: int) -> list[int]:
         return _apply_readout(self._data_checks[plane], frame, mask)
@@ -815,14 +803,14 @@ def recover_block(frame: ErrorFrame, pending: dict[int, list[int]],
     engine.prepare_verified(frame, mask)
     first = engine.couple_and_measure(frame, mask, error_type)
 
+    # lanes outside the mask read 0
     need: dict[int, int] = {}
     pools: dict[int, list[int]] = {}
-    for lane in _lanes(mask):
-        if first[lane]:
-            need[lane] = pp.r_dprime if lane in pending else pp.r
-            pools[lane] = [first[lane]]
-        elif lane in pending:
-            del pending[lane]
+    for lane in compress(range(len(first)), first):
+        need[lane] = pp.r_dprime if lane in pending else pp.r
+        pools[lane] = [first[lane]]
+    for lane in [lane for lane in pending if mask >> lane & 1 and lane not in need]:
+        del pending[lane]
     if not pools:
         return 0, 0
 
@@ -860,10 +848,15 @@ def recover_block(frame: ErrorFrame, pending: dict[int, list[int]],
     return corrected, crashed
 
 
-def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
-              mask: int = MASK_ALL) -> TrialStats:
-    """Run up to 64 lane-parallel trials to crash or q_max steps."""
-    frame = ErrorFrame(n=engine.n, rows=engine.rows, pools=engine.pools(rng))
+def run_batch(engine: SimEngine, rngs: list, q_max: int = Q_MAX_DEFAULT,
+              mask: Optional[int] = None) -> TrialStats:
+    """Run lane-parallel trials to crash or q_max steps in one frame, 64
+    lanes per stream of ``rngs``, each batch on the fault pools of its own
+    stream.  ``mask`` picks the trials' lanes (all of them by default)."""
+    frame = ErrorFrame(n=engine.n, rows=engine.rows,
+                       pools=[engine.pools(rng) for rng in rngs])
+    if mask is None:
+        mask = (1 << frame.lanes) - 1
     pending_z: dict[int, list[int]] = {}
     pending_x: dict[int, list[int]] = {}
     alive = mask
@@ -883,7 +876,7 @@ def run_batch(engine: SimEngine, rng, q_max: int = Q_MAX_DEFAULT,
             syn_x = engine.data_syndromes(frame, "x", survivors)
             syn_z = engine.data_syndromes(frame, "z", survivors)
             # lanes outside survivors, and lanes with no data error, read 0
-            lanes = [lane for lane in range(64) if syn_x[lane] or syn_z[lane]]
+            lanes = list(compress(range(frame.lanes), map(or_, syn_x, syn_z)))
             weights, _ = engine.decoder.decode([syn_x[lane] for lane in lanes]
                                                + [syn_z[lane] for lane in lanes])
             for lane, weight in zip(lanes + lanes, weights):
@@ -931,11 +924,15 @@ def _engine_for(config: SimConfig) -> SimEngine:
 
 
 def _run_batch_range(config: SimConfig, seed: int, lo: int, hi: int) -> TrialStats:
+    """Batches lo..hi-1, ``FRAME_BATCHES`` to a frame; the batch that holds
+    trial ``max_trials`` runs only the lanes up to it."""
     engine = _engine_for(config)
     acc = TrialStats.empty(config.q_max)
-    for b in range(lo, hi):
-        rng = stream(seed, b)
-        acc.merge(run_batch(engine, rng, q_max=config.q_max))
+    for at in range(lo, hi, FRAME_BATCHES):
+        top = min(at + FRAME_BATCHES, hi)
+        lanes = min(64 * top, config.max_trials) - 64 * at
+        acc.merge(run_batch(engine, [stream(seed, b) for b in range(at, top)],
+                            q_max=config.q_max, mask=(1 << lanes) - 1))
     return acc
 
 
@@ -945,17 +942,19 @@ def estimate_pbar_mc(config: SimConfig, seed: int = 0,
 
     Work is sharded into 64-trial batches, one RNG stream per batch, and the
     stopping rule is evaluated at fixed chunk boundaries, so the aggregate
-    counts are identical for any worker count.
+    counts are identical for any worker count.  The last chunk ends with
+    the batch that holds trial ``max_trials``.
     """
     total = TrialStats.empty(config.q_max, seed=seed)
     chunk = config.chunk_batches
+    last = -(-config.max_trials // 64)
     next_batch = 0
     pool = None
     if workers > 1:
         pool = ProcessPoolExecutor(max_workers=workers)
     try:
         while True:
-            lo, hi = next_batch, next_batch + chunk
+            lo, hi = next_batch, min(next_batch + chunk, last)
             next_batch = hi
             if pool is not None:
                 per = max(1, chunk // workers)

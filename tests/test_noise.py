@@ -10,8 +10,9 @@ from ftqec.network import CNOT, GateEvent, MEASURE, PREP_ZERO
 from ftqec.noise import (NoiseParams, Pauli, TWO_QUBIT_FAILURES,
                          idle_flip_probability, stream)
 from ftqec.protocol import ProtocolParams
-from ftqec.simulator import (MASK_ALL, ErrorFrame, SimEngine, _draw, _fault_table,
-                             _program, _scatter)
+from ftqec.simulator import ErrorFrame, SimEngine, _draw, _fault_table, _program, _scatter
+
+from frame_helpers import MASK_ALL
 
 
 def inject(table, frame: ErrorFrame, rng) -> None:

@@ -15,6 +15,8 @@ from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
                              SimConfig, SimEngine, estimate_pbar_mc,
                              judge_syndromes, recover_block, run_batch)
 
+from frame_helpers import propagate, set_lane, x_bits, z_bits
+
 
 def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
            pp=ProtocolParams(2, 2, 2, parallel_corrections=1.0)):
@@ -26,42 +28,42 @@ def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
 
 def test_hadamard_swaps_planes():
     f = ErrorFrame(n=7, rows=4)
-    f.set_lane("x", 2, 0, 1)
-    simulator.propagate(GateEvent(HADAMARD, (2,), 0), f)
-    assert f.x_bits[2] == 0 and f.z_bits[2] == 1
+    set_lane(f, "x", 2, 0, 1)
+    propagate(GateEvent(HADAMARD, (2,), 0), f)
+    assert x_bits(f)[2] == 0 and z_bits(f)[2] == 1
 
 
 def test_cnot_propagation():
     f = ErrorFrame(n=7, rows=4)
-    f.set_lane("x", 1, 0, 1)             # X on control
-    simulator.propagate(GateEvent(CNOT, (1, 3), 0), f)
-    assert f.x_bits[1] == 1 and f.x_bits[3] == 1
+    set_lane(f, "x", 1, 0, 1)             # X on control
+    propagate(GateEvent(CNOT, (1, 3), 0), f)
+    assert x_bits(f)[1] == 1 and x_bits(f)[3] == 1
     f2 = ErrorFrame(n=7, rows=4)
-    f2.set_lane("z", 3, 0, 1)            # Z on target
-    simulator.propagate(GateEvent(CNOT, (1, 3), 0), f2)
-    assert f2.z_bits[1] == 1 and f2.z_bits[3] == 1
+    set_lane(f2, "z", 3, 0, 1)            # Z on target
+    propagate(GateEvent(CNOT, (1, 3), 0), f2)
+    assert z_bits(f2)[1] == 1 and z_bits(f2)[3] == 1
 
 
 def test_cphase_propagation():
     f = ErrorFrame(n=7, rows=4)
-    f.set_lane("x", 0, 0, 1)
-    simulator.propagate(GateEvent(CPHASE, (0, 5), 0), f)
-    assert f.z_bits[5] == 1 and f.x_bits[0] == 1 and f.z_bits[0] == 0
+    set_lane(f, "x", 0, 0, 1)
+    propagate(GateEvent(CPHASE, (0, 5), 0), f)
+    assert z_bits(f)[5] == 1 and x_bits(f)[0] == 1 and z_bits(f)[0] == 0
 
 
 def test_zero_frame_fixed_under_gates():
     f = ErrorFrame(n=7, rows=4)
     for ev in (GateEvent(HADAMARD, (0,), 0), GateEvent(CNOT, (0, 1), 1),
                GateEvent(CPHASE, (2, 3), 2)):
-        simulator.propagate(ev, f)
-    assert not f.x_bits.any() and not f.z_bits.any()
+        propagate(ev, f)
+    assert not x_bits(f).any() and not z_bits(f).any()
 
 
 # -- syndrome extraction ------------------------------------------------------
 
 def _extract(eng, f, error_type, rng):
     """Lane 0's syndrome bits from one preparation that must verify."""
-    f.pools = eng.pools(rng)
+    f.pools = [eng.pools(rng)]
     assert eng.attempt_preparation(f, rng, 1) == 1
     s = eng.couple_and_measure(f, 1, error_type)[0]
     return np.array([(s >> l) & 1 for l in range(eng.rows)], dtype=np.uint8)
@@ -77,14 +79,14 @@ def test_extract_zero_noise_zero_frame():
 def test_extract_single_x_error_gives_column(j):
     eng = engine()
     f = ErrorFrame(n=7, rows=4)
-    f.set_lane("x", j, 0, 1)
+    set_lane(f, "x", j, 0, 1)
     assert np.array_equal(_extract(eng, f, "X", stream(0, j)), eng.code.H[:, j])
 
 
 def test_extract_single_z_error_z_type(golay):
     eng = engine("golay")
     f = ErrorFrame(n=23, rows=12)
-    f.set_lane("z", 11, 0, 1)
+    set_lane(f, "z", 11, 0, 1)
     assert np.array_equal(_extract(eng, f, "Z", stream(0, 1)), eng.code.H[:, 11])
 
 
@@ -136,11 +138,11 @@ def test_unverified_lanes_counted():
     # X bits of the verification qubits, which follow the ancilla
     verified = ~bits[:, eng.n:eng.n + eng.rows].any(axis=1)
     for max_attempts in (1, 3):
-        f = ErrorFrame(n=7, rows=eng.rows, pools=eng.pools(stream(5, 0)))
+        f = ErrorFrame(n=7, rows=eng.rows, pools=[eng.pools(stream(5, 0))])
         eng.prepare_verified(f, mask, max_attempts=max_attempts)
         assert f.unverified == _sequential_unverified(verified, 64, max_attempts) > 0
         quiet_eng = engine()
-        quiet = ErrorFrame(n=7, rows=eng.rows, pools=quiet_eng.pools(stream(5, 0)))
+        quiet = ErrorFrame(n=7, rows=eng.rows, pools=[quiet_eng.pools(stream(5, 0))])
         quiet_eng.prepare_verified(quiet, mask, max_attempts=max_attempts)
         assert quiet.unverified == 0
 
@@ -172,7 +174,7 @@ def test_prepare_verified_matches_sequential_retries(monkeypatch):
     monkeypatch.setattr(simulator, "_draw", draw)
     gen = np.random.default_rng(9)
     masks = [(1 << 64) - 1] * 4 + [int(v) for v in gen.integers(1, 2**63, 8)]
-    f = ErrorFrame(n=n, rows=rows, pools=eng.pools(stream(0, 0)))
+    f = ErrorFrame(n=n, rows=rows, pools=[eng.pools(stream(0, 0))])
     at = unverified = 0
     crossed, inside = False, set()
     for call, mask in enumerate(masks):
@@ -221,7 +223,7 @@ def _forward_images(table) -> np.ndarray:
 
     Each (location, Pauli) of the table gets its own lane of one wide frame,
     is injected at its own point of the phase and pushed forward through
-    the rest of it with ``simulator.propagate``.  One extra lane starts with
+    the rest of it with ``propagate``.  One extra lane starts with
     an X and a Z on every phase qubit, to follow an incoming error."""
     rows = table.images.shape[0]
     lanes = (1 << (rows + 1)) - 1
@@ -251,7 +253,7 @@ def _forward_images(table) -> np.ndarray:
                 inject((s, g))
             else:
                 inject((s, g))
-                simulator.propagate(ev, frame, lanes)
+                propagate(ev, frame, lanes)
         inject((s, len(gates)))
     assert not at, "a site outside the program"
     planes = [frame.x[q] for q in table.qubits] + [frame.z[q] for q in table.qubits]
@@ -311,7 +313,7 @@ def test_readout_map_matches_propagation(name):
             got = simulator._apply_readout(rmap, frame, mask)
             for gates, _, _ in table.program:
                 for ev in gates:
-                    simulator.propagate(ev, ref, mask)
+                    propagate(ev, ref, mask)
             want = _lane_syndromes(ref.x[n:2 * n], code.H, mask)
             assert got == want, error_type
             assert frame.x[:n] == ref.x[:n] and frame.z[:n] == ref.z[:n], error_type
@@ -404,37 +406,37 @@ def test_judge_acceptance_frequency():
 
 def test_zero_noise_recovery_is_identity():
     eng = engine()
-    f = ErrorFrame(n=7, rows=4, pools=eng.pools(stream(1, 0)))
+    f = ErrorFrame(n=7, rows=4, pools=[eng.pools(stream(1, 0))])
     pending = {}
     for _ in range(3):
         eng.add_noise(f, 1, "rest")
         corrected, crashed = recover_block(f, pending, eng, "X", 1)
         assert corrected == 0 and crashed == 0
-    assert not f.x_bits.any() and not f.z_bits.any()
+    assert not x_bits(f).any() and not z_bits(f).any()
     assert 0 not in pending
 
 
 @pytest.mark.parametrize("plane,qubit", [("x", 0), ("x", 4), ("z", 2), ("z", 6)])
 def test_planted_single_error_corrected(plane, qubit):
     eng = engine(pp=ProtocolParams(1, 1, 1, parallel_corrections=1.0))
-    f = ErrorFrame(n=7, rows=4, pools=eng.pools(stream(2, qubit)))
-    f.set_lane(plane, qubit, 0, 1)
+    f = ErrorFrame(n=7, rows=4, pools=[eng.pools(stream(2, qubit))])
+    set_lane(f, plane, qubit, 0, 1)
     error_type = "X" if plane == "x" else "Z"
     eng.add_noise(f, 1, "rest")
     corrected, crashed = recover_block(f, {}, eng, error_type, 1)
     assert corrected == 1 and crashed == 0
-    assert not f.x_bits[:7].any() and not f.z_bits[:7].any()
+    assert not x_bits(f)[:7].any() and not z_bits(f)[:7].any()
 
 
 def test_planted_y_error_corrected_in_one_round():
     eng = engine("golay", pp=ProtocolParams(1, 1, 1, parallel_corrections=1.0))
-    f = ErrorFrame(n=23, rows=12, pools=eng.pools(stream(3, 0)))
-    f.set_lane("x", 9, 0, 1)
-    f.set_lane("z", 9, 0, 1)
+    f = ErrorFrame(n=23, rows=12, pools=[eng.pools(stream(3, 0))])
+    set_lane(f, "x", 9, 0, 1)
+    set_lane(f, "z", 9, 0, 1)
     eng.add_noise(f, 1, "rest")
     recover_block(f, {}, eng, "Z", 1)
     recover_block(f, {}, eng, "X", 1)
-    assert not f.x_bits[:23].any() and not f.z_bits[:23].any()
+    assert not x_bits(f)[:23].any() and not z_bits(f)[:23].any()
 
 
 def test_deferred_rounds_follow_the_repetition_rule(monkeypatch):
@@ -443,9 +445,9 @@ def test_deferred_rounds_follow_the_repetition_rule(monkeypatch):
     eng = engine("golay", pp=ProtocolParams(4, 3, 2, parallel_corrections=1.0))
     col = {q: sum(int(b) << i for i, b in enumerate(eng.code.H[:, q])) for q in (5, 11, 17)}
     a, b, c, d = 1, 2, col[5], 4
-    f = ErrorFrame(n=eng.n, rows=eng.rows, pools=eng.pools(stream(5, 0)))
+    f = ErrorFrame(n=eng.n, rows=eng.rows, pools=[eng.pools(stream(5, 0))])
     for lane, q in ((0, 5), (1, 11), (2, 17)):
-        f.set_lane("x", q, lane, 1)
+        set_lane(f, "x", q, lane, 1)
     script = {0: [a, b, a, b, c, d, a, c, c, 7],
               1: [0, 0, 0, col[11], 9, col[11], col[11]],
               2: [col[17], col[17], col[17], a, 0, 0, 0],
@@ -485,13 +487,13 @@ def test_deferred_rounds_follow_the_repetition_rule(monkeypatch):
 
 def test_zero_noise_trial_survives():
     eng = engine()
-    stats = run_batch(eng, stream(4, 0), mask=1)
+    stats = run_batch(eng, [stream(4, 0)], mask=1)
     assert stats.n_f.sum() == 0 and stats.n_s[10] == 1
 
 
 def test_zero_noise_batch_all_survive():
     eng = engine("golay", pp=ProtocolParams(4, 3, 3, parallel_corrections=1.0))
-    stats = run_batch(eng, stream(5, 0))
+    stats = run_batch(eng, [stream(5, 0)])
     assert stats.n_f.sum() == 0
     assert stats.n_s[10] == 64
 
@@ -502,7 +504,7 @@ def test_maximal_noise_crashes_fast():
     eng = engine(gamma=1.0, eps=1.0)
     stats = simulator.TrialStats.empty()
     for b in range(8):
-        stats.merge(run_batch(eng, stream(6, b)))
+        stats.merge(run_batch(eng, [stream(6, b)]))
     assert stats.p(1) > 0.6
     assert stats.n_s[3] / stats.trials < 0.03
     assert stats.n_s[10] == 0
@@ -567,6 +569,84 @@ def test_mc_slope_coarse():
     assert 1.0 <= slope <= 3.0
 
 
+def _counts(stats) -> tuple:
+    return stats.n_f.tolist(), stats.n_s.tolist(), stats.trials, stats.unverified
+
+
+def test_frame_split_invariance():
+    # a batch draws from its own pools in lane order, so it gives the same
+    # counts whichever batches share its frame
+    eng = engine(gamma=1e-2, eps=1e-2, pp=ProtocolParams(3, 2, 2, parallel_corrections=1.0))
+    whole = run_batch(eng, [stream(9, b) for b in range(3)])
+    parts = simulator.TrialStats.empty()
+    for b in range(3):
+        parts.merge(run_batch(eng, [stream(9, b)]))
+    assert _counts(whole) == _counts(parts)
+    assert whole.trials == 192 and whole.n_f.sum() > 0
+    # chunks of three batches: one frame per chunk at one worker, one frame
+    # per batch at two or three; the last batch runs 38 of its lanes
+    cfg = SimConfig("hamming", NoiseParams.uniform(1e-2, 1e-2, 1),
+                    ProtocolParams(3, 2, 2, parallel_corrections=1.0),
+                    target_failures=10**6, max_trials=550, chunk_batches=3)
+    runs = [_counts(estimate_pbar_mc(cfg, seed=9, workers=w)) for w in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][2] == 550
+
+
+def test_trial_cap_is_exact():
+    # the batch that holds trial max_trials runs only the lanes up to it
+    pp = ProtocolParams(2, 2, 2, parallel_corrections=1.0)
+    cfg = SimConfig("hamming", NoiseParams.uniform(5e-3, 5e-3, 1), pp,
+                    target_failures=10**6, max_trials=100)
+    stats = estimate_pbar_mc(cfg, seed=3)
+    assert stats.trials == 100 and stats.censored
+    assert stats.n_f[1] + stats.n_s[1] == 100
+    split = SimConfig("hamming", NoiseParams.uniform(5e-3, 5e-3, 1), pp,
+                      target_failures=10**6, max_trials=100, chunk_batches=2)
+    one, two = (_counts(estimate_pbar_mc(split, seed=3, workers=w)) for w in (1, 2))
+    assert one == two and one[2] == 100
+
+
+# Counts of short runs, pinned as literals: a change that only makes the MC
+# faster must keep them byte for byte.  Each entry is (code, (gamma, eps,
+# t_m), (r, r', r''), q_max, max_trials, chunk_batches, seed) and the
+# resulting (n_f, n_s, trials, unverified).  The golay entries are the
+# benchmark's mc-noisy and mc-quiet calls; the hamming 2112-trial entry runs
+# 33 batches in two frames; the last one runs out of preparation attempts.
+PINNED_COUNTS = [
+    (("golay", (3e-3, 3e-5, 25), (4, 3, 3), 10, 128, 2, 101),
+     ([0, 0, 0, 1, 1, 2, 3, 2, 0, 0, 1],
+      [0, 128, 128, 127, 126, 124, 121, 119, 119, 119, 118], 128, 0)),
+    (("golay", (1e-4, 1e-6, 25), (4, 3, 3), 10, 128, 2, 101),
+     ([0] * 11, [0] + [128] * 10, 128, 0)),
+    (("hamming", (1e-2, 1e-4, 1), (2, 2, 2), 10, 2112, 33, 101),
+     ([0, 48, 85, 84, 80, 53, 82, 68, 64, 72, 67],
+      [0, 2064, 1979, 1895, 1815, 1762, 1680, 1612, 1548, 1476, 1409], 2112, 0)),
+    (("bch31", (2e-3, 2e-5, 1), (3, 2, 2), 10, 128, 2, 101),
+     ([0, 0, 1, 1, 2, 2, 2, 2, 0, 1, 0],
+      [0, 128, 127, 126, 124, 122, 120, 118, 118, 117, 117], 128, 0)),
+    (("hamming", (0.3, 0.3, 1), (2, 2, 2), 2, 128, 2, 4),
+     ([0, 95, 28], [0, 33, 5], 128, 12)),
+]
+
+
+@pytest.mark.parametrize("config,counts", PINNED_COUNTS,
+                         ids=[f"{c[0]}-{c[1][0]:g}" for c, _ in PINNED_COUNTS])
+def test_mc_counts_pinned(config, counts):
+    code, noise, (r, rp, rpp), q_max, trials, chunk, seed = config
+    cfg = SimConfig(code, NoiseParams.uniform(*noise),
+                    ProtocolParams(r, rp, rpp, parallel_corrections=1.0), q_max=q_max,
+                    target_failures=10**9, max_trials=trials, chunk_batches=chunk)
+    assert _counts(estimate_pbar_mc(cfg, seed=seed)) == counts
+
+
+def test_lanes_any_width():
+    gen = np.random.default_rng(3)
+    for width in (8, 64, 128, 2048):
+        for mask in (0, (1 << width) - 1, int.from_bytes(gen.bytes(width // 8), "little")):
+            assert list(simulator._lanes(mask)) == [l for l in range(width) if mask >> l & 1]
+
+
 def test_worker_count_invariance():
     cfg = SimConfig("hamming", NoiseParams.uniform(5e-3, 5e-3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
@@ -625,7 +705,7 @@ def test_bch127_43_batch_pinned():
     eng = SimEngine(codes.construct_code("bch127-43"),
                     NoiseParams.uniform(1e-3, 1e-5, 25),
                     ProtocolParams(4, 3, 3, parallel_corrections=1.0))
-    stats = run_batch(eng, stream(1, 0))
+    stats = run_batch(eng, [stream(1, 0)])
     assert stats.n_f.tolist() == [0, 14, 16, 5, 10, 6, 8, 3, 0, 1, 1]
     assert stats.n_s.tolist() == [0, 50, 34, 29, 19, 13, 5, 2, 2, 1, 0]
 
