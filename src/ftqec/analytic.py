@@ -20,7 +20,7 @@ verification failures escape detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -120,22 +120,6 @@ def _tail_of_series(bg: np.ndarray, bs: np.ndarray, t: int) -> float:
     return min(direct, 1.0)
 
 
-def bprime_approx_binomial(g: float, s: float, m: int,
-                           gamma: float, eps: float) -> float:
-    """First closed-form approximation: fold memory into an effective gate rate."""
-    if g <= 0:
-        return binom_pmf(s, m, eps)
-    return binom_pmf(g, m, gamma + s * eps / g)
-
-
-def bprime_approx_powerlaw(g: float, s: float, m: int,
-                           gamma: float, eps: float) -> float:
-    """Order-of-magnitude form ((g gamma + s eps) / (m/e))^m."""
-    if m == 0:
-        return 1.0
-    return ((g * gamma + s * eps) * math.e / m) ** m
-
-
 # ---------------------------------------------------------------------------
 # model pieces
 # ---------------------------------------------------------------------------
@@ -229,35 +213,30 @@ class EstimateBreakdown:
     branch_leak: float = 0.0      # never-accepted probability mass left over
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "p_za", "alpha", "beta", "p_0", "t_r",
-            "g_1_1", "g_1_r", "g_r_1", "g_r_r", "s_1", "s_r",
-            "p1_single", "p1_multi", "p_agree_1", "p_agree_later",
-            "p_ws", "r_bar", "deferred_sum", "pbar", "usable")}
+        """Every field but ``branch_leak``, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "branch_leak"}
 
 
 def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
-                   rest_scale: float = 1.0,
-                   tail_model=None) -> EstimateBreakdown:
+                   rest_scale: float = 1.0) -> EstimateBreakdown:
     """Full model evaluation; ``rest_scale`` rescales the data resting term
-    (used by the concatenation treatments), ``tail_model`` optionally swaps
-    the flat weight tail for a callable (g, s, gamma_eff, eps_eff) -> prob.
-    """
+    (used by the level-recursive concatenation)."""
     if pp.r_prime > pp.r + pp.r_dprime:
         raise ProtocolError("r' exceeds the r + r'' syndrome pool")
-    base, tail = _per_r_terms(code, noise, pp, rest_scale, tail_model, {})
+    base = _per_r_terms(code, noise, pp, rest_scale, {})
     pmf = _agreement_pmf(base.p_za, (pp.r, pp.r + pp.r_dprime))
-    return _finish_estimate(base, _floor_terms(base, code, noise, pp, pmf), tail,
+    return _finish_estimate(base, _floor_terms(base, code, noise, pp, pmf),
                             code, noise, pp, rest_scale)
 
 
 def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
-                 rest_scale: float, tail_model, memory_series: dict):
+                 rest_scale: float, memory_series: dict) -> EstimateBreakdown:
     """The terms of ``crash_estimate`` that do not depend on r' or r'':
-    a breakdown filled in up to ``p1_multi``, and the tail it used (None
-    when the block is unusable and the breakdown is final).  The p1 tails
-    read each memory count's series from ``memory_series`` (count ->
-    series), which a grid shares across its r values."""
+    a breakdown filled in up to ``p1_multi`` (final when the block is
+    unusable).  The p1 tails read each memory count's series from
+    ``memory_series`` (count -> series), which a grid shares across its r
+    values."""
     out = EstimateBreakdown()
 
     prep = preparation_stats(code, noise)
@@ -268,7 +247,7 @@ def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     if not out.usable:
         out.pbar = 1.0
         out.beta = 0.0
-        return out, None
+        return out
 
     beta, p0 = solve_beta(code, noise, pp, rest_scale)
     out.beta, out.p_0 = beta, p0
@@ -285,31 +264,20 @@ def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     out.s_1 = _s_count(code, noise, out.t_r, 1, rest_scale)
     out.s_r = _s_count(code, noise, out.t_r, r, rest_scale)
 
-    if tail_model is None:
-        def tail(g: float, s: float) -> float:
-            return uncorrectable_tail(g, s, t, n, g2_eff, eps_eff)
-
-        # the four p1 tails share the memory counts s_1 and s_r
-        for s in (out.s_1, out.s_r):
-            if s not in memory_series:
-                memory_series[s] = _binom_series(s, n, eps_eff)
-
-        def p1_tail(g: float, s: float) -> float:
-            return _tail_of_series(_binom_series(g, n, g2_eff), memory_series[s], t)
-    else:
-        def tail(g: float, s: float) -> float:
-            return tail_model(g, s, g2_eff, eps_eff)
-        p1_tail = tail
+    # the four p1 tails share the memory counts s_1 and s_r
+    for s in (out.s_1, out.s_r):
+        if s not in memory_series:
+            memory_series[s] = _binom_series(s, n, eps_eff)
 
     def p1(r_x: float) -> float:
-        g_a = _g_count(code, r_x, 1)
-        g_b = _g_count(code, r_x, r)
-        return (beta * p1_tail(g_a, out.s_1)
-                + (1.0 - beta) * p1_tail(g_b, out.s_r))
+        g_a = _binom_series(_g_count(code, r_x, 1), n, g2_eff)
+        g_b = _binom_series(_g_count(code, r_x, r), n, g2_eff)
+        return (beta * _tail_of_series(g_a, memory_series[out.s_1], t)
+                + (1.0 - beta) * _tail_of_series(g_b, memory_series[out.s_r], t))
 
     out.p1_single = p1(1)
     out.p1_multi = p1(r)
-    return out, tail
+    return out
 
 
 def _agreement_pmf(p_za: float, pools) -> dict:
@@ -361,7 +329,7 @@ def _floor_terms(base: EstimateBreakdown, code: CodeParams,
             "r_bar": r_bar, "branch_leak": branch_leak, "pbar": pbar}
 
 
-def _finish_estimate(base: EstimateBreakdown, terms: dict, tail,
+def _finish_estimate(base: EstimateBreakdown, terms: dict,
                      code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
                      rest_scale: float) -> EstimateBreakdown:
     """A copy of ``_per_r_terms``' breakdown with ``_floor_terms``' fields,
@@ -370,6 +338,8 @@ def _finish_estimate(base: EstimateBreakdown, terms: dict, tail,
     if not out.usable or out.branch_leak > _S_TRUNCATION_REL:
         return out
     r, rpp = pp.r, pp.r_dprime
+    g2_eff = 2.0 * noise.gamma2 / 3.0
+    eps_eff = 2.0 * noise.eps / 3.0
 
     # deferred recoveries: first attempt found no consistent syndrome
     s_sum = 0.0
@@ -378,7 +348,7 @@ def _finish_estimate(base: EstimateBreakdown, terms: dict, tail,
         rz = j * out.r_bar
         g_j = _g_count(code, r + (j - 1) * rpp, rz)
         s_j = _s_count(code, noise, out.t_r, rz, rest_scale)
-        p_j = tail(g_j, s_j)
+        p_j = uncorrectable_tail(g_j, s_j, code.t, code.n, g2_eff, eps_eff)
         term = prefix * out.p_agree_later * (out.p_ws + (1.0 - out.p_ws) * p_j) / j
         s_sum += term
         prefix *= (1.0 - out.p_agree_later)
@@ -405,13 +375,12 @@ def _floor_holds(base: EstimateBreakdown, terms: dict) -> bool:
 
 
 def optimize_protocol(code: CodeParams, noise: NoiseParams,
-                      r_values=range(1, 7), rp_values=None, rpp_values=None,
-                      n_rep: float = 1.0,
+                      r_values=range(1, 7), n_rep: float = 1.0,
                       parallel_corrections: Optional[float] = None,
                       rest_scale: float = 1.0,
-                      constraint=None,
-                      tail_model=None) -> tuple[ProtocolParams, float]:
-    """Minimize pbar over the (r, r', r'') grid by an exact bounded search.
+                      constraint=None) -> tuple[ProtocolParams, float]:
+    """Minimize pbar over the grid of r in ``r_values`` and 1 <= r', r'' <= r
+    by an exact bounded search.
 
     Returns the triple of least (pbar, r, r', r''), so ties break toward
     smaller (r, r', r'').  ``constraint`` optionally filters triples, e.g.
@@ -431,22 +400,19 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
     """
     grid = [ProtocolParams(r=r, r_prime=rp, r_dprime=rpp, n_rep=n_rep,
                            parallel_corrections=parallel_corrections)
-            for r in r_values
-            for rp in (rp_values if rp_values is not None else range(1, r + 1))
-            if rp <= r
-            for rpp in (rpp_values if rpp_values is not None else range(1, r + 1))
-            if rpp <= r and (constraint is None or constraint(r, rp, rpp))]
+            for r in r_values for rp in range(1, r + 1) for rpp in range(1, r + 1)
+            if constraint is None or constraint(r, rp, rpp)]
     if not grid:
         raise ProtocolError("empty protocol grid")
     per_r, memory = {}, {}
     for pp in grid:
         if pp.r not in per_r:
-            per_r[pp.r] = _per_r_terms(code, noise, pp, rest_scale, tail_model, memory)
-    pmf = _agreement_pmf(per_r[grid[0].r][0].p_za,
+            per_r[pp.r] = _per_r_terms(code, noise, pp, rest_scale, memory)
+    pmf = _agreement_pmf(per_r[grid[0].r].p_za,
                          [n for pp in grid for n in (pp.r, pp.r + pp.r_dprime)])
     queue = []
     for pp in grid:
-        base = per_r[pp.r][0]
+        base = per_r[pp.r]
         terms = _floor_terms(base, code, noise, pp, pmf)
         floor = terms.get("pbar", base.pbar) if _floor_holds(base, terms) else -math.inf
         queue.append(((floor, pp.r, pp.r_prime, pp.r_dprime), terms, pp))
@@ -456,8 +422,7 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
     for floor_key, terms, pp in queue:
         if best_key is not None and floor_key > best_key:
             break
-        base, tail = per_r[pp.r]
-        est = _finish_estimate(base, terms, tail, code, noise, pp, rest_scale)
+        est = _finish_estimate(per_r[pp.r], terms, code, noise, pp, rest_scale)
         key = (est.pbar, pp.r, pp.r_prime, pp.r_dprime)
         if best_key is None or key < best_key:
             best_key, best = key, pp

@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 from typing import Optional
 
@@ -75,7 +76,27 @@ class RunConfig:
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
-        return RunConfig(**json.loads(text))
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a config file holds one JSON object")
+        types = typing.get_type_hints(RunConfig)
+        declared = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        for name, value in data.items():
+            if name in types and not _fits(value, types[name]):
+                raise ValueError(f"config field {name!r} must be {declared[name]}, "
+                                 f"got {value!r}")
+        return RunConfig(**data)
+
+
+def _fits(value, tp) -> bool:
+    """Whether a JSON value has a RunConfig field's declared type; an int
+    fits a float field, a bool only a bool field."""
+    if typing.get_origin(tp) is typing.Union:
+        return any(_fits(value, arg) for arg in typing.get_args(tp))
+    if typing.get_origin(tp) is list:
+        (item,) = typing.get_args(tp)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    return type(value) in ((int, float) if tp is float else (tp,))
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
@@ -188,6 +209,8 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
         cfg.code = "hamming"
     if cfg.trials < 0:
         raise ValueError(f"trials must be >= 0, got {cfg.trials}")
+    if cfg.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {cfg.workers}")
     return cfg
 
 

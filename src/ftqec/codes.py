@@ -14,7 +14,7 @@ The module provides:
   (w, N_A, N_GV, N_h) derived from A,
 * bounded-distance coset-leader decoding from one sorted ball of low-weight
   syndromes (every syndrome for the small codes; weights exact up to 2R,
-  with R the ball's radius, and 2R + 1 beyond), and the crash criterion.
+  with R the ball's radius, and 2R + 1 beyond).
 
 The catalog in data/catalog.json carries the (w, N_A) values consumed by the
 analytic model; constructed matrices feed the simulator.  The two need not
@@ -558,27 +558,3 @@ def decoder_for(code: ClassicalCode) -> CosetDecoder:
     if key not in _decoder_cache:
         _decoder_cache[key] = CosetDecoder(code)
     return _decoder_cache[key]
-
-
-def coset_leader_weight(code: ClassicalCode, syndrome: int) -> int:
-    """Minimum weight of an error with H e = syndrome (a packed int).
-
-    Weights are exact up to twice the decoder's ball radius R; a result of
-    2R + 1 means the leader is heavier than that (see CosetDecoder).
-    """
-    return decoder_for(code).leader_weight(syndrome)
-
-
-def syndrome_of(code: ClassicalCode, error_bits) -> int:
-    """Packed-int syndrome H e for an n-bit error pattern."""
-    e = np.asarray(error_bits, dtype=np.uint8) & 1
-    if e.shape[0] != code.n:
-        raise ValueError("error vector length must equal n")
-    return gf2.rows_to_ints(gf2.matmul(code.H, e[:, None]).T)[0]
-
-
-def is_crash(code: ClassicalCode, e_x, e_z) -> bool:
-    """True when either error component has coset-leader weight above t."""
-    weights, _ = decoder_for(code).decode(
-        [syndrome_of(code, e_x), syndrome_of(code, e_z)])
-    return bool((weights > code.t).any())

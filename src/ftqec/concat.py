@@ -1,19 +1,15 @@
 """Concatenated coding: crash rates of two-level codes and noise thresholds.
 
-Two treatments are implemented.  The monolithic view regards the pair as a
-single CSS code of parameters [[n_i n_o, k_o, (d_i d_o + d_i + d_o - 1)/2]]
-and reuses the flat analytic model with the weight tail replaced by the
-hierarchical uncorrectability condition (more than t_i errors in more than
-t_o sub-blocks).  The level-recursive view recovers the inner blocks inside
-the outer networks: the inner crash probability per recovery becomes the
-gate and memory failure rate of the level-1 qubits, with the inner resting
-term stretched by eta = 1 + N_h_outer / (2 N_GV_outer) and the outer level
-evaluated with no holes, unit measurement time and its resting term shrunk
-by the same eta.
+Concatenation is treated level by level: the inner blocks are recovered
+inside the outer networks.  The inner crash probability per recovery
+becomes the gate and memory failure rate of the level-1 qubits, with the
+inner resting term stretched by eta = 1 + N_h_outer / (2 N_GV_outer) and the
+outer level evaluated with no holes, unit measurement time and its resting
+term shrunk by the same eta.
 
-Iterating the level-recursive map with one k = 1 code at every level yields
-the noise threshold: the largest physical gate rate for which the per-level
-crash probabilities keep falling.
+Iterating this map with one k = 1 code at every level yields the noise
+threshold: the largest physical gate rate for which the per-level crash
+probabilities keep falling.
 """
 from __future__ import annotations
 
@@ -22,7 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import analytic
-from .analytic import binom_pmf
+# unused here; kept because perfbench/spans.py wraps concat.binom_pmf
+from .analytic import binom_pmf  # noqa: F401
 from .codes import CodeParams
 from .noise import NoiseParams
 from .protocol import ProtocolParams
@@ -50,38 +47,6 @@ class ConcatEstimate:
     below_breakeven: bool
     inner_protocol: ProtocolParams
     outer_protocol: ProtocolParams
-
-
-def supercode_params(inner: CodeParams, outer: CodeParams) -> CodeParams:
-    """Parameters of the combined block in the monolithic view."""
-    if inner.k != 1:
-        raise ValueError("inner code must encode a single qubit")
-    n = inner.n * outer.n
-    k = outer.k
-    d = (inner.d * outer.d + inner.d + outer.d - 1) // 2
-    # w and N_A of the combined (I A) form are not needed by the
-    # hierarchical tail; carry the inner/outer products for the counts
-    w = inner.w * outer.w if inner.w and outer.w else max(inner.w, outer.w)
-    n_a = inner.N_A * outer.n + outer.N_A * inner.n
-    return CodeParams.from_counts(n, k, d, w, n_a,
-                                  source="constructed",
-                                  name=f"{inner.name}*{outer.name}")
-
-
-def hierarchical_tail(inner: CodeParams, outer: CodeParams):
-    """Uncorrectability probability for the monolithic treatment.
-
-    Converts the failure-location counts into a per-bit error probability
-    and demands more than t_i errors inside more than t_o sub-blocks.
-    """
-    n_total = inner.n * outer.n
-
-    def tail(g: float, s: float, gamma_eff: float, eps_eff: float) -> float:
-        p_bit = min(1.0, (g * gamma_eff + s * eps_eff) / n_total)
-        p_block = binom_pmf(inner.n, inner.t + 1, p_bit)
-        return binom_pmf(outer.n, outer.t + 1, p_block)
-
-    return tail
 
 
 def eta_factor(outer: CodeParams) -> float:
@@ -126,19 +91,6 @@ def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
                           below_breakeven=False,
                           inner_protocol=inner_protocol,
                           outer_protocol=outer_protocol)
-
-
-def monolithic_estimate(inner: CodeParams, outer: CodeParams,
-                        gamma: float, eps: float, t_m: int,
-                        n_rep: float = 1.0,
-                        r_values=range(1, 7)) -> tuple[float, CodeParams]:
-    """Crash probability treating the pair as one large CSS code."""
-    combo = supercode_params(inner, outer)
-    noise = NoiseParams.uniform(gamma, eps, t_m)
-    tail = hierarchical_tail(inner, outer)
-    _, pbar = analytic.optimize_protocol(
-        combo, noise, r_values=r_values, n_rep=n_rep, tail_model=tail)
-    return pbar, combo
 
 
 def _without_holes(code: CodeParams) -> CodeParams:

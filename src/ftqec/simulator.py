@@ -639,9 +639,6 @@ class TrialStats:
             var += pq * (1.0 - pq) / tot
         return float(np.sqrt(var) / 4.0)
 
-    def fidelity(self, q: int) -> float:
-        return (1.0 - self.pbar) ** q
-
 
 # ---------------------------------------------------------------------------
 # simulation engine
@@ -945,6 +942,8 @@ def estimate_pbar_mc(config: SimConfig, seed: int = 0,
     counts are identical for any worker count.  The last chunk ends with
     the batch that holds trial ``max_trials``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     total = TrialStats.empty(config.q_max, seed=seed)
     chunk = config.chunk_batches
     last = -(-config.max_trials // 64)

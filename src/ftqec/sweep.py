@@ -102,7 +102,9 @@ def kq_value(k: int, pbar: float) -> float:
 
 
 DEFAULT_N_REP_GRID = (0.5, 1.0, 2.5, 5.0, 10.0)
-DEFAULT_INNER_CODES = ("hamming", "golay")
+# the inner codes of the concatenations, and the r values every sweep tries
+INNER_CODES = ("hamming", "golay")
+R_VALUES = (1, 2, 3, 4, 5, 6)
 
 
 @dataclass(frozen=True)
@@ -112,12 +114,15 @@ class SweepConfig:
     t_m: int = 25
     n_rep_grid: tuple[float, ...] = DEFAULT_N_REP_GRID
     codes: Optional[tuple[str, ...]] = None        # default: whole catalog
-    inner_codes: tuple[str, ...] = DEFAULT_INNER_CODES
     include_concatenations: bool = True
-    r_values: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     # "full": free (r, r', r'') grid; "catalog": the nested family
     # r-1 = r' = r''+1 that the code catalog's r_opt column reports
     protocol_family: str = "full"
+
+    def __post_init__(self):
+        if self.protocol_family not in ("full", "catalog"):
+            raise ValueError("protocol_family must be 'full' or 'catalog', "
+                             f"got {self.protocol_family!r}")
 
     def family_constraint(self):
         if self.protocol_family == "catalog":
@@ -126,8 +131,8 @@ class SweepConfig:
 
     def family_r_values(self) -> tuple[int, ...]:
         if self.protocol_family == "catalog":
-            return tuple(r for r in self.r_values if r >= 3)
-        return self.r_values
+            return tuple(r for r in R_VALUES if r >= 3)
+        return R_VALUES
 
 
 def build_surface(config: SweepConfig) -> Surface:
@@ -156,7 +161,7 @@ def build_surface(config: SweepConfig) -> Surface:
                     scale_up=scale_up(code, n_rep), pbar=pbar,
                     kq=kq_value(code.k, pbar)))
         if config.include_concatenations:
-            for inner_nm in config.inner_codes:
+            for inner_nm in INNER_CODES:
                 inner = code_params.get(inner_nm) or params_from_catalog(inner_nm)
                 for nm, outer in code_params.items():
                     for n_rep in config.n_rep_grid:

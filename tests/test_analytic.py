@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from ftqec import analytic, codes, concat, sweep
-from ftqec.analytic import (binom_pmf, bprime,
-                            bprime_approx_binomial, bprime_approx_powerlaw,
-                            crash_estimate, model_curves,
+from ftqec.analytic import (binom_pmf, bprime, crash_estimate, model_curves,
                             optimize_protocol, preparation_stats, solve_beta)
 from ftqec.noise import NoiseParams
 from ftqec.simulator import ProtocolParams, ProtocolError
@@ -120,18 +118,6 @@ def test_tail_is_not_rounding_noise():
     assert abs(tail - direct) <= 1e-6 * direct
 
 
-def test_bprime_first_approximation():
-    exact = bprime(1000, 5000, 2, 1e-4, 1e-5)
-    approx = bprime_approx_binomial(1000, 5000, 2, 1e-4, 1e-5)
-    assert abs(approx - exact) / exact < 0.10
-
-
-def test_bprime_powerlaw_order_of_magnitude():
-    exact = bprime(1000, 5000, 2, 1e-4, 1e-5)
-    rough = bprime_approx_powerlaw(1000, 5000, 2, 1e-4, 1e-5)
-    assert 0.1 < rough / exact < 10
-
-
 # -- preparation stats --------------------------------------------------------
 
 def test_preparation_stats_zero_noise():
@@ -239,9 +225,8 @@ def test_low_noise_power_law(name, t, pp):
 # -- optimizer ----------------------------------------------------------------
 
 def test_optimize_single_point_grid():
-    pp, pbar = optimize_protocol(WORKED_CODE, WORKED_NOISE,
-                                 r_values=[5], rp_values=[4], rpp_values=[3],
-                                 n_rep=2.5)
+    pp, pbar = optimize_protocol(WORKED_CODE, WORKED_NOISE, r_values=[5], n_rep=2.5,
+                                 constraint=lambda r, rp, rpp: (rp, rpp) == (4, 3))
     assert (pp.r, pp.r_prime, pp.r_dprime) == (5, 4, 3)
     assert pbar == crash_estimate(WORKED_CODE, WORKED_NOISE, WORKED_PP).pbar
 
@@ -269,20 +254,18 @@ def test_optimize_hamming_high_noise():
     assert alt / best < 1.6
 
 
-def _grid_minimum(code, noise, r_values=range(1, 7), rp_values=None,
-                  rpp_values=None, constraint=None, n_rep=1.0,
-                  parallel_corrections=None, rest_scale=1.0, tail_model=None):
+def _grid_minimum(code, noise, r_values=range(1, 7), constraint=None, n_rep=1.0,
+                  parallel_corrections=None, rest_scale=1.0):
     """optimize_protocol's answer from one crash_estimate per triple."""
     best = None
     for r in r_values:
-        for rp in (rp_values if rp_values is not None else range(1, r + 1)):
-            for rpp in (rpp_values if rpp_values is not None else range(1, r + 1)):
-                if rp > r or rpp > r or (constraint and not constraint(r, rp, rpp)):
+        for rp in range(1, r + 1):
+            for rpp in range(1, r + 1):
+                if constraint and not constraint(r, rp, rpp):
                     continue
                 pp = ProtocolParams(r, rp, rpp, n_rep=n_rep,
                                     parallel_corrections=parallel_corrections)
-                est = crash_estimate(code, noise, pp, rest_scale=rest_scale,
-                                     tail_model=tail_model)
+                est = crash_estimate(code, noise, pp, rest_scale=rest_scale)
                 key = (est.pbar, r, rp, rpp)
                 if best is None or key < best:
                     best = key
@@ -303,25 +286,74 @@ _ROUNDING_NOISE = NoiseParams.uniform(1e-4, 1e-4, 1)
     ("golay", {"parallel_corrections": 1.0}),
     ("golay", {"rest_scale": _ETA}),
     ("bch127-43", {"rest_scale": 1.0 / _ETA}),
-    ("hamming+golay", {"tail_model": concat.hierarchical_tail(
-        codes.params_from_catalog("hamming"), codes.params_from_catalog("golay"))}),
-    ("golay", {"r_values": (5, 2, 6, 3), "rp_values": (3, 1, 2),
-               "rpp_values": (2, 6, 1, 4)}),
+    ("golay", {"r_values": (5, 2, 6, 3),
+               "constraint": lambda r, rp, rpp: rp in (3, 1, 2) and rpp in (2, 6, 1, 4)}),
     ("golay", {"r_values": _CATALOG.family_r_values(),
                "constraint": _CATALOG.family_constraint()}),
-])
+# fixed ids, so that removing a case does not rename the cases after it
+], ids=[f"{name}-kwargs{i}" for name, i in (
+    ("golay", 0), ("hamming", 1), ("golay", 2), ("golay", 3), ("bch127-43", 4),
+    ("golay", 6), ("golay", 7))])
 @pytest.mark.parametrize("noise", [NoiseParams.uniform(1e-4, 1e-6, 25),
                                    NoiseParams.uniform(1e-3, 1e-3, 1),
                                    NoiseParams.uniform(3e-3, 3e-5, 25),
                                    _SATURATED_NOISE, _ROUNDING_NOISE])
 def test_optimize_equals_per_triple_minimum(name, kwargs, noise):
-    if name == "hamming+golay":
-        code = concat.supercode_params(codes.params_from_catalog("hamming"),
-                                       codes.params_from_catalog("golay"))
-    else:
-        code = codes.params_from_catalog(name)
+    code = codes.params_from_catalog(name)
     pp, pbar = optimize_protocol(code, noise, **kwargs)
     assert (pbar, pp.r, pp.r_prime, pp.r_dprime) == _grid_minimum(code, noise, **kwargs)
+
+
+# Model outputs pinned as exact literals: a change that only makes the model
+# faster or smaller must keep them bit for bit.
+_GOLAY = codes.params_from_catalog("golay")
+_GOLAY_NOISE = NoiseParams.uniform(1e-3, 1e-5, 25)
+PINNED_ESTIMATES = [
+    ((WORKED_CODE, WORKED_NOISE, WORKED_PP),
+     {'p_za': 0.14225859194618795, 'alpha': 0.7396713333333333,
+      'beta': 0.790955645838082, 'p_0': 0.922137649425991, 't_r': 143.9805564528637,
+      'g_1_1': 647.6999999999999, 'g_1_r': 2222.5, 'g_r_1': 1155.7, 'g_r_r': 2730.5,
+      's_1': 22222.53066951369, 's_r': 37970.53066951369,
+      'p1_single': 1.6776592462062654e-10, 'p1_multi': 5.751228255508475e-10,
+      'p_agree_1': 0.8492938166300592, 'p_agree_later': 0.9977620303896119,
+      'p_ws': 4.554321097444445e-15, 'r_bar': 1.7731688631061182,
+      'deferred_sum': 1.1714328402232458e-10, 'pbar': 5.18583413886025e-10,
+      'usable': True}),
+    ((_GOLAY, _GOLAY_NOISE, ProtocolParams(4, 3, 3, parallel_corrections=1.0)),
+     {'p_za': 0.10097743351669453, 'alpha': 0.8715066666666667,
+      'beta': 0.8163592490155615, 'p_0': 0.9080520105395162, 't_r': 73.0,
+      'g_1_1': 93.14999999999999, 'g_1_r': 234.6, 'g_r_1': 162.15,
+      'g_r_r': 303.59999999999997, 's_1': 2323.0, 's_r': 4255.0,
+      'p1_single': 8.681955224518019e-06, 'p1_multi': 2.481390962338558e-05,
+      'p_agree_1': 0.9467463296466522, 'p_agree_later': 0.9998150320850984,
+      'p_ws': 6.148161999999999e-09, 'r_bar': 1.5411427089369492,
+      'deferred_sum': 3.196113354370614e-06, 'pbar': 2.3979552561524892e-05,
+      'usable': True}),
+    ((_GOLAY, _SATURATED_NOISE, ProtocolParams(4, 3, 3)),
+     {'p_za': 0.9999999999999996, 'alpha': 0.0, 'beta': 0.0, 'p_0': 0.0,
+      't_r': 0.0, 'g_1_1': 0.0, 'g_1_r': 0.0, 'g_r_1': 0.0, 'g_r_r': 0.0,
+      's_1': 0.0, 's_r': 0.0, 'p1_single': 0.0, 'p1_multi': 0.0,
+      'p_agree_1': 0.0, 'p_agree_later': 0.0, 'p_ws': 0.0, 'r_bar': 0.0,
+      'deferred_sum': 0.0, 'pbar': 1.0, 'usable': False}),
+]
+
+
+@pytest.mark.parametrize("args,breakdown", PINNED_ESTIMATES,
+                         ids=["worked", "golay-pinned", "unusable"])
+def test_crash_estimate_pinned(args, breakdown):
+    assert crash_estimate(*args).as_dict() == breakdown
+
+
+def test_optimize_and_concat_pinned():
+    assert optimize_protocol(_GOLAY, WORKED_NOISE, rest_scale=_ETA) == (
+        ProtocolParams(3, 3, 1), 7.173292560197357e-10)
+    assert optimize_protocol(_GOLAY, _GOLAY_NOISE, parallel_corrections=1.0) == (
+        ProtocolParams(2, 2, 1, parallel_corrections=1.0), 1.1210965614730086e-05)
+    est = concat.concat_estimate(concat.ConcatSpec(_GOLAY, WORKED_CODE), 1e-4, 1e-6)
+    assert est == concat.ConcatEstimate(
+        pbar=1.9249377897894157e-45, inner_pbar=2.6399596973623925e-10,
+        eta=2.2053402005963676, below_breakeven=False,
+        inner_protocol=ProtocolParams(3, 3, 1), outer_protocol=ProtocolParams(5, 5, 1))
 
 
 def test_equivalence_grid_reaches_edge_cases():

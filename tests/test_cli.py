@@ -221,3 +221,27 @@ def test_config_file_with_flag_override(tmp_path):
     payload = json.loads((tmp_path / "estimate.json").read_text())
     assert payload["code"] == "golay"       # flag overrides config
     assert payload["gamma"] == 1e-3          # config value retained
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"subcommand": "estimate", "gamma": "x"}, "gamma"),
+    ({"subcommand": "simulate", "workers": "2"}, "workers"),
+    ({"subcommand": "estimate", "t_m": 1.5}, "t_m"),
+    ({"subcommand": "estimate", "optimize": 1}, "optimize"),
+    ({"subcommand": "surface", "gammas": ["1e-4"]}, "gammas"),
+])
+def test_config_file_field_of_wrong_type_is_config_error(fields, name, tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(fields))
+    rc = run(["--config", str(cfg_path), fields["subcommand"], "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(name) in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_nonpositive_workers_is_config_error(workers, tmp_path, capsys):
+    rc = run(["simulate", "--code", "hamming", "--parallel-corrections", "1",
+              "--trials", "64", "--workers", workers, "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "workers" in capsys.readouterr().err

@@ -1,54 +1,12 @@
-import math
-
 import pytest
 
 from ftqec import codes, concat
-from ftqec.codes import CodeParams
 from ftqec.concat import (ConcatSpec, concat_estimate, eta_factor,
-                          hierarchical_tail, level_trace, monolithic_estimate,
-                          supercode_params, threshold)
+                          level_trace, threshold)
 from ftqec.noise import NoiseParams
 
 GOLAY = codes.params_from_catalog("golay")
-HAMMING = codes.params_from_catalog("hamming")
 BCH29 = codes.params_from_catalog("bch127-29")
-TRIVIAL = codes.params_from_catalog("none")
-
-
-def test_supercode_hamming_golay():
-    combo = supercode_params(HAMMING, GOLAY)
-    assert (combo.n, combo.k, combo.d) == (161, 1, 15)
-
-
-def test_supercode_hamming_squared():
-    combo = supercode_params(HAMMING, HAMMING)
-    assert (combo.n, combo.k, combo.d) == (49, 1, 7)
-
-
-def test_supercode_trivial_inner():
-    combo = supercode_params(TRIVIAL, GOLAY)
-    assert (combo.n, combo.k, combo.d) == (GOLAY.n, GOLAY.k, GOLAY.d)
-
-
-def test_hierarchical_tail_zero_noise():
-    tail = hierarchical_tail(HAMMING, GOLAY)
-    assert tail(100.0, 100.0, 0.0, 0.0) == 0.0
-
-
-def test_hierarchical_tail_orders_per_level():
-    tail = hierarchical_tail(HAMMING, GOLAY)
-    # one failure rate: uncorrectable needs (t_i+1)(t_o+1) = 8 coincidences
-    lo = tail(161.0, 0.0, 1e-4, 0.0)
-    hi = tail(161.0, 0.0, 1e-3, 0.0)
-    assert lo > 0
-    assert 10 ** 7 < hi / lo < 10 ** 9
-
-
-def test_monolithic_estimate_runs():
-    pbar, combo = monolithic_estimate(HAMMING, GOLAY, 1e-4, 1e-6, t_m=25,
-                                      n_rep=1.0, r_values=range(2, 5))
-    assert 0.0 < pbar < 1.0
-    assert combo.n == 161
 
 
 def test_eta_factor_near_two():

@@ -99,3 +99,9 @@ def test_rows_schema():
 def test_plot_script_mentions_csv():
     script = sweep.surface_plot_script("surface.csv")
     assert "surface.csv" in script
+
+
+def test_unknown_protocol_family_refused():
+    # a misspelt family would otherwise sweep the full grid
+    with pytest.raises(ValueError, match="catlog"):
+        SweepConfig(gammas=(1e-4,), protocol_family="catlog")
