@@ -24,7 +24,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .codes import CodeParams
 from .noise import NoiseParams
@@ -46,6 +45,16 @@ _BETA_MAX_ITER = 200
 # ---------------------------------------------------------------------------
 # binomial building blocks (real-valued trial counts allowed)
 # ---------------------------------------------------------------------------
+
+def gammaln(x):
+    """log|Gamma(x)|: ``scipy.special.gammaln``, which replaces this function
+    as the module global on its first call.  Importing scipy costs more than
+    the rest of the package's import, and the Monte-Carlo path never
+    evaluates a binomial, so only the model routes pay for it."""
+    global gammaln
+    from scipy.special import gammaln
+    return gammaln(x)
+
 
 def binom_pmf(n: float, m: int, p: float) -> float:
     """C(n, m) p^m (1-p)^(n-m) with the gamma-function generalization of

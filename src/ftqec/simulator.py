@@ -944,6 +944,12 @@ def estimate_pbar_mc(config: SimConfig, seed: int = 0,
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    # a target below 1 is met by the first chunk; a chunk of 0 batches
+    # never reaches the trial cap
+    if config.target_failures < 1:
+        raise ValueError(f"target_failures must be >= 1, got {config.target_failures}")
+    if config.chunk_batches < 1:
+        raise ValueError(f"chunk_batches must be >= 1, got {config.chunk_batches}")
     total = TrialStats.empty(config.q_max, seed=seed)
     chunk = config.chunk_batches
     last = -(-config.max_trials // 64)

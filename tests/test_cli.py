@@ -58,6 +58,32 @@ def test_simulate_refuses_code_without_decoder(tmp_path):
     assert done.stderr.count("\n") == 1
 
 
+def test_monte_carlo_never_imports_scipy(tmp_path):
+    # scipy is imported by the model's first binomial and then is the
+    # module's gammaln itself, with no wrapper left on the model's path
+    script = """
+import sys
+from ftqec import analytic, cli, codes
+from ftqec.noise import NoiseParams
+from ftqec.protocol import ProtocolParams
+out = sys.argv[1]
+for protocol in (["--parallel-corrections", "1"], ["--nrep", "3"]):
+    rc = cli.run(["simulate", "--code", "hamming", *protocol, "--trials", "64",
+                  "--out-dir", out])
+    assert rc == cli.EXIT_FLAGGED, rc
+assert "scipy" not in sys.modules, "the Monte Carlo imported scipy"
+analytic.crash_estimate(codes.params_from_catalog("golay"),
+                        NoiseParams.uniform(1e-4, 1e-6, 1), ProtocolParams(2, 2, 2))
+import scipy.special
+assert analytic.gammaln is scipy.special.gammaln, analytic.gammaln
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("subcommand,flag,value", [
     ("estimate", "--parallel-corrections", "0"),
     ("estimate", "--parallel-corrections", "-2"),
@@ -65,11 +91,14 @@ def test_simulate_refuses_code_without_decoder(tmp_path):
     ("estimate", "--nrep", "nan"),
     ("simulate", "--parallel-corrections", "0"),
     ("simulate", "--parallel-corrections", "-2"),
+    ("simulate", "--target-failures", "0"),
+    ("simulate", "--target-failures", "-1"),
 ])
 def test_nonpositive_provisioning_is_config_error(subcommand, flag, value, tmp_path, capsys):
-    # a trial cap keeps a simulate that is not refused short
-    cap = ["--trials", "64"] if subcommand == "simulate" else []
-    rc = run([subcommand, "--code", "hamming", flag, value, *cap, "--out-dir", str(tmp_path)])
+    # a pinned protocol and a trial cap keep a simulate that is not refused
+    # short; the row's own flag comes after them, so it wins
+    cap = ["--parallel-corrections", "1", "--trials", "64"] if subcommand == "simulate" else []
+    rc = run([subcommand, "--code", "hamming", *cap, flag, value, "--out-dir", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -229,6 +258,8 @@ def test_config_file_with_flag_override(tmp_path):
     ({"subcommand": "estimate", "t_m": 1.5}, "t_m"),
     ({"subcommand": "estimate", "optimize": 1}, "optimize"),
     ({"subcommand": "surface", "gammas": ["1e-4"]}, "gammas"),
+    ({"subcommand": "surface", "gammas": []}, "gammas"),
+    ({"subcommand": "ancilla-stats", "gammas": []}, "gammas"),
 ])
 def test_config_file_field_of_wrong_type_is_config_error(fields, name, tmp_path, capsys):
     cfg_path = tmp_path / "run.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -664,6 +665,16 @@ def test_nonpositive_workers_refused(workers):
                     target_failures=30, max_trials=64)
     with pytest.raises(ValueError, match="workers"):
         estimate_pbar_mc(cfg, seed=23, workers=workers)
+
+
+@pytest.mark.parametrize("field,value", [("target_failures", 0), ("target_failures", -1),
+                                         ("chunk_batches", 0)])
+def test_nonpositive_stop_rule_refused(field, value):
+    cfg = SimConfig("hamming", NoiseParams.uniform(5e-3, 5e-3, 1),
+                    ProtocolParams(2, 2, 2, parallel_corrections=1.0),
+                    target_failures=30, max_trials=64)
+    with pytest.raises(ValueError, match=field):
+        estimate_pbar_mc(dataclasses.replace(cfg, **{field: value}), seed=23)
 
 
 def test_protocol_params_validation():
