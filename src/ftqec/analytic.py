@@ -138,22 +138,20 @@ def preparation_stats(code: CodeParams, noise: NoiseParams) -> dict:
 
     p_za is the probability a verified ancilla carries at least one
     syndrome-corrupting error; alpha the fraction of prepared ancillas that
-    pass verification (linearized, clamped to [0, 1]).
+    pass verification (linearized, clamped to [0, 1]).  Every operation
+    fails at the one gate rate gamma: p_za counts half the N_GV preparation
+    and verification gates plus 3 n coupling, Hadamard and measurement
+    locations at 2 gamma / 3, and the resting slots at 2 eps / 3.
     """
-    g2, g1, gm, gp = noise.gamma2, noise.gamma1, noise.gamma_m, noise.gamma_p
-    eps, t_m = noise.eps, noise.t_m
+    gamma, eps, t_m = noise.gamma, noise.eps, noise.t_m
     n = code.n
     mem_count = 0.5 * code.N_h + t_m * n
-    if g2 > 0.0:
-        gate_count = 0.5 * code.N_GV + n * (1.0 + g1 / g2 + gm / g2)
-        log_keep = gate_count * math.log1p(-2.0 * g2 / 3.0)
-    else:
-        # limit form: the gamma1/gamma2 ratios cancel against the rate
-        log_keep = -(2.0 / 3.0) * n * (g1 + gm)
+    gate_count = 0.5 * code.N_GV + 3 * n
+    log_keep = gate_count * math.log1p(-2.0 * gamma / 3.0)
     if eps > 0.0:
         log_keep += mem_count * math.log1p(-2.0 * eps / 3.0)
     p_za = 1.0 - math.exp(log_keep)
-    alpha = 1.0 - (2.0 / 3.0) * (code.N_GV * g2 + n * gp + code.N_h * eps)
+    alpha = 1.0 - (2.0 / 3.0) * (code.N_GV * gamma + n * gamma + code.N_h * eps)
     usable = alpha > 0.0
     return {"p_za": min(max(p_za, 0.0), 1.0),
             "alpha": min(max(alpha, 0.0), 1.0),
@@ -177,7 +175,7 @@ def solve_beta(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     if not prep["usable"] and pp.parallel_corrections is None:
         # the resting time diverges: no verified ancillas to couple
         return 0.0, 0.0
-    g2_eff = 2.0 * noise.gamma2 / 3.0
+    gamma_eff = 2.0 * noise.gamma / 3.0
     eps_eff = 2.0 * noise.eps / 3.0
     beta = 0.5
     p0 = 0.0
@@ -187,8 +185,8 @@ def solve_beta(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
         g1r = _g_count(code, 1, pp.r)
         s1 = _s_count(code, noise, t_r, 1, rest_scale)
         sr = _s_count(code, noise, t_r, pp.r, rest_scale)
-        p0 = (beta * bprime(g11, s1, 0, g2_eff, eps_eff)
-              + (1.0 - beta) * bprime(g1r, sr, 0, g2_eff, eps_eff))
+        p0 = (beta * bprime(g11, s1, 0, gamma_eff, eps_eff)
+              + (1.0 - beta) * bprime(g1r, sr, 0, gamma_eff, eps_eff))
         beta_new = p0 * (1.0 - p_za)
         if abs(beta_new - beta) < _BETA_TOL:
             return beta_new, p0
@@ -262,7 +260,7 @@ def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     out.beta, out.p_0 = beta, p0
     out.t_r = resting_time(code.w, noise.t_m, pp, out.alpha, beta)
 
-    g2_eff = 2.0 * noise.gamma2 / 3.0
+    gamma_eff = 2.0 * noise.gamma / 3.0
     eps_eff = 2.0 * noise.eps / 3.0
     r, n, t = pp.r, code.n, code.t
 
@@ -279,8 +277,8 @@ def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
             memory_series[s] = _binom_series(s, n, eps_eff)
 
     def p1(r_x: float) -> float:
-        g_a = _binom_series(_g_count(code, r_x, 1), n, g2_eff)
-        g_b = _binom_series(_g_count(code, r_x, r), n, g2_eff)
+        g_a = _binom_series(_g_count(code, r_x, 1), n, gamma_eff)
+        g_b = _binom_series(_g_count(code, r_x, r), n, gamma_eff)
         return (beta * _tail_of_series(g_a, memory_series[out.s_1], t)
                 + (1.0 - beta) * _tail_of_series(g_b, memory_series[out.s_r], t))
 
@@ -324,7 +322,7 @@ def _floor_terms(base: EstimateBreakdown, code: CodeParams,
 
     p_agree_1 = sum(pmf[r][rp:])
     p_agree_later = sum(pmf[r + rpp][rp:])
-    p_ws = (code.N_GV * (noise.gamma2 / 3.0) ** rp
+    p_ws = (code.N_GV * (noise.gamma / 3.0) ** rp
             + code.N_h * (noise.eps / 3.0) ** rp)
     r_bar = beta + (1.0 - beta) * (p_agree_1 * r + (1.0 - p_agree_1) * rpp)
 
@@ -347,7 +345,7 @@ def _finish_estimate(base: EstimateBreakdown, terms: dict,
     if not out.usable or out.branch_leak > _S_TRUNCATION_REL:
         return out
     r, rpp = pp.r, pp.r_dprime
-    g2_eff = 2.0 * noise.gamma2 / 3.0
+    gamma_eff = 2.0 * noise.gamma / 3.0
     eps_eff = 2.0 * noise.eps / 3.0
 
     # deferred recoveries: first attempt found no consistent syndrome
@@ -357,7 +355,7 @@ def _finish_estimate(base: EstimateBreakdown, terms: dict,
         rz = j * out.r_bar
         g_j = _g_count(code, r + (j - 1) * rpp, rz)
         s_j = _s_count(code, noise, out.t_r, rz, rest_scale)
-        p_j = uncorrectable_tail(g_j, s_j, code.t, code.n, g2_eff, eps_eff)
+        p_j = uncorrectable_tail(g_j, s_j, code.t, code.n, gamma_eff, eps_eff)
         term = prefix * out.p_agree_later * (out.p_ws + (1.0 - out.p_ws) * p_j) / j
         s_sum += term
         prefix *= (1.0 - out.p_agree_later)
@@ -458,8 +456,7 @@ def model_curves(gammas=None) -> list[dict]:
         for ratio in (1.0, 0.1, 0.01):
             for t_m in (1, 25):
                 for gamma in gammas:
-                    noise = NoiseParams.uniform(float(gamma),
-                                                float(gamma) * ratio, t_m)
+                    noise = NoiseParams(float(gamma), float(gamma) * ratio, t_m)
                     est = crash_estimate(code, noise, pp)
                     rows.append({
                         "code": name, "gamma": float(gamma),

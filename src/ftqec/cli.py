@@ -12,8 +12,9 @@ Subcommands map one-to-one onto the library workflows:
 All tabular output is CSV without timestamps so reruns with the same seed
 and configuration are byte-identical.  Exit codes: 0 success, 2 bad
 configuration (including an unknown --code), 3 a numerical flag was raised
-(a censored Monte Carlo run, a code unusable at the requested noise, or a
-threshold recursion that diverges even at the lowest probed rate).
+(a censored Monte Carlo run, a code unusable at the requested noise, a
+threshold recursion that diverges even at the lowest probed rate, or an
+ancilla census that fits no syndrome).
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ class RunConfig:
     curves: bool = False
 
     def noise(self) -> NoiseParams:
-        return NoiseParams.uniform(self.gamma, self.eps, self.t_m)
+        return NoiseParams(self.gamma, self.eps, self.t_m)
 
     def protocol(self) -> ProtocolParams:
         return ProtocolParams(self.r, self.r_prime, self.r_dprime,
@@ -136,12 +137,12 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--code", default=None)
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--tm", type=int, default=None)
-    sp.add_argument("--nrep", type=float, default=None)
+    sp.add_argument("--tm", dest="t_m", type=int, default=None)
+    sp.add_argument("--nrep", dest="n_rep", type=float, default=None)
     sp.add_argument("--parallel-corrections", type=float, default=None)
     sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--rp", type=int, default=None)
-    sp.add_argument("--rpp", type=int, default=None)
+    sp.add_argument("--rp", dest="r_prime", type=int, default=None)
+    sp.add_argument("--rpp", dest="r_dprime", type=int, default=None)
     sp.add_argument("--trials", type=int, default=None,
                     help="trial cap (0 = run to the failure target)")
     sp.add_argument("--target-failures", type=int, default=None)
@@ -151,12 +152,12 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--code", default=None)
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--tm", type=int, default=None)
-    sp.add_argument("--nrep", type=float, default=None)
+    sp.add_argument("--tm", dest="t_m", type=int, default=None)
+    sp.add_argument("--nrep", dest="n_rep", type=float, default=None)
     sp.add_argument("--parallel-corrections", type=float, default=None)
     sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--rp", type=int, default=None)
-    sp.add_argument("--rpp", type=int, default=None)
+    sp.add_argument("--rp", dest="r_prime", type=int, default=None)
+    sp.add_argument("--rpp", dest="r_dprime", type=int, default=None)
     sp.add_argument("--optimize", action="store_true",
                     help="grid-minimize pbar over (r, r', r'')")
     sp.add_argument("--curves", action="store_true",
@@ -166,21 +167,21 @@ def _parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--code", default=None)
     sp.add_argument("--eps-over-gamma", type=float, default=None)
-    sp.add_argument("--tm", type=int, default=None)
+    sp.add_argument("--tm", dest="t_m", type=int, default=None)
     sp.add_argument("--rel-width", type=float, default=None)
 
     sp = sub.add_parser("surface", help="KQ surface")
     common(sp)
     sp.add_argument("--gammas", type=float, nargs="+", default=None)
     sp.add_argument("--eps-over-gamma", type=float, default=None)
-    sp.add_argument("--tm", type=int, default=None)
+    sp.add_argument("--tm", dest="t_m", type=int, default=None)
 
     sp = sub.add_parser("ancilla-stats", help="preparation census")
     common(sp)
     sp.add_argument("--code", default=None)
     sp.add_argument("--gammas", type=float, nargs="+", default=None)
     sp.add_argument("--eps-over-gamma", type=float, default=None)
-    sp.add_argument("--tm", type=int, default=None)
+    sp.add_argument("--tm", dest="t_m", type=int, default=None)
     sp.add_argument("--trials", type=int, default=None)
     return p
 
@@ -191,20 +192,11 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
         cfg.subcommand = ns.subcommand
     else:
         cfg = RunConfig(subcommand=ns.subcommand)
-    field_map = {
-        "code": "code", "gamma": "gamma", "eps": "eps", "tm": "t_m",
-        "nrep": "n_rep", "parallel_corrections": "parallel_corrections",
-        "r": "r", "rp": "r_prime", "rpp": "r_dprime",
-        "eps_over_gamma": "eps_over_gamma", "trials": "trials",
-        "target_failures": "target_failures", "seed": "seed",
-        "workers": "workers", "out_dir": "out_dir", "rel_width": "rel_width",
-        "gammas": "gammas", "optimize": "optimize", "curves": "curves",
-    }
-    for arg, field_name in field_map.items():
-        if hasattr(ns, arg):
-            val = getattr(ns, arg)
-            if val is not None and val is not False:
-                setattr(cfg, field_name, val)
+    # every flag's dest is the name of the RunConfig field it sets
+    for f in dataclasses.fields(RunConfig):
+        val = getattr(ns, f.name, None)
+        if val is not None and val is not False:
+            setattr(cfg, f.name, val)
     if cfg.code is None and cfg.subcommand != "codes":
         cfg.code = "hamming"
     if cfg.trials < 0:
@@ -318,8 +310,7 @@ def _cmd_surface(cfg: RunConfig) -> int:
 def _cmd_ancilla_stats(cfg: RunConfig) -> int:
     gammas = cfg.gammas or [1e-4, 2e-4, 5e-4, 1e-3]
     trials = cfg.trials or 20000
-    grid = [NoiseParams.uniform(g, g * cfg.eps_over_gamma, cfg.t_m)
-            for g in gammas]
+    grid = [NoiseParams(g, g * cfg.eps_over_gamma, cfg.t_m) for g in gammas]
     censuses = stats_mod.syndrome_census(cfg.code, grid, trials, seed=cfg.seed)
     code = codes_mod.standardized_code(codes_mod.construct_code(cfg.code))
     decoder = codes_mod.decoder_for(code)
@@ -351,6 +342,11 @@ def _cmd_ancilla_stats(cfg: RunConfig) -> int:
     if unverified:
         print(f"ancilla-stats: {unverified} ancilla preparations ran out of "
               "attempts and were read unverified", file=sys.stderr)
+    if not fit.a_s:
+        print("ancilla-stats: no syndrome fitted: a power-law fit needs three "
+              f"noise levels where its probability is in (0, "
+              f"{stats_mod.FIT_PROBABILITY_CUTOFF:g})", file=sys.stderr)
+        return EXIT_FLAGGED
     return EXIT_OK
 
 

@@ -150,7 +150,6 @@ class ClassicalCode:
     d: int          # quantum distance
     H: np.ndarray
     generator: np.ndarray
-    spec: Optional[CodeSpec] = None
 
     @property
     def dim(self) -> int:
@@ -262,7 +261,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _finish(name: str, spec: CodeSpec, n: int, gen_c: np.ndarray, d: int) -> ClassicalCode:
+def _finish(name: str, n: int, gen_c: np.ndarray, d: int) -> ClassicalCode:
     """Reduce a spanning set of C, derive H, and check the invariants."""
     g = gf2.row_basis(gen_c)
     dim_c = g.shape[0]
@@ -278,7 +277,7 @@ def _finish(name: str, spec: CodeSpec, n: int, gen_c: np.ndarray, d: int) -> Cla
         raise CodeConstructionError(f"{name}: code is not self-orthogonal")
     if np.any(gf2.matmul(h, g.T)):
         raise CodeConstructionError(f"{name}: H does not annihilate the generator")
-    return ClassicalCode(name=name, n=n, k=k, d=d, H=h, generator=g, spec=spec)
+    return ClassicalCode(name=name, n=n, k=k, d=d, H=h, generator=g)
 
 
 def _construct_bch(spec: CodeSpec, name: str) -> ClassicalCode:
@@ -296,7 +295,7 @@ def _construct_bch(spec: CodeSpec, name: str) -> ClassicalCode:
         for bit in range(m):
             rows.append([(powers[(j * i) % n] >> bit) & 1 for i in range(n)])
     gen_c = np.array(rows, dtype=np.uint8)
-    return _finish(name, spec, n, gen_c, spec.d)
+    return _finish(name, n, gen_c, spec.d)
 
 
 def _construct_qr(spec: CodeSpec, name: str) -> ClassicalCode:
@@ -311,7 +310,7 @@ def _construct_qr(spec: CodeSpec, name: str) -> ClassicalCode:
     for i in range(1, p):
         f[i] = 0 if i in residues else 1
     circulant = np.array([np.roll(f, i) for i in range(p)], dtype=np.uint8)
-    return _finish(name, spec, p, circulant, spec.d)
+    return _finish(name, p, circulant, spec.d)
 
 
 def _construct_shortened(spec: CodeSpec, name: str) -> ClassicalCode:
@@ -323,7 +322,7 @@ def _construct_shortened(spec: CodeSpec, name: str) -> ClassicalCode:
             f"({h_cut.shape[0]} < {base.H.shape[0]})")
     n = base.n - 2
     gen_c = gf2.row_basis(gf2.null_space(h_cut))
-    return _finish(name, spec, n, gen_c, spec.d)
+    return _finish(name, n, gen_c, spec.d)
 
 
 def construct_code(spec: Union[CodeSpec, str], name: str = "") -> ClassicalCode:
@@ -374,7 +373,7 @@ def standardized_code(code: ClassicalCode) -> ClassicalCode:
     sf = standard_form(code)
     gen = gf2.row_basis(gf2.null_space(sf.H_std))
     return ClassicalCode(name=code.name, n=code.n, k=code.k, d=code.d,
-                         H=sf.H_std, generator=gen, spec=code.spec)
+                         H=sf.H_std, generator=gen)
 
 
 def derived_params(sf: StandardForm, n: int, k: int, d: int,

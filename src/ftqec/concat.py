@@ -30,8 +30,7 @@ class ConcatSpec:
     """One inner-outer concatenation (inner encodes single qubits)."""
     inner: CodeParams
     outer: CodeParams
-    n_rep_inner: float = 1.0
-    n_rep_outer: float = 1.0
+    n_rep: float = 1.0       # ancilla provisioning at both levels
     t_m: int = 1
 
     def __post_init__(self):
@@ -65,9 +64,9 @@ def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
     level runs ``outer_protocol`` instead when it is given.
     """
     eta = eta_factor(spec.outer)
-    noise_in = NoiseParams.uniform(gamma, eps, spec.t_m)
+    noise_in = NoiseParams(gamma, eps, spec.t_m)
     inner_protocol, inner_pbar = analytic.optimize_protocol(
-        spec.inner, noise_in, r_values=r_values, n_rep=spec.n_rep_inner,
+        spec.inner, noise_in, r_values=r_values, n_rep=spec.n_rep,
         rest_scale=eta, constraint=constraint)
     below = inner_pbar >= 0.5
     if below:
@@ -77,11 +76,11 @@ def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
                               outer_protocol=outer_protocol
                               or ProtocolParams(1, 1, 1))
     outer_code = _without_holes(spec.outer)
-    noise_out = NoiseParams.uniform(inner_pbar, inner_pbar, t_m=1)
+    noise_out = NoiseParams(inner_pbar, inner_pbar, t_m=1)
     if outer_protocol is None:
         outer_protocol, outer_pbar = analytic.optimize_protocol(
             outer_code, noise_out, r_values=r_values,
-            n_rep=spec.n_rep_outer, rest_scale=1.0 / eta,
+            n_rep=spec.n_rep, rest_scale=1.0 / eta,
             constraint=constraint)
     else:
         outer_pbar = analytic.crash_estimate(
@@ -119,24 +118,25 @@ _BISECTION_FLOOR = 1e-30
 
 
 def level_trace(code: CodeParams, gamma: float, eps_over_gamma: float,
-                t_m: int, levels: int = LEVELS_CHECKED) -> list[float]:
+                t_m: int) -> list[float]:
     """Per-level crash probabilities of ``code`` concatenated with itself.
 
     Level 1 runs at the physical noise and measurement time; level 2 absorbs
     the inner recoveries (no holes, unit measurement time); levels 3 and up
     iterate the stationary map at unit measurement time with the full hole
-    count, and stop once the rate reaches 1 or falls below the bisection
-    floor.  Every level is optimized at ``THRESHOLD_N_REP``.
+    count up to ``LEVELS_CHECKED``, and stop once the rate reaches 1 or
+    falls below the bisection floor.  Every level is optimized at
+    ``THRESHOLD_N_REP``.
     """
     trace = []
-    noise = NoiseParams.uniform(gamma, gamma * eps_over_gamma, t_m)
-    for level in range(1, levels + 1):
+    noise = NoiseParams(gamma, gamma * eps_over_gamma, t_m)
+    for level in range(1, LEVELS_CHECKED + 1):
         level_code = _without_holes(code) if level == 2 else code
         _, p = analytic.optimize_protocol(level_code, noise, n_rep=THRESHOLD_N_REP)
         trace.append(p)
         if level >= 3 and (p >= 1.0 or p < _BISECTION_FLOOR):
             break
-        noise = NoiseParams.uniform(p, p, t_m=1)
+        noise = NoiseParams(p, p, t_m=1)
     return trace
 
 

@@ -1,11 +1,13 @@
 """Stochastic failure model for gates, preparations, measurements and memory.
 
 Every operation is modeled as a random Pauli failure followed by the perfect
-operation.  Single-qubit gates fail with probability gamma1 (X, Y, Z equally
-likely); two-qubit gates fail with probability gamma2, drawing uniformly
-from the 15 non-identity two-qubit Paulis; preparations and measurements
-fail with gamma_p and gamma_m.  Resting qubits pick up X, Y or Z with
-probability eps/3 each per time step.  This module holds the rates, the
+operation, with the paper's two rates: the gate rate gamma and the memory
+rate eps.  Every gate, preparation and measurement fails with probability
+gamma.  A single-qubit gate or measurement then suffers X, Y or Z equally
+likely; a two-qubit gate draws uniformly from the 15 non-identity two-qubit
+Paulis; a preparation keeps only the 2 of 3 failures that flip its state
+(rate 2 gamma / 3).  Resting qubits pick up X, Y or Z with probability
+eps/3 each per time step.  This module holds the rates, the
 compounding of long rests and the random streams.  The simulator samples
 this model from compiled single-fault tables (``simulator._fault_table``):
 at each gate, preparation, measurement or idle location an independent
@@ -49,26 +51,21 @@ TWO_QUBIT_FAILURES: tuple[tuple[Pauli, Pauli], ...] = tuple(
 
 @dataclass(frozen=True)
 class NoiseParams:
-    gamma1: float = 0.0      # single-qubit gate failure probability
-    gamma2: float = 0.0      # two-qubit gate failure probability
-    gamma_p: float = 0.0     # preparation failure probability
-    gamma_m: float = 0.0     # measurement failure probability
+    gamma: float = 0.0       # failure probability of every operation
     eps: float = 0.0         # memory failure probability per qubit per step
     t_m: int = 1             # measurement + classical processing duration
 
     def __post_init__(self):
-        for name in ("gamma1", "gamma2", "gamma_p", "gamma_m", "eps"):
+        for name in ("gamma", "eps"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.t_m < 1:
             raise ValueError("t_m must be >= 1")
 
-    @staticmethod
-    def uniform(gamma: float, eps: float, t_m: int = 1) -> "NoiseParams":
-        """All four gate-failure rates equal to ``gamma``."""
-        return NoiseParams(gamma1=gamma, gamma2=gamma, gamma_p=gamma,
-                           gamma_m=gamma, eps=eps, t_m=t_m)
+
+# kept because perfbench/workloads.py builds its noise as NoiseParams.uniform
+NoiseParams.uniform = NoiseParams
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:

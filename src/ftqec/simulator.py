@@ -193,8 +193,6 @@ def _fault_table(program, qubits, noise: NoiseParams, idle=((), 0.0)) -> _FaultT
         locations.setdefault((rate, len(paulis)), []).append(
             (site + (paulis,), images_of(site[2], paulis)))
 
-    gate_rate = {network_mod.CNOT: noise.gamma2, network_mod.CPHASE: noise.gamma2,
-                 network_mod.HADAMARD: noise.gamma1, network_mod.MEASURE: noise.gamma_m}
     for s in range(len(program) - 1, -1, -1):
         gates, slots, register = program[s]
         if slots:
@@ -205,7 +203,7 @@ def _fault_table(program, qubits, noise: NoiseParams, idle=((), 0.0)) -> _FaultT
             ev = gates[g]
             k, qs = ev.kind, ev.qubits
             if k in _PREP_FLIP:
-                record(2.0 * noise.gamma_p / 3.0, (s, g, qs), _PREP_FLIP[k])
+                record(2.0 * noise.gamma / 3.0, (s, g, qs), _PREP_FLIP[k])
                 col_x[local[qs[0]]] = col_z[local[qs[0]]] = 0
                 continue
             # the failure precedes the gate: move the columns back past it
@@ -220,7 +218,7 @@ def _fault_table(program, qubits, noise: NoiseParams, idle=((), 0.0)) -> _FaultT
                 c, t = local[qs[0]], local[qs[1]]
                 col_x[c] ^= col_z[t]
                 col_x[t] ^= col_z[c]
-            record(gate_rate[k], (s, g, qs),
+            record(noise.gamma, (s, g, qs),
                    TWO_QUBIT_FAILURES if len(qs) == 2 else _SINGLE)
     idle_qubits, idle_rate = idle
     for q in idle_qubits:
@@ -667,7 +665,7 @@ class SimEngine:
         data = list(range(self.n))
         self._data_rest = _fault_table([], data, noise,
                                        (data, idle_flip_probability(noise.eps, self.t_r)))
-        self._logical_gate = _fault_table([], data, noise, (data, noise.gamma2))
+        self._logical_gate = _fault_table([], data, noise, (data, noise.gamma))
         # a syndrome bit reads the ancilla X bits (readout bits n..2n-1) of
         # its check row, and a readout leaves only its data bits (X: 0..n-1,
         # Z: 2n..3n-1) in the frame; a G+V sample verifies with no X on a
@@ -996,8 +994,8 @@ def stats_csv_rows(config: SimConfig, stats: TrialStats) -> list[dict]:
     for q in range(1, config.q_max + 1):
         rows.append({
             "code": config.code_name,
-            "gamma": noise.gamma2,
-            "eps_over_gamma": noise.eps / noise.gamma2 if noise.gamma2 else 0.0,
+            "gamma": noise.gamma,
+            "eps_over_gamma": noise.eps / noise.gamma if noise.gamma else 0.0,
             "t_m": noise.t_m,
             "n_rep": pp.n_rep if pp.parallel_corrections is None
                      else f"matched{pp.parallel_corrections:g}",

@@ -65,12 +65,13 @@ class PowerLawFit:
 
 
 FIT_PROBABILITY_CUTOFF = 0.01
+#: width of the fitted-exponent histogram's bins
+C_S_BIN_WIDTH = 0.1
 
 
 def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
-                    trials: int, seed: int = 0,
-                    error_type: str = "X") -> list[SyndromeCensus]:
-    """Tally decoded syndromes of verified single extractions.
+                    trials: int, seed: int = 0) -> list[SyndromeCensus]:
+    """Tally decoded X syndromes of verified single extractions.
 
     Each trial starts from an error-free data block; unverified ancillas are
     re-prepared until one passes, matching the protocol's use of good
@@ -79,8 +80,8 @@ def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
     stream ``stream(seed, i)``.
     """
     out = []
+    code = codes_mod.construct_code(code_name)
     for idx, noise in enumerate(noise_grid):
-        code = codes_mod.construct_code(code_name)
         engine = SimEngine(code, noise,
                            ProtocolParams(1, 1, 1, parallel_corrections=1.0))
         counts: dict[int, int] = {}
@@ -95,12 +96,12 @@ def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
             frame = ErrorFrame(n=engine.n, rows=engine.rows, pools=[pools])
             engine.prepare_verified(frame, mask)
             unverified += frame.unverified
-            syndromes = engine.couple_and_measure(frame, mask, error_type)
+            syndromes = engine.couple_and_measure(frame, mask, "X")
             for lane in range(lanes):
                 s = syndromes[lane]
                 counts[s] = counts.get(s, 0) + 1
             done += lanes
-        out.append(SyndromeCensus(gamma=noise.gamma2, eps=noise.eps,
+        out.append(SyndromeCensus(gamma=noise.gamma, eps=noise.eps,
                                   t_m=noise.t_m, trials=trials, counts=counts,
                                   unverified=unverified))
     return out
@@ -151,15 +152,14 @@ def weight_class_fit(censuses: list[SyndromeCensus], decoder) -> PowerLawFit:
     return fit
 
 
-def c_s_histogram(fit: PowerLawFit, decoder, weight: int,
-                  bin_width: float = 0.1) -> dict[float, int]:
+def c_s_histogram(fit: PowerLawFit, decoder, weight: int) -> dict[float, int]:
     """Histogram of fitted exponents for syndromes of one leader weight."""
     hist: dict[float, int] = {}
     weights = leader_weights(decoder, fit.c_s)
     for s, c in fit.c_s.items():
         if weights[s] != weight:
             continue
-        center = (math.floor(c / bin_width) + 0.5) * bin_width
+        center = (math.floor(c / C_S_BIN_WIDTH) + 0.5) * C_S_BIN_WIDTH
         hist[round(center, 6)] = hist.get(round(center, 6), 0) + 1
     return hist
 

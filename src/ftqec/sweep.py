@@ -83,10 +83,9 @@ def scale_up(code: CodeParams, n_rep: float) -> float:
     return (code.n + n_rep * (3 * code.n + code.k)) / code.k
 
 
-def concat_scale_up(inner: CodeParams, outer: CodeParams,
-                    n_rep_inner: float, n_rep_outer: float) -> float:
-    """Product of the per-level scale-ups."""
-    return scale_up(inner, n_rep_inner) * scale_up(outer, n_rep_outer)
+def concat_scale_up(inner: CodeParams, outer: CodeParams, n_rep: float) -> float:
+    """Product of the per-level scale-ups at one provisioning."""
+    return scale_up(inner, n_rep) * scale_up(outer, n_rep)
 
 
 def kq_value(k: int, pbar: float) -> float:
@@ -146,7 +145,7 @@ def build_surface(config: SweepConfig) -> Surface:
 
     for gamma in config.gammas:
         eps = gamma * config.eps_over_gamma
-        noise = NoiseParams.uniform(gamma, eps, config.t_m)
+        noise = NoiseParams(gamma, eps, config.t_m)
         for nm, code in code_params.items():
             for n_rep in config.n_rep_grid:
                 pp, pbar = analytic.optimize_protocol(
@@ -166,8 +165,7 @@ def build_surface(config: SweepConfig) -> Surface:
                 for nm, outer in code_params.items():
                     for n_rep in config.n_rep_grid:
                         spec = ConcatSpec(inner=inner, outer=outer,
-                                          n_rep_inner=n_rep, n_rep_outer=n_rep,
-                                          t_m=config.t_m)
+                                          n_rep=n_rep, t_m=config.t_m)
                         est = concat_mod.concat_estimate(
                             spec, gamma, eps, r_values=r_values,
                             constraint=constraint)
@@ -178,7 +176,7 @@ def build_surface(config: SweepConfig) -> Surface:
                             code=f"{inner_nm}+{nm}", gamma=gamma, eps=eps,
                             t_m=config.t_m, n_rep=n_rep,
                             r=pp.r, r_prime=pp.r_prime, r_dprime=pp.r_dprime,
-                            scale_up=concat_scale_up(inner, outer, n_rep, n_rep),
+                            scale_up=concat_scale_up(inner, outer, n_rep),
                             pbar=est.pbar, kq=kq_value(outer.k, est.pbar)))
     return surface
 

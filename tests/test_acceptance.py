@@ -28,7 +28,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_worked_example():
     code = codes.params_from_catalog("bch127-43")
-    noise = NoiseParams.uniform(1e-4, 1e-6, t_m=25)
+    noise = NoiseParams(1e-4, 1e-6, t_m=25)
     pp = ProtocolParams(5, 4, 3, n_rep=2.5)
     # r = 5, so s(5) and g(5,5) are the breakdown's s_r and g_r_r
     est = analytic.crash_estimate(code, noise, pp)
@@ -99,7 +99,7 @@ def test_criterion_3_monte_carlo_vs_model():
     ok = True
     details = []
     for name, pp, gamma, ratio, t_m in grid:
-        noise = NoiseParams.uniform(gamma, gamma * ratio, t_m)
+        noise = NoiseParams(gamma, gamma * ratio, t_m)
         table = codes.params_from_catalog(name)
         model = analytic.crash_estimate(table, noise, pp).pbar
         stats_ = estimate_pbar_mc(SimConfig(name, noise, pp,
@@ -128,7 +128,7 @@ def test_criterion_4_power_law():
                         ("golay", ProtocolParams(4, 3, 3, n_rep=2.5), 3)]:
         code = codes.params_from_catalog(name)
         pb = [analytic.crash_estimate(
-                code, NoiseParams.uniform(g, g * 0.01, 1), pp).pbar
+                code, NoiseParams(g, g * 0.01, 1), pp).pbar
               for g in (1e-7, 1e-6)]
         slope = math.log(pb[1] / pb[0]) / math.log(10.0)
         hit = abs(slope - (t + 1)) <= 0.05 * (t + 1)
@@ -289,7 +289,7 @@ def test_criterion_7_surface():
 
 def test_criterion_8_census():
     gammas = [2e-4, 3e-4, 5e-4, 1e-3]
-    grid = [NoiseParams.uniform(g, g, 1) for g in gammas]
+    grid = [NoiseParams(g, g, 1) for g in gammas]
     censuses = stats.syndrome_census("golay", grid, trials=60000, seed=SEED)
     code = codes.standardized_code(codes.construct_code("golay"))
     decoder = codes.decoder_for(code)
@@ -301,7 +301,7 @@ def test_criterion_8_census():
     sim_params = codes.derived_params(sf, sim_code.n, sim_code.k, sim_code.d)
     track_ok = True
     for census in censuses:
-        noise = NoiseParams.uniform(census.gamma, census.eps, census.t_m)
+        noise = NoiseParams(census.gamma, census.eps, census.t_m)
         p_za = analytic.preparation_stats(sim_params, noise)["p_za"]
         track_ok &= (0.7 <= census.nonzero_fraction() / p_za <= 1.3)
 

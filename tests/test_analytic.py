@@ -10,7 +10,7 @@ from ftqec.noise import NoiseParams
 from ftqec.simulator import ProtocolParams, ProtocolError
 
 WORKED_CODE = codes.params_from_catalog("bch127-43")
-WORKED_NOISE = NoiseParams.uniform(1e-4, 1e-6, t_m=25)
+WORKED_NOISE = NoiseParams(1e-4, 1e-6, t_m=25)
 WORKED_PP = ProtocolParams(5, 4, 3, n_rep=2.5)
 
 
@@ -102,14 +102,15 @@ def test_uncorrectable_tail_matches_two_series_formula(g_hi, rate_lo, rate_hi):
     assert (saturated > 150) == (g_hi > 10000.0)
 
 
-@pytest.mark.xfail(strict=True, reason="1 - head carries the ~1e-12 rounding of the "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="1 - head carries the ~1e-12 rounding of the "
                    "gammaln log-binomials at g ~ 1e3, and max() picks it")
 def test_tail_is_not_rounding_noise():
     # the worked example's p1 tail at (g_r_1, s_1) = (1155.7, 22222.5);
     # the direct sum is 9.9817166810e-12, which a 50-digit evaluation of
     # the generalized binomials confirms, while 1 - head reads 1.0262e-11
     est = crash_estimate(WORKED_CODE, WORKED_NOISE, WORKED_PP)
-    gamma, eps = 2.0 * WORKED_NOISE.gamma2 / 3.0, 2.0 * WORKED_NOISE.eps / 3.0
+    gamma, eps = 2.0 * WORKED_NOISE.gamma / 3.0, 2.0 * WORKED_NOISE.eps / 3.0
     n, t = WORKED_CODE.n, WORKED_CODE.t
     direct = float(np.convolve(analytic._binom_series(est.g_r_1, n, gamma),
                                analytic._binom_series(est.s_1, n, eps))[t + 1: n + 1].sum())
@@ -133,7 +134,7 @@ def test_preparation_stats_worked_example():
 
 
 def test_alpha_clamp_flags_unusable():
-    hot = NoiseParams.uniform(1e-2, 1e-2, 25)
+    hot = NoiseParams(1e-2, 1e-2, 25)
     out = preparation_stats(WORKED_CODE, hot)
     assert out["alpha"] == 0.0
     assert not out["usable"]
@@ -155,7 +156,7 @@ def test_solve_beta_worked_example():
 def test_beta_monotone_in_eps():
     betas = []
     for eps in (1e-6, 1e-5, 1e-4):
-        noise = NoiseParams.uniform(1e-4, eps, 25)
+        noise = NoiseParams(1e-4, eps, 25)
         betas.append(solve_beta(WORKED_CODE, noise, WORKED_PP)[0])
     assert betas[0] > betas[1] > betas[2]
 
@@ -200,7 +201,7 @@ def test_pbar_monotone_in_noise():
 
     def pbar(gamma, eps, t_m):
         return crash_estimate(WORKED_CODE,
-                              NoiseParams.uniform(gamma, eps, t_m), pp).pbar
+                              NoiseParams(gamma, eps, t_m), pp).pbar
 
     p0 = pbar(**base)
     assert pbar(2e-4, 1e-6, 25) > p0
@@ -216,7 +217,7 @@ def test_low_noise_power_law(name, t, pp):
     code = codes.params_from_catalog(name)
     pb = []
     for gamma in (1e-7, 1e-6):
-        noise = NoiseParams.uniform(gamma, gamma * 0.01, 1)
+        noise = NoiseParams(gamma, gamma * 0.01, 1)
         pb.append(crash_estimate(code, noise, pp).pbar)
     slope = math.log(pb[1] / pb[0]) / math.log(10.0)
     assert abs(slope - (t + 1)) <= 0.05 * (t + 1)
@@ -234,7 +235,7 @@ def test_optimize_single_point_grid():
 def test_optimize_golay_catalog_family():
     # under the constrained family r-1 = r' = r''+1 at gamma = 100 eps = 1e-4
     golay = codes.params_from_catalog("golay")
-    noise = NoiseParams.uniform(1e-4, 1e-6, 25)
+    noise = NoiseParams(1e-4, 1e-6, 25)
     pp, _ = optimize_protocol(golay, noise, r_values=range(3, 7), n_rep=1.0,
                               constraint=lambda r, rp, rpp: rp == r - 1 and rpp == r - 2)
     assert pp.r == codes.catalog_entry("golay")["r_opt"] == 4
@@ -242,7 +243,7 @@ def test_optimize_golay_catalog_family():
 
 def test_optimize_hamming_high_noise():
     hamming = codes.params_from_catalog("hamming")
-    noise = NoiseParams.uniform(3e-3, 3e-5, 25)
+    noise = NoiseParams(3e-3, 3e-5, 25)
     pp, best = optimize_protocol(hamming, noise, n_rep=1.0)
     assert pp.r_prime == 2
     assert pp.r in (2, 3)
@@ -275,9 +276,9 @@ def _grid_minimum(code, noise, r_values=range(1, 7), constraint=None, n_rep=1.0,
 _ETA = concat.eta_factor(codes.params_from_catalog("bch127-43"))
 _CATALOG = sweep.SweepConfig(gammas=(1e-4,), protocol_family="catalog")
 # saturated: pinned triples all tie at pbar = 1.0, unpinned ones are unusable
-_SATURATED_NOISE = NoiseParams.uniform(0.3, 3e-3, 25)
+_SATURATED_NOISE = NoiseParams(0.3, 3e-3, 25)
 # golay: rounding lifts two agreement sums above 1, for (5, 1, 5) and (6, 1, 4)
-_ROUNDING_NOISE = NoiseParams.uniform(1e-4, 1e-4, 1)
+_ROUNDING_NOISE = NoiseParams(1e-4, 1e-4, 1)
 
 
 @pytest.mark.parametrize("name,kwargs", [
@@ -294,9 +295,9 @@ _ROUNDING_NOISE = NoiseParams.uniform(1e-4, 1e-4, 1)
 ], ids=[f"{name}-kwargs{i}" for name, i in (
     ("golay", 0), ("hamming", 1), ("golay", 2), ("golay", 3), ("bch127-43", 4),
     ("golay", 6), ("golay", 7))])
-@pytest.mark.parametrize("noise", [NoiseParams.uniform(1e-4, 1e-6, 25),
-                                   NoiseParams.uniform(1e-3, 1e-3, 1),
-                                   NoiseParams.uniform(3e-3, 3e-5, 25),
+@pytest.mark.parametrize("noise", [NoiseParams(1e-4, 1e-6, 25),
+                                   NoiseParams(1e-3, 1e-3, 1),
+                                   NoiseParams(3e-3, 3e-5, 25),
                                    _SATURATED_NOISE, _ROUNDING_NOISE])
 def test_optimize_equals_per_triple_minimum(name, kwargs, noise):
     code = codes.params_from_catalog(name)
@@ -307,7 +308,7 @@ def test_optimize_equals_per_triple_minimum(name, kwargs, noise):
 # Model outputs pinned as exact literals: a change that only makes the model
 # faster or smaller must keep them bit for bit.
 _GOLAY = codes.params_from_catalog("golay")
-_GOLAY_NOISE = NoiseParams.uniform(1e-3, 1e-5, 25)
+_GOLAY_NOISE = NoiseParams(1e-3, 1e-5, 25)
 PINNED_ESTIMATES = [
     ((WORKED_CODE, WORKED_NOISE, WORKED_PP),
      {'p_za': 0.14225859194618795, 'alpha': 0.7396713333333333,
@@ -381,7 +382,7 @@ def test_optimize_finishes_few_triples(monkeypatch):
 
     monkeypatch.setattr(analytic, "_finish_estimate", counted)
     golay = codes.params_from_catalog("golay")
-    optimize_protocol(golay, NoiseParams.uniform(1e-3, 1e-3, 1))
+    optimize_protocol(golay, NoiseParams(1e-3, 1e-3, 1))
     assert 1 <= len(calls) <= 10
 
 

@@ -73,7 +73,7 @@ for protocol in (["--parallel-corrections", "1"], ["--nrep", "3"]):
     assert rc == cli.EXIT_FLAGGED, rc
 assert "scipy" not in sys.modules, "the Monte Carlo imported scipy"
 analytic.crash_estimate(codes.params_from_catalog("golay"),
-                        NoiseParams.uniform(1e-4, 1e-6, 1), ProtocolParams(2, 2, 2))
+                        NoiseParams(1e-4, 1e-6, 1), ProtocolParams(2, 2, 2))
 import scipy.special
 assert analytic.gammaln is scipy.special.gammaln, analytic.gammaln
 """
@@ -232,11 +232,22 @@ def test_ancilla_stats_subcommand(tmp_path):
 
 
 def test_ancilla_stats_reports_unverified(tmp_path, capsys):
+    # one noise level fits no syndrome, so the run is also flagged
     rc = run(["ancilla-stats", "--code", "hamming", "--gammas", "0.5",
               "--eps-over-gamma", "1", "--tm", "1", "--trials", "640",
               "--seed", "0", "--out-dir", str(tmp_path)])
-    assert rc == cli.EXIT_OK
+    assert rc == cli.EXIT_FLAGGED
     assert "read unverified" in capsys.readouterr().err
+
+
+def test_ancilla_stats_flags_empty_fit(tmp_path, capsys):
+    # a power-law fit needs three usable noise levels; two fit nothing
+    rc = run(["ancilla-stats", "--code", "hamming", "--gammas", "1e-3", "3e-3",
+              "--trials", "2000", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_FLAGGED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no syndrome fitted" in err
+    assert (tmp_path / "a_c_scatter.csv").read_text() == ""
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -27,8 +27,7 @@ def test_concat_inner_must_encode_one_qubit():
 
 def test_concat_golay_bch_computation_size():
     from ftqec.simulator import ProtocolParams
-    spec = ConcatSpec(inner=GOLAY, outer=BCH29, n_rep_inner=1.0,
-                      n_rep_outer=1.0, t_m=25)
+    spec = ConcatSpec(inner=GOLAY, outer=BCH29, n_rep=1.0, t_m=25)
     # with the outer level running the catalog's optimum for this code at
     # the physical noise (r = 5 family), the computation size lands in the
     # expected decade band
@@ -61,7 +60,7 @@ def test_concat_helps_below_breakeven():
 # -- thresholds ---------------------------------------------------------------
 
 def test_level_trace_decreasing_below_threshold():
-    trace = level_trace(GOLAY, 5e-4, 1.0, 1, levels=8)
+    trace = level_trace(GOLAY, 5e-4, 1.0, 1)
     assert trace[1] < trace[0]
     assert concat._converges(trace)
 
@@ -81,6 +80,6 @@ def test_threshold_monotone_in_tm_and_ratio():
 
 def test_deep_convergence_below_half_threshold():
     g0 = threshold(GOLAY, 1.0, 1, rel_width=0.05)
-    trace = level_trace(GOLAY, g0 / 2, 1.0, 1, levels=12)
+    trace = level_trace(GOLAY, g0 / 2, 1.0, 1)
     assert concat._converges(trace)
     assert trace[-1] < 1e-30

@@ -35,10 +35,10 @@ def flip_count(frame: ErrorFrame) -> int:
     return sum(bin(x | z).count("1") for x, z in zip(frame.x, frame.z))
 
 
-def cnot_table(gamma2: float, idle_rate: float = 0.0):
+def cnot_table(gamma: float, idle_rate: float = 0.0):
     """One CNOT(0, 1), optionally after an idle on qubit 0."""
     return _fault_table(_program([GateEvent(CNOT, (0, 1), 0)]), [0, 1],
-                        NoiseParams(gamma2=gamma2), ([0], idle_rate))
+                        NoiseParams(gamma), ([0], idle_rate))
 
 
 def idle_table(qubits, rate: float):
@@ -53,7 +53,7 @@ def hole_table(slots: int, register, eps: float):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        NoiseParams(gamma2=1.5)
+        NoiseParams(1.5)
     with pytest.raises(ValueError):
         NoiseParams(t_m=0)
 
@@ -68,7 +68,7 @@ def test_two_qubit_zero_rate_is_identity():
 
 
 def test_two_qubit_forced_failure_uniform():
-    # gamma2 = 1: each of the 15 failures at 1/15 within 3.5 sigma over 1e6
+    # gamma = 1: each of the 15 failures at 1/15 within 3.5 sigma over 1e6
     # draws; the CNOT after the failure permutes the 15, so its images are
     # uniform exactly when the failures are
     table = cnot_table(1.0)
@@ -107,12 +107,12 @@ def test_single_qubit_marginals():
         assert abs(frac - 0.1) < 4 * sigma
 
 
-@pytest.mark.parametrize("kind,param", [(PREP_ZERO, "gamma_p"), (MEASURE, "gamma_m")])
-def test_prep_measure_marginals(kind, param):
-    # a |0> preparation keeps only its X flips (rate 2 gamma_p / 3), a
-    # measurement fails at gamma_m
+@pytest.mark.parametrize("kind", [PREP_ZERO, MEASURE])
+def test_prep_measure_marginals(kind):
+    # a |0> preparation keeps only its X flips (rate 2 gamma / 3), a
+    # measurement fails at gamma
     table = _fault_table([([GateEvent(kind, (0,), 0)], 0, ())], [0],
-                         NoiseParams(**{param: 0.09}))
+                         NoiseParams(0.09))
     rate = 2 * 0.09 / 3 if kind == PREP_ZERO else 0.09
     rng = stream(4, 0)
     n = 200_000
@@ -192,7 +192,7 @@ def test_preparation_matches_per_gate_sampler():
     # skipped the holes of gate-free steps; the table charges all of them,
     # which here moves both fractions by about 0.001.
     ref_alpha, ref_corrupt = 118_625 / 192_000, 18_451 / 118_625
-    eng = SimEngine(codes.construct_code("golay"), NoiseParams.uniform(3e-3, 3e-4, 1),
+    eng = SimEngine(codes.construct_code("golay"), NoiseParams(3e-3, 3e-4, 1),
                     ProtocolParams(1, 1, 1, parallel_corrections=1.0))
     attempts = verified = corrupt = 0
     for b in range(300):

@@ -22,7 +22,7 @@ from frame_helpers import propagate, set_lane, x_bits, z_bits
 def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
            pp=ProtocolParams(2, 2, 2, parallel_corrections=1.0)):
     code = codes.construct_code(code_name)
-    return SimEngine(code, NoiseParams.uniform(gamma, eps, t_m), pp)
+    return SimEngine(code, NoiseParams(gamma, eps, t_m), pp)
 
 
 # -- propagation rules --------------------------------------------------------
@@ -92,11 +92,10 @@ def test_extract_single_z_error_z_type(golay):
 
 
 def test_verified_fraction_tracks_alpha():
-    # cross-module consistency at gamma2 = 1e-3, where the linearized
+    # cross-module consistency at gamma = 1e-3, where the linearized
     # verified-fraction formula is inside its validity range
-    gamma2 = 1e-3
     code = codes.construct_code("golay")
-    noise = NoiseParams(gamma2=gamma2)
+    noise = NoiseParams(1e-3, 0.0, 1)
     eng = SimEngine(code, noise, ProtocolParams(1, 1, 1, parallel_corrections=1.0))
     alpha = analytic.preparation_stats(eng.params, noise)["alpha"]
     trials = 100_000
@@ -111,6 +110,9 @@ def test_verified_fraction_tracks_alpha():
         passed += bin(verified).count("1")
         done += 64
     frac = passed / done
+    # reads frac - alpha = -0.0174: the model's alpha omits the H and M
+    # failures of the rows verification bits (~2/3 * rows * 2 gamma, ROADMAP
+    # item 3); once alpha counts them, tighten this bound back toward 0.004
     assert abs(frac - alpha) <= 0.02
 
 
@@ -215,7 +217,7 @@ def test_preparation_draws_every_hole(name):
     sf = codes.standard_form(codes.standardized_code(code))
     params = codes.derived_params(sf, code.n, code.k, code.d, name=name)
     prep, _ = simulator._phase_tables(network.synthesize_networks(sf, params),
-                                      NoiseParams.uniform(1e-3, 1e-3, 1))
+                                      NoiseParams(1e-3, 1e-3, 1))
     assert prep.hole_slots == params.N_h
 
 
@@ -271,7 +273,7 @@ def test_fault_table_matches_forward_propagation(name):
     sf = codes.standard_form(codes.standardized_code(code))
     params = codes.derived_params(sf, code.n, code.k, code.d, name=name)
     ns = network.synthesize_networks(sf, params)
-    prep, readout = simulator._phase_tables(ns, NoiseParams.uniform(1e-3, 1e-4, 5))
+    prep, readout = simulator._phase_tables(ns, NoiseParams(1e-3, 1e-4, 5))
     for label, table in (("G+V", prep), ("X", readout["X"]), ("Z", readout["Z"])):
         rows = table.images.shape[0]
         starts = sorted(row + p for _, _, _, paulis, row in table.sites
@@ -322,7 +324,7 @@ def test_readout_map_matches_propagation(name):
 
 
 def test_unverified_tally_independent_of_workers():
-    cfg = SimConfig("hamming", NoiseParams.uniform(0.3, 0.3, 1),
+    cfg = SimConfig("hamming", NoiseParams(0.3, 0.3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
                     q_max=2, max_trials=128, chunk_batches=2)
     s1 = estimate_pbar_mc(cfg, seed=4, workers=1)
@@ -334,7 +336,7 @@ def test_unverified_tally_independent_of_workers():
 def test_engine_cache_bounded(monkeypatch):
     monkeypatch.setattr(simulator, "_engine_cache", OrderedDict())
     pp = ProtocolParams(2, 2, 2, parallel_corrections=1.0)
-    configs = [SimConfig("hamming", NoiseParams.uniform(1e-4 * (i + 1), 0.0, 1), pp)
+    configs = [SimConfig("hamming", NoiseParams(1e-4 * (i + 1), 0.0, 1), pp)
                for i in range(simulator._ENGINE_CACHE_SIZE + 3)]
     first = simulator._engine_for(configs[0])
     built = [first]
@@ -512,7 +514,7 @@ def test_maximal_noise_crashes_fast():
 
 
 def test_pbar_within_factor_three_of_model():
-    noise = NoiseParams.uniform(1e-2, 1e-4, 1)
+    noise = NoiseParams(1e-2, 1e-4, 1)
     pp = ProtocolParams(2, 2, 2, parallel_corrections=1.0)
     cfg = SimConfig("hamming", noise, pp, target_failures=100)
     stats = estimate_pbar_mc(cfg, seed=42)
@@ -522,7 +524,7 @@ def test_pbar_within_factor_three_of_model():
 
 def test_degenerate_stats_flagged():
     eng = engine(gamma=1.0, eps=1.0)
-    cfg = SimConfig("hamming", NoiseParams.uniform(1.0, 1.0, 1),
+    cfg = SimConfig("hamming", NoiseParams(1.0, 1.0, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
                     target_failures=100, max_trials=8192)
     stats = estimate_pbar_mc(cfg, seed=7)
@@ -532,7 +534,7 @@ def test_degenerate_stats_flagged():
 
 
 def test_stationarity_and_stderr():
-    cfg = SimConfig("hamming", NoiseParams.uniform(3e-3, 3e-3, 1),
+    cfg = SimConfig("hamming", NoiseParams(3e-3, 3e-3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
                     target_failures=150)
     stats = estimate_pbar_mc(cfg, seed=11)
@@ -545,7 +547,7 @@ def test_stationarity_and_stderr():
 
 def test_transient_dies_away():
     # the hazard climbs from below toward its plateau and is flat by Q >= 6
-    cfg = SimConfig("hamming", NoiseParams.uniform(3e-3, 3e-3, 1),
+    cfg = SimConfig("hamming", NoiseParams(3e-3, 3e-3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
                     target_failures=400)
     stats = estimate_pbar_mc(cfg, seed=13)
@@ -562,7 +564,7 @@ def test_mc_slope_coarse():
     pp = ProtocolParams(2, 2, 2, parallel_corrections=1.0)
     pbars = []
     for gamma in (3e-3, 1e-2):
-        cfg = SimConfig("hamming", NoiseParams.uniform(gamma, gamma / 100, 1),
+        cfg = SimConfig("hamming", NoiseParams(gamma, gamma / 100, 1),
                         pp, target_failures=100)
         pbars.append(estimate_pbar_mc(cfg, seed=17).pbar)
     slope = math.log(pbars[1] / pbars[0]) / math.log(10 / 3)
@@ -585,7 +587,7 @@ def test_frame_split_invariance():
     assert whole.trials == 192 and whole.n_f.sum() > 0
     # chunks of three batches: one frame per chunk at one worker, one frame
     # per batch at two or three; the last batch runs 38 of its lanes
-    cfg = SimConfig("hamming", NoiseParams.uniform(1e-2, 1e-2, 1),
+    cfg = SimConfig("hamming", NoiseParams(1e-2, 1e-2, 1),
                     ProtocolParams(3, 2, 2, parallel_corrections=1.0),
                     target_failures=10**6, max_trials=550, chunk_batches=3)
     runs = [_counts(estimate_pbar_mc(cfg, seed=9, workers=w)) for w in (1, 2, 3)]
@@ -596,12 +598,12 @@ def test_frame_split_invariance():
 def test_trial_cap_is_exact():
     # the batch that holds trial max_trials runs only the lanes up to it
     pp = ProtocolParams(2, 2, 2, parallel_corrections=1.0)
-    cfg = SimConfig("hamming", NoiseParams.uniform(5e-3, 5e-3, 1), pp,
+    cfg = SimConfig("hamming", NoiseParams(5e-3, 5e-3, 1), pp,
                     target_failures=10**6, max_trials=100)
     stats = estimate_pbar_mc(cfg, seed=3)
     assert stats.trials == 100 and stats.censored
     assert stats.n_f[1] + stats.n_s[1] == 100
-    split = SimConfig("hamming", NoiseParams.uniform(5e-3, 5e-3, 1), pp,
+    split = SimConfig("hamming", NoiseParams(5e-3, 5e-3, 1), pp,
                       target_failures=10**6, max_trials=100, chunk_batches=2)
     one, two = (_counts(estimate_pbar_mc(split, seed=3, workers=w)) for w in (1, 2))
     assert one == two and one[2] == 100
@@ -634,7 +636,7 @@ PINNED_COUNTS = [
                          ids=[f"{c[0]}-{c[1][0]:g}" for c, _ in PINNED_COUNTS])
 def test_mc_counts_pinned(config, counts):
     code, noise, (r, rp, rpp), q_max, trials, chunk, seed = config
-    cfg = SimConfig(code, NoiseParams.uniform(*noise),
+    cfg = SimConfig(code, NoiseParams(*noise),
                     ProtocolParams(r, rp, rpp, parallel_corrections=1.0), q_max=q_max,
                     target_failures=10**9, max_trials=trials, chunk_batches=chunk)
     assert _counts(estimate_pbar_mc(cfg, seed=seed)) == counts
@@ -648,7 +650,7 @@ def test_lanes_any_width():
 
 
 def test_worker_count_invariance():
-    cfg = SimConfig("hamming", NoiseParams.uniform(5e-3, 5e-3, 1),
+    cfg = SimConfig("hamming", NoiseParams(5e-3, 5e-3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
                     target_failures=30)
     s1 = estimate_pbar_mc(cfg, seed=23, workers=1)
@@ -660,7 +662,7 @@ def test_worker_count_invariance():
 
 @pytest.mark.parametrize("workers", [0, -2])
 def test_nonpositive_workers_refused(workers):
-    cfg = SimConfig("hamming", NoiseParams.uniform(5e-3, 5e-3, 1),
+    cfg = SimConfig("hamming", NoiseParams(5e-3, 5e-3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
                     target_failures=30, max_trials=64)
     with pytest.raises(ValueError, match="workers"):
@@ -670,7 +672,7 @@ def test_nonpositive_workers_refused(workers):
 @pytest.mark.parametrize("field,value", [("target_failures", 0), ("target_failures", -1),
                                          ("chunk_batches", 0)])
 def test_nonpositive_stop_rule_refused(field, value):
-    cfg = SimConfig("hamming", NoiseParams.uniform(5e-3, 5e-3, 1),
+    cfg = SimConfig("hamming", NoiseParams(5e-3, 5e-3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
                     target_failures=30, max_trials=64)
     with pytest.raises(ValueError, match=field):
@@ -690,14 +692,14 @@ def test_r_max_enforced_for_provisioned_runs():
     # r = 6 at n_rep = 1 exceeds the sustainable repetition bound
     code = codes.construct_code("hamming")
     with pytest.raises(ProtocolError):
-        SimEngine(code, NoiseParams.uniform(1e-3, 1e-5, 1),
+        SimEngine(code, NoiseParams(1e-3, 1e-5, 1),
                   ProtocolParams(6, 2, 2, n_rep=1.0))
 
 
 @pytest.mark.parametrize("name,noise,pp", [
-    ("golay", NoiseParams.uniform(1e-4, 1e-6, 25),
+    ("golay", NoiseParams(1e-4, 1e-6, 25),
      ProtocolParams(4, 3, 3, parallel_corrections=1.0)),
-    ("hamming", NoiseParams.uniform(3e-3, 3e-5, 1),
+    ("hamming", NoiseParams(3e-3, 3e-5, 1),
      ProtocolParams(2, 2, 2, n_rep=2.5)),
 ])
 def test_engine_and_model_share_resting_time(name, noise, pp):
@@ -706,7 +708,7 @@ def test_engine_and_model_share_resting_time(name, noise, pp):
 
 
 def test_csv_rows_schema():
-    cfg = SimConfig("hamming", NoiseParams.uniform(0.0, 0.0, 1),
+    cfg = SimConfig("hamming", NoiseParams(0.0, 0.0, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
                     target_failures=1, max_trials=64)
     stats = estimate_pbar_mc(cfg, seed=1)
@@ -722,7 +724,7 @@ def test_bch127_43_batch_pinned():
     # one 64-trial batch on a code whose ball holds only weights <= 3 of its
     # t = 6, so decoding leans on the layer scan
     eng = SimEngine(codes.construct_code("bch127-43"),
-                    NoiseParams.uniform(1e-3, 1e-5, 25),
+                    NoiseParams(1e-3, 1e-5, 25),
                     ProtocolParams(4, 3, 3, parallel_corrections=1.0))
     stats = run_batch(eng, [stream(1, 0)])
     assert stats.n_f.tolist() == [0, 14, 16, 5, 10, 6, 8, 3, 0, 1, 1]
@@ -738,7 +740,7 @@ def test_qr47_engine_fits_in_4gb():
         "from ftqec.noise import NoiseParams\n"
         "from ftqec.protocol import ProtocolParams\n"
         "simulator.SimEngine(codes.construct_code('qr47'),\n"
-        "                    NoiseParams.uniform(1e-3, 1e-5, 25),\n"
+        "                    NoiseParams(1e-3, 1e-5, 25),\n"
         "                    ProtocolParams(4, 3, 3, parallel_corrections=1.0))\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     src = str(Path(simulator.__file__).resolve().parents[1])

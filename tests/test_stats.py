@@ -30,7 +30,7 @@ def test_fit_power_law_quadratic():
 
 
 def test_census_zero_noise():
-    grid = [NoiseParams.uniform(0.0, 0.0, 1)]
+    grid = [NoiseParams(0.0, 0.0, 1)]
     census = syndrome_census("hamming", grid, trials=256, seed=1)[0]
     assert census.counts == {0: 256}
     assert census.nonzero_fraction() == 0.0
@@ -38,14 +38,14 @@ def test_census_zero_noise():
 
 def test_census_counts_unverified_ancillas():
     # at gamma = eps = 0.5 some lanes run out of their 64 preparation attempts
-    grid = [NoiseParams.uniform(0.5, 0.5, 1)]
+    grid = [NoiseParams(0.5, 0.5, 1)]
     census = syndrome_census("hamming", grid, trials=640, seed=0)[0]
     assert census.unverified > 0
     assert sum(census.counts.values()) == 640
 
 
 def test_zero_census_linear_coefficients():
-    grid = [NoiseParams.uniform(0.0, 0.0, 1)]
+    grid = [NoiseParams(0.0, 0.0, 1)]
     censuses = syndrome_census("hamming", grid, trials=256, seed=2)
     # synthesize a gamma value so the origin fit is defined
     censuses[0].gamma = 1e-4
@@ -58,7 +58,7 @@ def test_zero_census_linear_coefficients():
 @pytest.fixture(scope="module")
 def golay_census():
     gammas = [2e-4, 3e-4, 5e-4, 1e-3]
-    grid = [NoiseParams.uniform(g, g, 1) for g in gammas]
+    grid = [NoiseParams(g, g, 1) for g in gammas]
     return syndrome_census("golay", grid, trials=40000, seed=5)
 
 
@@ -90,7 +90,7 @@ def test_census_tracks_verified_ancilla_error_rate(golay_census):
     sf = codes.standard_form(code)
     params = codes.derived_params(sf, code.n, code.k, code.d)
     for census in golay_census:
-        noise = NoiseParams.uniform(census.gamma, census.eps, census.t_m)
+        noise = NoiseParams(census.gamma, census.eps, census.t_m)
         p_za = analytic.preparation_stats(params, noise)["p_za"]
         ratio = census.nonzero_fraction() / p_za
         assert 0.7 <= ratio <= 1.3

@@ -25,7 +25,7 @@ def test_scale_up_requires_positive_nrep():
 
 
 def test_concat_scale_up_golay_bch():
-    total = concat_scale_up(GOLAY, BCH29, 1.0, 1.0)
+    total = concat_scale_up(GOLAY, BCH29, 1.0)
     assert total == pytest.approx((23 + 70) * (127 + 410) / 29, rel=1e-12)
     assert 1585 <= total <= 2512      # the "scale-up around 1000" decade band
 
