@@ -1,12 +1,11 @@
 """Pauli-frame Monte Carlo of the full recovery protocol.
 
-The error state of one data block, one (serially reused) ancilla block and
-its verification bits is a pair of bit planes over 2n + (n+k)/2 qubits.  To
-make millions of trials affordable, many independent trials run in
-parallel: each qubit's X and Z planes are Python ints whose bit L belongs
-to trial lane L, 64 lanes per batch and up to ``FRAME_BATCHES`` batches
-per frame.  All mutating operations take a lane mask and leave the other
-lanes untouched.
+The error state of one data block is a pair of bit planes over its n
+qubits.  To make millions of trials affordable, many independent trials run
+in parallel: each qubit's X and Z planes are Python ints whose bit L belongs
+to trial lane L, 64 lanes per batch and up to ``FRAME_BATCHES`` batches per
+frame.  All mutating operations take a lane mask and leave the other lanes
+untouched.
 
 Faults are not applied gate by gate.  Frame propagation is linear over
 GF(2), so a phase leaves the frame at its noiseless image XOR the
@@ -16,18 +15,24 @@ rest and the logical step's noise are compiled once, by one backward sweep
 over its schedule, into a single-fault table: every fault location (gate,
 preparation, measurement, hole step, idle qubit) with its rate and the
 image of each of its Paulis.  The same sweep gives the phase's noiseless
-map, which the readout applies as one GF(2) map over lane words that also
-yields the syndromes.
+map.
+
+The ancilla block and its verification bits are not part of the frame: an
+ancilla matters only through the syndrome bits it flips and the errors it
+copies into the data.  Each G+V sample carries, per error type, its fold:
+its image pushed through the readout's noiseless map.  The coupling is
+transversal, so an extraction is the plane's data check XOR the kept
+sample's fold XOR the readout faults' share.
 
 Phase faults never depend on the frame, so they are drawn ahead of use.
 Each batch of a frame has its own fault pool per phase table, made from
 the batch's stream (``SimEngine.pools``) and drawn from its own child
 stream ``POOL_ROWS`` lane-samples at a time (``_draw``, a few vectorised
 draws per refill); a call hands the next sample of a batch's pool to each
-of the batch's masked lanes in lane order and XORs only the samples that
-carry a fault into the lane words.  A preparation hands a lane samples in
-pool order until one verifies.  So a batch draws the same samples
-whichever batches share its frame.
+of the batch's masked lanes in lane order and applies only the samples that
+carry a fault.  A preparation hands a lane samples in pool order until one
+verifies.  So a batch draws the same samples whichever batches share its
+frame.
 
 A trial alternates logical steps (one transversal gate failure pass plus
 the data's resting noise) with a complete recovery round: Z-error recovery
@@ -41,9 +46,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
 from operator import or_
 from typing import Optional
@@ -69,9 +73,10 @@ _SPARSE_LANES = 4
 
 @dataclass
 class ErrorFrame:
-    """Lane-packed X/Z error record for data + ancilla + verification bits."""
+    """Lane-packed X/Z error record of the data block's n qubits.  The
+    ancilla lives in the G+V pools as folded samples: ``folds`` maps each
+    lane prepared and not yet coupled to its kept sample's nonzero fold."""
     n: int
-    rows: int
     x: list[int] = field(default_factory=list)
     z: list[int] = field(default_factory=list)
     # lanes coupled with an unverified ancilla, summed over preparations
@@ -79,17 +84,13 @@ class ErrorFrame:
     # each batch's fault pools by phase (``SimEngine.pools``), batch b on
     # lanes 64b..64b+63; the engine's pooled phases draw from them
     pools: list[dict] = field(default_factory=list, repr=False, compare=False)
+    folds: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        width = 2 * self.n + self.rows
         if not self.x:
-            self.x = [0] * width
+            self.x = [0] * self.n
         if not self.z:
-            self.z = [0] * width
-
-    @property
-    def width(self) -> int:
-        return 2 * self.n + self.rows
+            self.z = [0] * self.n
 
     @property
     def lanes(self) -> int:
@@ -274,16 +275,22 @@ def _lanes(mask: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
 
 
+@lru_cache(maxsize=16)
+def _split(mask: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(batch, lanes) of each 64-lane batch with lanes in ``mask``."""
+    lanes, out, lo = _lanes(mask), [], 0
+    while lo < len(lanes):
+        b = lanes[lo] // 64
+        hi = bisect_left(lanes, 64 * b + 64, lo)
+        out.append((b, lanes[lo:hi]))
+        lo = hi
+    return tuple(out)
+
+
 def _batch_lanes(frame: ErrorFrame, mask: int) -> list[tuple[dict, tuple[int, ...]]]:
     """(pools, lanes) of each batch of the frame with lanes in ``mask``."""
-    lanes = _lanes(mask)
-    out, lo = [], 0
-    for b, pools in enumerate(frame.pools):
-        hi = bisect_left(lanes, 64 * b + 64, lo)
-        if hi > lo:
-            out.append((pools, lanes[lo:hi]))
-            lo = hi
-    return out
+    pools = frame.pools
+    return [(pools[b], lanes) for b, lanes in _split(mask)]
 
 
 def _draw(table: _FaultTable, rng, rows: int) -> np.ndarray:
@@ -302,16 +309,19 @@ def _draw(table: _FaultTable, rng, rows: int) -> np.ndarray:
     rest, row = np.divmod(rng.integers(table.slots[g] * span * rows), rows)
     slot = table.offsets[g] + rest // span
     cell = np.sort((slot * rows + row)[table.distinct[g]])
-    if (cell[1:] == cell[:-1]).any():
+    twice = cell[1:][cell[1:] == cell[:-1]]
+    if twice.size:
         # a location fails at most once per sample: a group whose draw
         # repeats a (location, sample) cell draws its cells again without
-        # replacement
-        for h in np.unique(g[table.distinct[g]]):
-            at = np.flatnonzero(g == h)
-            if np.unique(slot[at] * rows + row[at]).size < at.size:
-                pick = rng.choice(table.slots[h] * rows, size=at.size, replace=False)
-                slot[at], row[at] = np.divmod(pick, rows)
-                slot[at] += table.offsets[h]
+        # replacement; groups own disjoint slot ranges, so a repeated
+        # cell's slot names its group
+        start = np.cumsum(counts) - counts
+        groups = np.searchsorted(table.offsets, twice // rows, side="right") - 1
+        for h in np.unique(groups).tolist():
+            at = slice(start[h], start[h] + counts[h])
+            pick = rng.choice(table.slots[h] * rows, size=counts[h], replace=False)
+            slot[at], row[at] = np.divmod(pick, rows)
+            slot[at] += table.offsets[h]
     np.bitwise_xor.at(acc, row, table.images[table.slot_row[slot] + rest % span])
     return acc
 
@@ -332,6 +342,13 @@ def _row_ints(bits: np.ndarray) -> list[int]:
     return _values(words.view("<u8"))
 
 
+def _parities(images: np.ndarray, checks: np.ndarray) -> list[int]:
+    """One int per image row packing its parities under ``checks`` (a 0/1
+    matrix with one row per image bit and one column per parity)."""
+    bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
+    return _row_ints((bits @ checks).astype(np.int64) & 1)
+
+
 def _targets(table: _FaultTable) -> list[tuple[int, int]]:
     """(plane, qubit) of each image bit, plane 0 for X and 1 for Z."""
     return [(0, q) for q in table.qubits] + [(1, q) for q in table.qubits]
@@ -345,14 +362,6 @@ def _flip(planes: tuple, targets: list, value: int, lane: int) -> None:
         p, q = targets[low.bit_length() - 1]
         planes[p][q] ^= bit
         value ^= low
-
-
-def _scatter(frame: ErrorFrame, table: _FaultTable, images: np.ndarray,
-             lanes) -> None:
-    """XOR sample k of ``images`` (drawn from ``table``) into lane ``lanes[k]``."""
-    planes, targets = (frame.x, frame.z), _targets(table)
-    for lane, value in zip(lanes, _values(images)):
-        _flip(planes, targets, value, lane)
 
 
 class _Pool:
@@ -372,20 +381,18 @@ class _Pool:
         self.targets = _targets(table)
         self.at = POOL_ROWS        # next sample; the pool starts empty
 
-    def refill(self) -> tuple[np.ndarray, np.ndarray]:
-        """Draw the next samples; return the hits and their whole images."""
+    def _sample(self) -> tuple[np.ndarray, np.ndarray]:
+        """Draw the next samples; return the hits and their images."""
         images = _draw(self.table, self.rng, POOL_ROWS)
         hit = np.flatnonzero(np.bitwise_or.reduce(images, axis=1))
-        images = images[hit]
+        self.at = 0
+        return hit, images[hit]
+
+    def refill(self) -> None:
+        hit, images = self._sample()
         self.hit = hit.tolist()
         self.values = _values(images if self.apply is None else images & self.apply)
-        if self.checks is None:
-            self.tags = [0] * hit.size
-        else:
-            bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
-            self.tags = _row_ints((bits @ self.checks).astype(np.int64) & 1)
-        self.at = 0
-        return hit, images
+        self.tags = [0] * hit.size if self.checks is None else _parities(images, self.checks)
 
     def hand_out(self, frame: ErrorFrame, lanes: list[int]) -> list[tuple[int, int]]:
         """XOR the next ``len(lanes)`` samples into ``lanes``, one each, and
@@ -415,20 +422,30 @@ class _PrepPool(_Pool):
     samples lanes keep do not depend on where one call ends and the next
     begins: they are the verified samples and every ``max_attempts``-th
     failure of a run, counted from the last kept sample.  ``kept`` caches
-    them for the current refill and attempt limit.
+    them for the current refill and attempt limit.  A lane records the
+    sample's fold (``SimEngine._fold``) if it is not 0: ``fold`` holds the
+    verified samples' folds, and the kept unverified ones' once ``_keep``
+    names them.
     """
 
-    def __init__(self, table: _FaultTable, rng, verify: np.ndarray):
+    def __init__(self, table: _FaultTable, rng, verify: np.ndarray, fold: np.ndarray):
         super().__init__(table, rng)
-        self.verify = verify
+        self.verify, self.fold_checks = verify, fold
 
-    def refill(self) -> tuple[np.ndarray, np.ndarray]:
-        hit, images = super().refill()
+    def _add_folds(self, samples: np.ndarray, images: np.ndarray) -> None:
+        self.fold.update((k, v) for k, v in zip(samples.tolist(),
+                                                _parities(images, self.fold_checks)) if v)
+        self.fold_keys = sorted(self.fold)
+
+    def refill(self) -> None:
+        hit, images = self._sample()
+        bad = (images & self.verify).any(axis=1)
         self.ok = np.ones(POOL_ROWS, dtype=bool)
-        self.ok[hit[(images & self.verify).any(axis=1)]] = False
-        self.image = dict(zip(self.hit, self.values))
+        self.ok[hit[bad]] = False
+        self.failed = hit[bad], images[bad]
+        self.fold = {}
+        self._add_folds(hit[~bad], images[~bad])
         self.kept = None
-        return hit, images
 
     def _keep(self, max_attempts: int, failed: int) -> None:
         """Cache ``(max_attempts, kept, forced, left)`` for this refill from
@@ -439,14 +456,18 @@ class _PrepPool(_Pool):
         ok = self.ok[self.at:]
         last_ok = np.maximum.accumulate(np.where(ok, at, self.at - 1 - failed))
         keep = ok | ((at - last_ok) % max_attempts == 0)
-        self.kept = (max_attempts, at[keep].tolist(), set(at[keep & ~ok].tolist()),
+        forced = at[keep & ~ok]
+        if forced.size:
+            samples, images = self.failed
+            self._add_folds(forced, images[np.searchsorted(samples, forced)])
+        self.kept = (max_attempts, at[keep].tolist(), set(forced.tolist()),
                      int(POOL_ROWS - 1 - last_ok[-1]) % max_attempts)
 
     def hand_out_verified(self, frame: ErrorFrame, lanes: list[int],
                           max_attempts: int) -> int:
-        """XOR the next kept sample into each lane in turn and return how
-        many lanes kept an unverified one."""
-        planes, unverified, failed, done = (frame.x, frame.z), 0, 0, 0
+        """Record the next kept sample's fold for each lane in turn and
+        return how many lanes kept an unverified one."""
+        folds, unverified, failed, done = frame.folds, 0, 0, 0
         while done < len(lanes):
             if self.at == POOL_ROWS:
                 self.refill()
@@ -455,9 +476,13 @@ class _PrepPool(_Pool):
             _, kept, forced, left = self.kept
             lo = bisect_left(kept, self.at)
             picks = kept[lo:lo + len(lanes) - done]
-            for lane, k in zip(lanes[done:], picks):
-                if k in self.image:
-                    _flip(planes, self.targets, self.image[k], lane)
+            if picks:
+                # the folded samples among the picks: few when faults are rare
+                keys = self.fold_keys
+                for k in keys[bisect_left(keys, picks[0]):bisect_left(keys, picks[-1] + 1)]:
+                    j = bisect_left(picks, k)
+                    if picks[j] == k:
+                        folds[lanes[done + j]] = self.fold[k]
             if forced:
                 unverified += len(forced.intersection(picks))
             done += len(picks)
@@ -467,6 +492,12 @@ class _PrepPool(_Pool):
             else:
                 self.at = picks[-1] + 1
         return unverified
+
+
+def _take_folds(frame: ErrorFrame, mask: int) -> list[tuple[int, int]]:
+    """Remove the masked lanes' recorded folds; return them as (lane, fold)."""
+    folds = frame.folds
+    return [(lane, folds.pop(lane)) for lane in [lane for lane in folds if mask >> lane & 1]]
 
 
 def _word_mask(positions, width: int) -> np.ndarray:
@@ -485,81 +516,52 @@ def _bit_positions(v: int) -> list[int]:
     return out
 
 
-@dataclass
-class _ReadoutMap:
-    """A readout's noiseless pass plus its syndromes as one GF(2) map over
-    lane words.
-
-    Input b is the start-of-phase lane word of bit b: the X words of the
-    table's qubits ``lo..hi-1``, then their Z words.  End-of-phase word o
-    is input word o XOR input word b for every pair ``(o, b)`` of
-    ``moves``.  ``write`` lists the data bits the readout changes as (bit,
-    plane, qubit), and syndrome bit l is the XOR of end-of-phase bits
-    ``checks[l]``; ``weights`` packs syndrome bits into 64-bit words.
+def _fold_checks(prep: _FaultTable, readouts: list[_FaultTable],
+                 checks: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix that folds a G+V image (row b: image bit b, padded
+    to its words) through each readout's noiseless map (``transfer``, over
+    data then ancilla).  Each readout adds 2n + len(checks) columns: the
+    data's X and Z bits and the syndrome bits, bit l reading the measured
+    ancilla's X bits of check row l, that the image's ancilla share leaves.
     """
-    lo: int
-    hi: int
-    moves: list[tuple[int, int]]
-    write: list[tuple[int, int, int]]
-    checks: list[tuple[int, ...]]
-    weights: np.ndarray
+    n = checks.shape[1]
+    m, nbytes = 2 * n, (4 * n + 7) // 8
+    cols = []
+    for table in readouts:
+        # end-of-readout images of an X, then a Z, on each ancilla qubit
+        words = [table.transfer[b] for b in [*range(n, m), *range(m + n, 2 * m)]]
+        end = np.unpackbits(np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in words),
+                                          np.uint8).reshape(m, nbytes), axis=1, bitorder="little")
+        cols += [end[:, :n], end[:, m:m + n],
+                 end[:, n:m].astype(np.int64) @ checks.T.astype(np.int64) & 1]
+    out = np.zeros((prep.images.shape[1] * 64, sum(c.shape[1] for c in cols)), np.float32)
+    m_prep = len(prep.qubits)         # ancilla then verification qubits
+    out[[*range(n), *range(m_prep, m_prep + n)]] = np.hstack(cols)
+    return out
 
 
-def _readout_map(table: _FaultTable, data: int,
-                 syndrome_bits: list[list[int]]) -> _ReadoutMap:
-    """Compile the noiseless pass of a readout over data plus ancilla by
-    transposing ``table.transfer`` into per-output input sets.
-
-    The first ``data`` table qubits are the data block, whose end-of-phase
-    words the map writes back; the measured ancilla's are discarded.
-    Syndrome bit l reads the XOR of end-of-phase bits ``syndrome_bits[l]``.
-    """
-    m = len(table.qubits)
-    lo = table.qubits[0]
-    if table.qubits != list(range(lo, lo + m)):
-        raise ValueError("a readout map needs consecutive qubits")
-    inputs = [0] * 2 * m               # end-of-phase bit -> start-of-phase bits
-    for b, image in enumerate(table.transfer):
-        for o in _bit_positions(image):
-            inputs[o] |= 1 << b
-    changed = [o for o in range(2 * m) if o % m < data and inputs[o] != 1 << o]
-    checks = [tuple(map(int, bits)) for bits in syndrome_bits]
-    read = sorted({o for bits in checks for o in bits}.union(changed))
-    c = np.arange(len(syndrome_bits))
-    weights = np.zeros(((c.size + 63) // 64, c.size), dtype=np.uint64)
-    weights[c // 64, c] = np.uint64(1) << (c % 64).astype(np.uint64)
-    return _ReadoutMap(lo, lo + m,
-                       [(o, b) for o in read for b in _bit_positions(inputs[o] ^ 1 << o)],
-                       [(o, o // m, lo + o % m) for o in changed],
-                       checks, weights)
-
-
-def _apply_readout(rmap: _ReadoutMap, frame: ErrorFrame, mask: int) -> list[int]:
-    """Run the map's noiseless pass on the masked lanes of the frame and
-    return one packed syndrome per lane (0 outside the mask): transposed
-    lane by lane when few read nonzero, else by numpy's bit unpacking."""
-    x, z = frame.x, frame.z
-    words = x[rmap.lo:rmap.hi] + z[rmap.lo:rmap.hi]
-    end = list(words)
-    for o, b in rmap.moves:
-        end[o] ^= words[b]
-    planes, keep = (x, z), ~mask
-    for o, p, q in rmap.write:
-        planes[p][q] = (planes[p][q] & keep) ^ (end[o] & mask)
+def _syndromes(checks: list[tuple[int, ...]], plane: list[int], mask: int,
+               lanes: int) -> list[int]:
+    """One packed syndrome of ``plane`` per lane of a ``lanes``-lane frame
+    (0 outside the mask), whose bit l is the XOR of the words ``checks[l]``:
+    transposed lane by lane when few read nonzero, else by numpy's bit
+    unpacking."""
+    if not reduce(or_, plane, 0) & mask:
+        return [0] * lanes
     bits, hot = [], 0
-    for cols in rmap.checks:
+    for cols in checks:
         acc = 0
         for c in cols:
-            acc ^= end[c]
+            acc ^= plane[c]
         acc &= mask
         bits.append(acc)
         hot |= acc
     if hot.bit_count() > _SPARSE_LANES:
-        size = frame.lanes // 8
+        size = lanes // 8
         raw = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in bits), np.uint8)
-        by_bit = np.unpackbits(raw.reshape(len(bits), size), axis=1, bitorder="little")
-        return _values((rmap.weights @ by_bit).T)
-    syndromes, bits = [0] * frame.lanes, bits[::-1]
+        return _row_ints(np.unpackbits(raw.reshape(len(bits), size), axis=1,
+                                       bitorder="little").T)
+    syndromes, bits = [0] * lanes, bits[::-1]
     for lane in _bit_positions(hot):
         acc = 0
         for w in bits:
@@ -576,20 +578,16 @@ def judge_syndromes(pool: list[int], r_prime: int) -> Optional[int]:
     """Accept a syndrome value occurring at least r' times in the pool.
 
     Pool is ordered oldest to newest.  Between competing values the one
-    whose r'-th most recent occurrence is latest wins.
+    whose r'-th most recent occurrence is latest wins: scanning from the
+    newest, the first value to reach r' occurrences.
     """
-    positions: dict[int, list[int]] = {}
-    for idx, s in enumerate(pool):
-        positions.setdefault(s, []).append(idx)
-    best = None
-    best_key = -1
-    for value, occ in positions.items():
-        if len(occ) >= r_prime:
-            key = occ[-r_prime]
-            if key > best_key:
-                best_key = key
-                best = value
-    return best
+    seen: dict[int, int] = {}
+    for s in reversed(pool):
+        count = seen.get(s, 0) + 1
+        if count >= r_prime:
+            return s
+        seen[s] = count
+    return None
 
 
 @dataclass
@@ -666,25 +664,21 @@ class SimEngine:
         self._data_rest = _fault_table([], data, noise,
                                        (data, idle_flip_probability(noise.eps, self.t_r)))
         self._logical_gate = _fault_table([], data, noise, (data, noise.gamma))
-        # a syndrome bit reads the ancilla X bits (readout bits n..2n-1) of
-        # its check row, and a readout leaves only its data bits (X: 0..n-1,
-        # Z: 2n..3n-1) in the frame; a G+V sample verifies with no X on a
-        # verification qubit (G+V bits n..n+rows-1)
+        # a readout pool keeps only its faults' data bits (readout bits X:
+        # 0..n-1, Z: 2n..3n-1) and tags each with the syndrome bits it flips,
+        # which read the ancilla X bits (readout bits n..2n-1) of the check
+        # rows; a G+V sample verifies with no X on a verification qubit (G+V
+        # bits n..n+rows-1), and folds through the Z and then the X readout
         n, checks = self.n, self.code.H
-        self._readout_maps = {
-            e: _readout_map(t, n, [[n + i for i in np.flatnonzero(row)] for row in checks])
-            for e, t in self._readout.items()}
-        # the data checks read the X (Z) plane as a readout that runs no
-        # gates (the data rest's identity map) and writes nothing back
-        self._data_checks = {
-            plane: _readout_map(self._data_rest, 0,
-                                [[k * n + i for i in np.flatnonzero(row)] for row in checks])
-            for k, plane in enumerate("xz")}
+        self._checks = [tuple(np.flatnonzero(row).tolist()) for row in checks]
         self._syndrome_checks = np.zeros(((4 * n + 63) // 64 * 64, len(checks)),
                                          dtype=np.float32)
         self._syndrome_checks[n:2 * n] = checks.T
         self._data_words = _word_mask([*range(n), *range(2 * n, 3 * n)], 4 * n)
         self._verify_word = _word_mask(range(n, n + self.rows), 2 * len(self._prep.qubits))
+        self._fold = _fold_checks(self._prep, [self._readout["Z"], self._readout["X"]], checks)
+        self._fold_width = 2 * n + len(checks)
+        self._fold_targets = _targets(self._data_rest)
 
     def _resting_time(self) -> float:
         pp = self.protocol
@@ -706,59 +700,61 @@ class SimEngine:
         the data's rest and the logical gate, each on its own child stream
         of ``rng`` in that order."""
         prep, z, x, rest, gate = rng.spawn(5)
-        return {"prep": _PrepPool(self._prep, prep, self._verify_word),
+        return {"prep": _PrepPool(self._prep, prep, self._verify_word, self._fold),
                 "Z": _Pool(self._readout["Z"], z, self._syndrome_checks, self._data_words),
                 "X": _Pool(self._readout["X"], x, self._syndrome_checks, self._data_words),
                 "rest": _Pool(self._data_rest, rest),
                 "gate": _Pool(self._logical_gate, gate)}
-
-    def _reset_ancilla(self, frame: ErrorFrame, mask: int) -> None:
-        """Clear the ancilla and verification qubits on the masked lanes.
-
-        G+V prepares each of them before any fault that survives it, so
-        those lanes then hold exactly the fault image XORed in next."""
-        keep, lo, hi = ~mask, self.n, 2 * self.n + self.rows
-        frame.x[lo:hi] = [v & keep for v in frame.x[lo:hi]]
-        frame.z[lo:hi] = [v & keep for v in frame.z[lo:hi]]
 
     # -- one syndrome extraction ---------------------------------------------
     def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
         """Run G and V once for the masked lanes, drawing straight from
         ``rng``; return the verified sub-mask."""
         lanes = _lanes(mask)
-        self._reset_ancilla(frame, mask)
-        _scatter(frame, self._prep, _draw(self._prep, rng, len(lanes)), lanes)
-        bad = 0
-        for q in self.networks.verification_qubits:
-            bad |= frame.x[q]
-        return mask & ~bad
+        images = _draw(self._prep, rng, len(lanes))
+        _take_folds(frame, mask)
+        frame.folds.update((lane, v) for lane, v in zip(lanes, _parities(images, self._fold))
+                           if v)
+        bad = (images & self._verify_word).any(axis=1).tolist()
+        return mask & ~sum(1 << lane for lane in compress(lanes, bad))
 
     def prepare_verified(self, frame: ErrorFrame, mask: int,
                          max_attempts: int = 64) -> None:
         """Re-prepare until every masked lane holds a verified ancilla.
 
         Attempts come from the G+V pool of the lane's batch: each masked
-        lane of a batch in turn takes the next samples until one verifies.
-        A lane whose ``max_attempts`` attempts all fail goes on with the
-        last one and is counted in ``frame.unverified``.
+        lane of a batch in turn takes the next samples until one verifies,
+        and records its fold.  A lane whose ``max_attempts`` attempts all
+        fail goes on with the last one and is counted in
+        ``frame.unverified``.
         """
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if not mask:
             return
-        self._reset_ancilla(frame, mask)
+        _take_folds(frame, mask)
         for pools, lanes in _batch_lanes(frame, mask):
             frame.unverified += pools["prep"].hand_out_verified(frame, lanes, max_attempts)
 
     def couple_and_measure(self, frame: ErrorFrame, mask: int,
                            error_type: str) -> list[int]:
-        """Readout wait, transversal coupling, ancilla readout, syndromes.
-
-        Returns one packed syndrome int per lane (0 for lanes outside the
-        mask).  The measured ancilla is discarded: its words keep their
-        values until the next preparation resets them.
-        """
-        syndromes = _apply_readout(self._readout_maps[error_type], frame, mask)
+        """Readout wait, transversal coupling, ancilla readout, syndromes:
+        the data check of the error type's plane XOR each masked lane's
+        recorded fold, spent here along with its data flips, XOR the
+        readout faults' share.  Returns one packed syndrome int per lane (0
+        for lanes outside the mask)."""
+        plane = frame.x if error_type == "X" else frame.z
+        syndromes = _syndromes(self._checks, plane, mask, frame.lanes)
+        if frame.folds:
+            # a fold is the Z readout's 2n data and len(H) syndrome bits,
+            # then the X readout's
+            width, data = self._fold_width, 2 * self.n
+            at = 0 if error_type == "Z" else width
+            planes, keep, top = (frame.x, frame.z), (1 << data) - 1, (1 << width) - 1
+            for lane, fold in _take_folds(frame, mask):
+                fold = fold >> at & top
+                _flip(planes, self._fold_targets, fold & keep, lane)
+                syndromes[lane] ^= fold >> data
         for pools, lanes in _batch_lanes(frame, mask):
             for lane, tag in pools[error_type].hand_out(frame, lanes):
                 syndromes[lane] ^= tag
@@ -771,7 +767,8 @@ class SimEngine:
             pools[phase].hand_out(frame, lanes)
 
     def data_syndromes(self, frame: ErrorFrame, plane: str, mask: int) -> list[int]:
-        return _apply_readout(self._data_checks[plane], frame, mask)
+        return _syndromes(self._checks, frame.x if plane == "x" else frame.z, mask,
+                          frame.lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +845,7 @@ def run_batch(engine: SimEngine, rngs: list, q_max: int = Q_MAX_DEFAULT,
     """Run lane-parallel trials to crash or q_max steps in one frame, 64
     lanes per stream of ``rngs``, each batch on the fault pools of its own
     stream.  ``mask`` picks the trials' lanes (all of them by default)."""
-    frame = ErrorFrame(n=engine.n, rows=engine.rows,
-                       pools=[engine.pools(rng) for rng in rngs])
+    frame = ErrorFrame(n=engine.n, pools=[engine.pools(rng) for rng in rngs])
     if mask is None:
         mask = (1 << frame.lanes) - 1
     pending_z: dict[int, list[int]] = {}
@@ -954,6 +950,7 @@ def estimate_pbar_mc(config: SimConfig, seed: int = 0,
     next_batch = 0
     pool = None
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
     try:
         while True:

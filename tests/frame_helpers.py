@@ -1,10 +1,11 @@
-"""Reference frame operations for the tests: gate-by-gate propagation and
-single-lane access to a lane-packed ``ErrorFrame``."""
+"""Reference frame operations for the tests: gate-by-gate propagation,
+scattering drawn fault images into lanes, and single-lane access to a
+lane-packed ``ErrorFrame``."""
 import numpy as np
 
 from ftqec import network
 from ftqec.network import GateEvent
-from ftqec.simulator import ErrorFrame
+from ftqec.simulator import ErrorFrame, _flip, _targets, _values
 
 MASK_ALL = (1 << 64) - 1
 
@@ -33,6 +34,13 @@ def propagate(gate: GateEvent, frame: ErrorFrame, mask: int = MASK_ALL) -> Error
         z[t] ^= x[c] & mask
         z[c] ^= x[t] & mask
     return frame
+
+
+def scatter(frame: ErrorFrame, table, images: np.ndarray, lanes) -> None:
+    """XOR sample k of ``images`` (drawn from ``table``) into lane ``lanes[k]``."""
+    planes, targets = (frame.x, frame.z), _targets(table)
+    for lane, value in zip(lanes, _values(images)):
+        _flip(planes, targets, value, lane)
 
 
 def lane_bits(frame: ErrorFrame, plane: str, lane: int = 0) -> np.ndarray:

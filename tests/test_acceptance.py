@@ -234,7 +234,7 @@ def test_criterion_6_zero_noise():
     code = codes.construct_code("hamming")
     eng = SimEngine(code, NoiseParams(), ProtocolParams(2, 2, 2,
                                                         parallel_corrections=1.0))
-    frame = ErrorFrame(n=7, rows=4, pools=[eng.pools(stream(SEED, 0))])
+    frame = ErrorFrame(n=7, pools=[eng.pools(stream(SEED, 0))])
     pending = {}
     for _ in range(5):
         eng.add_noise(frame, 1, "rest")
@@ -249,7 +249,7 @@ def test_criterion_6_zero_noise():
     planted_ok = True
     for qubit in range(7):
         for plane, etype in (("x", "X"), ("z", "Z")):
-            f = ErrorFrame(n=7, rows=4, pools=[eng1.pools(stream(SEED, 2))])
+            f = ErrorFrame(n=7, pools=[eng1.pools(stream(SEED, 2))])
             set_lane(f, plane, qubit, 0, 1)
             eng1.add_noise(f, 1, "rest")
             recover_block(f, {}, eng1, etype, 1)

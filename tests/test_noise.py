@@ -10,14 +10,14 @@ from ftqec.network import CNOT, GateEvent, MEASURE, PREP_ZERO
 from ftqec.noise import (NoiseParams, Pauli, TWO_QUBIT_FAILURES,
                          idle_flip_probability, stream)
 from ftqec.protocol import ProtocolParams
-from ftqec.simulator import ErrorFrame, SimEngine, _draw, _fault_table, _program, _scatter
+from ftqec.simulator import ErrorFrame, SimEngine, _draw, _fault_table, _program
 
-from frame_helpers import MASK_ALL
+from frame_helpers import MASK_ALL, scatter
 
 
 def inject(table, frame: ErrorFrame, rng) -> None:
     """One draw of a phase on all 64 lanes of the frame."""
-    _scatter(frame, table, _draw(table, rng, 64), range(64))
+    scatter(frame, table, _draw(table, rng, 64), range(64))
 
 
 def lane_bits(word: int) -> np.ndarray:
@@ -61,7 +61,7 @@ def test_params_validation():
 def test_two_qubit_zero_rate_is_identity():
     table = cnot_table(0.0)
     rng = stream(1, 0)
-    frame = ErrorFrame(n=1, rows=0)
+    frame = ErrorFrame(n=2)
     for _ in range(1000):
         inject(table, frame, rng)
     assert flip_count(frame) == 0
@@ -76,7 +76,7 @@ def test_two_qubit_forced_failure_uniform():
     n = 1_000_000
     tally = np.zeros(16, dtype=np.int64)
     for _ in range(n // 64):
-        frame = ErrorFrame(n=1, rows=0)
+        frame = ErrorFrame(n=2)
         inject(table, frame, rng)
         pair = 4 * lane_paulis(frame, 0) + lane_paulis(frame, 1)
         tally += np.bincount(pair, minlength=16)
@@ -98,7 +98,7 @@ def test_single_qubit_marginals():
     n = 1_000_000
     tally = np.zeros(4, dtype=np.int64)
     for _ in range(n // 64):
-        frame = ErrorFrame(n=1, rows=0)
+        frame = ErrorFrame(n=2)
         inject(table, frame, rng)
         tally += np.bincount(lane_paulis(frame, 0), minlength=4)
     for pauli in (Pauli.X, Pauli.Y, Pauli.Z):
@@ -118,7 +118,7 @@ def test_prep_measure_marginals(kind):
     n = 200_000
     hits = 0
     for _ in range(n // 64):
-        frame = ErrorFrame(n=1, rows=0)
+        frame = ErrorFrame(n=2)
         inject(table, frame, rng)
         if kind == PREP_ZERO:
             assert frame.z[0] == 0
@@ -130,7 +130,7 @@ def test_prep_measure_marginals(kind):
 
 def test_memory_noise_zero_eps():
     rng = stream(5, 0)
-    frame = ErrorFrame(n=4, rows=0)
+    frame = ErrorFrame(n=8)
     inject(hole_table(8, range(8), 0.0), frame, rng)
     inject(idle_table(range(8), idle_flip_probability(0.0, 100)), frame, rng)
     assert flip_count(frame) == 0
@@ -144,7 +144,7 @@ def test_memory_noise_mean_count():
     rng = stream(6, 0)
     count = 0
     for _ in range(16):
-        frame = ErrorFrame(n=500, rows=0)
+        frame = ErrorFrame(n=1000)
         inject(table, frame, rng)
         count += flip_count(frame)
     mean = 16 * 1000 * 64 * 1e-3
@@ -153,7 +153,7 @@ def test_memory_noise_mean_count():
 
 def test_memory_noise_forced_single_location():
     # a one-step rest at eps = 1 flips every lane
-    frame = ErrorFrame(n=1, rows=0)
+    frame = ErrorFrame(n=2)
     inject(idle_table([0], idle_flip_probability(1.0, 1)), frame, stream(7, 0))
     assert frame.x[0] | frame.z[0] == MASK_ALL
 
@@ -161,10 +161,10 @@ def test_memory_noise_forced_single_location():
 def test_memory_noise_exact_marginal():
     # idle noise draws each qubit independently; X or Y components: 2/3 of
     # failures flip the X plane
-    frame = ErrorFrame(n=2344, rows=0)
-    table = idle_table(range(frame.width), idle_flip_probability(0.01, 1))
+    frame = ErrorFrame(n=4688)
+    table = idle_table(range(frame.n), idle_flip_probability(0.01, 1))
     inject(table, frame, stream(8, 0))
-    n = frame.width * 64
+    n = frame.n * 64
     flips_x = sum(bin(v).count("1") for v in frame.x)
     expected = n * 0.01 * 2 / 3
     sigma = (n * 0.01 * 2 / 3) ** 0.5
@@ -176,7 +176,7 @@ def test_determinism_same_seed():
     frames = []
     for _ in range(2):
         rng = stream(9, 5)
-        frame = ErrorFrame(n=1, rows=0)
+        frame = ErrorFrame(n=2)
         for _ in range(50):
             inject(table, frame, rng)
         frames.append((frame.x, frame.z))
@@ -194,16 +194,19 @@ def test_preparation_matches_per_gate_sampler():
     ref_alpha, ref_corrupt = 118_625 / 192_000, 18_451 / 118_625
     eng = SimEngine(codes.construct_code("golay"), NoiseParams(3e-3, 3e-4, 1),
                     ProtocolParams(1, 1, 1, parallel_corrections=1.0))
+    n, m = eng.n, len(eng._prep.qubits)
     attempts = verified = corrupt = 0
     for b in range(300):
-        frame = ErrorFrame(n=eng.n, rows=eng.rows)
-        ok = eng.attempt_preparation(frame, stream(7, b), MASK_ALL)
-        bad = 0
-        for q in eng.networks.ancilla_qubits:
-            bad |= frame.x[q] | frame.z[q]
+        # the draw of one attempt on 64 lanes, as attempt_preparation makes it
+        bits = np.unpackbits(_draw(eng._prep, stream(7, b), 64).view(np.uint8), axis=1,
+                             bitorder="little")
+        # verification X bits follow the ancilla's; the ancilla's Z bits
+        # start at bit m
+        ok = ~bits[:, n:m].any(axis=1)
+        bad = bits[:, :n].any(axis=1) | bits[:, m:m + n].any(axis=1)
         attempts += 64
-        verified += bin(ok).count("1")
-        corrupt += bin(ok & bad).count("1")
+        verified += int(ok.sum())
+        corrupt += int((ok & bad).sum())
     alpha, frac = verified / attempts, corrupt / verified
     sigma_alpha = (ref_alpha * (1 - ref_alpha) * (1 / attempts + 1 / 192_000)) ** 0.5
     sigma_frac = (ref_corrupt * (1 - ref_corrupt) * (1 / verified + 1 / 118_625)) ** 0.5

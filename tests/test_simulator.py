@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ftqec import analytic, codes, network, simulator
+from ftqec import analytic, codes, gf2, network, simulator
 from ftqec.network import GateEvent, CNOT, CPHASE, HADAMARD
 from ftqec.noise import NoiseParams, stream
 from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
@@ -28,32 +29,32 @@ def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
 # -- propagation rules --------------------------------------------------------
 
 def test_hadamard_swaps_planes():
-    f = ErrorFrame(n=7, rows=4)
+    f = ErrorFrame(n=7)
     set_lane(f, "x", 2, 0, 1)
     propagate(GateEvent(HADAMARD, (2,), 0), f)
     assert x_bits(f)[2] == 0 and z_bits(f)[2] == 1
 
 
 def test_cnot_propagation():
-    f = ErrorFrame(n=7, rows=4)
+    f = ErrorFrame(n=7)
     set_lane(f, "x", 1, 0, 1)             # X on control
     propagate(GateEvent(CNOT, (1, 3), 0), f)
     assert x_bits(f)[1] == 1 and x_bits(f)[3] == 1
-    f2 = ErrorFrame(n=7, rows=4)
+    f2 = ErrorFrame(n=7)
     set_lane(f2, "z", 3, 0, 1)            # Z on target
     propagate(GateEvent(CNOT, (1, 3), 0), f2)
     assert z_bits(f2)[1] == 1 and z_bits(f2)[3] == 1
 
 
 def test_cphase_propagation():
-    f = ErrorFrame(n=7, rows=4)
+    f = ErrorFrame(n=7)
     set_lane(f, "x", 0, 0, 1)
     propagate(GateEvent(CPHASE, (0, 5), 0), f)
     assert z_bits(f)[5] == 1 and x_bits(f)[0] == 1 and z_bits(f)[0] == 0
 
 
 def test_zero_frame_fixed_under_gates():
-    f = ErrorFrame(n=7, rows=4)
+    f = ErrorFrame(n=7)
     for ev in (GateEvent(HADAMARD, (0,), 0), GateEvent(CNOT, (0, 1), 1),
                GateEvent(CPHASE, (2, 3), 2)):
         propagate(ev, f)
@@ -72,21 +73,21 @@ def _extract(eng, f, error_type, rng):
 
 def test_extract_zero_noise_zero_frame():
     eng = engine()
-    f = ErrorFrame(n=7, rows=4)
+    f = ErrorFrame(n=7)
     assert not _extract(eng, f, "X", stream(0, 0)).any()
 
 
 @pytest.mark.parametrize("j", range(7))
 def test_extract_single_x_error_gives_column(j):
     eng = engine()
-    f = ErrorFrame(n=7, rows=4)
+    f = ErrorFrame(n=7)
     set_lane(f, "x", j, 0, 1)
     assert np.array_equal(_extract(eng, f, "X", stream(0, j)), eng.code.H[:, j])
 
 
 def test_extract_single_z_error_z_type(golay):
     eng = engine("golay")
-    f = ErrorFrame(n=23, rows=12)
+    f = ErrorFrame(n=23)
     set_lane(f, "z", 11, 0, 1)
     assert np.array_equal(_extract(eng, f, "Z", stream(0, 1)), eng.code.H[:, 11])
 
@@ -105,7 +106,7 @@ def test_verified_fraction_tracks_alpha():
     while done < trials:
         rng = stream(77, batch)
         batch += 1
-        f = ErrorFrame(n=23, rows=12)
+        f = ErrorFrame(n=23)
         verified = eng.attempt_preparation(f, rng, (1 << 64) - 1)
         passed += bin(verified).count("1")
         done += 64
@@ -141,33 +142,41 @@ def test_unverified_lanes_counted():
     # X bits of the verification qubits, which follow the ancilla
     verified = ~bits[:, eng.n:eng.n + eng.rows].any(axis=1)
     for max_attempts in (1, 3):
-        f = ErrorFrame(n=7, rows=eng.rows, pools=[eng.pools(stream(5, 0))])
+        f = ErrorFrame(n=7, pools=[eng.pools(stream(5, 0))])
         eng.prepare_verified(f, mask, max_attempts=max_attempts)
         assert f.unverified == _sequential_unverified(verified, 64, max_attempts) > 0
         quiet_eng = engine()
-        quiet = ErrorFrame(n=7, rows=eng.rows, pools=[quiet_eng.pools(stream(5, 0))])
+        quiet = ErrorFrame(n=7, pools=[quiet_eng.pools(stream(5, 0))])
         quiet_eng.prepare_verified(quiet, mask, max_attempts=max_attempts)
         assert quiet.unverified == 0
 
 
 def test_prepare_verified_matches_sequential_retries(monkeypatch):
-    # G+V samples from a fixed sequence: sample k carries k in its ancilla
-    # bits and fails verification where ``fails`` says.  Runs of 7 and 12
-    # failures inside the first refill exhaust a lane's attempts, and a
-    # run of 20 crosses the refill, so some lane spends its attempts on
-    # both sides of it.  Calls alternate between limits of 8 and 5
-    # attempts.  Every lane must keep the sample that per-lane sequential
-    # retries give it.
+    # G+V samples from a fixed sequence: sample k carries an ancilla error
+    # whose fold spells k (ancilla bits whose folds are independent), and
+    # fails verification where ``fails`` says.  Runs of 7 and 12 failures
+    # inside the first refill exhaust a lane's attempts, and a run of 20
+    # crosses the refill, so some lane spends its attempts on both sides of
+    # it.  Calls alternate between limits of 8 and 5 attempts.  Every lane
+    # must record the fold of the sample that per-lane sequential retries
+    # give it.
     eng = engine()
-    n, rows = eng.n, eng.rows
+    n = eng.n
     pool_rows = simulator.POOL_ROWS
     m = len(eng._prep.qubits)
+    _, pivots, _ = gf2.rref(eng._fold.T)
+    spell = pivots[:11]                   # 2^11 > 3 * POOL_ROWS
+    assert len(spell) == 11 and all(b < n or m <= b < m + n for b in spell)
     fails = np.random.default_rng(8).random(3 * pool_rows) < 0.3
     fails[120:127] = True
     fails[200:212] = True
     fails[pool_rows - 12:pool_rows + 8] = True
-    values = [(k & 127) | (k >> 7) << m | int(fails[k]) << n for k in range(3 * pool_rows)]
-    images = np.array([[v & (2**64 - 1), v >> 64] for v in values], dtype=np.uint64)
+    values = [sum(1 << b for i, b in enumerate(spell) if k >> i & 1) | int(fails[k]) << n
+              for k in range(3 * pool_rows)]
+    assert eng._prep.images.shape[1] == 1
+    images = np.array(values, dtype=np.uint64)[:, None]
+    want = simulator._parities(images, eng._fold)
+    assert len(set(want)) == len(want)
     chunks = iter(np.split(images, 3))
 
     def draw(table, rng, count):
@@ -177,7 +186,7 @@ def test_prepare_verified_matches_sequential_retries(monkeypatch):
     monkeypatch.setattr(simulator, "_draw", draw)
     gen = np.random.default_rng(9)
     masks = [(1 << 64) - 1] * 4 + [int(v) for v in gen.integers(1, 2**63, 8)]
-    f = ErrorFrame(n=n, rows=rows, pools=[eng.pools(stream(0, 0))])
+    f = ErrorFrame(n=n, pools=[eng.pools(stream(0, 0))])
     at = unverified = 0
     crossed, inside = False, set()
     for call, mask in enumerate(masks):
@@ -196,17 +205,28 @@ def test_prepare_verified_matches_sequential_retries(monkeypatch):
                 crossed |= start < pool_rows <= at - 1
                 if at <= pool_rows:
                     inside.add(max_attempts)
-            kept = sum(((f.x[q] >> lane) & 1) << j for j, q in enumerate(range(n, 2 * n)))
-            kept |= sum(((f.z[q] >> lane) & 1) << (7 + j) for j, q in enumerate(range(n, 2 * n)))
-            assert kept == at - 1, (mask, lane)
-            assert (f.x[2 * n] >> lane) & 1 == fails[at - 1]
+            assert f.folds.get(lane, 0) == want[at - 1], (mask, lane)
     assert crossed and inside == {8, 5} and at > pool_rows
     assert f.unverified == unverified
 
 
 def test_prepare_verified_needs_an_attempt():
     with pytest.raises(ValueError):
-        engine().prepare_verified(ErrorFrame(n=7, rows=4), 1, max_attempts=0)
+        engine().prepare_verified(ErrorFrame(n=7), 1, max_attempts=0)
+
+
+def test_preparation_replaces_the_lanes_ancilla():
+    # a lane prepared again couples its new ancilla only, here a fault-free
+    # one; the lanes outside the mask keep their folds
+    noisy, quiet = engine(gamma=0.05, eps=0.05), engine()
+    f = ErrorFrame(n=7, pools=[quiet.pools(stream(6, 0))])
+    mask = (1 << 64) - 1
+    noisy.attempt_preparation(f, stream(6, 1), mask)
+    assert len(f.folds) > 10
+    quiet.prepare_verified(f, mask >> 32)
+    assert f.folds and min(f.folds) >= 32
+    quiet.attempt_preparation(f, stream(6, 2), mask)
+    assert not f.folds and not any(quiet.couple_and_measure(f, mask, "X"))
 
 
 @pytest.mark.parametrize("name", ["hamming", "golay", "bch31"])
@@ -231,7 +251,7 @@ def _forward_images(table) -> np.ndarray:
     rows = table.images.shape[0]
     lanes = (1 << (rows + 1)) - 1
     top = max(table.qubits) + 1
-    frame = ErrorFrame(n=top, rows=0)
+    frame = ErrorFrame(n=top)
     for q in table.qubits:
         frame.x[q] = frame.z[q] = 1 << rows
     at = {}
@@ -294,33 +314,41 @@ def test_fault_table_matches_forward_propagation(name):
 
 
 @pytest.mark.parametrize("name", codes.code_names())
-def test_readout_map_matches_propagation(name):
-    # the compiled readout map against gate-by-gate propagation on random
-    # frames: the same data planes and syndromes on the masked lanes, and
-    # nothing changed on the others
-    code = codes.standardized_code(codes.construct_code(name))
-    sf = codes.standard_form(code)
-    params = codes.derived_params(sf, code.n, code.k, code.d, name=name)
-    ns = network.synthesize_networks(sf, params)
-    _, readout = simulator._phase_tables(ns, NoiseParams())
-    n = code.n
-    syndrome_bits = [[n + i for i in np.flatnonzero(row)] for row in code.H]
+def test_readout_map_matches_propagation(name, monkeypatch):
+    # a folded extraction against gate-by-gate propagation of the data plus
+    # each lane's G+V sample through the readout's noiseless map: the same
+    # data planes and syndromes on the masked lanes, nothing changed on the
+    # others.  The readout is fault-free; an extraction never decodes, so
+    # codes without a decoder run too.
+    monkeypatch.setattr(codes, "decoder_for", lambda code: None)
+    eng = engine(name)
+    noisy, readout = simulator._phase_tables(eng.networks, NoiseParams(0.02, 0.02, 1))
+    eng._prep = noisy                    # folds do not depend on the noise
+    n, m = eng.n, len(noisy.qubits)
     gen = np.random.default_rng(n)
-    for error_type, table in readout.items():
-        rmap = simulator._readout_map(table, n, syndrome_bits)
+    for error_type in ("Z", "X"):
         for mask in ((1 << 64) - 1, int(gen.integers(1, 2**63))):
-            frame = ErrorFrame(n=n, rows=ns.rows)
-            frame.x = [int(v) for v in gen.integers(0, 2**64, frame.width, dtype=np.uint64)]
-            frame.z = [int(v) for v in gen.integers(0, 2**64, frame.width, dtype=np.uint64)]
-            ref = ErrorFrame(n=n, rows=ns.rows, x=list(frame.x), z=list(frame.z))
-            got = simulator._apply_readout(rmap, frame, mask)
-            for gates, _, _ in table.program:
+            frame = ErrorFrame(n=n, pools=[eng.pools(stream(n, 0))])
+            frame.x = [int(v) for v in gen.integers(0, 2**64, n, dtype=np.uint64)]
+            frame.z = [int(v) for v in gen.integers(0, 2**64, n, dtype=np.uint64)]
+            ref = ErrorFrame(n=2 * n, x=frame.x + [0] * n, z=frame.z + [0] * n)
+            lanes = simulator._lanes(mask)
+            images = simulator._draw(noisy, stream(n, 1), len(lanes))
+            eng.attempt_preparation(frame, stream(n, 1), mask)
+            bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
+            assert bits[:, :n].any() and bits[:, m:m + n].any()
+            for lane, row in zip(lanes, bits):
+                for j in np.flatnonzero(row[:n]):
+                    ref.x[n + j] |= 1 << lane
+                for j in np.flatnonzero(row[m:m + n]):
+                    ref.z[n + j] |= 1 << lane
+            got = eng.couple_and_measure(frame, mask, error_type)
+            for gates, _, _ in readout[error_type].program:
                 for ev in gates:
                     propagate(ev, ref, mask)
-            want = _lane_syndromes(ref.x[n:2 * n], code.H, mask)
-            assert got == want, error_type
-            assert frame.x[:n] == ref.x[:n] and frame.z[:n] == ref.z[:n], error_type
-            assert frame.x[2 * n:] == ref.x[2 * n:] and frame.z[2 * n:] == ref.z[2 * n:]
+            assert got == _lane_syndromes(ref.x[n:2 * n], eng.code.H, mask), error_type
+            assert frame.x == ref.x[:n] and frame.z == ref.z[:n], error_type
+            assert not frame.folds
 
 
 def test_unverified_tally_independent_of_workers():
@@ -365,20 +393,14 @@ def _lane_syndromes(plane: list[int], checks: np.ndarray, mask: int) -> list[int
 @pytest.mark.parametrize("rows,n", [(12, 23), (85, 127)])
 def test_syndromes_match_per_lane_reference(rows, n):
     # the vectorised reduction against a per-lane loop, on both sides of
-    # the 64-row packing boundary: data checks read as a readout of the
-    # data's rest, which has no gates and writes nothing back
+    # the 64-row packing boundary, and with a plane clean on the mask
     gen = np.random.default_rng(rows)
     checks = gen.integers(0, 2, (rows, n), dtype=np.uint8)
-    frame = ErrorFrame(n=n, rows=0)
-    frame.x = [int(v) for v in gen.integers(0, 2**63, 2 * n)]
-    frame.z = [int(v) for v in gen.integers(0, 2**63, 2 * n)]
+    rows_at = [tuple(np.flatnonzero(row)) for row in checks]
+    plane = [int(v) for v in gen.integers(0, 2**63, n)]
     mask = int(gen.integers(0, 2**63)) | (1 << 63)
-    rest = simulator._fault_table([], list(range(n)), NoiseParams(), (range(n), 0.0))
-    for k, plane in enumerate((frame.x, frame.z)):
-        rmap = simulator._readout_map(rest, 0, [[k * n + i for i in np.flatnonzero(row)]
-                                                for row in checks])
-        got = simulator._apply_readout(rmap, frame, mask)
-        assert got == _lane_syndromes(plane[:n], checks, mask)
+    for words in (plane, [v & ~mask for v in plane]):
+        assert simulator._syndromes(rows_at, words, mask, 64) == _lane_syndromes(words, checks, mask)
 
 
 # -- recovery ------------------------------------------------------------------
@@ -389,6 +411,25 @@ def test_judge_acceptance_rule():
     assert judge_syndromes([5, 5, 6, 6], 2) == 6      # most recent pair wins
     assert judge_syndromes([6, 5, 6, 5], 2) == 5
     assert judge_syndromes([7], 1) == 7
+
+
+def _judge_as_stated(pool: list[int], r_prime: int):
+    """Among the values seen at least r' times, the one whose r'-th most
+    recent occurrence is latest."""
+    best, best_at = None, -1
+    for value in set(pool):
+        at = [i for i, s in enumerate(pool) if s == value]
+        if len(at) >= r_prime and at[-r_prime] > best_at:
+            best, best_at = value, at[-r_prime]
+    return best
+
+
+def test_judge_matches_stated_rule():
+    gen = np.random.default_rng(31)
+    for _ in range(20_000):
+        r_prime = int(gen.integers(1, 7))
+        pool = gen.integers(0, gen.integers(1, 5), gen.integers(0, 13)).tolist()
+        assert judge_syndromes(pool, r_prime) == _judge_as_stated(pool, r_prime), (pool, r_prime)
 
 
 def test_judge_acceptance_frequency():
@@ -409,7 +450,7 @@ def test_judge_acceptance_frequency():
 
 def test_zero_noise_recovery_is_identity():
     eng = engine()
-    f = ErrorFrame(n=7, rows=4, pools=[eng.pools(stream(1, 0))])
+    f = ErrorFrame(n=7, pools=[eng.pools(stream(1, 0))])
     pending = {}
     for _ in range(3):
         eng.add_noise(f, 1, "rest")
@@ -422,7 +463,7 @@ def test_zero_noise_recovery_is_identity():
 @pytest.mark.parametrize("plane,qubit", [("x", 0), ("x", 4), ("z", 2), ("z", 6)])
 def test_planted_single_error_corrected(plane, qubit):
     eng = engine(pp=ProtocolParams(1, 1, 1, parallel_corrections=1.0))
-    f = ErrorFrame(n=7, rows=4, pools=[eng.pools(stream(2, qubit))])
+    f = ErrorFrame(n=7, pools=[eng.pools(stream(2, qubit))])
     set_lane(f, plane, qubit, 0, 1)
     error_type = "X" if plane == "x" else "Z"
     eng.add_noise(f, 1, "rest")
@@ -433,7 +474,7 @@ def test_planted_single_error_corrected(plane, qubit):
 
 def test_planted_y_error_corrected_in_one_round():
     eng = engine("golay", pp=ProtocolParams(1, 1, 1, parallel_corrections=1.0))
-    f = ErrorFrame(n=23, rows=12, pools=[eng.pools(stream(3, 0))])
+    f = ErrorFrame(n=23, pools=[eng.pools(stream(3, 0))])
     set_lane(f, "x", 9, 0, 1)
     set_lane(f, "z", 9, 0, 1)
     eng.add_noise(f, 1, "rest")
@@ -448,7 +489,7 @@ def test_deferred_rounds_follow_the_repetition_rule(monkeypatch):
     eng = engine("golay", pp=ProtocolParams(4, 3, 2, parallel_corrections=1.0))
     col = {q: sum(int(b) << i for i, b in enumerate(eng.code.H[:, q])) for q in (5, 11, 17)}
     a, b, c, d = 1, 2, col[5], 4
-    f = ErrorFrame(n=eng.n, rows=eng.rows, pools=[eng.pools(stream(5, 0))])
+    f = ErrorFrame(n=eng.n, pools=[eng.pools(stream(5, 0))])
     for lane, q in ((0, 5), (1, 11), (2, 17)):
         set_lane(f, "x", q, lane, 1)
     script = {0: [a, b, a, b, c, d, a, c, c, 7],
@@ -729,6 +770,22 @@ def test_bch127_43_batch_pinned():
     stats = run_batch(eng, [stream(1, 0)])
     assert stats.n_f.tolist() == [0, 14, 16, 5, 10, 6, 8, 3, 0, 1, 1]
     assert stats.n_s.tolist() == [0, 50, 34, 29, 19, 13, 5, 2, 2, 1, 0]
+
+
+def test_single_worker_never_imports_process_pool():
+    # the process pool's import is paid only by a run with workers > 1
+    script = (
+        "import sys\n"
+        "from ftqec import cli\n"
+        "rc = cli.run(['simulate', '--code', 'hamming', '--parallel-corrections', '1',\n"
+        "              '--trials', '64', '--workers', '1', '--out-dir', sys.argv[1]])\n"
+        "assert rc == cli.EXIT_FLAGGED, rc\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n")
+    src = str(Path(simulator.__file__).resolve().parents[1])
+    with tempfile.TemporaryDirectory() as out:
+        done = subprocess.run([sys.executable, "-c", script, out], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
 
 
 def test_qr47_engine_fits_in_4gb():
