@@ -108,8 +108,6 @@ class CodeSpec:
         return CodeSpec(kind="shortened", base=base, d=base.d - 2)
 
 
-_QR_DISTANCE = {23: 7, 47: 11, 79: 15, 103: 19}
-
 _NAMED_SPECS: dict[str, CodeSpec] = {
     "hamming": CodeSpec.hamming(),
     "golay": CodeSpec.golay(),

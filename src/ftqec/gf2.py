@@ -99,8 +99,3 @@ def rows_to_ints(matrix) -> list[int]:
             v |= 1 << int(i)
         out.append(v)
     return out
-
-
-def int_to_vec(value: int, n: int) -> np.ndarray:
-    """Unpack a bitmask int into a length-n 0/1 vector."""
-    return np.array([(value >> i) & 1 for i in range(n)], dtype=np.uint8)

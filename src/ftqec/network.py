@@ -89,19 +89,6 @@ class NetworkSet:
     def hole_count(self) -> int:
         return sum(r for _, r in self.g_step_rest) + sum(r for _, r in self.v_step_rest)
 
-    def export_text(self) -> str:
-        """Line-oriented dump: ``t=<step> <kind> <q1> [<q2>]`` per event."""
-        lines = []
-        for label, sched in (("G", self.g_schedule), ("V", self.v_schedule),
-                             ("COUPLE_CX", self.coupling_cnot),
-                             ("COUPLE_CZ", self.coupling_cphase),
-                             ("MEASURE", self.measure_schedule)):
-            lines.append(f"# {label}")
-            for ev in sorted(sched, key=lambda e: (e.time_step, e.qubits)):
-                qs = " ".join(str(q) for q in ev.qubits)
-                lines.append(f"t={ev.time_step} {ev.kind} {qs}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # bipartite edge coloring

@@ -34,14 +34,6 @@ class Pauli(IntEnum):
     Z = 2
     Y = 3
 
-    @property
-    def flips_x(self) -> bool:
-        return self in (Pauli.X, Pauli.Y)
-
-    @property
-    def flips_z(self) -> bool:
-        return self in (Pauli.Z, Pauli.Y)
-
 
 #: the 15 equally likely failures of a two-qubit gate
 TWO_QUBIT_FAILURES: tuple[tuple[Pauli, Pauli], ...] = tuple(

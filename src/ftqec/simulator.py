@@ -62,9 +62,12 @@ from .network import GateEvent
 from .noise import NoiseParams, Pauli, TWO_QUBIT_FAILURES, idle_flip_probability, stream
 from .protocol import ProtocolError, ProtocolParams, resting_time
 
-Q_MAX_DEFAULT = 10
+# logical steps per trial; p-bar reads steps Q_MAX-3..Q_MAX
+Q_MAX = 10
 # lane-samples drawn per fault-pool refill
 POOL_ROWS = 512
+# G+V attempts per lane before it couples an unverified ancilla
+MAX_ATTEMPTS = 64
 # 64-lane batches run side by side in one frame
 FRAME_BATCHES = 32
 # nonzero syndromes up to which a readout transposes lane by lane
@@ -156,11 +159,6 @@ class _FaultTable:
     offsets: np.ndarray
     distinct: np.ndarray
     slot_row: np.ndarray
-
-    @property
-    def hole_slots(self) -> int:
-        """Resting qubit-steps charged per lane by one run of the phase."""
-        return int(self.slots[~self.distinct].sum())
 
 
 def _fault_table(program, qubits, noise: NoiseParams, idle=((), 0.0)) -> _FaultTable:
@@ -385,11 +383,11 @@ class _Pool:
         """Draw the next samples; return the hits and their images."""
         images = _draw(self.table, self.rng, POOL_ROWS)
         hit = np.flatnonzero(np.bitwise_or.reduce(images, axis=1))
-        self.at = 0
         return hit, images[hit]
 
     def refill(self) -> None:
         hit, images = self._sample()
+        self.at = 0
         self.hit = hit.tolist()
         self.values = _values(images if self.apply is None else images & self.apply)
         self.tags = [0] * hit.size if self.checks is None else _parities(images, self.checks)
@@ -418,79 +416,54 @@ class _PrepPool(_Pool):
     of the word mask ``verify`` (the X bits of the verification qubits).
 
     A lane retries on the next samples until one verifies, and after
-    ``max_attempts`` failures in a row keeps the last of them, so the
+    ``MAX_ATTEMPTS`` failures in a row keeps the last of them.  So the
     samples lanes keep do not depend on where one call ends and the next
-    begins: they are the verified samples and every ``max_attempts``-th
-    failure of a run, counted from the last kept sample.  ``kept`` caches
-    them for the current refill and attempt limit.  A lane records the
-    sample's fold (``SimEngine._fold``) if it is not 0: ``fold`` holds the
-    verified samples' folds, and the kept unverified ones' once ``_keep``
-    names them.
+    begins: they are the verified samples and every ``MAX_ATTEMPTS``-th
+    failure of a run, counted from the last kept sample.  A refill
+    schedules its kept samples once, carrying in the run of failures the
+    last refill ended with (``failed``).  Kept samples go by their rank in
+    draw order, 0 to ``kept`` - 1: ``next`` is the next one to hand out,
+    ``forced`` lists the unverified ones, and ``fold`` maps each whose fold
+    (``SimEngine._fold``) is not 0 to it.
     """
 
     def __init__(self, table: _FaultTable, rng, verify: np.ndarray, fold: np.ndarray):
         super().__init__(table, rng)
         self.verify, self.fold_checks = verify, fold
-
-    def _add_folds(self, samples: np.ndarray, images: np.ndarray) -> None:
-        self.fold.update((k, v) for k, v in zip(samples.tolist(),
-                                                _parities(images, self.fold_checks)) if v)
-        self.fold_keys = sorted(self.fold)
+        self.kept = self.next = self.failed = 0
 
     def refill(self) -> None:
         hit, images = self._sample()
-        bad = (images & self.verify).any(axis=1)
-        self.ok = np.ones(POOL_ROWS, dtype=bool)
-        self.ok[hit[bad]] = False
-        self.failed = hit[bad], images[bad]
-        self.fold = {}
-        self._add_folds(hit[~bad], images[~bad])
-        self.kept = None
+        ok = np.ones(POOL_ROWS, dtype=bool)
+        ok[hit[(images & self.verify).any(axis=1)]] = False
+        at = np.arange(POOL_ROWS)
+        last_ok = np.maximum.accumulate(np.where(ok, at, -1 - self.failed))
+        keep = ok | ((at - last_ok) % MAX_ATTEMPTS == 0)
+        self.failed = int(POOL_ROWS - 1 - last_ok[-1]) % MAX_ATTEMPTS
+        rank = np.cumsum(keep) - 1
+        self.kept, self.next = int(rank[-1]) + 1, 0
+        self.forced = rank[keep & ~ok].tolist()
+        kept_hit = keep[hit]
+        self.fold = {k: v for k, v in zip(rank[hit[kept_hit]].tolist(),
+                                          _parities(images[kept_hit], self.fold_checks)) if v}
+        self.fold_keys = list(self.fold)
 
-    def _keep(self, max_attempts: int, failed: int) -> None:
-        """Cache ``(max_attempts, kept, forced, left)`` for this refill from
-        sample ``at`` on, after ``failed`` failures since the last kept
-        sample: the kept samples, the unverified ones among them, and the
-        failures left after the last one."""
-        at = np.arange(self.at, POOL_ROWS)
-        ok = self.ok[self.at:]
-        last_ok = np.maximum.accumulate(np.where(ok, at, self.at - 1 - failed))
-        keep = ok | ((at - last_ok) % max_attempts == 0)
-        forced = at[keep & ~ok]
-        if forced.size:
-            samples, images = self.failed
-            self._add_folds(forced, images[np.searchsorted(samples, forced)])
-        self.kept = (max_attempts, at[keep].tolist(), set(forced.tolist()),
-                     int(POOL_ROWS - 1 - last_ok[-1]) % max_attempts)
-
-    def hand_out_verified(self, frame: ErrorFrame, lanes: list[int],
-                          max_attempts: int) -> int:
+    def hand_out_verified(self, frame: ErrorFrame, lanes: list[int]) -> int:
         """Record the next kept sample's fold for each lane in turn and
         return how many lanes kept an unverified one."""
-        folds, unverified, failed, done = frame.folds, 0, 0, 0
+        folds, unverified, done = frame.folds, 0, 0
         while done < len(lanes):
-            if self.at == POOL_ROWS:
+            if self.next == self.kept:
                 self.refill()
-            if self.kept is None or self.kept[0] != max_attempts:
-                self._keep(max_attempts, failed)
-            _, kept, forced, left = self.kept
-            lo = bisect_left(kept, self.at)
-            picks = kept[lo:lo + len(lanes) - done]
-            if picks:
-                # the folded samples among the picks: few when faults are rare
-                keys = self.fold_keys
-                for k in keys[bisect_left(keys, picks[0]):bisect_left(keys, picks[-1] + 1)]:
-                    j = bisect_left(picks, k)
-                    if picks[j] == k:
-                        folds[lanes[done + j]] = self.fold[k]
-            if forced:
-                unverified += len(forced.intersection(picks))
-            done += len(picks)
-            if done < len(lanes):
-                # the lane's run of failures goes on into the next refill
-                failed, self.at = left, POOL_ROWS
-            else:
-                self.at = picks[-1] + 1
+            lo = self.next
+            hi = min(self.kept, lo + len(lanes) - done)
+            # the folded samples among them: few when faults are rare
+            keys = self.fold_keys
+            for k in keys[bisect_left(keys, lo):bisect_left(keys, hi)]:
+                folds[lanes[done + k - lo]] = self.fold[k]
+            unverified += bisect_left(self.forced, hi) - bisect_left(self.forced, lo)
+            done += hi - lo
+            self.next = hi
         return unverified
 
 
@@ -592,8 +565,8 @@ def judge_syndromes(pool: list[int], r_prime: int) -> Optional[int]:
 
 @dataclass
 class TrialStats:
-    """Crash/survival counts per logical step and the derived rates."""
-    q_max: int
+    """Crash/survival counts per logical step 0..``Q_MAX`` and the derived
+    rates."""
     n_f: np.ndarray
     n_s: np.ndarray
     trials: int = 0
@@ -601,11 +574,12 @@ class TrialStats:
     seed: int = 0
     # lane-preparations that ran out of attempts and coupled unverified
     unverified: int = 0
+    q_max = Q_MAX
 
     @staticmethod
-    def empty(q_max: int = Q_MAX_DEFAULT, seed: int = 0) -> "TrialStats":
-        return TrialStats(q_max=q_max, n_f=np.zeros(q_max + 1, dtype=np.int64),
-                          n_s=np.zeros(q_max + 1, dtype=np.int64), seed=seed)
+    def empty(seed: int = 0) -> "TrialStats":
+        return TrialStats(n_f=np.zeros(Q_MAX + 1, dtype=np.int64),
+                          n_s=np.zeros(Q_MAX + 1, dtype=np.int64), seed=seed)
 
     def merge(self, other: "TrialStats") -> None:
         self.n_f += other.n_f
@@ -718,23 +692,20 @@ class SimEngine:
         bad = (images & self._verify_word).any(axis=1).tolist()
         return mask & ~sum(1 << lane for lane in compress(lanes, bad))
 
-    def prepare_verified(self, frame: ErrorFrame, mask: int,
-                         max_attempts: int = 64) -> None:
+    def prepare_verified(self, frame: ErrorFrame, mask: int) -> None:
         """Re-prepare until every masked lane holds a verified ancilla.
 
         Attempts come from the G+V pool of the lane's batch: each masked
         lane of a batch in turn takes the next samples until one verifies,
-        and records its fold.  A lane whose ``max_attempts`` attempts all
+        and records its fold.  A lane whose ``MAX_ATTEMPTS`` attempts all
         fail goes on with the last one and is counted in
-        ``frame.unverified``.
+        ``frame.unverified``; its run of failures may span two refills.
         """
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if not mask:
             return
         _take_folds(frame, mask)
         for pools, lanes in _batch_lanes(frame, mask):
-            frame.unverified += pools["prep"].hand_out_verified(frame, lanes, max_attempts)
+            frame.unverified += pools["prep"].hand_out_verified(frame, lanes)
 
     def couple_and_measure(self, frame: ErrorFrame, mask: int,
                            error_type: str) -> list[int]:
@@ -840,20 +811,20 @@ def recover_block(frame: ErrorFrame, pending: dict[int, list[int]],
     return corrected, crashed
 
 
-def run_batch(engine: SimEngine, rngs: list, q_max: int = Q_MAX_DEFAULT,
-              mask: Optional[int] = None) -> TrialStats:
-    """Run lane-parallel trials to crash or q_max steps in one frame, 64
-    lanes per stream of ``rngs``, each batch on the fault pools of its own
-    stream.  ``mask`` picks the trials' lanes (all of them by default)."""
+def run_batch(engine: SimEngine, rngs: list, mask: Optional[int] = None) -> TrialStats:
+    """Run lane-parallel trials to crash or ``Q_MAX`` logical steps in one
+    frame, 64 lanes per stream of ``rngs``, each batch on the fault pools of
+    its own stream.  ``mask`` picks the trials' lanes (all of them by
+    default)."""
     frame = ErrorFrame(n=engine.n, pools=[engine.pools(rng) for rng in rngs])
     if mask is None:
         mask = (1 << frame.lanes) - 1
     pending_z: dict[int, list[int]] = {}
     pending_x: dict[int, list[int]] = {}
     alive = mask
-    stats = TrialStats.empty(q_max)
+    stats = TrialStats.empty()
     stats.trials = bin(mask).count("1")
-    for q in range(1, q_max + 1):
+    for q in range(1, Q_MAX + 1):
         if not alive:
             break
         engine.add_noise(frame, alive, "gate")
@@ -890,7 +861,6 @@ class SimConfig:
     code_name: str
     noise: NoiseParams
     protocol: ProtocolParams
-    q_max: int = Q_MAX_DEFAULT
     target_failures: int = 100
     max_trials: int = 4_000_000
     chunk_batches: int = 32   # stop-rule granularity: 32 * 64 trials
@@ -918,23 +888,26 @@ def _run_batch_range(config: SimConfig, seed: int, lo: int, hi: int) -> TrialSta
     """Batches lo..hi-1, ``FRAME_BATCHES`` to a frame; the batch that holds
     trial ``max_trials`` runs only the lanes up to it."""
     engine = _engine_for(config)
-    acc = TrialStats.empty(config.q_max)
+    acc = TrialStats.empty()
     for at in range(lo, hi, FRAME_BATCHES):
         top = min(at + FRAME_BATCHES, hi)
         lanes = min(64 * top, config.max_trials) - 64 * at
         acc.merge(run_batch(engine, [stream(seed, b) for b in range(at, top)],
-                            q_max=config.q_max, mask=(1 << lanes) - 1))
+                            mask=(1 << lanes) - 1))
     return acc
 
 
 def estimate_pbar_mc(config: SimConfig, seed: int = 0,
                      workers: int = 1) -> TrialStats:
-    """Repeat trials until the crash count at step q_max reaches the target.
+    """Repeat ``Q_MAX``-step trials until the crash count at step
+    ``Q_MAX`` reaches the target.
 
     Work is sharded into 64-trial batches, one RNG stream per batch, and the
     stopping rule is evaluated at fixed chunk boundaries, so the aggregate
     counts are identical for any worker count.  The last chunk ends with
-    the batch that holds trial ``max_trials``.
+    the batch that holds trial ``max_trials``.  A chunk submits at most
+    ``chunk_batches`` ranges, so the process pool has no more workers than
+    that.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -944,14 +917,14 @@ def estimate_pbar_mc(config: SimConfig, seed: int = 0,
         raise ValueError(f"target_failures must be >= 1, got {config.target_failures}")
     if config.chunk_batches < 1:
         raise ValueError(f"chunk_batches must be >= 1, got {config.chunk_batches}")
-    total = TrialStats.empty(config.q_max, seed=seed)
+    total = TrialStats.empty(seed=seed)
     chunk = config.chunk_batches
     last = -(-config.max_trials // 64)
     next_batch = 0
     pool = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=min(workers, chunk))
     try:
         while True:
             lo, hi = next_batch, min(next_batch + chunk, last)
@@ -968,13 +941,13 @@ def estimate_pbar_mc(config: SimConfig, seed: int = 0,
                     total.merge(f.result())
             else:
                 total.merge(_run_batch_range(config, seed, lo, hi))
-            if total.n_f[config.q_max] >= config.target_failures:
+            if total.n_f[Q_MAX] >= config.target_failures:
                 break
             if total.trials >= config.max_trials:
                 total.censored = True
                 break
             # saturation: nothing ever survives to the last step
-            deep = total.n_f[config.q_max] + total.n_s[config.q_max]
+            deep = total.n_f[Q_MAX] + total.n_s[Q_MAX]
             if total.trials >= 8192 and deep == 0:
                 total.censored = True
                 break
@@ -988,7 +961,7 @@ def stats_csv_rows(config: SimConfig, stats: TrialStats) -> list[dict]:
     """Flatten a run into the tabular output schema."""
     noise, pp = config.noise, config.protocol
     rows = []
-    for q in range(1, config.q_max + 1):
+    for q in range(1, Q_MAX + 1):
         rows.append({
             "code": config.code_name,
             "gamma": noise.gamma,

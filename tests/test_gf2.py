@@ -33,5 +33,5 @@ def test_int_packing_roundtrip():
     rng = np.random.default_rng(5)
     m = (rng.random((3, 12)) < 0.5).astype(np.uint8)
     ints = gf2.rows_to_ints(m)
-    back = np.array([gf2.int_to_vec(v, 12) for v in ints])
+    back = np.array([[(v >> i) & 1 for i in range(12)] for v in ints], dtype=np.uint8)
     assert np.array_equal(back, m)

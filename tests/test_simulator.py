@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from ftqec import analytic, codes, gf2, network, simulator
 from ftqec.network import GateEvent, CNOT, CPHASE, HADAMARD
-from ftqec.noise import NoiseParams, stream
+from ftqec.noise import NoiseParams, Pauli, stream
 from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
                              SimConfig, SimEngine, estimate_pbar_mc,
                              judge_syndromes, recover_block, run_batch)
@@ -131,7 +132,7 @@ def _sequential_unverified(verified: np.ndarray, lanes: int, max_attempts: int) 
     return unverified
 
 
-def test_unverified_lanes_counted():
+def test_unverified_lanes_counted(monkeypatch):
     # heavy noise leaves lanes unverified; the batch's G+V pool, replayed
     # from its stream (the first of five spawned from the batch stream),
     # says how many
@@ -142,24 +143,26 @@ def test_unverified_lanes_counted():
     # X bits of the verification qubits, which follow the ancilla
     verified = ~bits[:, eng.n:eng.n + eng.rows].any(axis=1)
     for max_attempts in (1, 3):
+        monkeypatch.setattr(simulator, "MAX_ATTEMPTS", max_attempts)
         f = ErrorFrame(n=7, pools=[eng.pools(stream(5, 0))])
-        eng.prepare_verified(f, mask, max_attempts=max_attempts)
+        eng.prepare_verified(f, mask)
         assert f.unverified == _sequential_unverified(verified, 64, max_attempts) > 0
         quiet_eng = engine()
         quiet = ErrorFrame(n=7, pools=[quiet_eng.pools(stream(5, 0))])
-        quiet_eng.prepare_verified(quiet, mask, max_attempts=max_attempts)
+        quiet_eng.prepare_verified(quiet, mask)
         assert quiet.unverified == 0
 
 
-def test_prepare_verified_matches_sequential_retries(monkeypatch):
+@pytest.mark.parametrize("limit", [8, 5])
+def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     # G+V samples from a fixed sequence: sample k carries an ancilla error
     # whose fold spells k (ancilla bits whose folds are independent), and
-    # fails verification where ``fails`` says.  Runs of 7 and 12 failures
-    # inside the first refill exhaust a lane's attempts, and a run of 20
-    # crosses the refill, so some lane spends its attempts on both sides of
-    # it.  Calls alternate between limits of 8 and 5 attempts.  Every lane
-    # must record the fold of the sample that per-lane sequential retries
-    # give it.
+    # fails verification where ``fails`` says.  A run of 12 failures (7,
+    # at a limit of 5) inside the first refill exhausts a lane's attempts,
+    # and a run of 20 crosses the refill, so some lane spends its attempts
+    # on both sides of it.  Every lane must record the fold of the sample
+    # that per-lane sequential retries give it.
+    monkeypatch.setattr(simulator, "MAX_ATTEMPTS", limit)
     eng = engine()
     n = eng.n
     pool_rows = simulator.POOL_ROWS
@@ -188,31 +191,24 @@ def test_prepare_verified_matches_sequential_retries(monkeypatch):
     masks = [(1 << 64) - 1] * 4 + [int(v) for v in gen.integers(1, 2**63, 8)]
     f = ErrorFrame(n=n, pools=[eng.pools(stream(0, 0))])
     at = unverified = 0
-    crossed, inside = False, set()
-    for call, mask in enumerate(masks):
-        max_attempts = (8, 5)[call % 2]
-        eng.prepare_verified(f, mask, max_attempts=max_attempts)
+    crossed = inside = False
+    for mask in masks:
+        eng.prepare_verified(f, mask)
         for lane in range(64):
             if not (mask >> lane) & 1:
                 continue
             start = at
-            for _ in range(max_attempts):
+            for _ in range(limit):
                 at += 1
                 if not fails[at - 1]:
                     break
             else:
                 unverified += 1
                 crossed |= start < pool_rows <= at - 1
-                if at <= pool_rows:
-                    inside.add(max_attempts)
+                inside |= at <= pool_rows
             assert f.folds.get(lane, 0) == want[at - 1], (mask, lane)
-    assert crossed and inside == {8, 5} and at > pool_rows
+    assert crossed and inside and at > pool_rows
     assert f.unverified == unverified
-
-
-def test_prepare_verified_needs_an_attempt():
-    with pytest.raises(ValueError):
-        engine().prepare_verified(ErrorFrame(n=7), 1, max_attempts=0)
 
 
 def test_preparation_replaces_the_lanes_ancilla():
@@ -238,7 +234,7 @@ def test_preparation_draws_every_hole(name):
     params = codes.derived_params(sf, code.n, code.k, code.d, name=name)
     prep, _ = simulator._phase_tables(network.synthesize_networks(sf, params),
                                       NoiseParams(1e-3, 1e-3, 1))
-    assert prep.hole_slots == params.N_h
+    assert prep.slots[~prep.distinct].sum() == params.N_h
 
 
 def _forward_images(table) -> np.ndarray:
@@ -262,9 +258,9 @@ def _forward_images(table) -> np.ndarray:
         for qubits, paulis, row in at.pop(key, ()):
             for p, ps in enumerate(paulis):
                 for q, pauli in zip(qubits, ps):
-                    if pauli.flips_x:
+                    if pauli in (Pauli.X, Pauli.Y):
                         frame.x[q] ^= 1 << (row + p)
-                    if pauli.flips_z:
+                    if pauli in (Pauli.Z, Pauli.Y):
                         frame.z[q] ^= 1 << (row + p)
 
     inject((-1, 0))
@@ -354,7 +350,7 @@ def test_readout_map_matches_propagation(name, monkeypatch):
 def test_unverified_tally_independent_of_workers():
     cfg = SimConfig("hamming", NoiseParams(0.3, 0.3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
-                    q_max=2, max_trials=128, chunk_batches=2)
+                    max_trials=128, chunk_batches=2)
     s1 = estimate_pbar_mc(cfg, seed=4, workers=1)
     s2 = estimate_pbar_mc(cfg, seed=4, workers=2)
     assert s1.unverified == s2.unverified > 0
@@ -652,33 +648,33 @@ def test_trial_cap_is_exact():
 
 # Counts of short runs, pinned as literals: a change that only makes the MC
 # faster must keep them byte for byte.  Each entry is (code, (gamma, eps,
-# t_m), (r, r', r''), q_max, max_trials, chunk_batches, seed) and the
+# t_m), (r, r', r''), max_trials, chunk_batches, seed) and the
 # resulting (n_f, n_s, trials, unverified).  The golay entries are the
 # benchmark's mc-noisy and mc-quiet calls; the hamming 2112-trial entry runs
 # 33 batches in two frames; the last one runs out of preparation attempts.
 PINNED_COUNTS = [
-    (("golay", (3e-3, 3e-5, 25), (4, 3, 3), 10, 128, 2, 101),
+    (("golay", (3e-3, 3e-5, 25), (4, 3, 3), 128, 2, 101),
      ([0, 0, 0, 1, 1, 2, 3, 2, 0, 0, 1],
       [0, 128, 128, 127, 126, 124, 121, 119, 119, 119, 118], 128, 0)),
-    (("golay", (1e-4, 1e-6, 25), (4, 3, 3), 10, 128, 2, 101),
+    (("golay", (1e-4, 1e-6, 25), (4, 3, 3), 128, 2, 101),
      ([0] * 11, [0] + [128] * 10, 128, 0)),
-    (("hamming", (1e-2, 1e-4, 1), (2, 2, 2), 10, 2112, 33, 101),
+    (("hamming", (1e-2, 1e-4, 1), (2, 2, 2), 2112, 33, 101),
      ([0, 48, 85, 84, 80, 53, 82, 68, 64, 72, 67],
       [0, 2064, 1979, 1895, 1815, 1762, 1680, 1612, 1548, 1476, 1409], 2112, 0)),
-    (("bch31", (2e-3, 2e-5, 1), (3, 2, 2), 10, 128, 2, 101),
+    (("bch31", (2e-3, 2e-5, 1), (3, 2, 2), 128, 2, 101),
      ([0, 0, 1, 1, 2, 2, 2, 2, 0, 1, 0],
       [0, 128, 127, 126, 124, 122, 120, 118, 118, 117, 117], 128, 0)),
-    (("hamming", (0.3, 0.3, 1), (2, 2, 2), 2, 128, 2, 4),
-     ([0, 95, 28], [0, 33, 5], 128, 12)),
+    (("hamming", (0.3, 0.3, 1), (2, 2, 2), 128, 2, 4),
+     ([0, 95, 28, 4, 1, 0, 0, 0, 0, 0, 0], [0, 33, 5, 1, 0, 0, 0, 0, 0, 0, 0], 128, 12)),
 ]
 
 
 @pytest.mark.parametrize("config,counts", PINNED_COUNTS,
                          ids=[f"{c[0]}-{c[1][0]:g}" for c, _ in PINNED_COUNTS])
 def test_mc_counts_pinned(config, counts):
-    code, noise, (r, rp, rpp), q_max, trials, chunk, seed = config
+    code, noise, (r, rp, rpp), trials, chunk, seed = config
     cfg = SimConfig(code, NoiseParams(*noise),
-                    ProtocolParams(r, rp, rpp, parallel_corrections=1.0), q_max=q_max,
+                    ProtocolParams(r, rp, rpp, parallel_corrections=1.0),
                     target_failures=10**9, max_trials=trials, chunk_batches=chunk)
     assert _counts(estimate_pbar_mc(cfg, seed=seed)) == counts
 
@@ -708,6 +704,32 @@ def test_nonpositive_workers_refused(workers):
                     target_failures=30, max_trials=64)
     with pytest.raises(ValueError, match="workers"):
         estimate_pbar_mc(cfg, seed=23, workers=workers)
+
+
+def test_process_pool_capped_at_chunk(monkeypatch):
+    # a chunk submits at most chunk_batches ranges, so a larger worker count
+    # must not start more processes; the pool here runs in-process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = SimConfig("hamming", NoiseParams(5e-3, 5e-3, 1),
+                    ProtocolParams(2, 2, 2, parallel_corrections=1.0),
+                    target_failures=10**6, max_trials=256, chunk_batches=2)
+    many = _counts(estimate_pbar_mc(cfg, seed=5, workers=10_000))
+    assert sizes == [2]
+    assert many == _counts(estimate_pbar_mc(cfg, seed=5, workers=1))
 
 
 @pytest.mark.parametrize("field,value", [("target_failures", 0), ("target_failures", -1),
