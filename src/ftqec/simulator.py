@@ -1,11 +1,13 @@
 """Pauli-frame Monte Carlo of the full recovery protocol.
 
-The error state of one data block is a pair of bit planes over its n
-qubits.  To make millions of trials affordable, many independent trials run
-in parallel: each qubit's X and Z planes are Python ints whose bit L belongs
-to trial lane L, 64 lanes per batch and up to ``FRAME_BATCHES`` batches per
-frame.  All mutating operations take a lane mask and leave the other lanes
-untouched.
+A recovery crashes in only two ways: it accepts a syndrome whose coset
+leader is heavier than t, or it leaves an error on the data whose syndrome
+has a leader heavier than t.  Either way the block is read only through its
+check matrix H, so the frame keeps, for each trial lane, the packed
+syndromes under H of the data's X and Z errors (``ErrorFrame.sx``/``sz``),
+not the errors themselves.  Many independent trials run side by side: 64
+lanes per batch and up to ``FRAME_BATCHES`` batches per frame.  All
+mutating operations take a lane mask and leave the other lanes untouched.
 
 Faults are not applied gate by gate.  Frame propagation is linear over
 GF(2), so a phase leaves the frame at its noiseless image XOR the
@@ -17,12 +19,16 @@ preparation, measurement, hole step, idle qubit) with its rate and the
 image of each of its Paulis.  The same sweep gives the phase's noiseless
 map.
 
-The ancilla block and its verification bits are not part of the frame: an
-ancilla matters only through the syndrome bits it flips and the errors it
-copies into the data.  Each G+V sample carries, per error type, its fold:
-its image pushed through the readout's noiseless map.  The coupling is
-transversal, so an extraction is the plane's data check XOR the kept
-sample's fold XOR the readout faults' share.
+Each pool tags every sample that carries a fault with the GF(2) product of
+its image (``_GF2Map``, byte-indexed tables built once per engine): a
+readout sample's tag is the syndrome bits its faults flip and the data
+syndromes they leave, and a rest or logical-gate sample's tag the data
+syndromes alone.  The ancilla block and its verification bits are not part
+of the frame: a G+V sample's tag, its fold, is that of its image pushed
+through each readout's noiseless map.  The coupling is transversal, so an
+extraction is the plane's data syndromes XOR the kept sample's fold XOR the
+readout faults' tags, and a coset-leader correction XORs the accepted
+syndrome into the plane's.
 
 Phase faults never depend on the frame, so they are drawn ahead of use.
 Each batch of a frame has its own fault pool per phase table, made from
@@ -47,9 +53,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import compress
-from operator import or_
 from typing import Optional
 
 import numpy as np
@@ -70,30 +75,29 @@ POOL_ROWS = 512
 MAX_ATTEMPTS = 64
 # 64-lane batches run side by side in one frame
 FRAME_BATCHES = 32
-# nonzero syndromes up to which a readout transposes lane by lane
-_SPARSE_LANES = 4
 
 
 @dataclass
 class ErrorFrame:
-    """Lane-packed X/Z error record of the data block's n qubits.  The
-    ancilla lives in the G+V pools as folded samples: ``folds`` maps each
-    lane prepared and not yet coupled to its kept sample's nonzero fold."""
-    n: int
-    x: list[int] = field(default_factory=list)
-    z: list[int] = field(default_factory=list)
-    # lanes coupled with an unverified ancilla, summed over preparations
-    unverified: int = 0
+    """The data block's error, lane by lane, as the packed syndromes under
+    H of its X part (``sx[lane]``) and of its Z part (``sz[lane]``), bit l
+    the parity of check row l.  The ancilla lives in the G+V pools as
+    folded samples: ``folds`` maps each lane prepared and not yet coupled
+    to its kept sample's nonzero fold."""
     # each batch's fault pools by phase (``SimEngine.pools``), batch b on
     # lanes 64b..64b+63; the engine's pooled phases draw from them
     pools: list[dict] = field(default_factory=list, repr=False, compare=False)
+    sx: list[int] = field(default_factory=list)
+    sz: list[int] = field(default_factory=list)
+    # lanes coupled with an unverified ancilla, summed over preparations
+    unverified: int = 0
     folds: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.x:
-            self.x = [0] * self.n
-        if not self.z:
-            self.z = [0] * self.n
+        if not self.sx:
+            self.sx = [0] * self.lanes
+        if not self.sz:
+            self.sz = [0] * self.lanes
 
     @property
     def lanes(self) -> int:
@@ -332,34 +336,29 @@ def _values(images: np.ndarray) -> list[int]:
     return values
 
 
-def _row_ints(bits: np.ndarray) -> list[int]:
-    """One int per row of a 0/1 matrix, column j as bit j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = np.zeros((len(packed), (packed.shape[1] + 7) // 8 * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return _values(words.view("<u8"))
+class _GF2Map:
+    """A GF(2) linear map from images (rows of little-endian uint64 words)
+    to packed ints: ``matrix`` is 0/1 with one row per image bit and one
+    column per output bit.  It runs by the method of Four Russians: entry
+    v of table b is the XOR of the rows of image byte b's bits set in v, and
+    an image's product is the XOR of one entry per byte."""
 
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        bits, width = matrix.shape
+        nbytes, words = (bits + 7) // 8, (width + 63) // 64
+        rows = np.zeros((8 * nbytes, 64 * words), np.uint8)
+        rows[:bits, :width] = matrix
+        packed = np.packbits(rows, axis=1, bitorder="little").view("<u8")
+        self.tables = np.zeros((nbytes, 256, words), "<u8")
+        for i in range(8):
+            self.tables[:, 1 << i:2 << i] = self.tables[:, :1 << i] ^ packed[i::8, None]
+        self.at = np.arange(nbytes)
 
-def _parities(images: np.ndarray, checks: np.ndarray) -> list[int]:
-    """One int per image row packing its parities under ``checks`` (a 0/1
-    matrix with one row per image bit and one column per parity)."""
-    bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
-    return _row_ints((bits @ checks).astype(np.int64) & 1)
-
-
-def _targets(table: _FaultTable) -> list[tuple[int, int]]:
-    """(plane, qubit) of each image bit, plane 0 for X and 1 for Z."""
-    return [(0, q) for q in table.qubits] + [(1, q) for q in table.qubits]
-
-
-def _flip(planes: tuple, targets: list, value: int, lane: int) -> None:
-    """XOR one image (an int over ``targets``) into one lane."""
-    bit = 1 << lane
-    while value:
-        low = value & -value
-        p, q = targets[low.bit_length() - 1]
-        planes[p][q] ^= bit
-        value ^= low
+    def __call__(self, images: np.ndarray) -> list[int]:
+        """One product per image row."""
+        data = images.view(np.uint8)[:, :len(self.at)]
+        return _values(np.bitwise_xor.reduce(self.tables[self.at, data], axis=1))
 
 
 class _Pool:
@@ -367,16 +366,14 @@ class _Pool:
     pool's own stream and handed out in draw order.
 
     After a refill ``hit`` lists the samples that carry a fault, in
-    increasing order, with the part of their images that lies in the word
-    mask ``apply`` (all of them by default) in ``values``.  Given
-    ``checks`` (a 0/1 matrix, one row per image bit and one column per
-    check), ``tags[i]`` packs the parities of hit i's whole image under the
-    checks.
+    increasing order, and ``tags[i]`` splits hit i's product under
+    ``tag_map`` (three fields of ``width`` bits) into its fields: the
+    syndrome bits the faults flip (0 outside a readout), then the syndromes
+    of the X and of the Z errors they leave on the data.
     """
 
-    def __init__(self, table: _FaultTable, rng, checks=None, apply=None):
-        self.table, self.rng, self.checks, self.apply = table, rng, checks, apply
-        self.targets = _targets(table)
+    def __init__(self, table: _FaultTable, rng, tag_map: _GF2Map, width: int):
+        self.table, self.rng, self.tag_map, self.width = table, rng, tag_map, width
         self.at = POOL_ROWS        # next sample; the pool starts empty
 
     def _sample(self) -> tuple[np.ndarray, np.ndarray]:
@@ -389,23 +386,26 @@ class _Pool:
         hit, images = self._sample()
         self.at = 0
         self.hit = hit.tolist()
-        self.values = _values(images if self.apply is None else images & self.apply)
-        self.tags = [0] * hit.size if self.checks is None else _parities(images, self.checks)
+        w, low = self.width, (1 << self.width) - 1
+        self.tags = [(t & low, t >> w & low, t >> 2 * w) for t in self.tag_map(images)]
 
     def hand_out(self, frame: ErrorFrame, lanes: list[int]) -> list[tuple[int, int]]:
-        """XOR the next ``len(lanes)`` samples into ``lanes``, one each, and
-        return ``(lane, tag)`` for every sample that carried a fault."""
-        planes, out, done = (frame.x, frame.z), [], 0
+        """XOR the data syndromes of the next ``len(lanes)`` samples into
+        ``lanes``, one each, and return ``(lane, syndrome bits)`` for every
+        sample that carried a fault."""
+        sx, sz, out, done = frame.sx, frame.sz, [], 0
         while done < len(lanes):
             if self.at == POOL_ROWS:
                 self.refill()
-            hit = self.hit
+            hit, tags = self.hit, self.tags
             stop = min(POOL_ROWS, self.at + len(lanes) - done)
             lo = bisect_left(hit, self.at)
             for i in range(lo, bisect_left(hit, stop, lo)):
                 lane = lanes[done + hit[i] - self.at]
-                _flip(planes, self.targets, self.values[i], lane)
-                out.append((lane, self.tags[i]))
+                syndrome, x, z = tags[i]
+                sx[lane] ^= x
+                sz[lane] ^= z
+                out.append((lane, syndrome))
             done += stop - self.at
             self.at = stop
         return out
@@ -414,6 +414,7 @@ class _Pool:
 class _PrepPool(_Pool):
     """The G+V pool: a sample verifies when its image has none of the bits
     of the word mask ``verify`` (the X bits of the verification qubits).
+    A sample's tag, under ``fold``, is its fold (``SimEngine._fold``).
 
     A lane retries on the next samples until one verifies, and after
     ``MAX_ATTEMPTS`` failures in a row keeps the last of them.  So the
@@ -424,12 +425,12 @@ class _PrepPool(_Pool):
     last refill ended with (``failed``).  Kept samples go by their rank in
     draw order, 0 to ``kept`` - 1: ``next`` is the next one to hand out,
     ``forced`` lists the unverified ones, and ``fold`` maps each whose fold
-    (``SimEngine._fold``) is not 0 to it.
+    is not 0 to it.
     """
 
-    def __init__(self, table: _FaultTable, rng, verify: np.ndarray, fold: np.ndarray):
-        super().__init__(table, rng)
-        self.verify, self.fold_checks = verify, fold
+    def __init__(self, table: _FaultTable, rng, verify: np.ndarray, fold: _GF2Map):
+        super().__init__(table, rng, fold, 0)
+        self.verify = verify
         self.kept = self.next = self.failed = 0
 
     def refill(self) -> None:
@@ -445,7 +446,7 @@ class _PrepPool(_Pool):
         self.forced = rank[keep & ~ok].tolist()
         kept_hit = keep[hit]
         self.fold = {k: v for k, v in zip(rank[hit[kept_hit]].tolist(),
-                                          _parities(images[kept_hit], self.fold_checks)) if v}
+                                          self.tag_map(images[kept_hit])) if v}
         self.fold_keys = list(self.fold)
 
     def hand_out_verified(self, frame: ErrorFrame, lanes: list[int]) -> int:
@@ -473,6 +474,14 @@ def _take_folds(frame: ErrorFrame, mask: int) -> list[tuple[int, int]]:
     return [(lane, folds.pop(lane)) for lane in [lane for lane in folds if mask >> lane & 1]]
 
 
+def _masked(values: list[int], mask: int) -> list[int]:
+    """``values`` on the lanes of ``mask``, 0 on the others."""
+    out = [0] * len(values)
+    for lane in _lanes(mask):
+        out[lane] = values[lane]
+    return out
+
+
 def _word_mask(positions, width: int) -> np.ndarray:
     """Little-endian uint64 words over ``width`` bits with ``positions`` set."""
     bits = np.zeros((width + 63) // 64 * 64, dtype=np.uint8)
@@ -480,67 +489,28 @@ def _word_mask(positions, width: int) -> np.ndarray:
     return np.packbits(bits, bitorder="little").view("<u8")
 
 
-def _bit_positions(v: int) -> list[int]:
-    out = []
-    while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
-    return out
-
-
 def _fold_checks(prep: _FaultTable, readouts: list[_FaultTable],
                  checks: np.ndarray) -> np.ndarray:
-    """The 0/1 matrix that folds a G+V image (row b: image bit b, padded
-    to its words) through each readout's noiseless map (``transfer``, over
-    data then ancilla).  Each readout adds 2n + len(checks) columns: the
-    data's X and Z bits and the syndrome bits, bit l reading the measured
-    ancilla's X bits of check row l, that the image's ancilla share leaves.
-    """
+    """The 0/1 matrix that folds a G+V image (row b: image bit b) through
+    each readout's noiseless map (``transfer``, over data then ancilla).
+    Each readout adds three fields of len(checks) columns: the syndrome
+    bits the image's ancilla share leaves, bit l reading the measured
+    ancilla's X bits of check row l, then the syndromes of the X and of
+    the Z errors it copies into the data."""
     n = checks.shape[1]
     m, nbytes = 2 * n, (4 * n + 7) // 8
-    cols = []
+    h = checks.T.astype(np.int64)
+    fields = []
     for table in readouts:
         # end-of-readout images of an X, then a Z, on each ancilla qubit
         words = [table.transfer[b] for b in [*range(n, m), *range(m + n, 2 * m)]]
         end = np.unpackbits(np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in words),
                                           np.uint8).reshape(m, nbytes), axis=1, bitorder="little")
-        cols += [end[:, :n], end[:, m:m + n],
-                 end[:, n:m].astype(np.int64) @ checks.T.astype(np.int64) & 1]
-    out = np.zeros((prep.images.shape[1] * 64, sum(c.shape[1] for c in cols)), np.float32)
+        fields += [end[:, n:m] @ h, end[:, :n] @ h, end[:, m:m + n] @ h]
     m_prep = len(prep.qubits)         # ancilla then verification qubits
-    out[[*range(n), *range(m_prep, m_prep + n)]] = np.hstack(cols)
+    out = np.zeros((2 * m_prep, len(fields) * len(checks)), np.uint8)
+    out[[*range(n), *range(m_prep, m_prep + n)]] = np.hstack(fields) & 1
     return out
-
-
-def _syndromes(checks: list[tuple[int, ...]], plane: list[int], mask: int,
-               lanes: int) -> list[int]:
-    """One packed syndrome of ``plane`` per lane of a ``lanes``-lane frame
-    (0 outside the mask), whose bit l is the XOR of the words ``checks[l]``:
-    transposed lane by lane when few read nonzero, else by numpy's bit
-    unpacking."""
-    if not reduce(or_, plane, 0) & mask:
-        return [0] * lanes
-    bits, hot = [], 0
-    for cols in checks:
-        acc = 0
-        for c in cols:
-            acc ^= plane[c]
-        acc &= mask
-        bits.append(acc)
-        hot |= acc
-    if hot.bit_count() > _SPARSE_LANES:
-        size = lanes // 8
-        raw = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in bits), np.uint8)
-        return _row_ints(np.unpackbits(raw.reshape(len(bits), size), axis=1,
-                                       bitorder="little").T)
-    syndromes, bits = [0] * lanes, bits[::-1]
-    for lane in _bit_positions(hot):
-        acc = 0
-        for w in bits:
-            acc = acc << 1 | w >> lane & 1
-        syndromes[lane] = acc
-    return syndromes
 
 
 # ---------------------------------------------------------------------------
@@ -638,21 +608,23 @@ class SimEngine:
         self._data_rest = _fault_table([], data, noise,
                                        (data, idle_flip_probability(noise.eps, self.t_r)))
         self._logical_gate = _fault_table([], data, noise, (data, noise.gamma))
-        # a readout pool keeps only its faults' data bits (readout bits X:
-        # 0..n-1, Z: 2n..3n-1) and tags each with the syndrome bits it flips,
-        # which read the ancilla X bits (readout bits n..2n-1) of the check
-        # rows; a G+V sample verifies with no X on a verification qubit (G+V
-        # bits n..n+rows-1), and folds through the Z and then the X readout
+        # a readout sample's tag is the syndrome bits its faults flip, which
+        # read the ancilla X bits (readout bits n..2n-1) of the check rows,
+        # then the syndromes of its data X (bits 0..n-1) and Z (2n..3n-1)
+        # bits; a data sample's tag has no syndrome bits.  A G+V sample
+        # verifies with no X on a verification qubit (G+V bits
+        # n..n+rows-1), and its tag folds it through the Z and then the X
+        # readout
         n, checks = self.n, self.code.H
-        self._checks = [tuple(np.flatnonzero(row).tolist()) for row in checks]
-        self._syndrome_checks = np.zeros(((4 * n + 63) // 64 * 64, len(checks)),
-                                         dtype=np.float32)
-        self._syndrome_checks[n:2 * n] = checks.T
-        self._data_words = _word_mask([*range(n), *range(2 * n, 3 * n)], 4 * n)
+        self.syndrome_bits = r = len(checks)
+        readout = np.zeros((4 * n, 3 * r), np.uint8)
+        readout[n:2 * n, :r] = readout[:n, r:2 * r] = readout[2 * n:3 * n, 2 * r:] = checks.T
+        self._readout_tags = _GF2Map(readout)
+        # the data's X and Z bits (data image bits 0..n-1, n..2n-1)
+        self._data_tags = _GF2Map(readout[[*range(n), *range(2 * n, 3 * n)]])
         self._verify_word = _word_mask(range(n, n + self.rows), 2 * len(self._prep.qubits))
-        self._fold = _fold_checks(self._prep, [self._readout["Z"], self._readout["X"]], checks)
-        self._fold_width = 2 * n + len(checks)
-        self._fold_targets = _targets(self._data_rest)
+        self._fold = _GF2Map(_fold_checks(self._prep, [self._readout["Z"], self._readout["X"]],
+                                          checks))
 
     def _resting_time(self) -> float:
         pp = self.protocol
@@ -674,11 +646,12 @@ class SimEngine:
         the data's rest and the logical gate, each on its own child stream
         of ``rng`` in that order."""
         prep, z, x, rest, gate = rng.spawn(5)
+        w = self.syndrome_bits
         return {"prep": _PrepPool(self._prep, prep, self._verify_word, self._fold),
-                "Z": _Pool(self._readout["Z"], z, self._syndrome_checks, self._data_words),
-                "X": _Pool(self._readout["X"], x, self._syndrome_checks, self._data_words),
-                "rest": _Pool(self._data_rest, rest),
-                "gate": _Pool(self._logical_gate, gate)}
+                "Z": _Pool(self._readout["Z"], z, self._readout_tags, w),
+                "X": _Pool(self._readout["X"], x, self._readout_tags, w),
+                "rest": _Pool(self._data_rest, rest, self._data_tags, w),
+                "gate": _Pool(self._logical_gate, gate, self._data_tags, w)}
 
     # -- one syndrome extraction ---------------------------------------------
     def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
@@ -687,8 +660,7 @@ class SimEngine:
         lanes = _lanes(mask)
         images = _draw(self._prep, rng, len(lanes))
         _take_folds(frame, mask)
-        frame.folds.update((lane, v) for lane, v in zip(lanes, _parities(images, self._fold))
-                           if v)
+        frame.folds.update((lane, v) for lane, v in zip(lanes, self._fold(images)) if v)
         bad = (images & self._verify_word).any(axis=1).tolist()
         return mask & ~sum(1 << lane for lane in compress(lanes, bad))
 
@@ -710,25 +682,24 @@ class SimEngine:
     def couple_and_measure(self, frame: ErrorFrame, mask: int,
                            error_type: str) -> list[int]:
         """Readout wait, transversal coupling, ancilla readout, syndromes:
-        the data check of the error type's plane XOR each masked lane's
-        recorded fold, spent here along with its data flips, XOR the
-        readout faults' share.  Returns one packed syndrome int per lane (0
-        for lanes outside the mask)."""
-        plane = frame.x if error_type == "X" else frame.z
-        syndromes = _syndromes(self._checks, plane, mask, frame.lanes)
+        the error type's data syndromes XOR each masked lane's recorded
+        fold, spent here along with the data syndromes it leaves, XOR the
+        readout faults' syndrome bits.  Returns one packed syndrome int per
+        lane (0 for lanes outside the mask)."""
+        syndromes = _masked(frame.sx if error_type == "X" else frame.sz, mask)
         if frame.folds:
-            # a fold is the Z readout's 2n data and len(H) syndrome bits,
-            # then the X readout's
-            width, data = self._fold_width, 2 * self.n
-            at = 0 if error_type == "Z" else width
-            planes, keep, top = (frame.x, frame.z), (1 << data) - 1, (1 << width) - 1
+            # a fold is the Z readout's three fields, then the X readout's
+            w = self.syndrome_bits
+            at, low = (0 if error_type == "Z" else 3 * w), (1 << w) - 1
+            sx, sz = frame.sx, frame.sz
             for lane, fold in _take_folds(frame, mask):
-                fold = fold >> at & top
-                _flip(planes, self._fold_targets, fold & keep, lane)
-                syndromes[lane] ^= fold >> data
+                fold >>= at
+                syndromes[lane] ^= fold & low
+                sx[lane] ^= fold >> w & low
+                sz[lane] ^= fold >> 2 * w & low
         for pools, lanes in _batch_lanes(frame, mask):
-            for lane, tag in pools[error_type].hand_out(frame, lanes):
-                syndromes[lane] ^= tag
+            for lane, syndrome in pools[error_type].hand_out(frame, lanes):
+                syndromes[lane] ^= syndrome
         return syndromes
 
     def add_noise(self, frame: ErrorFrame, mask: int, phase: str) -> None:
@@ -738,8 +709,9 @@ class SimEngine:
             pools[phase].hand_out(frame, lanes)
 
     def data_syndromes(self, frame: ErrorFrame, plane: str, mask: int) -> list[int]:
-        return _syndromes(self._checks, frame.x if plane == "x" else frame.z, mask,
-                          frame.lanes)
+        """The masked lanes' syndromes of the data's X (``plane`` "x") or Z
+        ("z") error, 0 on the other lanes."""
+        return _masked(frame.sx if plane == "x" else frame.sz, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -766,26 +738,31 @@ def recover_block(frame: ErrorFrame, pending: dict[int, list[int]],
     engine.prepare_verified(frame, mask)
     first = engine.couple_and_measure(frame, mask, error_type)
 
-    # lanes outside the mask read 0
-    need: dict[int, int] = {}
+    # lanes outside the mask read 0; the lanes read nonzero take more
+    # syndromes, r in all if settled and r'' if pending
     pools: dict[int, list[int]] = {}
+    settled = carried = 0
     for lane in compress(range(len(first)), first):
-        need[lane] = pp.r_dprime if lane in pending else pp.r
         pools[lane] = [first[lane]]
-    for lane in [lane for lane in pending if mask >> lane & 1 and lane not in need]:
+        if lane in pending:
+            carried |= 1 << lane
+        else:
+            settled |= 1 << lane
+    for lane in [lane for lane in pending if mask >> lane & 1 and lane not in pools]:
         del pending[lane]
     if not pools:
         return 0, 0
 
-    for k in range(2, max(need.values()) + 1):
-        sub = sum(1 << lane for lane, total in need.items() if total >= k)
+    for k in range(2, max(pp.r, pp.r_dprime) + 1):
+        sub = (settled if k <= pp.r else 0) | (carried if k <= pp.r_dprime else 0)
+        if not sub:
+            break
         engine.prepare_verified(frame, sub)
         extra = engine.couple_and_measure(frame, sub, error_type)
-        for lane, total in need.items():
-            if total >= k:
-                pools[lane].append(extra[lane])
+        for lane in _lanes(sub):
+            pools[lane].append(extra[lane])
 
-    plane = frame.x if error_type == "X" else frame.z
+    syn = frame.sx if error_type == "X" else frame.sz
     keep = pp.r + pp.r_dprime
     lanes: list[int] = []
     accepted_syndromes: list[int] = []
@@ -799,15 +776,16 @@ def recover_block(frame: ErrorFrame, pending: dict[int, list[int]],
         accepted_syndromes.append(accepted)
     corrected = 0
     crashed = 0
-    weights, leaders = engine.decoder.decode(accepted_syndromes)
-    for lane, weight, leader in zip(lanes, weights.tolist(), leaders.tolist()):
-        bit = 1 << lane
+    if not lanes:
+        return corrected, crashed
+    weights, _ = engine.decoder.decode(accepted_syndromes)
+    for lane, weight, accepted in zip(lanes, weights.tolist(), accepted_syndromes):
         if weight > engine.t:
-            crashed |= bit
+            crashed |= 1 << lane
             continue
-        for q in leader[:weight]:
-            plane[q] ^= bit
-        corrected |= bit
+        # a coset leader's syndrome is the accepted syndrome
+        syn[lane] ^= accepted
+        corrected |= 1 << lane
     return corrected, crashed
 
 
@@ -816,7 +794,7 @@ def run_batch(engine: SimEngine, rngs: list, mask: Optional[int] = None) -> Tria
     frame, 64 lanes per stream of ``rngs``, each batch on the fault pools of
     its own stream.  ``mask`` picks the trials' lanes (all of them by
     default)."""
-    frame = ErrorFrame(n=engine.n, pools=[engine.pools(rng) for rng in rngs])
+    frame = ErrorFrame(pools=[engine.pools(rng) for rng in rngs])
     if mask is None:
         mask = (1 << frame.lanes) - 1
     pending_z: dict[int, list[int]] = {}
@@ -834,13 +812,12 @@ def run_batch(engine: SimEngine, rngs: list, mask: Optional[int] = None) -> Tria
         _, crash_x = recover_block(frame, pending_x, engine, "X", alive & ~crash_z)
         crashed = crash_z | crash_x
         survivors = alive & ~crashed
-        if survivors:
-            syn_x = engine.data_syndromes(frame, "x", survivors)
-            syn_z = engine.data_syndromes(frame, "z", survivors)
-            # lanes outside survivors, and lanes with no data error, read 0
-            lanes = list(compress(range(frame.lanes), map(or_, syn_x, syn_z)))
-            weights, _ = engine.decoder.decode([syn_x[lane] for lane in lanes]
-                                               + [syn_z[lane] for lane in lanes])
+        sx, sz = frame.sx, frame.sz
+        # the survivors with a data error
+        lanes = [lane for lane in _lanes(survivors) if sx[lane] | sz[lane]]
+        if lanes:
+            weights, _ = engine.decoder.decode([sx[lane] for lane in lanes]
+                                               + [sz[lane] for lane in lanes])
             for lane, weight in zip(lanes + lanes, weights):
                 if weight > engine.t:
                     crashed |= 1 << lane
@@ -905,9 +882,9 @@ def estimate_pbar_mc(config: SimConfig, seed: int = 0,
     Work is sharded into 64-trial batches, one RNG stream per batch, and the
     stopping rule is evaluated at fixed chunk boundaries, so the aggregate
     counts are identical for any worker count.  The last chunk ends with
-    the batch that holds trial ``max_trials``.  A chunk submits at most
-    ``chunk_batches`` ranges, so the process pool has no more workers than
-    that.
+    the batch that holds trial ``max_trials``.  A chunk of b batches runs
+    as min(workers, b) contiguous ranges whose sizes differ by at most one,
+    so the process pool has no more than ``chunk_batches`` workers.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -930,13 +907,11 @@ def estimate_pbar_mc(config: SimConfig, seed: int = 0,
             lo, hi = next_batch, min(next_batch + chunk, last)
             next_batch = hi
             if pool is not None:
-                per = max(1, chunk // workers)
-                futs = []
-                at = lo
-                while at < hi:
-                    futs.append(pool.submit(_run_batch_range, config, seed,
-                                            at, min(at + per, hi)))
-                    at += per
+                parts = min(workers, hi - lo)
+                per, longer = divmod(hi - lo, parts)
+                bounds = [lo + i * per + min(i, longer) for i in range(parts + 1)]
+                futs = [pool.submit(_run_batch_range, config, seed, a, b)
+                        for a, b in zip(bounds, bounds[1:])]
                 for f in futs:
                     total.merge(f.result())
             else:

@@ -93,7 +93,7 @@ def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
             mask = (1 << lanes) - 1
             # an error-free block per batch; the noise point's fault pools
             # carry over from batch to batch
-            frame = ErrorFrame(n=engine.n, pools=[pools])
+            frame = ErrorFrame(pools=[pools])
             engine.prepare_verified(frame, mask)
             unverified += frame.unverified
             syndromes = engine.couple_and_measure(frame, mask, "X")

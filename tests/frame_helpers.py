@@ -1,16 +1,39 @@
-"""Reference frame operations for the tests: gate-by-gate propagation,
-scattering drawn fault images into lanes, and single-lane access to a
-lane-packed ``ErrorFrame``."""
+"""Reference frame operations for the tests.
+
+The simulator's ``ErrorFrame`` keeps only each lane's data syndromes.  The
+tests keep the errors themselves in a ``PlaneFrame``: one X and one Z bit
+plane per qubit, each a Python int whose bit L belongs to lane L.  On it
+they run gate-by-gate propagation, scatter drawn fault images into lanes
+and read single lanes; ``plane_syndromes`` reduces a plane to the per-lane
+syndromes the simulator keeps, and ``plant`` puts one qubit's error into
+an ``ErrorFrame`` as its check-matrix column.
+"""
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from ftqec import network
 from ftqec.network import GateEvent
-from ftqec.simulator import ErrorFrame, _flip, _targets, _values
+from ftqec.simulator import ErrorFrame, _values
 
 MASK_ALL = (1 << 64) - 1
 
 
-def propagate(gate: GateEvent, frame: ErrorFrame, mask: int = MASK_ALL) -> ErrorFrame:
+@dataclass
+class PlaneFrame:
+    """Lane-packed X/Z error record of n qubits."""
+    n: int
+    x: list[int] = field(default_factory=list)
+    z: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not self.x:
+            self.x = [0] * self.n
+        if not self.z:
+            self.z = [0] * self.n
+
+
+def propagate(gate: GateEvent, frame: PlaneFrame, mask: int = MASK_ALL) -> PlaneFrame:
     """Propagate frame errors through one perfect gate.
 
     Hadamard swaps a qubit's X and Z values; controlled-not adds the
@@ -36,28 +59,75 @@ def propagate(gate: GateEvent, frame: ErrorFrame, mask: int = MASK_ALL) -> Error
     return frame
 
 
-def scatter(frame: ErrorFrame, table, images: np.ndarray, lanes) -> None:
+def _targets(table) -> list[tuple[int, int]]:
+    """(plane, qubit) of each image bit of a fault table, plane 0 for X and
+    1 for Z."""
+    return [(0, q) for q in table.qubits] + [(1, q) for q in table.qubits]
+
+
+def _flip(planes: tuple, targets: list, value: int, lane: int) -> None:
+    """XOR one image (an int over ``targets``) into one lane."""
+    bit = 1 << lane
+    while value:
+        low = value & -value
+        p, q = targets[low.bit_length() - 1]
+        planes[p][q] ^= bit
+        value ^= low
+
+
+def scatter(frame: PlaneFrame, table, images: np.ndarray, lanes) -> None:
     """XOR sample k of ``images`` (drawn from ``table``) into lane ``lanes[k]``."""
     planes, targets = (frame.x, frame.z), _targets(table)
     for lane, value in zip(lanes, _values(images)):
         _flip(planes, targets, value, lane)
 
 
-def lane_bits(frame: ErrorFrame, plane: str, lane: int = 0) -> np.ndarray:
+def plane_syndromes(plane: list[int], checks: np.ndarray, mask: int = MASK_ALL,
+                    lanes: int = 64) -> list[int]:
+    """Per-lane syndromes of a plane by a dense matmul: bit l of lane L's
+    syndrome is the parity of lane L of ``plane`` over check row l; lanes
+    outside the mask read 0."""
+    bits = np.array([[(v >> lane) & 1 for lane in range(lanes)] for v in plane], np.int64)
+    parities = (checks.astype(np.int64) @ bits) & 1
+    return [sum(int(b) << l for l, b in enumerate(parities[:, lane])) if mask >> lane & 1 else 0
+            for lane in range(lanes)]
+
+
+def dense_products(images: np.ndarray, matrix: np.ndarray) -> list[int]:
+    """Each image row's product under a 0/1 matrix (one row per image bit,
+    one column per output bit) by a dense int64 matmul mod 2, column j
+    packed as bit j."""
+    bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")[:, :len(matrix)]
+    products = (bits.astype(np.int64) @ matrix.astype(np.int64)) & 1
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in products]
+
+
+def column(checks: np.ndarray, qubit: int) -> int:
+    """The packed syndrome of one error on ``qubit``."""
+    return sum(int(b) << l for l, b in enumerate(checks[:, qubit]))
+
+
+def plant(frame: ErrorFrame, checks: np.ndarray, plane: str, qubit: int, lane: int = 0) -> None:
+    """Add an X (``plane`` "x") or Z ("z") error on ``qubit`` to one lane of
+    a syndrome frame."""
+    (frame.sx if plane == "x" else frame.sz)[lane] ^= column(checks, qubit)
+
+
+def lane_bits(frame: PlaneFrame, plane: str, lane: int = 0) -> np.ndarray:
     """One lane of one plane, one 0/1 entry per qubit."""
     src = frame.x if plane == "x" else frame.z
     return np.array([(v >> lane) & 1 for v in src], dtype=np.uint8)
 
 
-def x_bits(frame: ErrorFrame) -> np.ndarray:
+def x_bits(frame: PlaneFrame) -> np.ndarray:
     return lane_bits(frame, "x", 0)
 
 
-def z_bits(frame: ErrorFrame) -> np.ndarray:
+def z_bits(frame: PlaneFrame) -> np.ndarray:
     return lane_bits(frame, "z", 0)
 
 
-def set_lane(frame: ErrorFrame, plane: str, qubit: int, lane: int = 0, value: int = 1) -> None:
+def set_lane(frame: PlaneFrame, plane: str, qubit: int, lane: int = 0, value: int = 1) -> None:
     src = frame.x if plane == "x" else frame.z
     if value:
         src[qubit] |= 1 << lane

@@ -14,7 +14,7 @@ from ftqec import analytic, codes, concat, gf2, network, simulator, stats, sweep
 from ftqec.noise import NoiseParams
 from ftqec.simulator import ProtocolParams, SimConfig, estimate_pbar_mc
 
-from frame_helpers import set_lane, x_bits, z_bits
+from frame_helpers import plant
 
 SEED = 20260808
 
@@ -234,13 +234,13 @@ def test_criterion_6_zero_noise():
     code = codes.construct_code("hamming")
     eng = SimEngine(code, NoiseParams(), ProtocolParams(2, 2, 2,
                                                         parallel_corrections=1.0))
-    frame = ErrorFrame(n=7, pools=[eng.pools(stream(SEED, 0))])
+    frame = ErrorFrame(pools=[eng.pools(stream(SEED, 0))])
     pending = {}
     for _ in range(5):
         eng.add_noise(frame, 1, "rest")
         recover_block(frame, pending, eng, "Z", 1)
         recover_block(frame, pending, eng, "X", 1)
-    fixed = not x_bits(frame).any() and not z_bits(frame).any()
+    fixed = not any(frame.sx) and not any(frame.sz)
     ok &= fixed
     details.append("all-zero frame fixed" + ("" if fixed else " MISS"))
 
@@ -249,11 +249,11 @@ def test_criterion_6_zero_noise():
     planted_ok = True
     for qubit in range(7):
         for plane, etype in (("x", "X"), ("z", "Z")):
-            f = ErrorFrame(n=7, pools=[eng1.pools(stream(SEED, 2))])
-            set_lane(f, plane, qubit, 0, 1)
+            f = ErrorFrame(pools=[eng1.pools(stream(SEED, 2))])
+            plant(f, eng1.code.H, plane, qubit)
             eng1.add_noise(f, 1, "rest")
             recover_block(f, {}, eng1, etype, 1)
-            planted_ok &= (not x_bits(f)[:7].any() and not z_bits(f)[:7].any())
+            planted_ok &= not any(f.sx) and not any(f.sz)
     ok &= planted_ok
     details.append("planted singles corrected" + ("" if planted_ok else " MISS"))
     report("criterion 6", ok, "; ".join(details))

@@ -1,6 +1,6 @@
 """The failure model as the simulator samples it: a phase's single-fault
 table (``simulator._fault_table``) drawn by ``simulator._draw`` and XORed
-into a lane-packed ``ErrorFrame``, 64 trial lanes per call."""
+into a lane-packed bit-plane frame, 64 trial lanes per call."""
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -10,12 +10,12 @@ from ftqec.network import CNOT, GateEvent, MEASURE, PREP_ZERO
 from ftqec.noise import (NoiseParams, Pauli, TWO_QUBIT_FAILURES,
                          idle_flip_probability, stream)
 from ftqec.protocol import ProtocolParams
-from ftqec.simulator import ErrorFrame, SimEngine, _draw, _fault_table, _program
+from ftqec.simulator import SimEngine, _draw, _fault_table, _program
 
-from frame_helpers import MASK_ALL, scatter
+from frame_helpers import MASK_ALL, PlaneFrame, scatter
 
 
-def inject(table, frame: ErrorFrame, rng) -> None:
+def inject(table, frame: PlaneFrame, rng) -> None:
     """One draw of a phase on all 64 lanes of the frame."""
     scatter(frame, table, _draw(table, rng, 64), range(64))
 
@@ -26,12 +26,12 @@ def lane_bits(word: int) -> np.ndarray:
                          bitorder="little")
 
 
-def lane_paulis(frame: ErrorFrame, q: int) -> np.ndarray:
+def lane_paulis(frame: PlaneFrame, q: int) -> np.ndarray:
     """Per-lane Pauli of qubit q, coded as in ``Pauli`` (x + 2 z)."""
     return lane_bits(frame.x[q]) + 2 * lane_bits(frame.z[q])
 
 
-def flip_count(frame: ErrorFrame) -> int:
+def flip_count(frame: PlaneFrame) -> int:
     return sum(bin(x | z).count("1") for x, z in zip(frame.x, frame.z))
 
 
@@ -61,7 +61,7 @@ def test_params_validation():
 def test_two_qubit_zero_rate_is_identity():
     table = cnot_table(0.0)
     rng = stream(1, 0)
-    frame = ErrorFrame(n=2)
+    frame = PlaneFrame(n=2)
     for _ in range(1000):
         inject(table, frame, rng)
     assert flip_count(frame) == 0
@@ -76,7 +76,7 @@ def test_two_qubit_forced_failure_uniform():
     n = 1_000_000
     tally = np.zeros(16, dtype=np.int64)
     for _ in range(n // 64):
-        frame = ErrorFrame(n=2)
+        frame = PlaneFrame(n=2)
         inject(table, frame, rng)
         pair = 4 * lane_paulis(frame, 0) + lane_paulis(frame, 1)
         tally += np.bincount(pair, minlength=16)
@@ -98,7 +98,7 @@ def test_single_qubit_marginals():
     n = 1_000_000
     tally = np.zeros(4, dtype=np.int64)
     for _ in range(n // 64):
-        frame = ErrorFrame(n=2)
+        frame = PlaneFrame(n=2)
         inject(table, frame, rng)
         tally += np.bincount(lane_paulis(frame, 0), minlength=4)
     for pauli in (Pauli.X, Pauli.Y, Pauli.Z):
@@ -118,7 +118,7 @@ def test_prep_measure_marginals(kind):
     n = 200_000
     hits = 0
     for _ in range(n // 64):
-        frame = ErrorFrame(n=2)
+        frame = PlaneFrame(n=2)
         inject(table, frame, rng)
         if kind == PREP_ZERO:
             assert frame.z[0] == 0
@@ -130,7 +130,7 @@ def test_prep_measure_marginals(kind):
 
 def test_memory_noise_zero_eps():
     rng = stream(5, 0)
-    frame = ErrorFrame(n=8)
+    frame = PlaneFrame(n=8)
     inject(hole_table(8, range(8), 0.0), frame, rng)
     inject(idle_table(range(8), idle_flip_probability(0.0, 100)), frame, rng)
     assert flip_count(frame) == 0
@@ -144,7 +144,7 @@ def test_memory_noise_mean_count():
     rng = stream(6, 0)
     count = 0
     for _ in range(16):
-        frame = ErrorFrame(n=1000)
+        frame = PlaneFrame(n=1000)
         inject(table, frame, rng)
         count += flip_count(frame)
     mean = 16 * 1000 * 64 * 1e-3
@@ -153,7 +153,7 @@ def test_memory_noise_mean_count():
 
 def test_memory_noise_forced_single_location():
     # a one-step rest at eps = 1 flips every lane
-    frame = ErrorFrame(n=2)
+    frame = PlaneFrame(n=2)
     inject(idle_table([0], idle_flip_probability(1.0, 1)), frame, stream(7, 0))
     assert frame.x[0] | frame.z[0] == MASK_ALL
 
@@ -161,7 +161,7 @@ def test_memory_noise_forced_single_location():
 def test_memory_noise_exact_marginal():
     # idle noise draws each qubit independently; X or Y components: 2/3 of
     # failures flip the X plane
-    frame = ErrorFrame(n=4688)
+    frame = PlaneFrame(n=4688)
     table = idle_table(range(frame.n), idle_flip_probability(0.01, 1))
     inject(table, frame, stream(8, 0))
     n = frame.n * 64
@@ -176,7 +176,7 @@ def test_determinism_same_seed():
     frames = []
     for _ in range(2):
         rng = stream(9, 5)
-        frame = ErrorFrame(n=2)
+        frame = PlaneFrame(n=2)
         for _ in range(50):
             inject(table, frame, rng)
         frames.append((frame.x, frame.z))

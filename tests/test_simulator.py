@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftqec import analytic, codes, gf2, network, simulator
 from ftqec.network import GateEvent, CNOT, CPHASE, HADAMARD
@@ -18,7 +19,8 @@ from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
                              SimConfig, SimEngine, estimate_pbar_mc,
                              judge_syndromes, recover_block, run_batch)
 
-from frame_helpers import propagate, set_lane, x_bits, z_bits
+from frame_helpers import (PlaneFrame, column, dense_products, plane_syndromes, plant,
+                           propagate, set_lane, x_bits, z_bits)
 
 
 def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
@@ -30,32 +32,32 @@ def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
 # -- propagation rules --------------------------------------------------------
 
 def test_hadamard_swaps_planes():
-    f = ErrorFrame(n=7)
+    f = PlaneFrame(n=7)
     set_lane(f, "x", 2, 0, 1)
     propagate(GateEvent(HADAMARD, (2,), 0), f)
     assert x_bits(f)[2] == 0 and z_bits(f)[2] == 1
 
 
 def test_cnot_propagation():
-    f = ErrorFrame(n=7)
+    f = PlaneFrame(n=7)
     set_lane(f, "x", 1, 0, 1)             # X on control
     propagate(GateEvent(CNOT, (1, 3), 0), f)
     assert x_bits(f)[1] == 1 and x_bits(f)[3] == 1
-    f2 = ErrorFrame(n=7)
+    f2 = PlaneFrame(n=7)
     set_lane(f2, "z", 3, 0, 1)            # Z on target
     propagate(GateEvent(CNOT, (1, 3), 0), f2)
     assert z_bits(f2)[1] == 1 and z_bits(f2)[3] == 1
 
 
 def test_cphase_propagation():
-    f = ErrorFrame(n=7)
+    f = PlaneFrame(n=7)
     set_lane(f, "x", 0, 0, 1)
     propagate(GateEvent(CPHASE, (0, 5), 0), f)
     assert z_bits(f)[5] == 1 and x_bits(f)[0] == 1 and z_bits(f)[0] == 0
 
 
 def test_zero_frame_fixed_under_gates():
-    f = ErrorFrame(n=7)
+    f = PlaneFrame(n=7)
     for ev in (GateEvent(HADAMARD, (0,), 0), GateEvent(CNOT, (0, 1), 1),
                GateEvent(CPHASE, (2, 3), 2)):
         propagate(ev, f)
@@ -74,22 +76,22 @@ def _extract(eng, f, error_type, rng):
 
 def test_extract_zero_noise_zero_frame():
     eng = engine()
-    f = ErrorFrame(n=7)
+    f = ErrorFrame()
     assert not _extract(eng, f, "X", stream(0, 0)).any()
 
 
 @pytest.mark.parametrize("j", range(7))
 def test_extract_single_x_error_gives_column(j):
     eng = engine()
-    f = ErrorFrame(n=7)
-    set_lane(f, "x", j, 0, 1)
+    f = ErrorFrame()
+    plant(f, eng.code.H, "x", j)
     assert np.array_equal(_extract(eng, f, "X", stream(0, j)), eng.code.H[:, j])
 
 
 def test_extract_single_z_error_z_type(golay):
     eng = engine("golay")
-    f = ErrorFrame(n=23)
-    set_lane(f, "z", 11, 0, 1)
+    f = ErrorFrame()
+    plant(f, eng.code.H, "z", 11)
     assert np.array_equal(_extract(eng, f, "Z", stream(0, 1)), eng.code.H[:, 11])
 
 
@@ -107,7 +109,7 @@ def test_verified_fraction_tracks_alpha():
     while done < trials:
         rng = stream(77, batch)
         batch += 1
-        f = ErrorFrame(n=23)
+        f = ErrorFrame()
         verified = eng.attempt_preparation(f, rng, (1 << 64) - 1)
         passed += bin(verified).count("1")
         done += 64
@@ -144,11 +146,11 @@ def test_unverified_lanes_counted(monkeypatch):
     verified = ~bits[:, eng.n:eng.n + eng.rows].any(axis=1)
     for max_attempts in (1, 3):
         monkeypatch.setattr(simulator, "MAX_ATTEMPTS", max_attempts)
-        f = ErrorFrame(n=7, pools=[eng.pools(stream(5, 0))])
+        f = ErrorFrame(pools=[eng.pools(stream(5, 0))])
         eng.prepare_verified(f, mask)
         assert f.unverified == _sequential_unverified(verified, 64, max_attempts) > 0
         quiet_eng = engine()
-        quiet = ErrorFrame(n=7, pools=[quiet_eng.pools(stream(5, 0))])
+        quiet = ErrorFrame(pools=[quiet_eng.pools(stream(5, 0))])
         quiet_eng.prepare_verified(quiet, mask)
         assert quiet.unverified == 0
 
@@ -161,13 +163,14 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     # at a limit of 5) inside the first refill exhausts a lane's attempts,
     # and a run of 20 crosses the refill, so some lane spends its attempts
     # on both sides of it.  Every lane must record the fold of the sample
-    # that per-lane sequential retries give it.
+    # that per-lane sequential retries give it.  On golay: hamming's folds,
+    # syndromes of 3 bits, span only 2^8 values.
     monkeypatch.setattr(simulator, "MAX_ATTEMPTS", limit)
-    eng = engine()
+    eng = engine("golay")
     n = eng.n
     pool_rows = simulator.POOL_ROWS
     m = len(eng._prep.qubits)
-    _, pivots, _ = gf2.rref(eng._fold.T)
+    _, pivots, _ = gf2.rref(eng._fold.matrix.T)
     spell = pivots[:11]                   # 2^11 > 3 * POOL_ROWS
     assert len(spell) == 11 and all(b < n or m <= b < m + n for b in spell)
     fails = np.random.default_rng(8).random(3 * pool_rows) < 0.3
@@ -176,9 +179,10 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     fails[pool_rows - 12:pool_rows + 8] = True
     values = [sum(1 << b for i, b in enumerate(spell) if k >> i & 1) | int(fails[k]) << n
               for k in range(3 * pool_rows)]
-    assert eng._prep.images.shape[1] == 1
-    images = np.array(values, dtype=np.uint64)[:, None]
-    want = simulator._parities(images, eng._fold)
+    words = eng._prep.images.shape[1]
+    images = np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in values),
+                           "<u8").reshape(len(values), words)
+    want = dense_products(images, eng._fold.matrix)
     assert len(set(want)) == len(want)
     chunks = iter(np.split(images, 3))
 
@@ -189,7 +193,7 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     monkeypatch.setattr(simulator, "_draw", draw)
     gen = np.random.default_rng(9)
     masks = [(1 << 64) - 1] * 4 + [int(v) for v in gen.integers(1, 2**63, 8)]
-    f = ErrorFrame(n=n, pools=[eng.pools(stream(0, 0))])
+    f = ErrorFrame(pools=[eng.pools(stream(0, 0))])
     at = unverified = 0
     crossed = inside = False
     for mask in masks:
@@ -215,7 +219,7 @@ def test_preparation_replaces_the_lanes_ancilla():
     # a lane prepared again couples its new ancilla only, here a fault-free
     # one; the lanes outside the mask keep their folds
     noisy, quiet = engine(gamma=0.05, eps=0.05), engine()
-    f = ErrorFrame(n=7, pools=[quiet.pools(stream(6, 0))])
+    f = ErrorFrame(pools=[quiet.pools(stream(6, 0))])
     mask = (1 << 64) - 1
     noisy.attempt_preparation(f, stream(6, 1), mask)
     assert len(f.folds) > 10
@@ -247,7 +251,7 @@ def _forward_images(table) -> np.ndarray:
     rows = table.images.shape[0]
     lanes = (1 << (rows + 1)) - 1
     top = max(table.qubits) + 1
-    frame = ErrorFrame(n=top)
+    frame = PlaneFrame(n=top)
     for q in table.qubits:
         frame.x[q] = frame.z[q] = 1 << rows
     at = {}
@@ -311,23 +315,27 @@ def test_fault_table_matches_forward_propagation(name):
 
 @pytest.mark.parametrize("name", codes.code_names())
 def test_readout_map_matches_propagation(name, monkeypatch):
-    # a folded extraction against gate-by-gate propagation of the data plus
-    # each lane's G+V sample through the readout's noiseless map: the same
-    # data planes and syndromes on the masked lanes, nothing changed on the
-    # others.  The readout is fault-free; an extraction never decodes, so
-    # codes without a decoder run too.
+    # a folded extraction against gate-by-gate propagation of bit planes:
+    # random data errors plus each lane's G+V sample, pushed through the
+    # readout's noiseless schedule.  On the masked lanes the extraction
+    # must read the reference's syndromes, and afterwards the frame must
+    # hold H times the reference's data planes on every lane.  The readout
+    # is fault-free; an extraction never decodes, so codes without a
+    # decoder run too.
     monkeypatch.setattr(codes, "decoder_for", lambda code: None)
     eng = engine(name)
     noisy, readout = simulator._phase_tables(eng.networks, NoiseParams(0.02, 0.02, 1))
     eng._prep = noisy                    # folds do not depend on the noise
-    n, m = eng.n, len(noisy.qubits)
+    n, m, checks = eng.n, len(noisy.qubits), eng.code.H
     gen = np.random.default_rng(n)
     for error_type in ("Z", "X"):
         for mask in ((1 << 64) - 1, int(gen.integers(1, 2**63))):
-            frame = ErrorFrame(n=n, pools=[eng.pools(stream(n, 0))])
-            frame.x = [int(v) for v in gen.integers(0, 2**64, n, dtype=np.uint64)]
-            frame.z = [int(v) for v in gen.integers(0, 2**64, n, dtype=np.uint64)]
-            ref = ErrorFrame(n=2 * n, x=frame.x + [0] * n, z=frame.z + [0] * n)
+            ref = PlaneFrame(n=2 * n)
+            ref.x[:n] = [int(v) for v in gen.integers(0, 2**64, n, dtype=np.uint64)]
+            ref.z[:n] = [int(v) for v in gen.integers(0, 2**64, n, dtype=np.uint64)]
+            frame = ErrorFrame(pools=[eng.pools(stream(n, 0))],
+                               sx=plane_syndromes(ref.x[:n], checks),
+                               sz=plane_syndromes(ref.z[:n], checks))
             lanes = simulator._lanes(mask)
             images = simulator._draw(noisy, stream(n, 1), len(lanes))
             eng.attempt_preparation(frame, stream(n, 1), mask)
@@ -342,8 +350,9 @@ def test_readout_map_matches_propagation(name, monkeypatch):
             for gates, _, _ in readout[error_type].program:
                 for ev in gates:
                     propagate(ev, ref, mask)
-            assert got == _lane_syndromes(ref.x[n:2 * n], eng.code.H, mask), error_type
-            assert frame.x == ref.x[:n] and frame.z == ref.z[:n], error_type
+            assert got == plane_syndromes(ref.x[n:2 * n], checks, mask), error_type
+            assert frame.sx == plane_syndromes(ref.x[:n], checks), error_type
+            assert frame.sz == plane_syndromes(ref.z[:n], checks), error_type
             assert not frame.folds
 
 
@@ -388,15 +397,47 @@ def _lane_syndromes(plane: list[int], checks: np.ndarray, mask: int) -> list[int
 
 @pytest.mark.parametrize("rows,n", [(12, 23), (85, 127)])
 def test_syndromes_match_per_lane_reference(rows, n):
-    # the vectorised reduction against a per-lane loop, on both sides of
-    # the 64-row packing boundary, and with a plane clean on the mask
+    # the byte-table syndrome reduction against a per-lane loop, on both
+    # sides of the 64-row packing boundary: lane L's image is the qubits
+    # whose plane words have bit L set, and a plane clean on the mask
+    # leaves the masked lanes at 0
     gen = np.random.default_rng(rows)
     checks = gen.integers(0, 2, (rows, n), dtype=np.uint8)
-    rows_at = [tuple(np.flatnonzero(row)) for row in checks]
+    syndromes = simulator._GF2Map(checks.T)
     plane = [int(v) for v in gen.integers(0, 2**63, n)]
     mask = int(gen.integers(0, 2**63)) | (1 << 63)
     for words in (plane, [v & ~mask for v in plane]):
-        assert simulator._syndromes(rows_at, words, mask, 64) == _lane_syndromes(words, checks, mask)
+        images = np.zeros((64, (n + 63) // 64), "<u8")
+        for q, word in enumerate(words):
+            for lane in range(64):
+                images[lane, q // 64] |= np.uint64((word >> lane & 1) << q % 64)
+        got = [s if mask >> lane & 1 else 0 for lane, s in enumerate(syndromes(images))]
+        assert got == _lane_syndromes(words, checks, mask)
+
+
+@pytest.mark.parametrize("name", codes.code_names())
+def test_byte_tables_match_dense_products(name, monkeypatch):
+    # each of the engine's three GF(2) maps (G+V fold, readout tags, data
+    # tags) against a dense int64 matmul mod 2 of its matrix, on drawn
+    # images (several words each on the large codes) and on the image with
+    # every bit set
+    monkeypatch.setattr(codes, "decoder_for", lambda code: None)
+    eng = engine(name)
+    maps = {"fold": eng._fold, "readout": eng._readout_tags, "data": eng._data_tags}
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(st.data())
+    def check(data):
+        for label, gf2_map in maps.items():
+            bits = len(gf2_map.matrix)
+            values = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=6), label)
+            values.append((1 << bits) - 1)
+            words = (bits + 63) // 64
+            images = np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in values),
+                                   "<u8").reshape(len(values), words)
+            assert gf2_map(images) == dense_products(images, gf2_map.matrix), label
+
+    check()
 
 
 # -- recovery ------------------------------------------------------------------
@@ -446,48 +487,48 @@ def test_judge_acceptance_frequency():
 
 def test_zero_noise_recovery_is_identity():
     eng = engine()
-    f = ErrorFrame(n=7, pools=[eng.pools(stream(1, 0))])
+    f = ErrorFrame(pools=[eng.pools(stream(1, 0))])
     pending = {}
     for _ in range(3):
         eng.add_noise(f, 1, "rest")
         corrected, crashed = recover_block(f, pending, eng, "X", 1)
         assert corrected == 0 and crashed == 0
-    assert not x_bits(f).any() and not z_bits(f).any()
+    assert not any(f.sx) and not any(f.sz)
     assert 0 not in pending
 
 
 @pytest.mark.parametrize("plane,qubit", [("x", 0), ("x", 4), ("z", 2), ("z", 6)])
 def test_planted_single_error_corrected(plane, qubit):
     eng = engine(pp=ProtocolParams(1, 1, 1, parallel_corrections=1.0))
-    f = ErrorFrame(n=7, pools=[eng.pools(stream(2, qubit))])
-    set_lane(f, plane, qubit, 0, 1)
+    f = ErrorFrame(pools=[eng.pools(stream(2, qubit))])
+    plant(f, eng.code.H, plane, qubit)
     error_type = "X" if plane == "x" else "Z"
     eng.add_noise(f, 1, "rest")
     corrected, crashed = recover_block(f, {}, eng, error_type, 1)
     assert corrected == 1 and crashed == 0
-    assert not x_bits(f)[:7].any() and not z_bits(f)[:7].any()
+    assert not any(f.sx) and not any(f.sz)
 
 
 def test_planted_y_error_corrected_in_one_round():
     eng = engine("golay", pp=ProtocolParams(1, 1, 1, parallel_corrections=1.0))
-    f = ErrorFrame(n=23, pools=[eng.pools(stream(3, 0))])
-    set_lane(f, "x", 9, 0, 1)
-    set_lane(f, "z", 9, 0, 1)
+    f = ErrorFrame(pools=[eng.pools(stream(3, 0))])
+    plant(f, eng.code.H, "x", 9)
+    plant(f, eng.code.H, "z", 9)
     eng.add_noise(f, 1, "rest")
     recover_block(f, {}, eng, "Z", 1)
     recover_block(f, {}, eng, "X", 1)
-    assert not x_bits(f)[:23].any() and not z_bits(f)[:23].any()
+    assert not any(f.sx) and not any(f.sz)
 
 
 def test_deferred_rounds_follow_the_repetition_rule(monkeypatch):
     # (r, r', r'') = (4, 3, 2): a settled lane takes 4 syndromes, a pending
     # one 2, and the last 6 syndromes of two recoveries are judged
     eng = engine("golay", pp=ProtocolParams(4, 3, 2, parallel_corrections=1.0))
-    col = {q: sum(int(b) << i for i, b in enumerate(eng.code.H[:, q])) for q in (5, 11, 17)}
+    col = {q: column(eng.code.H, q) for q in (5, 11, 17)}
     a, b, c, d = 1, 2, col[5], 4
-    f = ErrorFrame(n=eng.n, pools=[eng.pools(stream(5, 0))])
+    f = ErrorFrame(pools=[eng.pools(stream(5, 0))])
     for lane, q in ((0, 5), (1, 11), (2, 17)):
-        set_lane(f, "x", q, lane, 1)
+        plant(f, eng.code.H, "x", q, lane)
     script = {0: [a, b, a, b, c, d, a, c, c, 7],
               1: [0, 0, 0, col[11], 9, col[11], col[11]],
               2: [col[17], col[17], col[17], a, 0, 0, 0],
@@ -520,7 +561,7 @@ def test_deferred_rounds_follow_the_repetition_rule(monkeypatch):
         assert calls == extractions
         assert pending == after
     assert not any(script.values())
-    assert not any(f.x) and not any(f.z)
+    assert not any(f.sx) and not any(f.sz)
 
 
 # -- trials ---------------------------------------------------------------------
@@ -679,6 +720,24 @@ def test_mc_counts_pinned(config, counts):
     assert _counts(estimate_pbar_mc(cfg, seed=seed)) == counts
 
 
+@pytest.mark.parametrize("config,counts", PINNED_COUNTS[:2],
+                         ids=[f"{c[0]}-{c[1][0]:g}" for c, _ in PINNED_COUNTS[:2]])
+def test_decode_never_gets_an_empty_list(config, counts, monkeypatch):
+    # a recovery that accepts no syndrome, and a step whose survivors carry
+    # no data error, skip the decoder; the counts stay pinned
+    calls = []
+    decode = codes.CosetDecoder.decode
+
+    def counting(self, syndromes):
+        assert len(syndromes) > 0
+        calls.append(len(syndromes))
+        return decode(self, syndromes)
+
+    monkeypatch.setattr(codes.CosetDecoder, "decode", counting)
+    test_mc_counts_pinned(config, counts)
+    assert calls
+
+
 def test_lanes_any_width():
     gen = np.random.default_rng(3)
     for width in (8, 64, 128, 2048):
@@ -706,16 +765,18 @@ def test_nonpositive_workers_refused(workers):
         estimate_pbar_mc(cfg, seed=23, workers=workers)
 
 
-def test_process_pool_capped_at_chunk(monkeypatch):
-    # a chunk submits at most chunk_batches ranges, so a larger worker count
-    # must not start more processes; the pool here runs in-process
-    sizes = []
+def _inline_pool(monkeypatch) -> tuple[list, list]:
+    """Replace the process pool by one that runs each range in-process, so
+    no process starts; return the lists it records: the ``max_workers`` of
+    each pool built and the (lo, hi) batch range of each submission."""
+    sizes, ranges = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def submit(self, fn, *args):
+            ranges.append(args[-2:])
             fut = concurrent.futures.Future()
             fut.set_result(fn(*args))
             return fut
@@ -724,12 +785,37 @@ def test_process_pool_capped_at_chunk(monkeypatch):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes, ranges
+
+
+def test_process_pool_capped_at_chunk(monkeypatch):
+    # a chunk submits at most chunk_batches ranges, so a larger worker count
+    # must not start more processes; the pool here runs in-process
+    sizes, _ = _inline_pool(monkeypatch)
     cfg = SimConfig("hamming", NoiseParams(5e-3, 5e-3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
                     target_failures=10**6, max_trials=256, chunk_batches=2)
     many = _counts(estimate_pbar_mc(cfg, seed=5, workers=10_000))
     assert sizes == [2]
     assert many == _counts(estimate_pbar_mc(cfg, seed=5, workers=1))
+
+
+_SPLIT_CONFIG = SimConfig("hamming", NoiseParams(5e-3, 5e-3, 1),
+                          ProtocolParams(2, 2, 2, parallel_corrections=1.0),
+                          target_failures=10**6, max_trials=64 * 35)
+
+
+@pytest.mark.parametrize("workers,sizes", [(3, [11, 11, 10]), (5, [7, 7, 6, 6, 6]),
+                                           (20, [2] * 12 + [1] * 8)])
+def test_chunk_split_into_near_equal_ranges(workers, sizes, monkeypatch):
+    # a 32-batch chunk runs as min(workers, 32) contiguous ranges whose
+    # sizes differ by at most one, and the last chunk's 3 batches as three
+    # ranges of one; the counts are those of one worker
+    _, ranges = _inline_pool(monkeypatch)
+    counts = _counts(estimate_pbar_mc(_SPLIT_CONFIG, seed=5, workers=workers))
+    bounds = np.cumsum([0] + sizes).tolist()
+    assert ranges == list(zip(bounds, bounds[1:])) + [(32, 33), (33, 34), (34, 35)]
+    assert counts == _counts(estimate_pbar_mc(_SPLIT_CONFIG, seed=5, workers=1))
 
 
 @pytest.mark.parametrize("field,value", [("target_failures", 0), ("target_failures", -1),
