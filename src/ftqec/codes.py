@@ -13,8 +13,9 @@ The module provides:
 * reduction of H to (I A) standard form and the scheduling parameters
   (w, N_A, N_GV, N_h) derived from A,
 * bounded-distance coset-leader decoding from one sorted ball of low-weight
-  syndromes (every syndrome for the small codes; weights exact up to 2R,
-  with R the ball's radius, and 2R + 1 beyond).
+  syndromes (every syndrome for the small codes): the decoder answers a
+  leader's weight, exact up to 2R with R the ball's radius and 2R + 1
+  beyond, and rebuilds one leader from weights only on request.
 
 The catalog in data/catalog.json carries the (w, N_A) values consumed by the
 analytic model; constructed matrices feed the simulator.  The two need not
@@ -412,11 +413,11 @@ class CosetDecoder:
     """Bounded-distance minimum-weight decoding of H-syndromes.
 
     The decoder holds a ball: every syndrome whose coset leader has weight
-    at most R, with that weight and one leader, found by breadth-first
-    layering over error weights and sorted for binary search.  R is the
-    floor max(ceil(t/2), 2), except that a code whose 2^rows syndromes fit
-    in BALL_LIMIT (hamming, golay, golay21, bch31) adds layer r + 1 while
-    the ball plus the C(n, r + 1) bound on it stays within the limit.  A
+    at most R, with that weight, found by breadth-first layering over error
+    weights and sorted for binary search.  R is the floor max(ceil(t/2), 2),
+    except that a code whose 2^rows syndromes fit in BALL_LIMIT (hamming,
+    golay, golay21, bch31) adds layer r + 1 while the ball plus the
+    C(n, r + 1) bound on it stays within the limit.  A
     syndrome s outside the ball is looked up as s xor (a syndrome of layer
     j) for j = 1..R; the first j with a hit has a leader of weight exactly
     R + j.  Weights are therefore exact up to 2R >= max(t, 4), and a
@@ -430,11 +431,11 @@ class CosetDecoder:
         self.code = code
         self.rows, self.n = code.H.shape
         self.words = -(-self.rows // 64)
-        cols = self._pack(gf2.rows_to_ints(code.H.T))
+        self._cols = self._pack(gf2.rows_to_ints(code.H.T))
         floor = max(-(-code.t // 2), 2)
         grow = 1 << self.rows <= BALL_LIMIT
         ball = np.zeros((1, self.words), dtype=np.uint64)
-        layers = [(ball, np.zeros((1, 0), dtype=np.uint16))]
+        layers = [ball]
         while len(ball) < 1 << self.rows and (grow or len(layers) <= floor):
             r = len(layers) - 1
             if len(ball) + math.comb(self.n, r + 1) > BALL_LIMIT:
@@ -443,33 +444,27 @@ class CosetDecoder:
                         f"{code.name}: a syndrome ball of radius {floor} could "
                         f"hold more than BALL_LIMIT = {BALL_LIMIT} entries")
                 break
-            layers.append(self._next_layer(ball, layers[-1], cols))
-            ball = np.concatenate([ball, layers[-1][0]])
+            layers.append(self._next_layer(ball, layers[-1]))
+            ball = np.concatenate([ball, layers[-1]])
         self.radius = len(layers) - 1
         self._layers = layers
         weight = np.concatenate([np.full(len(s), w, dtype=np.uint8)
-                                 for w, (s, _) in enumerate(layers)])
-        leaders = np.concatenate([np.pad(lead, ((0, 0), (0, self.radius - w)))
-                                  for w, (_, lead) in enumerate(layers)])
+                                 for w, s in enumerate(layers)])
         key = self._key(ball)
         order = np.argsort(key)
-        self._keys, self._ball = key[order], ball[order]
-        self._weight, self._leaders = weight[order], leaders[order]
+        self._keys, self._ball, self._weight = key[order], ball[order], weight[order]
         if (self._keys[1:] == self._keys[:-1]).any():
             raise CodeConstructionError(f"{code.name}: two syndromes share a sort key")
 
-    def _next_layer(self, ball, layer, cols) -> tuple[np.ndarray, np.ndarray]:
-        """Syndromes of weight r + 1 and their leaders, from the ball and layer r.
+    def _next_layer(self, ball, layer) -> np.ndarray:
+        """Syndromes of weight r + 1, from the ball and layer r.
 
         A first occurrence past the ball, among the ball followed by every
         layer-r syndrome xor every column, is a syndrome of weight r + 1.
         """
-        front, front_leaders = layer
-        grown = np.concatenate([ball, (front[:, None] ^ cols).reshape(-1, self.words)])
+        grown = np.concatenate([ball, (layer[:, None] ^ self._cols).reshape(-1, self.words)])
         first = self._first(grown)
-        fresh = first[first >= len(ball)]
-        f, c = np.divmod(fresh - len(ball), self.n)
-        return grown[fresh], np.column_stack([front_leaders[f], c.astype(np.uint16)])
+        return grown[first[first >= len(ball)]]
 
     def _first(self, syn: np.ndarray) -> np.ndarray:
         """Index of the first occurrence of each distinct syndrome, in key order."""
@@ -509,41 +504,48 @@ class CosetDecoder:
         found[idx[hit]] = at[hit]
         return found
 
-    def decode(self, syndromes) -> tuple[np.ndarray, np.ndarray]:
-        """Leader weight and one leader for each packed syndrome.
-
-        Row i of the leaders array lists the columns of syndrome i's leader
-        in its first weights[i] entries; a weight of 2R + 1 means heavier
-        than 2R, with no leader.
-        """
+    def decode(self, syndromes) -> np.ndarray:
+        """Coset-leader weight of each packed syndrome; 2R + 1 means heavier
+        than 2R."""
         radius = self.radius
         q = self._pack(syndromes)
         pos = self._find(q)
         weight = np.where(pos >= 0, self._weight[pos], 2 * radius + 1)
-        leaders = np.zeros((len(q), 2 * radius), dtype=np.uint16)
-        leaders[:, :radius] = self._leaders[pos]
         for i in np.nonzero(pos < 0)[0]:
-            for j, (layer, layer_leaders) in enumerate(self._layers[1:], 1):
-                found = self._find(q[i] ^ layer)
-                a = int(np.argmax(found >= 0))
-                if found[a] >= 0:
-                    # the ball's half of a weight R + j leader has weight R
+            for j, layer in enumerate(self._layers[1:], 1):
+                if (self._find(q[i] ^ layer) >= 0).any():
                     weight[i] = radius + j
-                    leaders[i, :radius] = self._leaders[found[a]]
-                    leaders[i, radius:radius + j] = layer_leaders[a]
                     break
-        return weight, leaders
+        return weight
 
     # -- scalar entry points ------------------------------------------------
     def leader_weight(self, syndrome: int) -> int:
-        return int(self.decode([syndrome])[0][0])
+        return int(self.decode([syndrome])[0])
 
     def leader_vector(self, syndrome: int) -> Optional[int]:
-        """Bitmask of one minimum-weight error, None beyond weight 2R."""
-        weights, leaders = self.decode([syndrome])
-        if weights[0] > 2 * self.radius:
+        """Bitmask of one minimum-weight error, None beyond weight 2R.
+
+        A leader of weight R + j splits into a ball syndrome and one of
+        layer j, as in ``decode``; each part then sheds one column at a
+        time, each flip leaving a ball syndrome one lighter.
+        """
+        weight = self.leader_weight(syndrome)
+        if weight > 2 * self.radius:
             return None
-        return sum(1 << int(c) for c in leaders[0, :weights[0]])
+        parts = self._pack([syndrome])
+        if weight > self.radius:
+            layer = self._layers[weight - self.radius]
+            half = layer[np.argmax(self._find(parts[0] ^ layer) >= 0)]
+            parts = [parts[0] ^ half, half]
+        vector = 0
+        for syn in parts:
+            w = int(self._weight[self._find(syn[None])[0]])
+            while w:
+                pos = self._find(syn ^ self._cols)
+                c = int(np.argmax((pos >= 0) & (self._weight[pos] == w - 1)))
+                vector ^= 1 << c
+                syn, w = syn ^ self._cols[c], w - 1
+        return vector
 
 
 _decoder_cache: dict[tuple, CosetDecoder] = {}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import analytic
 # unused here; kept because perfbench/spans.py wraps concat.binom_pmf
@@ -56,36 +55,25 @@ def eta_factor(outer: CodeParams) -> float:
 
 
 def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
-                    outer_protocol: Optional[ProtocolParams] = None,
                     r_values=range(1, 7), constraint=None) -> ConcatEstimate:
     """Crash probability per recovery of the two-level code.
 
-    Repetition parameters are optimized independently per level; the outer
-    level runs ``outer_protocol`` instead when it is given.
+    Repetition parameters are optimized independently per level.
     """
     eta = eta_factor(spec.outer)
     noise_in = NoiseParams(gamma, eps, spec.t_m)
     inner_protocol, inner_pbar = analytic.optimize_protocol(
         spec.inner, noise_in, r_values=r_values, n_rep=spec.n_rep,
         rest_scale=eta, constraint=constraint)
-    below = inner_pbar >= 0.5
-    if below:
+    if inner_pbar >= 0.5:
         return ConcatEstimate(pbar=1.0, inner_pbar=inner_pbar, eta=eta,
                               below_breakeven=True,
                               inner_protocol=inner_protocol,
-                              outer_protocol=outer_protocol
-                              or ProtocolParams(1, 1, 1))
-    outer_code = _without_holes(spec.outer)
+                              outer_protocol=ProtocolParams(1, 1, 1))
     noise_out = NoiseParams(inner_pbar, inner_pbar, t_m=1)
-    if outer_protocol is None:
-        outer_protocol, outer_pbar = analytic.optimize_protocol(
-            outer_code, noise_out, r_values=r_values,
-            n_rep=spec.n_rep, rest_scale=1.0 / eta,
-            constraint=constraint)
-    else:
-        outer_pbar = analytic.crash_estimate(
-            outer_code, noise_out, outer_protocol,
-            rest_scale=1.0 / eta).pbar
+    outer_protocol, outer_pbar = analytic.optimize_protocol(
+        _without_holes(spec.outer), noise_out, r_values=r_values,
+        n_rep=spec.n_rep, rest_scale=1.0 / eta, constraint=constraint)
     return ConcatEstimate(pbar=outer_pbar, inner_pbar=inner_pbar, eta=eta,
                           below_breakeven=False,
                           inner_protocol=inner_protocol,

@@ -778,7 +778,7 @@ def recover_block(frame: ErrorFrame, pending: dict[int, list[int]],
     crashed = 0
     if not lanes:
         return corrected, crashed
-    weights, _ = engine.decoder.decode(accepted_syndromes)
+    weights = engine.decoder.decode(accepted_syndromes)
     for lane, weight, accepted in zip(lanes, weights.tolist(), accepted_syndromes):
         if weight > engine.t:
             crashed |= 1 << lane
@@ -816,8 +816,8 @@ def run_batch(engine: SimEngine, rngs: list, mask: Optional[int] = None) -> Tria
         # the survivors with a data error
         lanes = [lane for lane in _lanes(survivors) if sx[lane] | sz[lane]]
         if lanes:
-            weights, _ = engine.decoder.decode([sx[lane] for lane in lanes]
-                                               + [sz[lane] for lane in lanes])
+            weights = engine.decoder.decode([sx[lane] for lane in lanes]
+                                            + [sz[lane] for lane in lanes])
             for lane, weight in zip(lanes + lanes, weights):
                 if weight > engine.t:
                     crashed |= 1 << lane
@@ -889,11 +889,13 @@ def estimate_pbar_mc(config: SimConfig, seed: int = 0,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # a target below 1 is met by the first chunk; a chunk of 0 batches
-    # never reaches the trial cap
+    # never reaches the trial cap; a cap below 1 leaves no batch to split
     if config.target_failures < 1:
         raise ValueError(f"target_failures must be >= 1, got {config.target_failures}")
     if config.chunk_batches < 1:
         raise ValueError(f"chunk_batches must be >= 1, got {config.chunk_batches}")
+    if config.max_trials < 1:
+        raise ValueError(f"max_trials must be >= 1, got {config.max_trials}")
     total = TrialStats.empty(seed=seed)
     chunk = config.chunk_batches
     last = -(-config.max_trials // 64)

@@ -50,9 +50,7 @@ class SyndromeCensus:
 def leader_weights(decoder, syndromes) -> dict[int, int]:
     """Coset-leader weight of each syndrome, from one batched decode."""
     syndromes = list(syndromes)
-    if not syndromes:
-        return {}
-    return dict(zip(syndromes, decoder.decode(syndromes)[0].tolist()))
+    return dict(zip(syndromes, decoder.decode(syndromes).tolist()))
 
 
 @dataclass

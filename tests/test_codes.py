@@ -192,18 +192,20 @@ def test_leader_weight_bounded_by_error_weight(golay, rng):
         assert codes.decoder_for(golay).leader_weight(_syndrome(golay, e)) <= e.sum()
 
 
-def test_leader_vector_reproduces_syndrome(golay):
-    dec = codes.decoder_for(golay)
-    rng = np.random.default_rng(9)
-    cols = gf2.rows_to_ints(golay.H.T)
-    for _ in range(50):
-        s = int(rng.integers(1 << 12))
-        v = dec.leader_vector(s)
-        acc = 0
-        for i in range(golay.n):
-            if (v >> i) & 1:
-                acc ^= cols[i]
-        assert acc == s
+def test_leader_vector_reproduces_syndrome(hamming, golay):
+    # every syndrome of both codes: the leader rebuilt from weights
+    # reproduces the syndrome at exactly the decoded weight
+    for code in (hamming, golay):
+        dec = codes.decoder_for(code)
+        cols = gf2.rows_to_ints(code.H.T)
+        for s in range(1 << dec.rows):
+            v = dec.leader_vector(s)
+            acc = 0
+            for i in range(code.n):
+                if (v >> i) & 1:
+                    acc ^= cols[i]
+            assert acc == s
+            assert bin(v).count("1") == dec.leader_weight(s)
 
 
 # -- the syndrome ball ---------------------------------------------------------
@@ -249,7 +251,7 @@ def test_decoder_matches_enumeration(name):
                 s ^= c
             best.setdefault(s, w)
     syndromes = list(best)
-    weights, _ = dec.decode(syndromes)
+    weights = dec.decode(syndromes)
     assert weights.tolist() == [best[s] for s in syndromes]
     assert all(dec.leader_weight(s) == best[s] for s in syndromes[::997])
     # random errors up to weight 2R + 2: never heavier than the error, and

@@ -1,9 +1,10 @@
 import pytest
 
-from ftqec import codes, concat
+from ftqec import analytic, codes, concat
 from ftqec.concat import (ConcatSpec, concat_estimate, eta_factor,
                           level_trace, threshold)
 from ftqec.noise import NoiseParams
+from ftqec.protocol import ProtocolParams
 
 GOLAY = codes.params_from_catalog("golay")
 BCH29 = codes.params_from_catalog("bch127-29")
@@ -26,20 +27,20 @@ def test_concat_inner_must_encode_one_qubit():
 
 
 def test_concat_golay_bch_computation_size():
-    from ftqec.simulator import ProtocolParams
     spec = ConcatSpec(inner=GOLAY, outer=BCH29, n_rep=1.0, t_m=25)
+    est = concat_estimate(spec, 1e-4, 1e-6)
+    assert not est.below_breakeven
     # with the outer level running the catalog's optimum for this code at
     # the physical noise (r = 5 family), the computation size lands in the
     # expected decade band
-    est = concat_estimate(spec, 1e-4, 1e-6,
-                          outer_protocol=ProtocolParams(5, 4, 3, n_rep=1.0))
-    assert not est.below_breakeven
-    kq = 0.5 / est.pbar
-    assert 1e35 <= kq <= 1e45
+    p_in = est.inner_pbar
+    fixed = analytic.crash_estimate(concat._without_holes(BCH29),
+                                    NoiseParams(p_in, p_in, 1), ProtocolParams(5, 4, 3),
+                                    rest_scale=1 / est.eta).pbar
+    assert 1e35 <= 0.5 / fixed <= 1e45
     # per-level re-optimization can only lower the estimate further
-    est_free = concat_estimate(spec, 1e-4, 1e-6)
-    assert est_free.pbar <= est.pbar
-    assert 0.5 / est_free.pbar >= 1e35
+    assert est.pbar <= fixed
+    assert 0.5 / est.pbar >= 1e35
 
 
 def test_concat_below_breakeven_flag():

@@ -819,13 +819,17 @@ def test_chunk_split_into_near_equal_ranges(workers, sizes, monkeypatch):
 
 
 @pytest.mark.parametrize("field,value", [("target_failures", 0), ("target_failures", -1),
-                                         ("chunk_batches", 0)])
-def test_nonpositive_stop_rule_refused(field, value):
+                                         ("chunk_batches", 0), ("max_trials", 0)])
+def test_nonpositive_stop_rule_refused(field, value, monkeypatch):
+    # refused alike by one worker and by a pool, here one run in-process
+    _inline_pool(monkeypatch)
     cfg = SimConfig("hamming", NoiseParams(5e-3, 5e-3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
                     target_failures=30, max_trials=64)
-    with pytest.raises(ValueError, match=field):
-        estimate_pbar_mc(dataclasses.replace(cfg, **{field: value}), seed=23)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=field):
+            estimate_pbar_mc(dataclasses.replace(cfg, **{field: value}), seed=23,
+                             workers=workers)
 
 
 def test_protocol_params_validation():
