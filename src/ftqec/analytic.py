@@ -19,6 +19,7 @@ verification failures escape detection.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -40,6 +41,9 @@ _S_TRUNCATION_REL = 1e-3
 _S_MAX_TERMS = 200
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 200
+# deferred rounds whose series one _binom_rows pass draws: most finished
+# triples stop at j = 3, and a series drawn past the stop costs no convolution
+_DEFERRED_BLOCK = 4
 
 
 # ---------------------------------------------------------------------------
@@ -65,29 +69,43 @@ def binom_pmf(n: float, m: int, p: float) -> float:
         return 1.0 if m == 0 else 0.0
     if p >= 1.0:
         return 1.0 if abs(n - m) < 1e-12 else 0.0
-    log_c = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
-    return float(math.exp(log_c + m * math.log(p) + (n - m) * math.log1p(-p)))
+    return float(math.exp(_log_comb(n, m) + m * math.log(p) + (n - m) * math.log1p(-p)))
 
 
-def _binom_series(n: float, m_max: int, p: float) -> np.ndarray:
-    """binom_pmf(n, m, p) for m = 0..m_max as one vectorized evaluation."""
+@functools.lru_cache(maxsize=1024)
+def _log_comb(n: float, m: int) -> float:
+    """log C(n, m) for ``binom_pmf``: the agreement rows ask for the same
+    integer pools at every noise level."""
+    return gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
+
+
+def _binom_rows(ns, m_max: int, p: float) -> np.ndarray:
+    """binom_pmf(n, m, p) for m = 0..m_max, one row per count n in ``ns``,
+    as one vectorized evaluation at the one rate p."""
+    n = np.asarray(ns, dtype=np.float64).reshape(-1, 1)
     m = np.arange(m_max + 1, dtype=np.float64)
     if p <= 0.0:
-        out = np.zeros(m_max + 1)
-        out[0] = 1.0
+        out = np.zeros((len(n), m_max + 1))
+        out[:, 0] = 1.0
         return out
     if p >= 1.0:
-        out = np.zeros(m_max + 1)
-        idx = int(round(n))
-        if 0 <= idx <= m_max:
-            out[idx] = 1.0
+        out = np.zeros((len(n), m_max + 1))
+        for row, count in zip(out, n[:, 0]):
+            idx = int(round(count))
+            if 0 <= idx <= m_max:
+                row[idx] = 1.0
         return out
     log_c = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
     logs = log_c + m * math.log(p) + (n - m) * math.log1p(-p)
-    if m_max <= n:   # every order is reachable: nothing to mask
+    if len(n) == 0 or n.min() >= m_max:   # every order is reachable: nothing to mask
         return np.exp(logs)
     valid = m <= n
     return np.where(valid, np.exp(np.where(valid, logs, 0.0)), 0.0)
+
+
+def _binom_series(n: float, m_max: int, p: float) -> np.ndarray:
+    """binom_pmf(n, m, p) for m = 0..m_max: the one-row ``_binom_rows``."""
+    return _binom_rows([n], m_max, p)[0]
 
 
 def bprime(g: float, s: float, m: int, gamma: float, eps: float) -> float:
@@ -102,9 +120,13 @@ def bprime(g: float, s: float, m: int, gamma: float, eps: float) -> float:
     return float(np.dot(bg, bs[::-1]))
 
 
-def uncorrectable_tail(g: float, s: float, t: int, n: int,
-                       gamma: float, eps: float) -> float:
-    """Probability of an uncorrectable accumulation: more than t failures.
+def uncorrectable_tail(gs, ss, t: int, n: int,
+                       gamma: float, eps: float) -> list[float]:
+    """Probability of an uncorrectable accumulation, more than t failures,
+    for each pair of gate and memory counts of the equal-length sequences
+    ``gs`` and ``ss``: the gate series of every pair come from one
+    ``_binom_rows`` pass at rate gamma, the memory series from one at eps,
+    and each pair's tail from its own two rows (``_tail_of_series``).
 
     The direct sum over m = t+1..n is numerically exact when the expected
     failure count is small, where essentially no mass sits beyond n.  When
@@ -112,12 +134,13 @@ def uncorrectable_tail(g: float, s: float, t: int, n: int,
     complement 1 - sum_{m<=t} takes over; it is only trusted well above the
     double-precision cancellation floor.
     """
-    return _tail_of_series(_binom_series(g, n, gamma), _binom_series(s, n, eps), t)
+    return [_tail_of_series(bg, bs, t) for bg, bs in
+            zip(_binom_rows(gs, n, gamma), _binom_rows(ss, n, eps), strict=True)]
 
 
 def _tail_of_series(bg: np.ndarray, bs: np.ndarray, t: int) -> float:
-    """``uncorrectable_tail`` from the gate and memory failure series over
-    m = 0..n."""
+    """One tail of ``uncorrectable_tail`` from the gate and memory failure
+    series over m = 0..n."""
     n = len(bg) - 1
     direct = float(np.convolve(bg, bs)[: n + 1][t + 1:].sum())
     # the head comes from its own short convolution: summing the first t+1
@@ -177,12 +200,12 @@ def solve_beta(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
         return 0.0, 0.0
     gamma_eff = 2.0 * noise.gamma / 3.0
     eps_eff = 2.0 * noise.eps / 3.0
+    g11 = _g_count(code, 1, 1)
+    g1r = _g_count(code, 1, pp.r)
     beta = 0.5
     p0 = 0.0
     for _ in range(_BETA_MAX_ITER):
         t_r = resting_time(code.w, noise.t_m, pp, alpha, beta)
-        g11 = _g_count(code, 1, 1)
-        g1r = _g_count(code, 1, pp.r)
         s1 = _s_count(code, noise, t_r, 1, rest_scale)
         sr = _s_count(code, noise, t_r, pp.r, rest_scale)
         p0 = (beta * bprime(g11, s1, 0, gamma_eff, eps_eff)
@@ -231,69 +254,71 @@ def crash_estimate(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
     (used by the level-recursive concatenation)."""
     if pp.r_prime > pp.r + pp.r_dprime:
         raise ProtocolError("r' exceeds the r + r'' syndrome pool")
-    base = _per_r_terms(code, noise, pp, rest_scale, {})
-    pmf = _agreement_pmf(base.p_za, (pp.r, pp.r + pp.r_dprime))
-    return _finish_estimate(base, _floor_terms(base, code, noise, pp, pmf),
+    base, = _per_r_terms(code, noise, [pp], rest_scale)
+    triple = (pp.r, pp.r_prime, pp.r_dprime)
+    agree, p_ws = _agreement(code, noise, base.p_za, [triple])
+    return _finish_estimate(base, _floor_terms(base, *triple, agree, p_ws),
                             code, noise, pp, rest_scale)
 
 
-def _per_r_terms(code: CodeParams, noise: NoiseParams, pp: ProtocolParams,
-                 rest_scale: float, memory_series: dict) -> EstimateBreakdown:
-    """The terms of ``crash_estimate`` that do not depend on r' or r'':
-    a breakdown filled in up to ``p1_multi`` (final when the block is
-    unusable).  The p1 tails read each memory count's series from
-    ``memory_series`` (count -> series), which a grid shares across its r
-    values."""
-    out = EstimateBreakdown()
-
+def _per_r_terms(code: CodeParams, noise: NoiseParams, pps,
+                 rest_scale: float) -> list[EstimateBreakdown]:
+    """The terms of ``crash_estimate`` that do not depend on r' or r'', for
+    each protocol of ``pps`` (a grid passes one per r): breakdowns filled in
+    up to ``p1_multi`` (final when the block is unusable).  The four p1
+    tails of every protocol come from one ``uncorrectable_tail`` call, so
+    the grid's gate series are one 2-D ``_binom_rows`` pass and its memory
+    series another."""
     prep = preparation_stats(code, noise)
-    out.p_za, out.alpha = prep["p_za"], prep["alpha"]
-    # pinned parallel-correction provisioning fixes the resting time without
-    # reference to alpha, so the estimate stays defined past the clamp
-    out.usable = prep["usable"] or pp.parallel_corrections is not None
-    if not out.usable:
-        out.pbar = 1.0
-        out.beta = 0.0
-        return out
+    outs = []
+    for pp in pps:
+        # pinned parallel-correction provisioning fixes the resting time
+        # without reference to alpha, so the estimate stays defined past the
+        # clamp
+        out = EstimateBreakdown(
+            p_za=prep["p_za"], alpha=prep["alpha"],
+            usable=prep["usable"] or pp.parallel_corrections is not None)
+        outs.append(out)
+        if not out.usable:
+            out.pbar = 1.0
+            continue
+        out.beta, out.p_0 = solve_beta(code, noise, pp, rest_scale)
+        out.t_r = resting_time(code.w, noise.t_m, pp, out.alpha, out.beta)
+        out.g_1_1 = _g_count(code, 1, 1)
+        out.g_1_r = _g_count(code, 1, pp.r)
+        out.g_r_1 = _g_count(code, pp.r, 1)
+        out.g_r_r = _g_count(code, pp.r, pp.r)
+        out.s_1 = _s_count(code, noise, out.t_r, 1, rest_scale)
+        out.s_r = _s_count(code, noise, out.t_r, pp.r, rest_scale)
 
-    beta, p0 = solve_beta(code, noise, pp, rest_scale)
-    out.beta, out.p_0 = beta, p0
-    out.t_r = resting_time(code.w, noise.t_m, pp, out.alpha, beta)
-
-    gamma_eff = 2.0 * noise.gamma / 3.0
-    eps_eff = 2.0 * noise.eps / 3.0
-    r, n, t = pp.r, code.n, code.t
-
-    out.g_1_1 = _g_count(code, 1, 1)
-    out.g_1_r = _g_count(code, 1, r)
-    out.g_r_1 = _g_count(code, r, 1)
-    out.g_r_r = _g_count(code, r, r)
-    out.s_1 = _s_count(code, noise, out.t_r, 1, rest_scale)
-    out.s_r = _s_count(code, noise, out.t_r, r, rest_scale)
-
-    # the four p1 tails share the memory counts s_1 and s_r
-    for s in (out.s_1, out.s_r):
-        if s not in memory_series:
-            memory_series[s] = _binom_series(s, n, eps_eff)
-
-    def p1(r_x: float) -> float:
-        g_a = _binom_series(_g_count(code, r_x, 1), n, gamma_eff)
-        g_b = _binom_series(_g_count(code, r_x, r), n, gamma_eff)
-        return (beta * _tail_of_series(g_a, memory_series[out.s_1], t)
-                + (1.0 - beta) * _tail_of_series(g_b, memory_series[out.s_r], t))
-
-    out.p1_single = p1(1)
-    out.p1_multi = p1(r)
-    return out
+    # p1 at r_x extractions: beta * tail(g_{r_x,1}, s_1)
+    # + (1 - beta) * tail(g_{r_x,r}, s_r), for r_x = 1 (single) and r (multi)
+    live = [out for out in outs if out.usable]
+    tails = uncorrectable_tail(
+        [g for out in live for g in (out.g_1_1, out.g_1_r, out.g_r_1, out.g_r_r)],
+        [s for out in live for s in (out.s_1, out.s_r, out.s_1, out.s_r)],
+        code.t, code.n, 2.0 * noise.gamma / 3.0, 2.0 * noise.eps / 3.0)
+    for i, out in enumerate(live):
+        single_1, single_r, multi_1, multi_r = tails[4 * i: 4 * i + 4]
+        out.p1_single = out.beta * single_1 + (1.0 - out.beta) * single_r
+        out.p1_multi = out.beta * multi_1 + (1.0 - out.beta) * multi_r
+    return outs
 
 
-def _agreement_pmf(p_za: float, pools) -> dict:
-    """binom_pmf(N, m, 1 - p_za) for m = 0..N, one row per pool size N in
-    ``pools``: the agreement sums of every triple of a grid read these rows,
-    since p_za does not depend on the triple."""
+def _agreement(code: CodeParams, noise: NoiseParams, p_za: float,
+               triples) -> tuple[dict, dict]:
+    """What the (r, r', r'') ``triples`` of a grid share: the agreement sums
+    sum_{m >= r'} binom_pmf(N, m, 1 - p_za) keyed by (N, r') for the pools
+    N = r and r + r'', and the wrong-syndrome acceptance p_ws keyed by r'.
+    Neither depends on the rest of the triple, and p_za on none of it."""
     good = 1.0 - p_za
-    return {pool: [binom_pmf(pool, m, good) for m in range(pool + 1)]
-            for pool in set(pools)}
+    keys = {(pool, rp) for r, rp, rpp in triples for pool in (r, r + rpp)}
+    rows = {pool: [binom_pmf(pool, m, good) for m in range(pool + 1)]
+            for pool in {pool for pool, _ in keys}}
+    sums = {(pool, rp): sum(rows[pool][rp:]) for pool, rp in keys}
+    p_ws = {rp: code.N_GV * (noise.gamma / 3.0) ** rp + code.N_h * (noise.eps / 3.0) ** rp
+            for rp in {rp for _, rp in keys}}
+    return sums, p_ws
 
 
 def _pbar(base: EstimateBreakdown, p_agree_1: float, p_ws: float,
@@ -307,23 +332,20 @@ def _pbar(base: EstimateBreakdown, p_agree_1: float, p_ws: float,
     return min(max(pbar, 0.0), 1.0)
 
 
-def _floor_terms(base: EstimateBreakdown, code: CodeParams,
-                 noise: NoiseParams, pp: ProtocolParams, pmf: dict) -> dict:
-    """The fields that the r' and r'' of ``pp`` add to ``_per_r_terms``'
-    breakdown before the deferred rounds: agreement, wrong-syndrome
-    acceptance, r_bar, the branch leak and pbar (none for an unusable
-    block, whose pbar is final).  That pbar is final when the block leaks;
-    otherwise it is the floor ``_pbar(..., 0.0)``, which
-    ``_finish_estimate`` replaces."""
+def _floor_terms(base: EstimateBreakdown, r: int, rp: int, rpp: int,
+                 agree: dict, ws: dict) -> dict:
+    """The fields that r' and r'' add to ``_per_r_terms``' breakdown for r
+    before the deferred rounds: agreement, wrong-syndrome acceptance,
+    r_bar, the branch leak and pbar (none for an unusable block, whose pbar
+    is final).  ``agree`` and ``ws`` are ``_agreement``'s sums and p_ws.
+    That pbar is final when the block leaks; otherwise it is the floor
+    ``_pbar(..., 0.0)``, which ``_finish_estimate`` replaces."""
     if not base.usable:
         return {}
     beta = base.beta
-    r, rp, rpp = pp.r, pp.r_prime, pp.r_dprime
-
-    p_agree_1 = sum(pmf[r][rp:])
-    p_agree_later = sum(pmf[r + rpp][rp:])
-    p_ws = (code.N_GV * (noise.gamma / 3.0) ** rp
-            + code.N_h * (noise.eps / 3.0) ** rp)
+    p_agree_1 = agree[r, rp]
+    p_agree_later = agree[r + rpp, rp]
+    p_ws = ws[rp]
     r_bar = beta + (1.0 - beta) * (p_agree_1 * r + (1.0 - p_agree_1) * rpp)
 
     # domain check: the branch enumeration assumes recoveries settle on a
@@ -344,18 +366,11 @@ def _finish_estimate(base: EstimateBreakdown, terms: dict,
     out = replace(base, **terms)
     if not out.usable or out.branch_leak > _S_TRUNCATION_REL:
         return out
-    r, rpp = pp.r, pp.r_dprime
-    gamma_eff = 2.0 * noise.gamma / 3.0
-    eps_eff = 2.0 * noise.eps / 3.0
 
     # deferred recoveries: first attempt found no consistent syndrome
     s_sum = 0.0
     prefix = 1.0 - out.p_agree_1
-    for j in range(2, _S_MAX_TERMS + 1):
-        rz = j * out.r_bar
-        g_j = _g_count(code, r + (j - 1) * rpp, rz)
-        s_j = _s_count(code, noise, out.t_r, rz, rest_scale)
-        p_j = uncorrectable_tail(g_j, s_j, code.t, code.n, gamma_eff, eps_eff)
+    for j, p_j in _deferred_tails(out, code, noise, pp, rest_scale):
         term = prefix * out.p_agree_later * (out.p_ws + (1.0 - out.p_ws) * p_j) / j
         s_sum += term
         prefix *= (1.0 - out.p_agree_later)
@@ -364,6 +379,24 @@ def _finish_estimate(base: EstimateBreakdown, terms: dict,
     out.deferred_sum = s_sum
     out.pbar = _pbar(out, out.p_agree_1, out.p_ws, s_sum)
     return out
+
+
+def _deferred_tails(out: EstimateBreakdown, code: CodeParams,
+                    noise: NoiseParams, pp: ProtocolParams, rest_scale: float):
+    """(j, p_j) for the deferred rounds j = 2.._S_MAX_TERMS, where p_j is
+    the uncorrectable tail after j rounds of r_bar extractions.  The series
+    are drawn _DEFERRED_BLOCK rounds to one ``_binom_rows`` pass per rate,
+    but a round's tail is convolved only once the sum asks for it."""
+    gamma_eff = 2.0 * noise.gamma / 3.0
+    eps_eff = 2.0 * noise.eps / 3.0
+    for first in range(2, _S_MAX_TERMS + 1, _DEFERRED_BLOCK):
+        js = range(first, min(first + _DEFERRED_BLOCK, _S_MAX_TERMS + 1))
+        rz = [j * out.r_bar for j in js]
+        gs = [_g_count(code, pp.r + (j - 1) * pp.r_dprime, z) for j, z in zip(js, rz)]
+        ss = [_s_count(code, noise, out.t_r, z, rest_scale) for z in rz]
+        for j, bg, bs in zip(js, _binom_rows(gs, code.n, gamma_eff),
+                             _binom_rows(ss, code.n, eps_eff)):
+            yield j, _tail_of_series(bg, bs, code.t)
 
 
 def _floor_holds(base: EstimateBreakdown, terms: dict) -> bool:
@@ -391,8 +424,12 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
 
     Returns the triple of least (pbar, r, r', r''), so ties break toward
     smaller (r, r', r'').  ``constraint`` optionally filters triples, e.g.
-    the catalog's r-1 = r' = r''+1 family.  The terms that depend on r
-    alone are computed once per r, the agreement binomials once per grid.
+    the catalog's r-1 = r' = r''+1 family.  The grid is kept as (r, r', r'')
+    ints; a ``ProtocolParams`` is built only for one representative per r
+    and for the triples that get finished.  What depends on r alone is
+    computed once per r, and ``_per_r_terms`` evaluates the binomial series
+    of every r together, one 2-D pass per rate; the agreement sums (per
+    pool and r') and p_ws (per r') are computed once per grid.
 
     Every triple first gets a floor: the pbar its branch terms give with
     no deferred rounds (``_floor_terms``).  The deferred rounds add only
@@ -405,32 +442,37 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
     stops at the first floor key above the best key found: no later triple
     can beat it.  The answer is bit for bit that of finishing every triple.
     """
-    grid = [ProtocolParams(r=r, r_prime=rp, r_dprime=rpp, n_rep=n_rep,
-                           parallel_corrections=parallel_corrections)
-            for r in r_values for rp in range(1, r + 1) for rpp in range(1, r + 1)
-            if constraint is None or constraint(r, rp, rpp)]
-    if not grid:
+    triples = [(r, rp, rpp) for r in r_values for rp in range(1, r + 1)
+               for rpp in range(1, r + 1)
+               if constraint is None or constraint(r, rp, rpp)]
+    if not triples:
         raise ProtocolError("empty protocol grid")
-    per_r, memory = {}, {}
-    for pp in grid:
-        if pp.r not in per_r:
-            per_r[pp.r] = _per_r_terms(code, noise, pp, rest_scale, memory)
-    pmf = _agreement_pmf(per_r[grid[0].r].p_za,
-                         [n for pp in grid for n in (pp.r, pp.r + pp.r_dprime)])
+
+    def protocol(r: int, rp: int, rpp: int) -> ProtocolParams:
+        return ProtocolParams(r=r, r_prime=rp, r_dprime=rpp, n_rep=n_rep,
+                              parallel_corrections=parallel_corrections)
+
+    reps = {}
+    for triple in triples:
+        reps.setdefault(triple[0], triple)
+    per_r = dict(zip(reps, _per_r_terms(
+        code, noise, [protocol(*triple) for triple in reps.values()], rest_scale)))
+    agree, ws = _agreement(code, noise, per_r[triples[0][0]].p_za, triples)
     queue = []
-    for pp in grid:
-        base = per_r[pp.r]
-        terms = _floor_terms(base, code, noise, pp, pmf)
+    for r, rp, rpp in triples:
+        base = per_r[r]
+        terms = _floor_terms(base, r, rp, rpp, agree, ws)
         floor = terms.get("pbar", base.pbar) if _floor_holds(base, terms) else -math.inf
-        queue.append(((floor, pp.r, pp.r_prime, pp.r_dprime), terms, pp))
+        queue.append(((floor, r, rp, rpp), terms))
     queue.sort(key=lambda item: item[0])
 
     best_key = best = None
-    for floor_key, terms, pp in queue:
+    for floor_key, terms in queue:
         if best_key is not None and floor_key > best_key:
             break
+        pp = protocol(*floor_key[1:])
         est = _finish_estimate(per_r[pp.r], terms, code, noise, pp, rest_scale)
-        key = (est.pbar, pp.r, pp.r_prime, pp.r_dprime)
+        key = (est.pbar, *floor_key[1:])
         if best_key is None or key < best_key:
             best_key, best = key, pp
     return best, best_key[0]

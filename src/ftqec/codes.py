@@ -424,7 +424,8 @@ class CosetDecoder:
     heavier leader reads 2R + 1.  A code whose floor ball could exceed
     BALL_LIMIT (qr99, qr101, qr103, bch127-29) raises CodeConstructionError.
     Syndromes are packed ints (bit i = row i) held as ``words`` uint64
-    words, sorted by one distinct key each: the word, or a fold of them.
+    words, sorted by one distinct key each: the word itself, or a fold of
+    them, beside which the ball then keeps the words.
     """
 
     def __init__(self, code: ClassicalCode):
@@ -452,7 +453,10 @@ class CosetDecoder:
                                  for w, s in enumerate(layers)])
         key = self._key(ball)
         order = np.argsort(key)
-        self._keys, self._ball, self._weight = key[order], ball[order], weight[order]
+        self._keys, self._weight = key[order], weight[order]
+        # a one-word syndrome is its own key, so only folded keys keep the
+        # syndromes they stand for
+        self._ball = ball[order] if self.words > 1 else None
         if (self._keys[1:] == self._keys[:-1]).any():
             raise CodeConstructionError(f"{code.name}: two syndromes share a sort key")
 
@@ -499,9 +503,11 @@ class CosetDecoder:
         held = s[self._keys[np.minimum(np.searchsorted(self._keys, s), last)] == s]
         idx = np.nonzero(np.isin(key, held))[0]
         at = np.searchsorted(self._keys, key[idx])
-        hit = (self._ball[at] == syn[idx]).all(axis=1)
+        if self._ball is not None:   # a folded key may stand for another syndrome
+            hit = (self._ball[at] == syn[idx]).all(axis=1)
+            idx, at = idx[hit], at[hit]
         found = np.full(len(key), -1, dtype=np.int64)
-        found[idx[hit]] = at[hit]
+        found[idx] = at
         return found
 
     def decode(self, syndromes) -> np.ndarray:

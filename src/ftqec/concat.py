@@ -156,7 +156,8 @@ def threshold(code: CodeParams, eps_over_gamma: float, t_m: int,
     gamma_0."""
     if code.k != 1:
         raise ValueError("threshold recursion needs a k = 1 code")
-    # the bisection stops only once hi / lo <= 1 + rel_width
+    # the bisection stops once hi / lo <= 1 + rel_width, or once lo and hi
+    # are adjacent doubles, which a rel_width below double resolution needs
     if not rel_width > 0:
         raise ValueError(f"rel_width must be > 0, got {rel_width}")
 
@@ -172,6 +173,8 @@ def threshold(code: CodeParams, eps_over_gamma: float, t_m: int,
             return hi
     while hi / lo > 1.0 + rel_width:
         mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break
         if below(mid):
             lo = mid
         else:

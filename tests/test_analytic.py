@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftqec import analytic, codes, concat, sweep
 from ftqec.analytic import (binom_pmf, bprime, crash_estimate, model_curves,
@@ -71,6 +72,78 @@ def test_bprime_zero_order_closed_form_is_exact():
                     assert bprime(g, s, 0, gamma, eps) == want
 
 
+def _series_as_written(n, m_max, p):
+    """The one-count binomial series as first written, before the rows of a
+    grid were evaluated together: the reference for ``_binom_rows``."""
+    m = np.arange(m_max + 1, dtype=np.float64)
+    if p <= 0.0:
+        out = np.zeros(m_max + 1)
+        out[0] = 1.0
+        return out
+    if p >= 1.0:
+        out = np.zeros(m_max + 1)
+        idx = int(round(n))
+        if 0 <= idx <= m_max:
+            out[idx] = 1.0
+        return out
+    log_c = (analytic.gammaln(n + 1.0) - analytic.gammaln(m + 1.0)
+             - analytic.gammaln(n - m + 1.0))
+    logs = log_c + m * math.log(p) + (n - m) * math.log1p(-p)
+    if m_max <= n:
+        return np.exp(logs)
+    valid = m <= n
+    return np.where(valid, np.exp(np.where(valid, logs, 0.0)), 0.0)
+
+
+@st.composite
+def _count_rows(draw):
+    """(counts, m_max): free counts plus n = 0, a fractional n below m_max
+    (a masked row), an n at or above m_max (an unmasked row) and a repeat."""
+    m_max = draw(st.integers(0, 40))
+    ns = draw(st.lists(st.one_of(st.floats(0.0, 3000.0), st.integers(0, 60).map(float)),
+                       max_size=5))
+    ns += [0.0, draw(st.floats(0.0, m_max)) if m_max else 0.0,
+           m_max + draw(st.floats(0.0, 200.0))]
+    ns.append(draw(st.sampled_from(ns)))
+    return draw(st.permutations(ns)), m_max
+
+
+_RATES = st.one_of(st.sampled_from([0.0, 1.0, 1.5]),
+                   st.floats(1e-12, 1.0, exclude_max=True))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_count_rows(), _RATES)
+def test_binom_rows_equal_one_row_series(rows, p):
+    # one 2-D pass gives every row bit for bit as its own one-count series
+    ns, m_max = rows
+    got = analytic._binom_rows(ns, m_max, p)
+    assert got.shape == (len(ns), m_max + 1)
+    for n, row in zip(ns, got):
+        assert row.tobytes() == _series_as_written(n, m_max, p).tobytes()
+        assert row.tobytes() == analytic._binom_series(n, m_max, p).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_uncorrectable_tail_equals_each_pairs_own_tail(data):
+    t = data.draw(st.integers(0, 7))
+    n = 2 * t + 1 + data.draw(st.integers(0, 60))
+    size = data.draw(st.integers(1, 6))
+    counts = st.lists(st.floats(0.0, 5000.0), min_size=size, max_size=size)
+    gs, ss = data.draw(counts), data.draw(counts)
+    gamma, eps = data.draw(_RATES), data.draw(_RATES)
+    series = analytic._binom_series
+    assert analytic.uncorrectable_tail(gs, ss, t, n, gamma, eps) == [
+        analytic._tail_of_series(series(g, n, gamma), series(s, n, eps), t)
+        for g, s in zip(gs, ss)]
+
+
+def test_uncorrectable_tail_needs_one_memory_count_per_gate_count():
+    with pytest.raises(ValueError):
+        analytic.uncorrectable_tail([10.0, 20.0], [5.0], 1, 7, 1e-3, 1e-4)
+
+
 def _two_series_tail(g, s, t, n, gamma, eps):
     """uncorrectable_tail as first written: separate length-n and length-t
     series for the direct sum and the head."""
@@ -96,7 +169,7 @@ def test_uncorrectable_tail_matches_two_series_formula(g_hi, rate_lo, rate_hi):
         gamma, eps = np.exp(rng.uniform(np.log(rate_lo), np.log(rate_hi), 2))
         t = int(rng.integers(0, 8))
         n = 2 * t + 1 + int(rng.integers(0, 120))
-        got = analytic.uncorrectable_tail(g, s, t, n, gamma, eps)
+        got, = analytic.uncorrectable_tail([g], [s], t, n, gamma, eps)
         assert got == _two_series_tail(g, s, t, n, gamma, eps)
         saturated += got > 0.5
     assert (saturated > 150) == (g_hi > 10000.0)
@@ -115,7 +188,7 @@ def test_tail_is_not_rounding_noise():
     direct = float(np.convolve(analytic._binom_series(est.g_r_1, n, gamma),
                                analytic._binom_series(est.s_1, n, eps))[t + 1: n + 1].sum())
     assert abs(direct - 9.981716680997197e-12) <= 1e-9 * direct
-    tail = analytic.uncorrectable_tail(est.g_r_1, est.s_1, t, n, gamma, eps)
+    tail, = analytic.uncorrectable_tail([est.g_r_1], [est.s_1], t, n, gamma, eps)
     assert abs(tail - direct) <= 1e-6 * direct
 
 

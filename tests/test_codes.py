@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,22 @@ def test_ball_radius(name, radius, size):
     # at the floor radius max(ceil(t / 2), 2)
     dec = ball_decoder(name)
     assert (dec.radius, len(dec._keys)) == (radius, size)
+
+
+@pytest.mark.parametrize("name", ["golay", "qr47"])
+def test_one_word_ball_keeps_one_copy_of_each_syndrome(name):
+    # a syndrome of at most 64 rows is its own sort key, so the decoder
+    # holds per ball entry its key (8 bytes), its weight (1) and its place
+    # in one layer (8), plus a few kB of columns and Python objects
+    code = codes.construct_code(name)
+    tracemalloc.start()
+    try:
+        dec = codes.CosetDecoder(code)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.words == 1
+    assert held <= 17 * len(dec._keys) + 8192
 
 
 @pytest.mark.parametrize("name", ["qr99", "qr101", "qr103", "bch127-29"])

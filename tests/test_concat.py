@@ -1,3 +1,6 @@
+import math
+import signal
+
 import pytest
 
 from ftqec import analytic, codes, concat
@@ -84,3 +87,45 @@ def test_deep_convergence_below_half_threshold():
     trace = level_trace(GOLAY, g0 / 2, 1.0, 1)
     assert concat._converges(trace)
     assert trace[-1] < 1e-30
+
+
+@pytest.mark.parametrize("rel_width", [1e-20, 1e-300])
+def test_threshold_stops_at_adjacent_doubles(rel_width, monkeypatch):
+    # a width below double resolution narrows lo and hi onto adjacent
+    # doubles, where sqrt(lo * hi) rounds onto one of them; the bisection
+    # must end there rather than loop (the alarm fails a loop in 10 s)
+    edge = 1e-3
+    monkeypatch.setattr(concat, "level_trace", lambda code, gamma, eps_over_gamma, t_m:
+                        [gamma, 0.0 if gamma < edge else 1.0])
+
+    def expire(signum, frame):
+        raise TimeoutError("threshold did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        g0 = threshold(GOLAY, 1.0, 1, rel_width=rel_width)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert abs(g0 - edge) <= 2 * math.ulp(edge)
+
+
+# gamma_0 of the abstract's four (eps/gamma, t_m) points, exact literals: a
+# change that only makes the model faster must keep them bit for bit
+PINNED_THRESHOLDS = {
+    ("golay", 1.0, 1): 0.0012745211365067254,
+    ("golay", 0.01, 1): 0.0037237896576289274,
+    ("golay", 1.0, 100): 0.00012024548712801795,
+    ("golay", 0.01, 100): 0.0028806754331429712,
+    ("hamming", 1.0, 1): 0.0010686456922978458,
+    ("hamming", 0.01, 1): 0.002015030523380347,
+    ("hamming", 1.0, 100): 5.4283254411742475e-05,
+    ("hamming", 0.01, 100): 0.0014748361653757055,
+}
+
+
+@pytest.mark.parametrize("name,eps_over_gamma,t_m", PINNED_THRESHOLDS)
+def test_threshold_pinned(name, eps_over_gamma, t_m):
+    code = codes.params_from_catalog(name)
+    assert threshold(code, eps_over_gamma, t_m) == PINNED_THRESHOLDS[name, eps_over_gamma, t_m]

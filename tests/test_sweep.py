@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -105,3 +106,15 @@ def test_unknown_protocol_family_refused():
     # a misspelt family would otherwise sweep the full grid
     with pytest.raises(ValueError, match="catlog"):
         SweepConfig(gammas=(1e-4,), protocol_family="catlog")
+
+
+@pytest.mark.parametrize("family,digest", [
+    ("full", "72ddd417f3ca352d224ae94d22b60a4e08507265adff4837e154c55829b50d5e"),
+    ("catalog", "c68a25f5671a13015cda668a9ccc44ca833bb71a26daf78a9f7c8e85c58d77d0"),
+], ids=["full", "catalog"])
+def test_surface_pinned(family, digest):
+    # every code of the catalog and every concatenation at two noise levels,
+    # as the sha256 of the rows' repr: a change that only makes the model
+    # faster must keep them bit for bit
+    rows = build_surface(SweepConfig(gammas=(1e-4, 1e-3), protocol_family=family)).rows()
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
