@@ -203,6 +203,8 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
         raise ValueError(f"trials must be >= 0, got {cfg.trials}")
     if cfg.workers < 1:
         raise ValueError(f"workers must be >= 1, got {cfg.workers}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.gammas == []:
         raise ValueError("config field 'gammas' must list at least one noise level")
     return cfg

@@ -425,7 +425,9 @@ class CosetDecoder:
     BALL_LIMIT (qr99, qr101, qr103, bch127-29) raises CodeConstructionError.
     Syndromes are packed ints (bit i = row i) held as ``words`` uint64
     words, sorted by one distinct key each: the word itself, or a fold of
-    them, beside which the ball then keeps the words.
+    them, beside which the ball then keeps the words.  A complete ball
+    (hamming, golay, golay21) holds key s at position s, so ``decode``
+    reads its weights by index.
     """
 
     def __init__(self, code: ClassicalCode):
@@ -513,6 +515,9 @@ class CosetDecoder:
     def decode(self, syndromes) -> np.ndarray:
         """Coset-leader weight of each packed syndrome; 2R + 1 means heavier
         than 2R."""
+        if len(self._weight) == 1 << self.rows:
+            # a complete ball sorts syndrome s to position s
+            return self._weight[np.asarray(syndromes, dtype=np.int64)]
         radius = self.radius
         q = self._pack(syndromes)
         pos = self._find(q)

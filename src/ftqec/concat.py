@@ -162,6 +162,9 @@ def threshold(code: CodeParams, eps_over_gamma: float, t_m: int,
         raise ValueError(f"rel_width must be > 0, got {rel_width}")
 
     def below(gamma: float) -> bool:
+        # a memory rate above 1 is no noise level: the recursion diverges
+        if gamma * eps_over_gamma > 1.0:
+            return False
         return _converges(level_trace(code, gamma, eps_over_gamma, t_m))
 
     lo, hi = THRESHOLD_BRACKET

@@ -19,26 +19,33 @@ preparation, measurement, hole step, idle qubit) with its rate and the
 image of each of its Paulis.  The same sweep gives the phase's noiseless
 map.
 
-Each pool tags every sample that carries a fault with the GF(2) product of
-its image (``_GF2Map``, byte-indexed tables built once per engine): a
-readout sample's tag is the syndrome bits its faults flip and the data
-syndromes they leave, and a rest or logical-gate sample's tag the data
-syndromes alone.  The ancilla block and its verification bits are not part
-of the frame: a G+V sample's tag, its fold, is that of its image pushed
-through each readout's noiseless map.  The coupling is transversal, so an
-extraction is the plane's data syndromes XOR the kept sample's fold XOR the
-readout faults' tags, and a coset-leader correction XORs the accepted
-syndrome into the plane's.
+Every row of a table, one fault's image, has a tag: its GF(2) product
+under a map of the engine (``_GF2Map``, byte-indexed tables), computed
+once per engine (``_row_tags``).  A readout fault's tag is the syndrome
+bits it flips and the data syndromes it leaves, and a rest or logical-gate
+fault's tag the data syndromes alone.  The ancilla block and its
+verification bits are not part of the frame: a G+V fault's tag is its
+fold, its image pushed through each readout's noiseless map, followed by
+its X bits on the verification qubits.  The maps are linear, so a sample's
+tag, the XOR of its faults' tags, is the product of its image, and a G+V
+sample verifies when its tag's verification bits are 0.  The coupling is
+transversal, so an extraction is the plane's data syndromes XOR the kept
+sample's fold XOR the readout faults' tags, and a coset-leader correction
+XORs the accepted syndrome into the plane's.
 
 Phase faults never depend on the frame, so they are drawn ahead of use.
 Each batch of a frame has its own fault pool per phase table, made from
 the batch's stream (``SimEngine.pools``) and drawn from its own child
-stream ``POOL_ROWS`` lane-samples at a time (``_draw``, a few vectorised
-draws per refill); a call hands the next sample of a batch's pool to each
-of the batch's masked lanes in lane order and applies only the samples that
-carry a fault.  A preparation hands a lane samples in pool order until one
-verifies.  So a batch draws the same samples whichever batches share its
-frame.
+stream ``POOL_ROWS`` lane-samples at a time (``_faults``, a few vectorised
+draws per refill, whose faults' tags one ``np.bitwise_xor.at`` combines);
+a call hands the next sample of a batch's pool to each of the batch's
+masked lanes in lane order and applies only the samples whose tag is not
+0.  A preparation hands a lane samples in pool order until one verifies.
+So a batch draws the same samples whichever batches share its frame.  A
+recovery's extractions after the first go out in one pass per batch
+(``SimEngine.extract_rounds``): each pool hands out once over the rounds'
+lane lists joined in round order, which gives every lane the samples that
+round-by-round calls would.
 
 A trial alternates logical steps (one transversal gate failure pass plus
 the data's resting noise) with a complete recovery round: Z-error recovery
@@ -75,6 +82,8 @@ POOL_ROWS = 512
 MAX_ATTEMPTS = 64
 # 64-lane batches run side by side in one frame
 FRAME_BATCHES = 32
+# fault-table rows tagged per byte-table pass when an engine is built
+TAG_CHUNK = 1024
 
 
 @dataclass
@@ -277,16 +286,21 @@ def _lanes(mask: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
 
 
-@lru_cache(maxsize=16)
-def _split(mask: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(batch, lanes) of each 64-lane batch with lanes in ``mask``."""
-    lanes, out, lo = _lanes(mask), [], 0
+def _by_batch(lanes):
+    """(batch, lanes) of each 64-lane batch among increasing ``lanes``."""
+    out, lo = [], 0
     while lo < len(lanes):
         b = lanes[lo] // 64
         hi = bisect_left(lanes, 64 * b + 64, lo)
         out.append((b, lanes[lo:hi]))
         lo = hi
-    return tuple(out)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _split(mask: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(batch, lanes) of each 64-lane batch with lanes in ``mask``."""
+    return tuple(_by_batch(_lanes(mask)))
 
 
 def _batch_lanes(frame: ErrorFrame, mask: int) -> list[tuple[dict, tuple[int, ...]]]:
@@ -295,17 +309,15 @@ def _batch_lanes(frame: ErrorFrame, mask: int) -> list[tuple[dict, tuple[int, ..
     return [(pools[b], lanes) for b, lanes in _split(mask)]
 
 
-def _draw(table: _FaultTable, rng, rows: int) -> np.ndarray:
+def _faults(table: _FaultTable, rng, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample every fault of one phase in ``rows`` independent lane-samples.
 
-    Returns one row of little-endian uint64 words per sample: the XOR of
-    the images of the faults that struck it.
+    Returns the sample and the image row of each fault that struck.
     """
     counts = [rng.binomial(s * rows, r)
               for s, r in zip(table.slots.tolist(), table.rates)]
-    acc = np.zeros((rows, table.images.shape[1]), dtype="<u8")
     if not any(counts):
-        return acc
+        return _NO_FAULTS
     g = np.repeat(np.arange(len(counts)), counts)
     span = table.span[g]
     rest, row = np.divmod(rng.integers(table.slots[g] * span * rows), rows)
@@ -324,8 +336,31 @@ def _draw(table: _FaultTable, rng, rows: int) -> np.ndarray:
             pick = rng.choice(table.slots[h] * rows, size=counts[h], replace=False)
             slot[at], row[at] = np.divmod(pick, rows)
             slot[at] += table.offsets[h]
-    np.bitwise_xor.at(acc, row, table.images[table.slot_row[slot] + rest % span])
+    return row, table.slot_row[slot] + rest % span
+
+
+_NO_FAULTS = (np.zeros(0, np.intp), np.zeros(0, np.intp))
+
+
+def _xor_rows(rows: int, sample: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``rows`` rows of little-endian uint64 words, row k the XOR of the
+    rows of ``values`` whose ``sample`` is k.  The array is column-major:
+    a test across each row's words (``any(axis=1)``) then runs one word at
+    a time over every row, several times faster than row by row."""
+    acc = np.zeros((values.shape[1], rows), dtype="<u8").T
+    if sample.size:
+        np.bitwise_xor.at(acc, sample, values)
     return acc
+
+
+def _draw(table: _FaultTable, rng, rows: int) -> np.ndarray:
+    """Sample every fault of one phase in ``rows`` independent lane-samples.
+
+    Returns one row of little-endian uint64 words per sample: the XOR of
+    the images of the faults that struck it.
+    """
+    sample, row = _faults(table, rng, rows)
+    return np.ascontiguousarray(_xor_rows(rows, sample, table.images[row]))
 
 
 def _values(images: np.ndarray) -> list[int]:
@@ -353,68 +388,84 @@ class _GF2Map:
         self.tables = np.zeros((nbytes, 256, words), "<u8")
         for i in range(8):
             self.tables[:, 1 << i:2 << i] = self.tables[:, :1 << i] ^ packed[i::8, None]
-        self.at = np.arange(nbytes)
+
+    def words(self, images: np.ndarray) -> np.ndarray:
+        """One product per image row, as a row of little-endian uint64 words."""
+        data = images.view(np.uint8)
+        out = np.take(self.tables[0], data[:, 0], axis=0)
+        for b in range(1, len(self.tables)):
+            out ^= np.take(self.tables[b], data[:, b], axis=0)
+        return out
 
     def __call__(self, images: np.ndarray) -> list[int]:
-        """One product per image row."""
-        data = images.view(np.uint8)[:, :len(self.at)]
-        return _values(np.bitwise_xor.reduce(self.tables[self.at, data], axis=1))
+        """One product per image row, as an int."""
+        return _values(self.words(images))
+
+
+def _row_tags(table: _FaultTable, tag_map: _GF2Map) -> np.ndarray:
+    """The tag of each image row of ``table`` under ``tag_map``, as rows of
+    words, computed ``TAG_CHUNK`` rows at a time so that the gathers' scratch
+    stays small on the large codes."""
+    images = table.images
+    out = np.zeros((len(images), tag_map.tables.shape[2]), "<u8")
+    for lo in range(0, len(images), TAG_CHUNK):
+        out[lo:lo + TAG_CHUNK] = tag_map.words(images[lo:lo + TAG_CHUNK])
+    return out
 
 
 class _Pool:
     """Lane-samples of one phase, drawn ``POOL_ROWS`` at a time from the
     pool's own stream and handed out in draw order.
 
-    After a refill ``hit`` lists the samples that carry a fault, in
-    increasing order, and ``tags[i]`` splits hit i's product under
-    ``tag_map`` (three fields of ``width`` bits) into its fields: the
-    syndrome bits the faults flip (0 outside a readout), then the syndromes
-    of the X and of the Z errors they leave on the data.
+    ``tag_rows`` holds one tag per image row of ``table`` (``SimEngine``
+    computes them once), and a sample's tag is the XOR of the tags of the
+    faults that struck it.  A tag has three fields of one syndrome's width:
+    the syndrome bits the faults flip (0 outside a readout), then the
+    syndromes of the X and of the Z errors they leave on the data.  After a
+    refill ``hit`` lists the samples whose tag is not 0, in increasing
+    order, and ``tags[i]`` is hit i's tag as an int.
     """
 
-    def __init__(self, table: _FaultTable, rng, tag_map: _GF2Map, width: int):
-        self.table, self.rng, self.tag_map, self.width = table, rng, tag_map, width
+    def __init__(self, table: _FaultTable, rng, tag_rows: np.ndarray):
+        self.table, self.rng, self.tag_rows = table, rng, tag_rows
         self.at = POOL_ROWS        # next sample; the pool starts empty
 
-    def _sample(self) -> tuple[np.ndarray, np.ndarray]:
-        """Draw the next samples; return the hits and their images."""
-        images = _draw(self.table, self.rng, POOL_ROWS)
-        hit = np.flatnonzero(np.bitwise_or.reduce(images, axis=1))
-        return hit, images[hit]
+    def _sample(self) -> np.ndarray:
+        """The tags of the next ``POOL_ROWS`` samples, one row of words each."""
+        sample, row = _faults(self.table, self.rng, POOL_ROWS)
+        return _xor_rows(POOL_ROWS, sample, self.tag_rows[row])
 
     def refill(self) -> None:
-        hit, images = self._sample()
+        tags = self._sample()
+        hit = np.flatnonzero(tags.any(axis=1))
         self.at = 0
         self.hit = hit.tolist()
-        w, low = self.width, (1 << self.width) - 1
-        self.tags = [(t & low, t >> w & low, t >> 2 * w) for t in self.tag_map(images)]
+        self.tags = _values(tags[hit])
 
-    def hand_out(self, frame: ErrorFrame, lanes: list[int]) -> list[tuple[int, int]]:
-        """XOR the data syndromes of the next ``len(lanes)`` samples into
-        ``lanes``, one each, and return ``(lane, syndrome bits)`` for every
-        sample that carried a fault."""
-        sx, sz, out, done = frame.sx, frame.sz, [], 0
-        while done < len(lanes):
+    def hand_out(self, lanes) -> list[tuple[int, int]]:
+        """Hand the next samples to ``lanes``, one each in turn; return
+        ``(i, tag)`` for each sample whose tag is not 0, ``lanes[i]`` the
+        lane that took it."""
+        out, done, count = [], 0, len(lanes)
+        while done < count:
             if self.at == POOL_ROWS:
                 self.refill()
             hit, tags = self.hit, self.tags
-            stop = min(POOL_ROWS, self.at + len(lanes) - done)
+            stop = min(POOL_ROWS, self.at + count - done)
             lo = bisect_left(hit, self.at)
-            for i in range(lo, bisect_left(hit, stop, lo)):
-                lane = lanes[done + hit[i] - self.at]
-                syndrome, x, z = tags[i]
-                sx[lane] ^= x
-                sz[lane] ^= z
-                out.append((lane, syndrome))
+            hi = bisect_left(hit, stop, lo)
+            shift = done - self.at
+            out += [(h + shift, t) for h, t in zip(hit[lo:hi], tags[lo:hi])]
             done += stop - self.at
             self.at = stop
         return out
 
 
 class _PrepPool(_Pool):
-    """The G+V pool: a sample verifies when its image has none of the bits
-    of the word mask ``verify`` (the X bits of the verification qubits).
-    A sample's tag, under ``fold``, is its fold (``SimEngine._fold``).
+    """The G+V pool.  A sample's tag is its fold (two readouts' three
+    fields, ``fold_bits`` bits in all; ``_fold_checks``) followed by the X
+    bits of the verification qubits; it verifies when the latter, the tag
+    bits of the word mask ``verify``, are all 0.
 
     A lane retries on the next samples until one verifies, and after
     ``MAX_ATTEMPTS`` failures in a row keeps the last of them.  So the
@@ -424,19 +475,19 @@ class _PrepPool(_Pool):
     schedules its kept samples once, carrying in the run of failures the
     last refill ended with (``failed``).  Kept samples go by their rank in
     draw order, 0 to ``kept`` - 1: ``next`` is the next one to hand out,
-    ``forced`` lists the unverified ones, and ``fold`` maps each whose fold
-    is not 0 to it.
+    ``forced`` lists the unverified ones, and ``fold_keys`` lists those
+    whose fold is not 0, with their folds in ``fold_values``.
     """
 
-    def __init__(self, table: _FaultTable, rng, verify: np.ndarray, fold: _GF2Map):
-        super().__init__(table, rng, fold, 0)
-        self.verify = verify
+    def __init__(self, table: _FaultTable, rng, tag_rows: np.ndarray,
+                 verify: np.ndarray, fold_bits: int):
+        super().__init__(table, rng, tag_rows)
+        self.verify, self.fold_bits = verify, fold_bits
         self.kept = self.next = self.failed = 0
 
     def refill(self) -> None:
-        hit, images = self._sample()
-        ok = np.ones(POOL_ROWS, dtype=bool)
-        ok[hit[(images & self.verify).any(axis=1)]] = False
+        tags = self._sample()
+        ok = ~(tags & self.verify).any(axis=1)
         at = np.arange(POOL_ROWS)
         last_ok = np.maximum.accumulate(np.where(ok, at, -1 - self.failed))
         keep = ok | ((at - last_ok) % MAX_ATTEMPTS == 0)
@@ -444,28 +495,31 @@ class _PrepPool(_Pool):
         rank = np.cumsum(keep) - 1
         self.kept, self.next = int(rank[-1]) + 1, 0
         self.forced = rank[keep & ~ok].tolist()
-        kept_hit = keep[hit]
-        self.fold = {k: v for k, v in zip(rank[hit[kept_hit]].tolist(),
-                                          self.tag_map(images[kept_hit])) if v}
-        self.fold_keys = list(self.fold)
+        kept_hit = np.flatnonzero(keep & tags.any(axis=1))
+        low = (1 << self.fold_bits) - 1
+        folds = [v & low for v in _values(tags[kept_hit])]
+        self.fold_keys = list(compress(rank[kept_hit].tolist(), folds))
+        self.fold_values = list(compress(folds, folds))
 
-    def hand_out_verified(self, frame: ErrorFrame, lanes: list[int]) -> int:
-        """Record the next kept sample's fold for each lane in turn and
-        return how many lanes kept an unverified one."""
-        folds, unverified, done = frame.folds, 0, 0
-        while done < len(lanes):
+    def hand_out_verified(self, lanes) -> tuple[list[tuple[int, int]], int]:
+        """Hand the next kept samples to ``lanes``, one each in turn; return
+        ``(i, fold)`` for each sample whose fold is not 0, ``lanes[i]`` the
+        lane that kept it, and how many lanes kept an unverified one."""
+        out, unverified, done, count = [], 0, 0, len(lanes)
+        while done < count:
             if self.next == self.kept:
                 self.refill()
             lo = self.next
-            hi = min(self.kept, lo + len(lanes) - done)
+            hi = min(self.kept, lo + count - done)
             # the folded samples among them: few when faults are rare
             keys = self.fold_keys
-            for k in keys[bisect_left(keys, lo):bisect_left(keys, hi)]:
-                folds[lanes[done + k - lo]] = self.fold[k]
+            a, b = bisect_left(keys, lo), bisect_left(keys, hi)
+            shift = done - lo
+            out += [(k + shift, v) for k, v in zip(keys[a:b], self.fold_values[a:b])]
             unverified += bisect_left(self.forced, hi) - bisect_left(self.forced, lo)
             done += hi - lo
             self.next = hi
-        return unverified
+        return out, unverified
 
 
 def _take_folds(frame: ErrorFrame, mask: int) -> list[tuple[int, int]]:
@@ -476,6 +530,8 @@ def _take_folds(frame: ErrorFrame, mask: int) -> list[tuple[int, int]]:
 
 def _masked(values: list[int], mask: int) -> list[int]:
     """``values`` on the lanes of ``mask``, 0 on the others."""
+    if mask == (1 << len(values)) - 1:
+        return list(values)
     out = [0] * len(values)
     for lane in _lanes(mask):
         out[lane] = values[lane]
@@ -608,13 +664,13 @@ class SimEngine:
         self._data_rest = _fault_table([], data, noise,
                                        (data, idle_flip_probability(noise.eps, self.t_r)))
         self._logical_gate = _fault_table([], data, noise, (data, noise.gamma))
-        # a readout sample's tag is the syndrome bits its faults flip, which
-        # read the ancilla X bits (readout bits n..2n-1) of the check rows,
-        # then the syndromes of its data X (bits 0..n-1) and Z (2n..3n-1)
-        # bits; a data sample's tag has no syndrome bits.  A G+V sample
-        # verifies with no X on a verification qubit (G+V bits
-        # n..n+rows-1), and its tag folds it through the Z and then the X
-        # readout
+        # a readout fault's tag is the syndrome bits it flips, which read
+        # the ancilla X bits (readout bits n..2n-1) of the check rows, then
+        # the syndromes of its data X (bits 0..n-1) and Z (2n..3n-1) bits; a
+        # data fault's tag has no syndrome bits.  A G+V fault's tag is its
+        # fold through the Z and then the X readout, then its X bits on the
+        # verification qubits (G+V bits n..n+rows-1), which a verified
+        # sample leaves at 0
         n, checks = self.n, self.code.H
         self.syndrome_bits = r = len(checks)
         readout = np.zeros((4 * n, 3 * r), np.uint8)
@@ -622,9 +678,18 @@ class SimEngine:
         self._readout_tags = _GF2Map(readout)
         # the data's X and Z bits (data image bits 0..n-1, n..2n-1)
         self._data_tags = _GF2Map(readout[[*range(n), *range(2 * n, 3 * n)]])
-        self._verify_word = _word_mask(range(n, n + self.rows), 2 * len(self._prep.qubits))
-        self._fold = _GF2Map(_fold_checks(self._prep, [self._readout["Z"], self._readout["X"]],
-                                          checks))
+        fold = _fold_checks(self._prep, [self._readout["Z"], self._readout["X"]], checks)
+        verify = np.zeros((len(fold), self.rows), np.uint8)
+        verify[n + np.arange(self.rows), np.arange(self.rows)] = 1
+        self._prep_tags = _GF2Map(np.hstack([fold, verify]))
+        self._verify_word = _word_mask(range(6 * r, 6 * r + self.rows), 6 * r + self.rows)
+        # every fault row's tag, beside its image: a pool XORs these
+        self._row_tags = {
+            "prep": _row_tags(self._prep, self._prep_tags),
+            "Z": _row_tags(self._readout["Z"], self._readout_tags),
+            "X": _row_tags(self._readout["X"], self._readout_tags),
+            "rest": _row_tags(self._data_rest, self._data_tags),
+            "gate": _row_tags(self._logical_gate, self._data_tags)}
 
     def _resting_time(self) -> float:
         pp = self.protocol
@@ -646,23 +711,25 @@ class SimEngine:
         the data's rest and the logical gate, each on its own child stream
         of ``rng`` in that order."""
         prep, z, x, rest, gate = rng.spawn(5)
-        w = self.syndrome_bits
-        return {"prep": _PrepPool(self._prep, prep, self._verify_word, self._fold),
-                "Z": _Pool(self._readout["Z"], z, self._readout_tags, w),
-                "X": _Pool(self._readout["X"], x, self._readout_tags, w),
-                "rest": _Pool(self._data_rest, rest, self._data_tags, w),
-                "gate": _Pool(self._logical_gate, gate, self._data_tags, w)}
+        tags = self._row_tags
+        return {"prep": _PrepPool(self._prep, prep, tags["prep"], self._verify_word,
+                                  6 * self.syndrome_bits),
+                "Z": _Pool(self._readout["Z"], z, tags["Z"]),
+                "X": _Pool(self._readout["X"], x, tags["X"]),
+                "rest": _Pool(self._data_rest, rest, tags["rest"]),
+                "gate": _Pool(self._logical_gate, gate, tags["gate"])}
 
     # -- one syndrome extraction ---------------------------------------------
     def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
         """Run G and V once for the masked lanes, drawing straight from
         ``rng``; return the verified sub-mask."""
         lanes = _lanes(mask)
-        images = _draw(self._prep, rng, len(lanes))
+        tags = self._prep_tags(_draw(self._prep, rng, len(lanes)))
         _take_folds(frame, mask)
-        frame.folds.update((lane, v) for lane, v in zip(lanes, self._fold(images)) if v)
-        bad = (images & self._verify_word).any(axis=1).tolist()
-        return mask & ~sum(1 << lane for lane in compress(lanes, bad))
+        fold_bits = 6 * self.syndrome_bits
+        low = (1 << fold_bits) - 1
+        frame.folds.update((lane, t & low) for lane, t in zip(lanes, tags) if t & low)
+        return mask & ~sum(1 << lane for lane, t in zip(lanes, tags) if t >> fold_bits)
 
     def prepare_verified(self, frame: ErrorFrame, mask: int) -> None:
         """Re-prepare until every masked lane holds a verified ancilla.
@@ -676,8 +743,12 @@ class SimEngine:
         if not mask:
             return
         _take_folds(frame, mask)
+        folds = frame.folds
         for pools, lanes in _batch_lanes(frame, mask):
-            frame.unverified += pools["prep"].hand_out_verified(frame, lanes)
+            handed, unverified = pools["prep"].hand_out_verified(lanes)
+            frame.unverified += unverified
+            for at, fold in handed:
+                folds[lanes[at]] = fold
 
     def couple_and_measure(self, frame: ErrorFrame, mask: int,
                            error_type: str) -> list[int]:
@@ -687,26 +758,71 @@ class SimEngine:
         readout faults' syndrome bits.  Returns one packed syndrome int per
         lane (0 for lanes outside the mask)."""
         syndromes = _masked(frame.sx if error_type == "X" else frame.sz, mask)
-        if frame.folds:
-            # a fold is the Z readout's three fields, then the X readout's
-            w = self.syndrome_bits
-            at, low = (0 if error_type == "Z" else 3 * w), (1 << w) - 1
-            sx, sz = frame.sx, frame.sz
-            for lane, fold in _take_folds(frame, mask):
-                fold >>= at
-                syndromes[lane] ^= fold & low
-                sx[lane] ^= fold >> w & low
-                sz[lane] ^= fold >> 2 * w & low
+        w = self.syndrome_bits
+        low, fields = (1 << w) - 1, (1 << 3 * w) - 1
+        # a fold is the Z readout's three fields, then the X readout's
+        shift = 0 if error_type == "Z" else 3 * w
+        tags = [(lane, fold >> shift & fields) for lane, fold in _take_folds(frame, mask)]
         for pools, lanes in _batch_lanes(frame, mask):
-            for lane, syndrome in pools[error_type].hand_out(frame, lanes):
-                syndromes[lane] ^= syndrome
+            tags += [(lanes[at], tag) for at, tag in pools[error_type].hand_out(lanes)]
+        sx, sz = frame.sx, frame.sz
+        for lane, tag in tags:
+            syndromes[lane] ^= tag & low
+            sx[lane] ^= tag >> w & low
+            sz[lane] ^= tag >> 2 * w
         return syndromes
+
+    def extract_rounds(self, frame: ErrorFrame, rounds: list[list[int]], error_type: str,
+                       syndromes: dict[int, list[int]]) -> None:
+        """Further extractions of one recovery, round i preparing and
+        measuring the increasing lanes ``rounds[i]`` as ``prepare_verified``
+        and ``couple_and_measure`` would; each lane's syndromes are appended
+        to ``syndromes[lane]`` in round order.
+
+        Each batch's G+V and readout pools hand out once, over the rounds'
+        lane lists joined in round order, so every lane takes the samples
+        that round-by-round calls would give it.  The lanes' syndromes and
+        data updates then apply position by position, so each lane's in
+        round order.
+        """
+        joined: dict[int, list[int]] = {}
+        for lanes in rounds:
+            for b, part in _by_batch(lanes):
+                joined.setdefault(b, []).extend(part)
+        sx, sz = frame.sx, frame.sz
+        read = sx if error_type == "X" else sz
+        w = self.syndrome_bits
+        low, fields = (1 << w) - 1, (1 << 3 * w) - 1
+        # a fold is the Z readout's three fields, then the X readout's
+        shift = 0 if error_type == "Z" else 3 * w
+        for b, lanes in joined.items():
+            pools = frame.pools[b]
+            folds, unverified = pools["prep"].hand_out_verified(lanes)
+            frame.unverified += unverified
+            tags = [0] * len(lanes)
+            for at, fold in folds:
+                tags[at] = fold >> shift & fields
+            for at, tag in pools[error_type].hand_out(lanes):
+                tags[at] ^= tag
+            for lane, tag in zip(lanes, tags):
+                if tag:
+                    syndromes[lane].append(read[lane] ^ tag & low)
+                    sx[lane] ^= tag >> w & low
+                    sz[lane] ^= tag >> 2 * w
+                else:
+                    syndromes[lane].append(read[lane])
 
     def add_noise(self, frame: ErrorFrame, mask: int, phase: str) -> None:
         """The data's rest (``phase`` "rest") or the logical gate's failures
         ("gate") on the masked lanes, from their batches' pools."""
+        sx, sz = frame.sx, frame.sz
+        w = self.syndrome_bits
+        low = (1 << w) - 1
         for pools, lanes in _batch_lanes(frame, mask):
-            pools[phase].hand_out(frame, lanes)
+            for at, tag in pools[phase].hand_out(lanes):
+                lane = lanes[at]
+                sx[lane] ^= tag >> w & low
+                sz[lane] ^= tag >> 2 * w
 
     def data_syndromes(self, frame: ErrorFrame, plane: str, mask: int) -> list[int]:
         """The masked lanes' syndromes of the data's X (``plane`` "x") or Z
@@ -739,28 +855,21 @@ def recover_block(frame: ErrorFrame, pending: dict[int, list[int]],
     first = engine.couple_and_measure(frame, mask, error_type)
 
     # lanes outside the mask read 0; the lanes read nonzero take more
-    # syndromes, r in all if settled and r'' if pending
+    # syndromes, r in all if settled and r'' if pending: every one of them
+    # in rounds 2..min(r, r''), then only the settled or only the pending
     pools: dict[int, list[int]] = {}
-    settled = carried = 0
+    settled, carried = [], []
     for lane in compress(range(len(first)), first):
         pools[lane] = [first[lane]]
-        if lane in pending:
-            carried |= 1 << lane
-        else:
-            settled |= 1 << lane
+        (carried if lane in pending else settled).append(lane)
     for lane in [lane for lane in pending if mask >> lane & 1 and lane not in pools]:
         del pending[lane]
     if not pools:
         return 0, 0
-
-    for k in range(2, max(pp.r, pp.r_dprime) + 1):
-        sub = (settled if k <= pp.r else 0) | (carried if k <= pp.r_dprime else 0)
-        if not sub:
-            break
-        engine.prepare_verified(frame, sub)
-        extra = engine.couple_and_measure(frame, sub, error_type)
-        for lane in _lanes(sub):
-            pools[lane].append(extra[lane])
+    both = min(pp.r, pp.r_dprime) - 1
+    longer = settled if pp.r > pp.r_dprime else carried
+    engine.extract_rounds(frame, [list(pools)] * both + [longer] * abs(pp.r - pp.r_dprime),
+                          error_type, pools)
 
     syn = frame.sx if error_type == "X" else frame.sz
     keep = pp.r + pp.r_dprime

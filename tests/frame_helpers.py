@@ -6,7 +6,9 @@ plane per qubit, each a Python int whose bit L belongs to lane L.  On it
 they run gate-by-gate propagation, scatter drawn fault images into lanes
 and read single lanes; ``plane_syndromes`` reduces a plane to the per-lane
 syndromes the simulator keeps, and ``plant`` puts one qubit's error into
-an ``ErrorFrame`` as its check-matrix column.
+an ``ErrorFrame`` as its check-matrix column.  ``extract_by_rounds`` runs
+a recovery's later extractions one round at a time, the reference for the
+simulator's one-pass ``extract_rounds``.
 """
 from dataclasses import dataclass, field
 
@@ -100,6 +102,19 @@ def dense_products(images: np.ndarray, matrix: np.ndarray) -> list[int]:
     bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")[:, :len(matrix)]
     products = (bits.astype(np.int64) @ matrix.astype(np.int64)) & 1
     return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in products]
+
+
+def extract_by_rounds(engine, frame: ErrorFrame, rounds: list[list[int]], error_type: str,
+                      syndromes: dict[int, list[int]]) -> None:
+    """``SimEngine.extract_rounds`` one round at a time: ``prepare_verified``
+    and then ``couple_and_measure`` on each round's lanes in turn, each
+    lane's syndrome appended to ``syndromes[lane]``."""
+    for lanes in rounds:
+        mask = sum(1 << lane for lane in lanes)
+        engine.prepare_verified(frame, mask)
+        extra = engine.couple_and_measure(frame, mask, error_type)
+        for lane in lanes:
+            syndromes[lane].append(extra[lane])
 
 
 def column(checks: np.ndarray, qubit: int) -> int:

@@ -112,6 +112,24 @@ def test_negative_trials_is_config_error(args, tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    # refused before the engine is built, with the field named
+    rc = run(["simulate", "--code", "hamming", "--parallel-corrections", "1",
+              "--trials", "64", "--seed", "-1", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be >= 0, got -1" in err
+
+
+def test_threshold_at_large_eps_over_gamma(tmp_path, capsys):
+    # eps/gamma = 40 puts eps above 1 at the bracket's top, 3e-2: that
+    # probe is divergent, not a configuration error
+    rc = run(["threshold", "--code", "hamming", "--eps-over-gamma", "40",
+              "--tm", "1", "--rel-width", "0.2", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_OK, capsys.readouterr().err
+    assert read_csv(tmp_path / "threshold_trace.csv")
+
+
 def test_simulate_default_protocol_refusal_names_fixes(tmp_path, capsys):
     # n_rep = 1 without pinned provisioning puts r_max below 1 whenever alpha < 1
     rc = run(["simulate", "--code", "hamming", "--trials", "64", "--out-dir", str(tmp_path)])

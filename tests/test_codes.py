@@ -253,6 +253,26 @@ def test_oversized_ball_is_refused(name):
         codes.CosetDecoder(codes.construct_code(name))
 
 
+@pytest.mark.parametrize("name", ["hamming", "golay", "golay21"])
+def test_complete_ball_decodes_by_index(name, monkeypatch):
+    # a ball that holds all 2^rows syndromes decodes every syndrome by one
+    # array index, never packing or searching; each weight must equal a
+    # binary search over the sorted keys and the layer the ball's
+    # breadth-first growth put the syndrome in
+    dec = ball_decoder(name)
+    every = list(range(1 << dec.rows))
+    searched = np.searchsorted(dec._keys, every)
+    assert dec._keys[searched].tolist() == every
+    layer_of = np.zeros(len(every), dtype=np.int64)
+    for w, layer in enumerate(dec._layers):
+        layer_of[layer[:, 0].astype(np.int64)] = w
+    for attr in ("_pack", "_find"):
+        monkeypatch.setattr(dec, attr, lambda *args: pytest.fail(f"decode called {attr}"))
+    weights = dec.decode(every)
+    assert weights.tolist() == dec._weight[searched].tolist() == layer_of.tolist()
+    assert weights.dtype == np.uint8 and dec.decode([5, 5, 0]).tolist() == [weights[5]] * 2 + [0]
+
+
 @pytest.mark.parametrize("name", ["hamming", "golay", "golay21", "bch31",
                                   "qr47", "bch63-39", "bch127-43"])
 def test_decoder_matches_enumeration(name):

@@ -111,6 +111,26 @@ def test_threshold_stops_at_adjacent_doubles(rel_width, monkeypatch):
     assert abs(g0 - edge) <= 2 * math.ulp(edge)
 
 
+def test_threshold_probe_with_eps_above_one_is_divergent(monkeypatch):
+    # at eps/gamma = 40 the bracket's top, 3e-2, puts eps at 1.2: such a
+    # probe counts as divergent and never reaches the model.  The stub
+    # converges at every rate it is given, so gamma_0 lands on 1/40
+    probed = []
+
+    def trace(code, gamma, eps_over_gamma, t_m):
+        probed.append(gamma * eps_over_gamma)
+        return [gamma, 0.0]
+
+    monkeypatch.setattr(concat, "level_trace", trace)
+    g0 = threshold(GOLAY, 40.0, 1, rel_width=1e-3)
+    assert max(probed) <= 1.0
+    assert abs(g0 * 40.0 - 1.0) <= 2e-3
+    # the model itself at the same ratio
+    monkeypatch.undo()
+    g0 = threshold(codes.params_from_catalog("hamming"), 40.0, 1, rel_width=0.2)
+    assert 1e-6 <= g0 and g0 * 40.0 <= 1.0
+
+
 # gamma_0 of the abstract's four (eps/gamma, t_m) points, exact literals: a
 # change that only makes the model faster must keep them bit for bit
 PINNED_THRESHOLDS = {

@@ -1,10 +1,12 @@
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import types
 from collections import OrderedDict
 from pathlib import Path
 
@@ -19,8 +21,8 @@ from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
                              SimConfig, SimEngine, estimate_pbar_mc,
                              judge_syndromes, recover_block, run_batch)
 
-from frame_helpers import (PlaneFrame, column, dense_products, plane_syndromes, plant,
-                           propagate, set_lane, x_bits, z_bits)
+from frame_helpers import (PlaneFrame, column, dense_products, extract_by_rounds,
+                           plane_syndromes, plant, propagate, set_lane, x_bits, z_bits)
 
 
 def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
@@ -164,13 +166,15 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     # and a run of 20 crosses the refill, so some lane spends its attempts
     # on both sides of it.  Every lane must record the fold of the sample
     # that per-lane sequential retries give it.  On golay: hamming's folds,
-    # syndromes of 3 bits, span only 2^8 values.
+    # syndromes of 3 bits, span only 2^8 values.  The samples enter the
+    # pool as their tags, the fold then the verification bits.
     monkeypatch.setattr(simulator, "MAX_ATTEMPTS", limit)
     eng = engine("golay")
     n = eng.n
     pool_rows = simulator.POOL_ROWS
     m = len(eng._prep.qubits)
-    _, pivots, _ = gf2.rref(eng._fold.matrix.T)
+    fold_bits = 6 * eng.syndrome_bits
+    _, pivots, _ = gf2.rref(eng._prep_tags.matrix[:, :fold_bits].T)
     spell = pivots[:11]                   # 2^11 > 3 * POOL_ROWS
     assert len(spell) == 11 and all(b < n or m <= b < m + n for b in spell)
     fails = np.random.default_rng(8).random(3 * pool_rows) < 0.3
@@ -182,15 +186,19 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     words = eng._prep.images.shape[1]
     images = np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in values),
                            "<u8").reshape(len(values), words)
-    want = dense_products(images, eng._fold.matrix)
+    tags = dense_products(images, eng._prep_tags.matrix)
+    want = [t & (1 << fold_bits) - 1 for t in tags]
     assert len(set(want)) == len(want)
-    chunks = iter(np.split(images, 3))
+    assert [t >> fold_bits != 0 for t in tags] == fails.tolist()
+    words = eng._row_tags["prep"].shape[1]
+    chunks = iter(np.split(np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in tags),
+                                         "<u8").reshape(len(tags), words), 3))
 
-    def draw(table, rng, count):
-        assert table is eng._prep and count == pool_rows
+    def sample(pool):
+        assert pool.table is eng._prep
         return next(chunks)
 
-    monkeypatch.setattr(simulator, "_draw", draw)
+    monkeypatch.setattr(simulator._PrepPool, "_sample", sample)
     gen = np.random.default_rng(9)
     masks = [(1 << 64) - 1] * 4 + [int(v) for v in gen.integers(1, 2**63, 8)]
     f = ErrorFrame(pools=[eng.pools(stream(0, 0))])
@@ -417,13 +425,13 @@ def test_syndromes_match_per_lane_reference(rows, n):
 
 @pytest.mark.parametrize("name", codes.code_names())
 def test_byte_tables_match_dense_products(name, monkeypatch):
-    # each of the engine's three GF(2) maps (G+V fold, readout tags, data
+    # each of the engine's three GF(2) maps (G+V tags, readout tags, data
     # tags) against a dense int64 matmul mod 2 of its matrix, on drawn
     # images (several words each on the large codes) and on the image with
     # every bit set
     monkeypatch.setattr(codes, "decoder_for", lambda code: None)
     eng = engine(name)
-    maps = {"fold": eng._fold, "readout": eng._readout_tags, "data": eng._data_tags}
+    maps = {"prep": eng._prep_tags, "readout": eng._readout_tags, "data": eng._data_tags}
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @given(st.data())
@@ -438,6 +446,134 @@ def test_byte_tables_match_dense_products(name, monkeypatch):
             assert gf2_map(images) == dense_products(images, gf2_map.matrix), label
 
     check()
+
+
+def _sequential_schedule(ok: list[bool], failed: int, limit: int) -> tuple[list[int], int]:
+    """Kept samples of one refill by a per-sample loop: a sample is kept when
+    it verifies or ends a run of ``limit`` failures, the run starting with
+    the ``failed`` failures carried in.  Returns the kept indices and the
+    run carried out."""
+    kept = []
+    for i, good in enumerate(ok):
+        failed = 0 if good else failed + 1
+        if good or failed == limit:
+            kept.append(i)
+            failed = 0
+    return kept, failed
+
+
+@pytest.mark.parametrize("name", codes.code_names())
+def test_pool_tags_match_drawn_images(name, monkeypatch):
+    # each pool's refill against the image path it replaced, on the same
+    # stream: ``_draw``'s images tagged by the engine's byte tables.  The
+    # hits are the samples whose image is not 0 less those whose tag is 0.
+    # The G+V pool keeps the samples a per-sample retry loop keeps, with
+    # their folds, whether or not each image's verification X bits are 0
+    monkeypatch.setattr(codes, "decoder_for", lambda code: None)
+    eng = engine(name, gamma=1e-3, eps=1e-3)
+    n, rows, w = eng.n, eng.rows, eng.syndrome_bits
+    seen = dict.fromkeys(["hit", "dropped", "forced", "fold"], 0)
+    maps = {"prep": eng._prep_tags, "Z": eng._readout_tags, "X": eng._readout_tags,
+            "rest": eng._data_tags, "gate": eng._data_tags}
+    low = (1 << 6 * w) - 1
+
+    @settings(derandomize=True, database=None, max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), faults=st.sampled_from([0.02, 0.5, 3.0]),
+           refills=st.integers(1, 3))
+    def check(seed, faults, refills):
+        for limit in (1, 3, simulator.MAX_ATTEMPTS):
+            monkeypatch.setattr(simulator, "MAX_ATTEMPTS", limit)
+            check_pools(seed, faults, refills, limit)
+
+    def check_pools(seed, faults, refills, limit):
+        pools = eng.pools(stream(seed, 0))
+        for (phase, pool), rng in zip(pools.items(), stream(seed, 0).spawn(5)):
+            # rates scaled to a mean of ``faults`` faults per sample
+            table = pool.table
+            scale = faults / float(np.dot(table.slots, table.rates) or 1.0)
+            pool.table = table = dataclasses.replace(
+                table, rates=[min(1.0, r * scale) for r in table.rates])
+            failed = 0
+            for _ in range(refills):
+                pool.refill()
+                images = simulator._draw(table, rng, simulator.POOL_ROWS)
+                tags = maps[phase](images)
+                if phase != "prep":
+                    drawn = np.flatnonzero(images.any(axis=1)).tolist()
+                    assert pool.hit == [i for i in drawn if tags[i]]
+                    assert pool.tags == [tags[i] for i in drawn if tags[i]]
+                    seen["hit"] += len(pool.hit)
+                    seen["dropped"] += len(drawn) - len(pool.hit)
+                    continue
+                bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
+                ok = (~bits[:, n:n + rows].any(axis=1)).tolist()
+                kept, failed = _sequential_schedule(ok, failed, limit)
+                assert pool.kept == len(kept) and pool.failed == failed
+                assert pool.forced == [k for k, i in enumerate(kept) if not ok[i]]
+                folds = {k: tags[i] & low for k, i in enumerate(kept) if tags[i] & low}
+                assert dict(zip(pool.fold_keys, pool.fold_values)) == folds
+                assert pool.fold_keys == sorted(folds)
+                seen["forced"] += len(pool.forced)
+                seen["fold"] += len(folds)
+
+    check()
+    # the draws reached every case: tagged and dropped samples, unverified
+    # samples kept, and folds
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name", ["hamming", "golay"])
+def test_one_pass_rounds_match_round_by_round(name, monkeypatch):
+    # a recovery's later rounds in one hand-out per batch against the
+    # round-by-round reference, over frames of 1-3 batches with random
+    # masks, data syndromes and pending lanes.  ProtocolParams refuses
+    # r'' > r, but the schedule handles it, so a bare namespace drives it.
+    # Every recovery must leave the same syndromes, pending lists,
+    # unverified tally, pool cursors and streams, and return the same masks
+    eng = engine(name, gamma=0.02, eps=0.02)
+    w = eng.syndrome_bits
+
+    def state(frame):
+        cursors = [(p.at, p.kept, p.next, p.failed) if k == "prep" else p.at
+                   for pools in frame.pools for k, p in pools.items()]
+        streams = [p.rng.bit_generator.state for pools in frame.pools for p in pools.values()]
+        return frame.sx, frame.sz, frame.unverified, frame.folds, cursors, streams
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.data(), batches=st.integers(1, 3),
+           schedule=st.sampled_from([(1, 1, 1), (3, 2, 2), (4, 3, 2), (2, 1, 3), (2, 2, 4)]))
+    def check(data, batches, schedule):
+        r, rp, rpp = schedule
+        eng.protocol = types.SimpleNamespace(r=r, r_prime=rp, r_dprime=rpp)
+        lanes = 64 * batches
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        syndrome = st.integers(0, (1 << w) - 1) | st.just(0)
+        sx = data.draw(st.lists(syndrome, min_size=lanes, max_size=lanes), "sx")
+        sz = data.draw(st.lists(syndrome, min_size=lanes, max_size=lanes), "sz")
+        pending = data.draw(st.dictionaries(
+            st.integers(0, lanes - 1),
+            st.lists(st.integers(0, (1 << w) - 1), min_size=1, max_size=r + rpp)), "pending")
+        masks = data.draw(st.lists(st.integers(0, (1 << lanes) - 1), min_size=1, max_size=3),
+                          "masks")
+        frames, pendings = [], []
+        for _ in range(2):
+            frames.append(ErrorFrame(pools=[eng.pools(stream(seed, b)) for b in range(batches)],
+                                     sx=list(sx), sz=list(sz)))
+            pendings.append({lane: list(s) for lane, s in pending.items()})
+        for i, mask in enumerate(masks):
+            error_type = "ZX"[i % 2]
+            got = recover_block(frames[0], pendings[0], eng, error_type, mask)
+            with monkeypatch.context() as patch:
+                patch.setattr(eng, "extract_rounds", functools.partial(extract_by_rounds, eng))
+                want = recover_block(frames[1], pendings[1], eng, error_type, mask)
+            assert got == want
+            assert pendings[0] == pendings[1]
+            assert state(frames[0]) == state(frames[1])
+
+    try:
+        check()
+    finally:
+        eng.protocol = ProtocolParams(2, 2, 2, parallel_corrections=1.0)
 
 
 # -- recovery ------------------------------------------------------------------
@@ -535,15 +671,25 @@ def test_deferred_rounds_follow_the_repetition_rule(monkeypatch):
               3: [a, b, c, d, 0, a, b, a, b, 0]}
     calls = []
 
-    def scripted(frame, mask, error_type):
-        lanes = [lane for lane in range(64) if (mask >> lane) & 1]
-        calls.append(lanes)
-        out = [0] * 64
-        for lane in lanes:
-            out[lane] = script[lane].pop(0)
+    def scripted(lanes):
+        # the readout pool's hand-out: each sample's tag flips the lane's
+        # syndrome from its data syndrome to the script's next value
+        calls.append(list(lanes))
+        return [(i, script[lane].pop(0) ^ f.sx[lane]) for i, lane in enumerate(lanes)]
+
+    def rounds_of(lanes):
+        # a recovery's later rounds share one hand-out, their lane lists
+        # joined in round order: each list increases and holds only lanes
+        # of the one before, so a round starts where the lanes stop rising
+        out = [[lanes[0]]]
+        for lane in lanes[1:]:
+            if lane > out[-1][-1]:
+                out[-1].append(lane)
+            else:
+                out.append([lane])
         return out
 
-    monkeypatch.setattr(eng, "couple_and_measure", scripted)
+    monkeypatch.setattr(f.pools[0]["X"], "hand_out", scripted)
     pending = {}
     rounds = [
         # (extractions, pending after, corrected)
@@ -558,7 +704,7 @@ def test_deferred_rounds_follow_the_repetition_rule(monkeypatch):
     for extractions, after, corrected in rounds:
         calls.clear()
         assert recover_block(f, pending, eng, "X", 0b1111) == (corrected, 0)
-        assert calls == extractions
+        assert len(calls) == 2 and [calls[0]] + rounds_of(calls[1]) == extractions
         assert pending == after
     assert not any(script.values())
     assert not any(f.sx) and not any(f.sz)
