@@ -37,15 +37,17 @@ Phase faults never depend on the frame, so they are drawn ahead of use.
 Each batch of a frame has its own fault pool per phase table, made from
 the batch's stream (``SimEngine.pools``) and drawn from its own child
 stream ``POOL_ROWS`` lane-samples at a time (``_faults``, a few vectorised
-draws per refill, whose faults' tags one ``np.bitwise_xor.at`` combines);
-a call hands the next sample of a batch's pool to each of the batch's
-masked lanes in lane order and applies only the samples whose tag is not
-0.  A preparation hands a lane samples in pool order until one verifies.
-So a batch draws the same samples whichever batches share its frame.  A
-recovery's extractions after the first go out in one pass per batch
-(``SimEngine.extract_rounds``): each pool hands out once over the rounds'
-lane lists joined in round order, which gives every lane the samples that
-round-by-round calls would.
+draws per refill, whose faults' tags one ``np.bitwise_xor.at`` combines).
+A refill's cost is mostly fixed at low noise, and ``POOL_ROWS`` covers what
+one 64-lane batch takes from a pool there, so each pool refills once per
+batch.  A call hands the next sample of a batch's pool to each of the
+batch's masked lanes in lane order and applies only the samples whose tag
+is not 0.  A preparation hands a lane samples in pool order until one
+verifies.  So a batch draws the same samples whichever batches share its
+frame.  A recovery's extractions after the first go out in one pass per
+batch (``SimEngine.extract_rounds``): each pool hands out once over the
+rounds' lane lists joined in round order, which gives every lane the
+samples that round-by-round calls would.
 
 A trial alternates logical steps (one transversal gate failure pass plus
 the data's resting noise) with a complete recovery round: Z-error recovery
@@ -77,7 +79,7 @@ from .protocol import ProtocolError, ProtocolParams, resting_time
 # logical steps per trial; p-bar reads steps Q_MAX-3..Q_MAX
 Q_MAX = 10
 # lane-samples drawn per fault-pool refill
-POOL_ROWS = 512
+POOL_ROWS = 2048
 # G+V attempts per lane before it couples an unverified ancilla
 MAX_ATTEMPTS = 64
 # 64-lane batches run side by side in one frame

@@ -167,7 +167,9 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     # on both sides of it.  Every lane must record the fold of the sample
     # that per-lane sequential retries give it.  On golay: hamming's folds,
     # syndromes of 3 bits, span only 2^8 values.  The samples enter the
-    # pool as their tags, the fold then the verification bits.
+    # pool as their tags, the fold then the verification bits.  The spell
+    # and the number of masks grow with ``POOL_ROWS``, so the lanes cross
+    # the first refill whatever its size.
     monkeypatch.setattr(simulator, "MAX_ATTEMPTS", limit)
     eng = engine("golay")
     n = eng.n
@@ -175,8 +177,9 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     m = len(eng._prep.qubits)
     fold_bits = 6 * eng.syndrome_bits
     _, pivots, _ = gf2.rref(eng._prep_tags.matrix[:, :fold_bits].T)
-    spell = pivots[:11]                   # 2^11 > 3 * POOL_ROWS
-    assert len(spell) == 11 and all(b < n or m <= b < m + n for b in spell)
+    bits = (3 * pool_rows - 1).bit_length()     # 2^bits >= 3 * POOL_ROWS
+    spell = pivots[:bits]
+    assert len(spell) == bits and all(b < n or m <= b < m + n for b in spell)
     fails = np.random.default_rng(8).random(3 * pool_rows) < 0.3
     fails[120:127] = True
     fails[200:212] = True
@@ -200,7 +203,8 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
 
     monkeypatch.setattr(simulator._PrepPool, "_sample", sample)
     gen = np.random.default_rng(9)
-    masks = [(1 << 64) - 1] * 4 + [int(v) for v in gen.integers(1, 2**63, 8)]
+    scale = pool_rows // 512
+    masks = [(1 << 64) - 1] * 4 * scale + [int(v) for v in gen.integers(1, 2**63, 8 * scale)]
     f = ErrorFrame(pools=[eng.pools(stream(0, 0))])
     at = unverified = 0
     crossed = inside = False
@@ -833,26 +837,29 @@ def test_trial_cap_is_exact():
     assert one == two and one[2] == 100
 
 
-# Counts of short runs, pinned as literals: a change that only makes the MC
-# faster must keep them byte for byte.  Each entry is (code, (gamma, eps,
-# t_m), (r, r', r''), max_trials, chunk_batches, seed) and the
-# resulting (n_f, n_s, trials, unverified).  The golay entries are the
+# Counts of short runs, pinned as literals.  They also record the fault
+# pools' size (``POOL_ROWS``) and the stream layout: a change that only
+# makes the MC faster keeps them byte for byte, and a layout change
+# re-records them once, with the evidence that the law is unchanged in
+# CHANGES.md.  Each entry is (code, (gamma, eps, t_m), (r, r', r''),
+# max_trials, chunk_batches, seed) and the resulting (n_f, n_s, trials,
+# unverified).  The golay entries are the
 # benchmark's mc-noisy and mc-quiet calls; the hamming 2112-trial entry runs
 # 33 batches in two frames; the last one runs out of preparation attempts.
 PINNED_COUNTS = [
     (("golay", (3e-3, 3e-5, 25), (4, 3, 3), 128, 2, 101),
-     ([0, 0, 0, 1, 1, 2, 3, 2, 0, 0, 1],
-      [0, 128, 128, 127, 126, 124, 121, 119, 119, 119, 118], 128, 0)),
+     ([0, 0, 2, 1, 1, 1, 2, 1, 0, 2, 0],
+      [0, 128, 126, 125, 124, 123, 121, 120, 120, 118, 118], 128, 0)),
     (("golay", (1e-4, 1e-6, 25), (4, 3, 3), 128, 2, 101),
      ([0] * 11, [0] + [128] * 10, 128, 0)),
     (("hamming", (1e-2, 1e-4, 1), (2, 2, 2), 2112, 33, 101),
-     ([0, 48, 85, 84, 80, 53, 82, 68, 64, 72, 67],
-      [0, 2064, 1979, 1895, 1815, 1762, 1680, 1612, 1548, 1476, 1409], 2112, 0)),
+     ([0, 36, 76, 94, 82, 67, 88, 72, 81, 70, 61],
+      [0, 2076, 2000, 1906, 1824, 1757, 1669, 1597, 1516, 1446, 1385], 2112, 0)),
     (("bch31", (2e-3, 2e-5, 1), (3, 2, 2), 128, 2, 101),
-     ([0, 0, 1, 1, 2, 2, 2, 2, 0, 1, 0],
-      [0, 128, 127, 126, 124, 122, 120, 118, 118, 117, 117], 128, 0)),
+     ([0, 1, 0, 1, 1, 3, 3, 2, 1, 1, 1],
+      [0, 127, 127, 126, 125, 122, 119, 117, 116, 115, 114], 128, 0)),
     (("hamming", (0.3, 0.3, 1), (2, 2, 2), 128, 2, 4),
-     ([0, 95, 28, 4, 1, 0, 0, 0, 0, 0, 0], [0, 33, 5, 1, 0, 0, 0, 0, 0, 0, 0], 128, 12)),
+     ([0, 97, 24, 5, 0, 2, 0, 0, 0, 0, 0], [0, 31, 7, 2, 2, 0, 0, 0, 0, 0, 0], 128, 10)),
 ]
 
 
@@ -882,6 +889,27 @@ def test_decode_never_gets_an_empty_list(config, counts, monkeypatch):
     monkeypatch.setattr(codes.CosetDecoder, "decode", counting)
     test_mc_counts_pinned(config, counts)
     assert calls
+
+
+@pytest.mark.parametrize("noise,trials", [((1e-2, 1e-4, 1), 16384), ((0.3, 0.3, 1), 4096)],
+                         ids=["hamming-0.01", "hamming-0.3"])
+def test_pool_size_is_only_a_layout(noise, trials, monkeypatch):
+    # the pools' size moves which samples a lane gets, not their law: runs
+    # at 512 rows and at the default agree on the crashes over steps 7-10,
+    # the crashes in total and the unverified ancillas (heavy noise runs
+    # out of preparation attempts), each under a two-sample binomial test
+    cfg = SimConfig("hamming", NoiseParams(*noise),
+                    ProtocolParams(2, 2, 2, parallel_corrections=1.0),
+                    target_failures=10**9, max_trials=trials)
+    assert simulator.POOL_ROWS != 512
+    runs = [estimate_pbar_mc(cfg, seed=21)]
+    monkeypatch.setattr(simulator, "POOL_ROWS", 512)
+    runs.append(estimate_pbar_mc(cfg, seed=21))
+    assert _counts(runs[0]) != _counts(runs[1])
+    tallies = [(int(s.n_f[7:].sum()), int(s.n_f.sum()), s.unverified) for s in runs]
+    for a, b in zip(*tallies):
+        # given a + b, a is binomial(a + b, 1/2) when the laws agree
+        assert a == b or abs(a - b) / math.sqrt(a + b) < 5, tallies
 
 
 def test_lanes_any_width():
@@ -1026,8 +1054,8 @@ def test_bch127_43_batch_pinned():
                     NoiseParams(1e-3, 1e-5, 25),
                     ProtocolParams(4, 3, 3, parallel_corrections=1.0))
     stats = run_batch(eng, [stream(1, 0)])
-    assert stats.n_f.tolist() == [0, 14, 16, 5, 10, 6, 8, 3, 0, 1, 1]
-    assert stats.n_s.tolist() == [0, 50, 34, 29, 19, 13, 5, 2, 2, 1, 0]
+    assert stats.n_f.tolist() == [0, 24, 10, 12, 4, 9, 3, 1, 1, 0, 0]
+    assert stats.n_s.tolist() == [0, 40, 30, 18, 14, 5, 2, 1, 0, 0, 0]
 
 
 def test_single_worker_never_imports_process_pool():
