@@ -122,6 +122,22 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--out-dir", default=None)
 
+    def point(sp):
+        # one noise point and one protocol: simulate and estimate
+        sp.add_argument("--code", default=None)
+        sp.add_argument("--gamma", type=float, default=None)
+        sp.add_argument("--eps", type=float, default=None)
+        sp.add_argument("--tm", dest="t_m", type=int, default=None)
+        sp.add_argument("--nrep", dest="n_rep", type=float, default=None)
+        sp.add_argument("--parallel-corrections", type=float, default=None)
+        sp.add_argument("--r", type=int, default=None)
+        sp.add_argument("--rp", dest="r_prime", type=int, default=None)
+        sp.add_argument("--rpp", dest="r_dprime", type=int, default=None)
+
+    def ratio(sp):
+        sp.add_argument("--eps-over-gamma", type=float, default=None)
+        sp.add_argument("--tm", dest="t_m", type=int, default=None)
+
     sp = sub.add_parser("codes", help="catalog and constructed parameters")
     common(sp)
     sp.add_argument("--code", default=None, help="export this code's check matrix")
@@ -134,30 +150,14 @@ def _parser() -> argparse.ArgumentParser:
                     "verified fraction alpha is below 1: raise --nrep or pin "
                     "--parallel-corrections.")
     common(sp)
-    sp.add_argument("--code", default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--tm", dest="t_m", type=int, default=None)
-    sp.add_argument("--nrep", dest="n_rep", type=float, default=None)
-    sp.add_argument("--parallel-corrections", type=float, default=None)
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--rp", dest="r_prime", type=int, default=None)
-    sp.add_argument("--rpp", dest="r_dprime", type=int, default=None)
+    point(sp)
     sp.add_argument("--trials", type=int, default=None,
                     help="trial cap (0 = run to the failure target)")
     sp.add_argument("--target-failures", type=int, default=None)
 
     sp = sub.add_parser("estimate", help="closed-form model breakdown")
     common(sp)
-    sp.add_argument("--code", default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--tm", dest="t_m", type=int, default=None)
-    sp.add_argument("--nrep", dest="n_rep", type=float, default=None)
-    sp.add_argument("--parallel-corrections", type=float, default=None)
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--rp", dest="r_prime", type=int, default=None)
-    sp.add_argument("--rpp", dest="r_dprime", type=int, default=None)
+    point(sp)
     sp.add_argument("--optimize", action="store_true",
                     help="grid-minimize pbar over (r, r', r'')")
     sp.add_argument("--curves", action="store_true",
@@ -166,22 +166,19 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("threshold", help="multi-level noise threshold")
     common(sp)
     sp.add_argument("--code", default=None)
-    sp.add_argument("--eps-over-gamma", type=float, default=None)
-    sp.add_argument("--tm", dest="t_m", type=int, default=None)
+    ratio(sp)
     sp.add_argument("--rel-width", type=float, default=None)
 
     sp = sub.add_parser("surface", help="KQ surface")
     common(sp)
     sp.add_argument("--gammas", type=float, nargs="+", default=None)
-    sp.add_argument("--eps-over-gamma", type=float, default=None)
-    sp.add_argument("--tm", dest="t_m", type=int, default=None)
+    ratio(sp)
 
     sp = sub.add_parser("ancilla-stats", help="preparation census")
     common(sp)
     sp.add_argument("--code", default=None)
     sp.add_argument("--gammas", type=float, nargs="+", default=None)
-    sp.add_argument("--eps-over-gamma", type=float, default=None)
-    sp.add_argument("--tm", dest="t_m", type=int, default=None)
+    ratio(sp)
     sp.add_argument("--trials", type=int, default=None)
     return p
 

@@ -31,7 +31,10 @@ tag, the XOR of its faults' tags, is the product of its image, and a G+V
 sample verifies when its tag's verification bits are 0.  The coupling is
 transversal, so an extraction is the plane's data syndromes XOR the kept
 sample's fold XOR the readout faults' tags, and a coset-leader correction
-XORs the accepted syndrome into the plane's.
+XORs the accepted syndrome into the plane's.  One call prepares, couples
+and reads out (``SimEngine.couple_and_measure``): it takes each lane's
+kept G+V sample and its readout sample and applies both, so no fold
+waits in the frame between a preparation and its coupling.
 
 Phase faults never depend on the frame, so they are drawn ahead of use.
 Each batch of a frame has its own fault pool per phase table, made from
@@ -43,11 +46,12 @@ one 64-lane batch takes from a pool there, so each pool refills once per
 batch.  A call hands the next sample of a batch's pool to each of the
 batch's masked lanes in lane order and applies only the samples whose tag
 is not 0.  A preparation hands a lane samples in pool order until one
-verifies.  So a batch draws the same samples whichever batches share its
-frame.  A recovery's extractions after the first go out in one pass per
-batch (``SimEngine.extract_rounds``): each pool hands out once over the
-rounds' lane lists joined in round order, which gives every lane the
-samples that round-by-round calls would.
+verifies; both kinds of pool share one hand-out.  So a batch draws the
+same samples whichever batches share its frame.  A recovery's
+extractions after the first go out in one pass per batch
+(``SimEngine.extract_rounds``): each pool hands out once over the rounds'
+lane lists joined in round order, which gives every lane the samples that
+round-by-round calls would.
 
 A trial alternates logical steps (one transversal gate failure pass plus
 the data's resting noise) with a complete recovery round: Z-error recovery
@@ -92,17 +96,14 @@ TAG_CHUNK = 1024
 class ErrorFrame:
     """The data block's error, lane by lane, as the packed syndromes under
     H of its X part (``sx[lane]``) and of its Z part (``sz[lane]``), bit l
-    the parity of check row l.  The ancilla lives in the G+V pools as
-    folded samples: ``folds`` maps each lane prepared and not yet coupled
-    to its kept sample's nonzero fold."""
+    the parity of check row l.  The ancilla is not part of the frame: an
+    extraction takes each lane's kept G+V sample from the lane's pool and
+    spends it at once."""
     # each batch's fault pools by phase (``SimEngine.pools``), batch b on
     # lanes 64b..64b+63; the engine's pooled phases draw from them
     pools: list[dict] = field(default_factory=list, repr=False, compare=False)
     sx: list[int] = field(default_factory=list)
     sz: list[int] = field(default_factory=list)
-    # lanes coupled with an unverified ancilla, summed over preparations
-    unverified: int = 0
-    folds: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.sx:
@@ -114,6 +115,11 @@ class ErrorFrame:
     def lanes(self) -> int:
         """Lanes of the frame: 64 per batch, and 64 for a frame without pools."""
         return 64 * max(1, len(self.pools))
+
+    @property
+    def unverified(self) -> int:
+        """Lanes coupled with an unverified ancilla: the G+V pools' tallies."""
+        return sum(pools["prep"].unverified for pools in self.pools)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +361,6 @@ def _xor_rows(rows: int, sample: np.ndarray, values: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _draw(table: _FaultTable, rng, rows: int) -> np.ndarray:
-    """Sample every fault of one phase in ``rows`` independent lane-samples.
-
-    Returns one row of little-endian uint64 words per sample: the XOR of
-    the images of the faults that struck it.
-    """
-    sample, row = _faults(table, rng, rows)
-    return np.ascontiguousarray(_xor_rows(rows, sample, table.images[row]))
-
-
 def _values(images: np.ndarray) -> list[int]:
     """Each row of little-endian uint64 words as one int."""
     values = images[:, 0].tolist()
@@ -399,10 +395,6 @@ class _GF2Map:
             out ^= np.take(self.tables[b], data[:, b], axis=0)
         return out
 
-    def __call__(self, images: np.ndarray) -> list[int]:
-        """One product per image row, as an int."""
-        return _values(self.words(images))
-
 
 def _row_tags(table: _FaultTable, tag_map: _GF2Map) -> np.ndarray:
     """The tag of each image row of ``table`` under ``tag_map``, as rows of
@@ -423,14 +415,15 @@ class _Pool:
     computes them once), and a sample's tag is the XOR of the tags of the
     faults that struck it.  A tag has three fields of one syndrome's width:
     the syndrome bits the faults flip (0 outside a readout), then the
-    syndromes of the X and of the Z errors they leave on the data.  After a
-    refill ``hit`` lists the samples whose tag is not 0, in increasing
-    order, and ``tags[i]`` is hit i's tag as an int.
+    syndromes of the X and of the Z errors they leave on the data.  A
+    refill leaves ``size`` samples to hand out; ``keys`` lists, in
+    increasing order, those whose tag is not 0, and ``values[i]`` is key
+    i's tag as an int.
     """
 
     def __init__(self, table: _FaultTable, rng, tag_rows: np.ndarray):
         self.table, self.rng, self.tag_rows = table, rng, tag_rows
-        self.at = POOL_ROWS        # next sample; the pool starts empty
+        self.at = self.size = 0    # next sample; the pool starts empty
 
     def _sample(self) -> np.ndarray:
         """The tags of the next ``POOL_ROWS`` samples, one row of words each."""
@@ -440,24 +433,24 @@ class _Pool:
     def refill(self) -> None:
         tags = self._sample()
         hit = np.flatnonzero(tags.any(axis=1))
-        self.at = 0
-        self.hit = hit.tolist()
-        self.tags = _values(tags[hit])
+        self.at, self.size = 0, POOL_ROWS
+        self.keys = hit.tolist()
+        self.values = _values(tags[hit])
 
     def hand_out(self, lanes) -> list[tuple[int, int]]:
         """Hand the next samples to ``lanes``, one each in turn; return
-        ``(i, tag)`` for each sample whose tag is not 0, ``lanes[i]`` the
-        lane that took it."""
+        ``(i, value)`` for each sample among the keys, ``lanes[i]`` the lane
+        that took it."""
         out, done, count = [], 0, len(lanes)
         while done < count:
-            if self.at == POOL_ROWS:
+            if self.at == self.size:
                 self.refill()
-            hit, tags = self.hit, self.tags
-            stop = min(POOL_ROWS, self.at + count - done)
-            lo = bisect_left(hit, self.at)
-            hi = bisect_left(hit, stop, lo)
+            keys = self.keys
+            stop = min(self.size, self.at + count - done)
+            lo = bisect_left(keys, self.at)
+            hi = bisect_left(keys, stop, lo)
             shift = done - self.at
-            out += [(h + shift, t) for h, t in zip(hit[lo:hi], tags[lo:hi])]
+            out += [(k + shift, v) for k, v in zip(keys[lo:hi], self.values[lo:hi])]
             done += stop - self.at
             self.at = stop
         return out
@@ -476,18 +469,25 @@ class _PrepPool(_Pool):
     failure of a run, counted from the last kept sample.  A refill
     schedules its kept samples once, carrying in the run of failures the
     last refill ended with (``failed``).  Kept samples go by their rank in
-    draw order, 0 to ``kept`` - 1: ``next`` is the next one to hand out,
-    ``forced`` lists the unverified ones, and ``fold_keys`` lists those
-    whose fold is not 0, with their folds in ``fold_values``.
+    draw order, 0 to ``size`` - 1: ``forced`` lists the unverified ones,
+    ``keys`` those whose fold is not 0, and ``values`` their folds;
+    ``spent`` counts the unverified samples that earlier refills handed out.
     """
 
     def __init__(self, table: _FaultTable, rng, tag_rows: np.ndarray,
                  verify: np.ndarray, fold_bits: int):
         super().__init__(table, rng, tag_rows)
         self.verify, self.fold_bits = verify, fold_bits
-        self.kept = self.next = self.failed = 0
+        self.failed = self.spent = 0
+        self.forced: list[int] = []
+
+    @property
+    def unverified(self) -> int:
+        """The unverified samples handed out so far."""
+        return self.spent + bisect_left(self.forced, self.at)
 
     def refill(self) -> None:
+        self.spent = self.unverified
         tags = self._sample()
         ok = ~(tags & self.verify).any(axis=1)
         at = np.arange(POOL_ROWS)
@@ -495,39 +495,13 @@ class _PrepPool(_Pool):
         keep = ok | ((at - last_ok) % MAX_ATTEMPTS == 0)
         self.failed = int(POOL_ROWS - 1 - last_ok[-1]) % MAX_ATTEMPTS
         rank = np.cumsum(keep) - 1
-        self.kept, self.next = int(rank[-1]) + 1, 0
+        self.at, self.size = 0, int(rank[-1]) + 1
         self.forced = rank[keep & ~ok].tolist()
         kept_hit = np.flatnonzero(keep & tags.any(axis=1))
         low = (1 << self.fold_bits) - 1
         folds = [v & low for v in _values(tags[kept_hit])]
-        self.fold_keys = list(compress(rank[kept_hit].tolist(), folds))
-        self.fold_values = list(compress(folds, folds))
-
-    def hand_out_verified(self, lanes) -> tuple[list[tuple[int, int]], int]:
-        """Hand the next kept samples to ``lanes``, one each in turn; return
-        ``(i, fold)`` for each sample whose fold is not 0, ``lanes[i]`` the
-        lane that kept it, and how many lanes kept an unverified one."""
-        out, unverified, done, count = [], 0, 0, len(lanes)
-        while done < count:
-            if self.next == self.kept:
-                self.refill()
-            lo = self.next
-            hi = min(self.kept, lo + count - done)
-            # the folded samples among them: few when faults are rare
-            keys = self.fold_keys
-            a, b = bisect_left(keys, lo), bisect_left(keys, hi)
-            shift = done - lo
-            out += [(k + shift, v) for k, v in zip(keys[a:b], self.fold_values[a:b])]
-            unverified += bisect_left(self.forced, hi) - bisect_left(self.forced, lo)
-            done += hi - lo
-            self.next = hi
-        return out, unverified
-
-
-def _take_folds(frame: ErrorFrame, mask: int) -> list[tuple[int, int]]:
-    """Remove the masked lanes' recorded folds; return them as (lane, fold)."""
-    folds = frame.folds
-    return [(lane, folds.pop(lane)) for lane in [lane for lane in folds if mask >> lane & 1]]
+        self.keys = list(compress(rank[kept_hit].tolist(), folds))
+        self.values = list(compress(folds, folds))
 
 
 def _masked(values: list[int], mask: int) -> list[int]:
@@ -548,25 +522,25 @@ def _word_mask(positions, width: int) -> np.ndarray:
 
 
 def _fold_checks(prep: _FaultTable, readouts: list[_FaultTable],
-                 checks: np.ndarray) -> np.ndarray:
+                 readout_tags: np.ndarray) -> np.ndarray:
     """The 0/1 matrix that folds a G+V image (row b: image bit b) through
-    each readout's noiseless map (``transfer``, over data then ancilla).
-    Each readout adds three fields of len(checks) columns: the syndrome
-    bits the image's ancilla share leaves, bit l reading the measured
-    ancilla's X bits of check row l, then the syndromes of the X and of
-    the Z errors it copies into the data."""
-    n = checks.shape[1]
-    m, nbytes = 2 * n, (4 * n + 7) // 8
-    h = checks.T.astype(np.int64)
+    each readout's noiseless map (``transfer``, over data then ancilla) and
+    then the readout tag matrix (one row per readout image bit).  Each
+    readout adds its three fields: the syndrome bits the image's ancilla
+    share leaves, then the syndromes of the X and of the Z errors it
+    copies into the data."""
+    m = len(readout_tags) // 2        # data then ancilla qubits
+    n, nbytes = m // 2, (2 * m + 7) // 8
+    tags = readout_tags.astype(np.int64)
     fields = []
     for table in readouts:
         # end-of-readout images of an X, then a Z, on each ancilla qubit
         words = [table.transfer[b] for b in [*range(n, m), *range(m + n, 2 * m)]]
         end = np.unpackbits(np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in words),
                                           np.uint8).reshape(m, nbytes), axis=1, bitorder="little")
-        fields += [end[:, n:m] @ h, end[:, :n] @ h, end[:, m:m + n] @ h]
+        fields.append(end[:, :2 * m] @ tags)
     m_prep = len(prep.qubits)         # ancilla then verification qubits
-    out = np.zeros((2 * m_prep, len(fields) * len(checks)), np.uint8)
+    out = np.zeros((2 * m_prep, len(fields) * tags.shape[1]), np.uint8)
     out[[*range(n), *range(m_prep, m_prep + n)]] = np.hstack(fields) & 1
     return out
 
@@ -680,7 +654,7 @@ class SimEngine:
         self._readout_tags = _GF2Map(readout)
         # the data's X and Z bits (data image bits 0..n-1, n..2n-1)
         self._data_tags = _GF2Map(readout[[*range(n), *range(2 * n, 3 * n)]])
-        fold = _fold_checks(self._prep, [self._readout["Z"], self._readout["X"]], checks)
+        fold = _fold_checks(self._prep, [self._readout["Z"], self._readout["X"]], readout)
         verify = np.zeros((len(fold), self.rows), np.uint8)
         verify[n + np.arange(self.rows), np.arange(self.rows)] = 1
         self._prep_tags = _GF2Map(np.hstack([fold, verify]))
@@ -724,62 +698,57 @@ class SimEngine:
     # -- one syndrome extraction ---------------------------------------------
     def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
         """Run G and V once for the masked lanes, drawing straight from
-        ``rng``; return the verified sub-mask."""
+        ``rng``; return the verified sub-mask.  The frame is left as it is:
+        an extraction prepares its own ancilla."""
         lanes = _lanes(mask)
-        tags = self._prep_tags(_draw(self._prep, rng, len(lanes)))
-        _take_folds(frame, mask)
-        fold_bits = 6 * self.syndrome_bits
-        low = (1 << fold_bits) - 1
-        frame.folds.update((lane, t & low) for lane, t in zip(lanes, tags) if t & low)
-        return mask & ~sum(1 << lane for lane, t in zip(lanes, tags) if t >> fold_bits)
+        sample, row = _faults(self._prep, rng, len(lanes))
+        tags = _xor_rows(len(lanes), sample, self._row_tags["prep"][row])
+        failed = (tags & self._verify_word).any(axis=1).tolist()
+        return mask & ~sum(1 << lane for lane, bad in zip(lanes, failed) if bad)
 
-    def prepare_verified(self, frame: ErrorFrame, mask: int) -> None:
-        """Re-prepare until every masked lane holds a verified ancilla.
-
-        Attempts come from the G+V pool of the lane's batch: each masked
-        lane of a batch in turn takes the next samples until one verifies,
-        and records its fold.  A lane whose ``MAX_ATTEMPTS`` attempts all
-        fail goes on with the last one and is counted in
-        ``frame.unverified``; its run of failures may span two refills.
-        """
-        if not mask:
-            return
-        _take_folds(frame, mask)
-        folds = frame.folds
-        for pools, lanes in _batch_lanes(frame, mask):
-            handed, unverified = pools["prep"].hand_out_verified(lanes)
-            frame.unverified += unverified
-            for at, fold in handed:
-                folds[lanes[at]] = fold
+    def prepare_verified(self, pools: dict, lanes, error_type: str) -> list[tuple[int, int]]:
+        """Prepare a verified ancilla for each of one batch's increasing
+        ``lanes`` from the batch's G+V pool: each lane in turn takes the
+        next samples until one verifies, and one whose ``MAX_ATTEMPTS``
+        attempts all fail goes on with the last, which the pool counts as
+        unverified (its run of failures may span two refills).  Returns
+        ``(i, tag)`` for each lane ``lanes[i]`` whose kept sample has a
+        fold, ``tag`` the fold's three fields through the ``error_type``
+        readout."""
+        w = self.syndrome_bits
+        fields = (1 << 3 * w) - 1
+        # a fold is the Z readout's three fields, then the X readout's
+        shift = 0 if error_type == "Z" else 3 * w
+        return [(at, fold >> shift & fields) for at, fold in pools["prep"].hand_out(lanes)]
 
     def couple_and_measure(self, frame: ErrorFrame, mask: int,
                            error_type: str) -> list[int]:
-        """Readout wait, transversal coupling, ancilla readout, syndromes:
-        the error type's data syndromes XOR each masked lane's recorded
-        fold, spent here along with the data syndromes it leaves, XOR the
-        readout faults' syndrome bits.  Returns one packed syndrome int per
+        """One syndrome extraction of the masked lanes: each prepares a
+        verified ancilla (``prepare_verified``), which waits, couples
+        transversally to the data and is read out.  A lane's syndrome is
+        its data syndromes of the error type XOR its ancilla's fold XOR the
+        readout faults' syndrome bits; the fold and the readout faults also
+        leave their data syndromes.  Returns one packed syndrome int per
         lane (0 for lanes outside the mask)."""
         syndromes = _masked(frame.sx if error_type == "X" else frame.sz, mask)
-        w = self.syndrome_bits
-        low, fields = (1 << w) - 1, (1 << 3 * w) - 1
-        # a fold is the Z readout's three fields, then the X readout's
-        shift = 0 if error_type == "Z" else 3 * w
-        tags = [(lane, fold >> shift & fields) for lane, fold in _take_folds(frame, mask)]
-        for pools, lanes in _batch_lanes(frame, mask):
-            tags += [(lanes[at], tag) for at, tag in pools[error_type].hand_out(lanes)]
         sx, sz = frame.sx, frame.sz
-        for lane, tag in tags:
-            syndromes[lane] ^= tag & low
-            sx[lane] ^= tag >> w & low
-            sz[lane] ^= tag >> 2 * w
+        w = self.syndrome_bits
+        low = (1 << w) - 1
+        for pools, lanes in _batch_lanes(frame, mask):
+            # XOR commutes: the fold and the readout tags apply in any order
+            for at, tag in (self.prepare_verified(pools, lanes, error_type)
+                            + pools[error_type].hand_out(lanes)):
+                lane = lanes[at]
+                syndromes[lane] ^= tag & low
+                sx[lane] ^= tag >> w & low
+                sz[lane] ^= tag >> 2 * w
         return syndromes
 
     def extract_rounds(self, frame: ErrorFrame, rounds: list[list[int]], error_type: str,
                        syndromes: dict[int, list[int]]) -> None:
-        """Further extractions of one recovery, round i preparing and
-        measuring the increasing lanes ``rounds[i]`` as ``prepare_verified``
-        and ``couple_and_measure`` would; each lane's syndromes are appended
-        to ``syndromes[lane]`` in round order.
+        """Further extractions of one recovery, round i measuring the
+        increasing lanes ``rounds[i]`` as ``couple_and_measure`` would; each
+        lane's syndromes are appended to ``syndromes[lane]`` in round order.
 
         Each batch's G+V and readout pools hand out once, over the rounds'
         lane lists joined in round order, so every lane takes the samples
@@ -794,17 +763,12 @@ class SimEngine:
         sx, sz = frame.sx, frame.sz
         read = sx if error_type == "X" else sz
         w = self.syndrome_bits
-        low, fields = (1 << w) - 1, (1 << 3 * w) - 1
-        # a fold is the Z readout's three fields, then the X readout's
-        shift = 0 if error_type == "Z" else 3 * w
+        low = (1 << w) - 1
         for b, lanes in joined.items():
             pools = frame.pools[b]
-            folds, unverified = pools["prep"].hand_out_verified(lanes)
-            frame.unverified += unverified
             tags = [0] * len(lanes)
-            for at, fold in folds:
-                tags[at] = fold >> shift & fields
-            for at, tag in pools[error_type].hand_out(lanes):
+            for at, tag in (self.prepare_verified(pools, lanes, error_type)
+                            + pools[error_type].hand_out(lanes)):
                 tags[at] ^= tag
             for lane, tag in zip(lanes, tags):
                 if tag:
@@ -853,7 +817,6 @@ def recover_block(frame: ErrorFrame, pending: dict[int, list[int]],
     and lanes that accepted a syndrome with coset leader heavier than t.
     """
     pp = engine.protocol
-    engine.prepare_verified(frame, mask)
     first = engine.couple_and_measure(frame, mask, error_type)
 
     # lanes outside the mask read 0; the lanes read nonzero take more

@@ -83,25 +83,22 @@ def syndrome_census(code_name: str, noise_grid: list[NoiseParams],
         engine = SimEngine(code, noise,
                            ProtocolParams(1, 1, 1, parallel_corrections=1.0))
         counts: dict[int, int] = {}
-        unverified = 0
         done = 0
         pools = engine.pools(stream(seed, idx))
         while done < trials:
             lanes = min(64, trials - done)
             mask = (1 << lanes) - 1
-            # an error-free block per batch; the noise point's fault pools
-            # carry over from batch to batch
-            frame = ErrorFrame(pools=[pools])
-            engine.prepare_verified(frame, mask)
-            unverified += frame.unverified
-            syndromes = engine.couple_and_measure(frame, mask, "X")
+            # an error-free block per batch; the noise point's fault pools,
+            # and the G+V pool's unverified tally, carry over from batch to
+            # batch
+            syndromes = engine.couple_and_measure(ErrorFrame(pools=[pools]), mask, "X")
             for lane in range(lanes):
                 s = syndromes[lane]
                 counts[s] = counts.get(s, 0) + 1
             done += lanes
         out.append(SyndromeCensus(gamma=noise.gamma, eps=noise.eps,
                                   t_m=noise.t_m, trials=trials, counts=counts,
-                                  unverified=unverified))
+                                  unverified=pools["prep"].unverified))
     return out
 
 

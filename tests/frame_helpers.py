@@ -8,7 +8,9 @@ and read single lanes; ``plane_syndromes`` reduces a plane to the per-lane
 syndromes the simulator keeps, and ``plant`` puts one qubit's error into
 an ``ErrorFrame`` as its check-matrix column.  ``extract_by_rounds`` runs
 a recovery's later extractions one round at a time, the reference for the
-simulator's one-pass ``extract_rounds``.
+simulator's one-pass ``extract_rounds``.  ``draw`` gives a phase's fault
+images and ``products`` their GF(2) products, the image path that the
+simulator's pools replace with per-row tags.
 """
 from dataclasses import dataclass, field
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from ftqec import network
 from ftqec.network import GateEvent
-from ftqec.simulator import ErrorFrame, _values
+from ftqec.simulator import ErrorFrame, _faults, _values, _xor_rows
 
 MASK_ALL = (1 << 64) - 1
 
@@ -84,6 +86,22 @@ def scatter(frame: PlaneFrame, table, images: np.ndarray, lanes) -> None:
         _flip(planes, targets, value, lane)
 
 
+def draw(table, rng, rows: int) -> np.ndarray:
+    """Sample every fault of one phase in ``rows`` independent lane-samples
+    (``simulator._faults``, so the pools' draws on the same stream).
+
+    Returns one row of little-endian uint64 words per sample: the XOR of
+    the images of the faults that struck it.
+    """
+    sample, row = _faults(table, rng, rows)
+    return np.ascontiguousarray(_xor_rows(rows, sample, table.images[row]))
+
+
+def products(gf2_map, images: np.ndarray) -> list[int]:
+    """One product per image row under a ``simulator._GF2Map``, as an int."""
+    return _values(gf2_map.words(images))
+
+
 def plane_syndromes(plane: list[int], checks: np.ndarray, mask: int = MASK_ALL,
                     lanes: int = 64) -> list[int]:
     """Per-lane syndromes of a plane by a dense matmul: bit l of lane L's
@@ -106,12 +124,11 @@ def dense_products(images: np.ndarray, matrix: np.ndarray) -> list[int]:
 
 def extract_by_rounds(engine, frame: ErrorFrame, rounds: list[list[int]], error_type: str,
                       syndromes: dict[int, list[int]]) -> None:
-    """``SimEngine.extract_rounds`` one round at a time: ``prepare_verified``
-    and then ``couple_and_measure`` on each round's lanes in turn, each
-    lane's syndrome appended to ``syndromes[lane]``."""
+    """``SimEngine.extract_rounds`` one round at a time: one
+    ``couple_and_measure`` on each round's lanes in turn, each lane's
+    syndrome appended to ``syndromes[lane]``."""
     for lanes in rounds:
         mask = sum(1 << lane for lane in lanes)
-        engine.prepare_verified(frame, mask)
         extra = engine.couple_and_measure(frame, mask, error_type)
         for lane in lanes:
             syndromes[lane].append(extra[lane])

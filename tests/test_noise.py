@@ -1,5 +1,5 @@
 """The failure model as the simulator samples it: a phase's single-fault
-table (``simulator._fault_table``) drawn by ``simulator._draw`` and XORed
+table (``simulator._fault_table``) drawn by ``frame_helpers.draw`` and XORed
 into a lane-packed bit-plane frame, 64 trial lanes per call."""
 import numpy as np
 import pytest
@@ -10,14 +10,14 @@ from ftqec.network import CNOT, GateEvent, MEASURE, PREP_ZERO
 from ftqec.noise import (NoiseParams, Pauli, TWO_QUBIT_FAILURES,
                          idle_flip_probability, stream)
 from ftqec.protocol import ProtocolParams
-from ftqec.simulator import SimEngine, _draw, _fault_table, _program
+from ftqec.simulator import SimEngine, _fault_table, _program
 
-from frame_helpers import MASK_ALL, PlaneFrame, scatter
+from frame_helpers import MASK_ALL, PlaneFrame, draw, scatter
 
 
 def inject(table, frame: PlaneFrame, rng) -> None:
     """One draw of a phase on all 64 lanes of the frame."""
-    scatter(frame, table, _draw(table, rng, 64), range(64))
+    scatter(frame, table, draw(table, rng, 64), range(64))
 
 
 def lane_bits(word: int) -> np.ndarray:
@@ -198,7 +198,7 @@ def test_preparation_matches_per_gate_sampler():
     attempts = verified = corrupt = 0
     for b in range(300):
         # the draw of one attempt on 64 lanes, as attempt_preparation makes it
-        bits = np.unpackbits(_draw(eng._prep, stream(7, b), 64).view(np.uint8), axis=1,
+        bits = np.unpackbits(draw(eng._prep, stream(7, b), 64).view(np.uint8), axis=1,
                              bitorder="little")
         # verification X bits follow the ancilla's; the ancilla's Z bits
         # start at bit m

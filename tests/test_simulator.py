@@ -21,8 +21,9 @@ from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
                              SimConfig, SimEngine, estimate_pbar_mc,
                              judge_syndromes, recover_block, run_batch)
 
-from frame_helpers import (PlaneFrame, column, dense_products, extract_by_rounds,
-                           plane_syndromes, plant, propagate, set_lane, x_bits, z_bits)
+from frame_helpers import (PlaneFrame, column, dense_products, draw, extract_by_rounds,
+                           plane_syndromes, plant, products, propagate, set_lane, x_bits,
+                           z_bits)
 
 
 def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
@@ -142,18 +143,18 @@ def test_unverified_lanes_counted(monkeypatch):
     # says how many
     eng = engine(gamma=0.3, eps=0.3)
     mask = (1 << 64) - 1
-    images = simulator._draw(eng._prep, stream(5, 0).spawn(5)[0], simulator.POOL_ROWS)
+    images = draw(eng._prep, stream(5, 0).spawn(5)[0], simulator.POOL_ROWS)
     bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
     # X bits of the verification qubits, which follow the ancilla
     verified = ~bits[:, eng.n:eng.n + eng.rows].any(axis=1)
     for max_attempts in (1, 3):
         monkeypatch.setattr(simulator, "MAX_ATTEMPTS", max_attempts)
         f = ErrorFrame(pools=[eng.pools(stream(5, 0))])
-        eng.prepare_verified(f, mask)
+        eng.couple_and_measure(f, mask, "X")
         assert f.unverified == _sequential_unverified(verified, 64, max_attempts) > 0
         quiet_eng = engine()
         quiet = ErrorFrame(pools=[quiet_eng.pools(stream(5, 0))])
-        quiet_eng.prepare_verified(quiet, mask)
+        quiet_eng.couple_and_measure(quiet, mask, "X")
         assert quiet.unverified == 0
 
 
@@ -164,8 +165,9 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     # fails verification where ``fails`` says.  A run of 12 failures (7,
     # at a limit of 5) inside the first refill exhausts a lane's attempts,
     # and a run of 20 crosses the refill, so some lane spends its attempts
-    # on both sides of it.  Every lane must record the fold of the sample
-    # that per-lane sequential retries give it.  On golay: hamming's folds,
+    # on both sides of it.  The pool's hand-out must give every lane the
+    # fold of the sample that per-lane sequential retries give it, and
+    # count the lanes left unverified.  On golay: hamming's folds,
     # syndromes of 3 bits, span only 2^8 values.  The samples enter the
     # pool as their tags, the fold then the verification bits.  The spell
     # and the number of masks grow with ``POOL_ROWS``, so the lanes cross
@@ -209,10 +211,9 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     at = unverified = 0
     crossed = inside = False
     for mask in masks:
-        eng.prepare_verified(f, mask)
-        for lane in range(64):
-            if not (mask >> lane) & 1:
-                continue
+        lanes = simulator._lanes(mask)
+        folds = dict(f.pools[0]["prep"].hand_out(lanes))
+        for i, lane in enumerate(lanes):
             start = at
             for _ in range(limit):
                 at += 1
@@ -222,23 +223,9 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
                 unverified += 1
                 crossed |= start < pool_rows <= at - 1
                 inside |= at <= pool_rows
-            assert f.folds.get(lane, 0) == want[at - 1], (mask, lane)
+            assert folds.get(i, 0) == want[at - 1], (mask, lane)
     assert crossed and inside and at > pool_rows
     assert f.unverified == unverified
-
-
-def test_preparation_replaces_the_lanes_ancilla():
-    # a lane prepared again couples its new ancilla only, here a fault-free
-    # one; the lanes outside the mask keep their folds
-    noisy, quiet = engine(gamma=0.05, eps=0.05), engine()
-    f = ErrorFrame(pools=[quiet.pools(stream(6, 0))])
-    mask = (1 << 64) - 1
-    noisy.attempt_preparation(f, stream(6, 1), mask)
-    assert len(f.folds) > 10
-    quiet.prepare_verified(f, mask >> 32)
-    assert f.folds and min(f.folds) >= 32
-    quiet.attempt_preparation(f, stream(6, 2), mask)
-    assert not f.folds and not any(quiet.couple_and_measure(f, mask, "X"))
 
 
 @pytest.mark.parametrize("name", ["hamming", "golay", "bch31"])
@@ -331,14 +318,16 @@ def test_readout_map_matches_propagation(name, monkeypatch):
     # random data errors plus each lane's G+V sample, pushed through the
     # readout's noiseless schedule.  On the masked lanes the extraction
     # must read the reference's syndromes, and afterwards the frame must
-    # hold H times the reference's data planes on every lane.  The readout
-    # is fault-free; an extraction never decodes, so codes without a
-    # decoder run too.
+    # hold H times the reference's data planes on every lane.  The G+V
+    # samples are noisy draws with their verification X bits cleared, fed
+    # to the pool as their tags, so each lane keeps the next one; the
+    # readout is fault-free.  An extraction never decodes, so codes without
+    # a decoder run too.
     monkeypatch.setattr(codes, "decoder_for", lambda code: None)
     eng = engine(name)
     noisy, readout = simulator._phase_tables(eng.networks, NoiseParams(0.02, 0.02, 1))
-    eng._prep = noisy                    # folds do not depend on the noise
     n, m, checks = eng.n, len(noisy.qubits), eng.code.H
+    ancilla_only = ~simulator._word_mask(range(n, m), 2 * m)
     gen = np.random.default_rng(n)
     for error_type in ("Z", "X"):
         for mask in ((1 << 64) - 1, int(gen.integers(1, 2**63))):
@@ -349,8 +338,10 @@ def test_readout_map_matches_propagation(name, monkeypatch):
                                sx=plane_syndromes(ref.x[:n], checks),
                                sz=plane_syndromes(ref.z[:n], checks))
             lanes = simulator._lanes(mask)
-            images = simulator._draw(noisy, stream(n, 1), len(lanes))
-            eng.attempt_preparation(frame, stream(n, 1), mask)
+            images = draw(noisy, stream(n, 1), len(lanes)) & ancilla_only
+            tags = np.zeros((simulator.POOL_ROWS, eng._row_tags["prep"].shape[1]), "<u8")
+            tags[:len(lanes)] = eng._prep_tags.words(images)
+            monkeypatch.setattr(simulator._PrepPool, "_sample", lambda pool, tags=tags: tags)
             bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
             assert bits[:, :n].any() and bits[:, m:m + n].any()
             for lane, row in zip(lanes, bits):
@@ -365,7 +356,6 @@ def test_readout_map_matches_propagation(name, monkeypatch):
             assert got == plane_syndromes(ref.x[n:2 * n], checks, mask), error_type
             assert frame.sx == plane_syndromes(ref.x[:n], checks), error_type
             assert frame.sz == plane_syndromes(ref.z[:n], checks), error_type
-            assert not frame.folds
 
 
 def test_unverified_tally_independent_of_workers():
@@ -423,7 +413,8 @@ def test_syndromes_match_per_lane_reference(rows, n):
         for q, word in enumerate(words):
             for lane in range(64):
                 images[lane, q // 64] |= np.uint64((word >> lane & 1) << q % 64)
-        got = [s if mask >> lane & 1 else 0 for lane, s in enumerate(syndromes(images))]
+        got = [s if mask >> lane & 1 else 0
+               for lane, s in enumerate(products(syndromes, images))]
         assert got == _lane_syndromes(words, checks, mask)
 
 
@@ -447,7 +438,7 @@ def test_byte_tables_match_dense_products(name, monkeypatch):
             words = (bits + 63) // 64
             images = np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in values),
                                    "<u8").reshape(len(values), words)
-            assert gf2_map(images) == dense_products(images, gf2_map.matrix), label
+            assert products(gf2_map, images) == dense_products(images, gf2_map.matrix), label
 
     check()
 
@@ -469,7 +460,7 @@ def _sequential_schedule(ok: list[bool], failed: int, limit: int) -> tuple[list[
 @pytest.mark.parametrize("name", codes.code_names())
 def test_pool_tags_match_drawn_images(name, monkeypatch):
     # each pool's refill against the image path it replaced, on the same
-    # stream: ``_draw``'s images tagged by the engine's byte tables.  The
+    # stream: ``draw``'s images tagged by the engine's byte tables.  The
     # hits are the samples whose image is not 0 less those whose tag is 0.
     # The G+V pool keeps the samples a per-sample retry loop keeps, with
     # their folds, whether or not each image's verification X bits are 0
@@ -500,23 +491,23 @@ def test_pool_tags_match_drawn_images(name, monkeypatch):
             failed = 0
             for _ in range(refills):
                 pool.refill()
-                images = simulator._draw(table, rng, simulator.POOL_ROWS)
-                tags = maps[phase](images)
+                images = draw(table, rng, simulator.POOL_ROWS)
+                tags = products(maps[phase], images)
                 if phase != "prep":
                     drawn = np.flatnonzero(images.any(axis=1)).tolist()
-                    assert pool.hit == [i for i in drawn if tags[i]]
-                    assert pool.tags == [tags[i] for i in drawn if tags[i]]
-                    seen["hit"] += len(pool.hit)
-                    seen["dropped"] += len(drawn) - len(pool.hit)
+                    assert pool.keys == [i for i in drawn if tags[i]]
+                    assert pool.values == [tags[i] for i in drawn if tags[i]]
+                    seen["hit"] += len(pool.keys)
+                    seen["dropped"] += len(drawn) - len(pool.keys)
                     continue
                 bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
                 ok = (~bits[:, n:n + rows].any(axis=1)).tolist()
                 kept, failed = _sequential_schedule(ok, failed, limit)
-                assert pool.kept == len(kept) and pool.failed == failed
+                assert pool.size == len(kept) and pool.failed == failed
                 assert pool.forced == [k for k, i in enumerate(kept) if not ok[i]]
                 folds = {k: tags[i] & low for k, i in enumerate(kept) if tags[i] & low}
-                assert dict(zip(pool.fold_keys, pool.fold_values)) == folds
-                assert pool.fold_keys == sorted(folds)
+                assert dict(zip(pool.keys, pool.values)) == folds
+                assert pool.keys == sorted(folds)
                 seen["forced"] += len(pool.forced)
                 seen["fold"] += len(folds)
 
@@ -538,10 +529,10 @@ def test_one_pass_rounds_match_round_by_round(name, monkeypatch):
     w = eng.syndrome_bits
 
     def state(frame):
-        cursors = [(p.at, p.kept, p.next, p.failed) if k == "prep" else p.at
+        cursors = [(p.at, p.size, p.failed) if k == "prep" else p.at
                    for pools in frame.pools for k, p in pools.items()]
         streams = [p.rng.bit_generator.state for pools in frame.pools for p in pools.values()]
-        return frame.sx, frame.sz, frame.unverified, frame.folds, cursors, streams
+        return frame.sx, frame.sz, frame.unverified, cursors, streams
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(data=st.data(), batches=st.integers(1, 3),
