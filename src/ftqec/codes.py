@@ -495,8 +495,6 @@ class CosetDecoder:
 
     def _find(self, syn: np.ndarray) -> np.ndarray:
         """Ball position of each syndrome, -1 for one outside the ball."""
-        if len(self._keys) == 1 << self.rows:   # complete: keys 0 .. 2^rows - 1
-            return syn[:, 0].astype(np.int64)
         key = self._key(syn)
         last = len(self._keys) - 1
         # binary search runs far faster over sorted queries, and the sorted

@@ -16,24 +16,24 @@ end-of-phase images of the faults that struck it.  Each extraction phase
 rest and the logical step's noise are compiled once, by one backward sweep
 over its schedule, into a single-fault table: every fault location (gate,
 preparation, measurement, hole step, idle qubit) with its rate and the
-image of each of its Paulis.  The same sweep gives the phase's noiseless
-map.
+tag of each of its Paulis.
 
-Every row of a table, one fault's image, has a tag: its GF(2) product
-under a map of the engine (``_GF2Map``, byte-indexed tables), computed
-once per engine (``_row_tags``).  A readout fault's tag is the syndrome
-bits it flips and the data syndromes it leaves, and a rest or logical-gate
-fault's tag the data syndromes alone.  The ancilla block and its
-verification bits are not part of the frame: a G+V fault's tag is its
-fold, its image pushed through each readout's noiseless map, followed by
-its X bits on the verification qubits.  The maps are linear, so a sample's
-tag, the XOR of its faults' tags, is the product of its image, and a G+V
-sample verifies when its tag's verification bits are 0.  The coupling is
-transversal, so an extraction is the plane's data syndromes XOR the kept
-sample's fold XOR the readout faults' tags, and a coset-leader correction
-XORs the accepted syndrome into the plane's.  One call prepares, couples
-and reads out (``SimEngine.couple_and_measure``): it takes each lane's
-kept G+V sample and its readout sample and applies both, so no fold
+A tag is what the frame keeps of a fault: the syndrome bits it flips
+(readouts only), then the syndromes of the X and of the Z errors it leaves
+on the data.  The sweep is linear, so it starts from the tags of single
+end-of-phase Paulis (``ends``) and every row it emits is a fault's tag; its
+noiseless map (``transfer``) then takes a start-of-phase Pauli to its tag.
+The data's phases and both readouts start from H's columns.  The ancilla
+block and its verification bits are not part of the frame: a G+V fault's
+tag is its fold, its image pushed through each readout's noiseless map,
+followed by its X bits on the verification qubits, so the G+V sweep starts
+from the readouts' maps.  A sample's tag is the XOR of its faults' tags,
+and a G+V sample verifies when its tag's verification bits are 0.  The
+coupling is transversal, so an extraction is the plane's data syndromes XOR
+the kept sample's fold XOR the readout faults' tags, and a coset-leader
+correction XORs the accepted syndrome into the plane's.  One call prepares,
+couples and reads out (``SimEngine.couple_and_measure``): it takes each
+lane's kept G+V sample and its readout sample and applies both, so no fold
 waits in the frame between a preparation and its coupling.
 
 Phase faults never depend on the frame, so they are drawn ahead of use.
@@ -74,6 +74,7 @@ import numpy as np
 
 from . import analytic
 from . import codes as codes_mod
+from . import gf2
 from . import network as network_mod
 from .codes import ClassicalCode
 from .network import GateEvent
@@ -88,8 +89,6 @@ POOL_ROWS = 2048
 MAX_ATTEMPTS = 64
 # 64-lane batches run side by side in one frame
 FRAME_BATCHES = 32
-# fault-table rows tagged per byte-table pass when an engine is built
-TAG_CHUNK = 1024
 
 
 @dataclass
@@ -145,34 +144,35 @@ def _program(events, rest_profile=(), hole_qubits=()) -> list[tuple]:
 
 @dataclass
 class _FaultTable:
-    """Every single fault of one phase with its end-of-phase image.
+    """Every single fault of one phase with its tag.
 
-    Image bit j is an X and bit m + j a Z on ``qubits[j]`` (m qubits); each
-    row of ``images`` holds one image as little-endian uint64 words.  A
-    phase runs as the noiseless pass of ``program`` followed by the XOR of
-    the sampled faults' images.  The noiseless pass is linear:
-    ``transfer[b]`` is the end-of-phase image of start-of-phase bit b.
+    A fault's tag is the XOR of the ``ends`` (``_fault_table``) of the
+    Paulis its end-of-phase image holds; each row of ``tags`` holds one tag
+    as little-endian uint64 words.  A phase runs as the noiseless pass of
+    ``program`` followed by the XOR of the sampled faults' tags.  The
+    noiseless pass is linear: ``transfer[j]`` (``transfer[m + j]``) is the
+    tag of an X (a Z) on ``qubits[j]`` at the start of the phase, m qubits.
 
     ``sites`` lists the fault locations in row order as ``(step, slot,
     qubits, paulis, row)``: the fault strikes before gate ``slot`` of
     program step ``step`` (after it, for a preparation), after the step's
     gates when ``slot`` is their count (a hole), or before the phase when
     ``step`` is -1 (an idle); Pauli ``paulis[p]`` acting on ``qubits`` has
-    image row ``row + p``.
+    tag row ``row + p``.
 
     Sampling goes by groups.  Group g draws Binomial(``slots[g]`` x
     samples, ``rates[g]``) failures, each on a uniform (slot, sample,
-    offset < span[g]) triple whose image row is ``slot_row[offsets[g] +
+    offset < span[g]) triple whose tag row is ``slot_row[offsets[g] +
     slot] + offset``.  In a Bernoulli group a slot is one location, its span
     the location's Pauli count, and failures take distinct (slot, sample)
     cells: every location fails independently in every sample.  In a hole
     group a slot is one resting qubit-step of a step sharing the group's
-    register, its row run that step's (register qubit, Pauli) images.
+    register, its row run that step's (register qubit, Pauli) tags.
     """
     qubits: list[int]
     program: list[tuple]
     transfer: list[int]
-    images: np.ndarray
+    tags: np.ndarray
     sites: list[tuple]
     rates: list[float]
     slots: np.ndarray
@@ -182,42 +182,43 @@ class _FaultTable:
     slot_row: np.ndarray
 
 
-def _fault_table(program, qubits, noise: NoiseParams, idle=((), 0.0)) -> _FaultTable:
+def _fault_table(program, qubits, noise: NoiseParams, ends,
+                 idle=((), 0.0)) -> _FaultTable:
     """Compile a phase program by one backward (Heisenberg) sweep.
 
-    During the sweep ``col_x[j]`` / ``col_z[j]`` hold the end-of-phase image
-    of an X / Z on ``qubits[j]`` at the current point of the phase, so a
-    gate updates at most two columns and every location reads its images
-    off them, and at the end they hold the phase's noiseless map.
+    ``ends[j]`` = (x, z) are the tags of an X and of a Z on ``qubits[j]``
+    at the end of the phase.  During the sweep ``col_x[j]`` / ``col_z[j]``
+    hold the tag of an X / Z on ``qubits[j]`` at the current point of the
+    phase, so a gate updates at most two columns and every location reads
+    its tags off them, and at the end they hold the phase's noiseless map.
     ``idle`` = (qubits, rate) adds one three-Pauli location per qubit before
     the first step.
     """
-    m = len(qubits)
     local = {q: j for j, q in enumerate(qubits)}
-    col_x = [1 << j for j in range(m)]
-    col_z = [1 << (m + j) for j in range(m)]
+    col_x, col_z = map(list, zip(*ends))
+    words = (max(x | z for x, z in ends).bit_length() + 63) // 64
 
-    def images_of(site_qubits, paulis) -> list[int]:
-        # Pauli values index each qubit's (I, X, Z, Y) images
-        imgs = [(0, col_x[j], col_z[j], col_x[j] ^ col_z[j])
+    def tags_of(site_qubits, paulis) -> list[int]:
+        # Pauli values index each qubit's (I, X, Z, Y) tags
+        tags = [(0, col_x[j], col_z[j], col_x[j] ^ col_z[j])
                 for j in map(local.get, site_qubits)]
-        if len(imgs) == 2:
-            a, b = imgs
+        if len(tags) == 2:
+            a, b = tags
             return [a[p] ^ b[r] for p, r in paulis]
-        return [imgs[0][p] for p, in paulis]
+        return [tags[0][p] for p, in paulis]
 
-    locations: dict[tuple, list] = {}   # (rate, Pauli count) -> [(site, images)]
-    holes: dict[tuple, list] = {}       # register -> [(slots, [(site, images)])]
+    locations: dict[tuple, list] = {}   # (rate, Pauli count) -> [(site, tags)]
+    holes: dict[tuple, list] = {}       # register -> [(slots, [(site, tags)])]
 
     def record(rate, site, paulis):
         locations.setdefault((rate, len(paulis)), []).append(
-            (site + (paulis,), images_of(site[2], paulis)))
+            (site + (paulis,), tags_of(site[2], paulis)))
 
     for s in range(len(program) - 1, -1, -1):
         gates, slots, register = program[s]
         if slots:
             holes.setdefault(tuple(register), []).append(
-                (slots, [((s, len(gates), (q,), _SINGLE), images_of((q,), _SINGLE))
+                (slots, [((s, len(gates), (q,), _SINGLE), tags_of((q,), _SINGLE))
                          for q in register]))
         for g in range(len(gates) - 1, -1, -1):
             ev = gates[g]
@@ -247,43 +248,60 @@ def _fault_table(program, qubits, noise: NoiseParams, idle=((), 0.0)) -> _FaultT
     sites, rows, slot_row, groups = [], [], [], []
     for (rate, paulis), members in locations.items():
         groups.append((rate, len(members), paulis, len(slot_row), True))
-        for site, imgs in members:
+        for site, tags in members:
             sites.append(site + (len(rows),))
             slot_row.append(len(rows))
-            rows += imgs
+            rows += tags
     for register, steps in holes.items():
         groups.append((noise.eps, sum(n for n, _ in steps), 3 * len(register),
                        len(slot_row), False))
         for slots, members in steps:
             slot_row += [len(rows)] * slots
-            for site, imgs in members:
+            for site, tags in members:
                 sites.append(site + (len(rows),))
-                rows += imgs
-    words = (2 * m + 63) // 64
-    images = np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in rows),
-                           dtype="<u8").reshape(len(rows), words)
+                rows += tags
+    tags = np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in rows),
+                         dtype="<u8").reshape(len(rows), words)
     rates, slots, span, offsets, distinct = zip(*groups)
-    return _FaultTable(list(qubits), program, col_x + col_z, images, sites,
+    return _FaultTable(list(qubits), program, col_x + col_z, tags, sites,
                        list(rates), np.array(slots), np.array(span),
                        np.array(offsets), np.array(distinct), np.array(slot_row))
 
 
-def _phase_tables(ns: network_mod.NetworkSet, noise: NoiseParams):
-    """Fault tables of the preparation G+V (over ancilla and verification
-    bits) and of the coupling-plus-readout of each error type (over data
-    and ancilla, with the t_m readout wait as an idle on the ancilla)."""
-    data, anc = list(range(ns.n)), list(ns.ancilla_qubits)
+def _data_ends(checks: np.ndarray) -> list[tuple[int, int]]:
+    """The tags of an X and of a Z on each data qubit: its check-matrix
+    column in the data's X, then Z, syndrome field (three fields of
+    ``len(checks)`` bits, the first the syndrome bits a readout flips)."""
+    w = len(checks)
+    return [(c << w, c << 2 * w) for c in gf2.rows_to_ints(checks.T)]
+
+
+def _phase_tables(ns: network_mod.NetworkSet, checks: np.ndarray, noise: NoiseParams):
+    """Fault tables of the coupling-plus-readout of each error type (over
+    data and ancilla, with the t_m readout wait as an idle on the ancilla)
+    and of the preparation G+V (over ancilla and verification qubits).
+
+    A readout ends on the data as ``_data_ends`` says; there an ancilla X
+    flips its column's syndrome bits and an ancilla Z reads nothing.  G+V
+    ends on each ancilla qubit at its fold, the tags that the readouts'
+    noiseless maps (``transfer``) give its X and its Z, the Z readout's 3w
+    bits then the X readout's for w check rows; verification qubit l's X
+    ends at bit 6w + l and its Z at nothing."""
+    n, w = ns.n, len(checks)
+    data, anc = list(range(n)), list(ns.ancilla_qubits)
     ver = list(ns.verification_qubits)
+    ends = _data_ends(checks) + [(c, 0) for c in gf2.rows_to_ints(checks.T)]
+    wait = (anc, idle_flip_probability(noise.eps, noise.t_m))
+    readout = {e: _fault_table(_program(coupling + ns.measure_schedule), data + anc,
+                               noise, ends, wait)
+               for e, coupling in (("Z", ns.coupling_cnot), ("X", ns.coupling_cphase))}
+    z, x = readout["Z"].transfer, readout["X"].transfer
+    fold = [(z[b] | x[b] << 3 * w, z[b + 2 * n] | x[b + 2 * n] << 3 * w)
+            for b in range(n, 2 * n)]
     prep = (_program(ns.g_schedule, ns.g_step_rest, anc)
             + _program(ns.v_schedule, ns.v_step_rest, anc + ver))
-    wait = (anc, idle_flip_probability(noise.eps, noise.t_m))
-    readout = {
-        "Z": _fault_table(_program(ns.coupling_cnot + ns.measure_schedule),
-                          data + anc, noise, wait),
-        "X": _fault_table(_program(ns.coupling_cphase + ns.measure_schedule),
-                          data + anc, noise, wait),
-    }
-    return _fault_table(prep, anc + ver, noise), readout
+    verify = [(1 << 6 * w + l, 0) for l in range(len(ver))]
+    return _fault_table(prep, anc + ver, noise, fold + verify), readout
 
 
 @lru_cache(maxsize=16)
@@ -320,7 +338,7 @@ def _batch_lanes(frame: ErrorFrame, mask: int) -> list[tuple[dict, tuple[int, ..
 def _faults(table: _FaultTable, rng, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample every fault of one phase in ``rows`` independent lane-samples.
 
-    Returns the sample and the image row of each fault that struck.
+    Returns the sample and the tag row of each fault that struck.
     """
     counts = [rng.binomial(s * rows, r)
               for s, r in zip(table.slots.tolist(), table.rates)]
@@ -361,74 +379,35 @@ def _xor_rows(rows: int, sample: np.ndarray, values: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _values(images: np.ndarray) -> list[int]:
+def _values(rows: np.ndarray) -> list[int]:
     """Each row of little-endian uint64 words as one int."""
-    values = images[:, 0].tolist()
-    for w in range(1, images.shape[1]):
-        values = [v | u << 64 * w for v, u in zip(values, images[:, w].tolist())]
+    values = rows[:, 0].tolist()
+    for w in range(1, rows.shape[1]):
+        values = [v | u << 64 * w for v, u in zip(values, rows[:, w].tolist())]
     return values
-
-
-class _GF2Map:
-    """A GF(2) linear map from images (rows of little-endian uint64 words)
-    to packed ints: ``matrix`` is 0/1 with one row per image bit and one
-    column per output bit.  It runs by the method of Four Russians: entry
-    v of table b is the XOR of the rows of image byte b's bits set in v, and
-    an image's product is the XOR of one entry per byte."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        bits, width = matrix.shape
-        nbytes, words = (bits + 7) // 8, (width + 63) // 64
-        rows = np.zeros((8 * nbytes, 64 * words), np.uint8)
-        rows[:bits, :width] = matrix
-        packed = np.packbits(rows, axis=1, bitorder="little").view("<u8")
-        self.tables = np.zeros((nbytes, 256, words), "<u8")
-        for i in range(8):
-            self.tables[:, 1 << i:2 << i] = self.tables[:, :1 << i] ^ packed[i::8, None]
-
-    def words(self, images: np.ndarray) -> np.ndarray:
-        """One product per image row, as a row of little-endian uint64 words."""
-        data = images.view(np.uint8)
-        out = np.take(self.tables[0], data[:, 0], axis=0)
-        for b in range(1, len(self.tables)):
-            out ^= np.take(self.tables[b], data[:, b], axis=0)
-        return out
-
-
-def _row_tags(table: _FaultTable, tag_map: _GF2Map) -> np.ndarray:
-    """The tag of each image row of ``table`` under ``tag_map``, as rows of
-    words, computed ``TAG_CHUNK`` rows at a time so that the gathers' scratch
-    stays small on the large codes."""
-    images = table.images
-    out = np.zeros((len(images), tag_map.tables.shape[2]), "<u8")
-    for lo in range(0, len(images), TAG_CHUNK):
-        out[lo:lo + TAG_CHUNK] = tag_map.words(images[lo:lo + TAG_CHUNK])
-    return out
 
 
 class _Pool:
     """Lane-samples of one phase, drawn ``POOL_ROWS`` at a time from the
     pool's own stream and handed out in draw order.
 
-    ``tag_rows`` holds one tag per image row of ``table`` (``SimEngine``
-    computes them once), and a sample's tag is the XOR of the tags of the
-    faults that struck it.  A tag has three fields of one syndrome's width:
-    the syndrome bits the faults flip (0 outside a readout), then the
+    A sample's tag is the XOR of the tags (``table.tags``) of the faults
+    that struck it.  A tag has three fields of one syndrome's width: the
+    syndrome bits the faults flip (0 outside a readout), then the
     syndromes of the X and of the Z errors they leave on the data.  A
     refill leaves ``size`` samples to hand out; ``keys`` lists, in
     increasing order, those whose tag is not 0, and ``values[i]`` is key
     i's tag as an int.
     """
 
-    def __init__(self, table: _FaultTable, rng, tag_rows: np.ndarray):
-        self.table, self.rng, self.tag_rows = table, rng, tag_rows
+    def __init__(self, table: _FaultTable, rng):
+        self.table, self.rng = table, rng
         self.at = self.size = 0    # next sample; the pool starts empty
 
     def _sample(self) -> np.ndarray:
         """The tags of the next ``POOL_ROWS`` samples, one row of words each."""
         sample, row = _faults(self.table, self.rng, POOL_ROWS)
-        return _xor_rows(POOL_ROWS, sample, self.tag_rows[row])
+        return _xor_rows(POOL_ROWS, sample, self.table.tags[row])
 
     def refill(self) -> None:
         tags = self._sample()
@@ -458,7 +437,7 @@ class _Pool:
 
 class _PrepPool(_Pool):
     """The G+V pool.  A sample's tag is its fold (two readouts' three
-    fields, ``fold_bits`` bits in all; ``_fold_checks``) followed by the X
+    fields, ``fold_bits`` bits in all; ``_phase_tables``) followed by the X
     bits of the verification qubits; it verifies when the latter, the tag
     bits of the word mask ``verify``, are all 0.
 
@@ -474,9 +453,8 @@ class _PrepPool(_Pool):
     ``spent`` counts the unverified samples that earlier refills handed out.
     """
 
-    def __init__(self, table: _FaultTable, rng, tag_rows: np.ndarray,
-                 verify: np.ndarray, fold_bits: int):
-        super().__init__(table, rng, tag_rows)
+    def __init__(self, table: _FaultTable, rng, verify: np.ndarray, fold_bits: int):
+        super().__init__(table, rng)
         self.verify, self.fold_bits = verify, fold_bits
         self.failed = self.spent = 0
         self.forced: list[int] = []
@@ -519,30 +497,6 @@ def _word_mask(positions, width: int) -> np.ndarray:
     bits = np.zeros((width + 63) // 64 * 64, dtype=np.uint8)
     bits[list(positions)] = 1
     return np.packbits(bits, bitorder="little").view("<u8")
-
-
-def _fold_checks(prep: _FaultTable, readouts: list[_FaultTable],
-                 readout_tags: np.ndarray) -> np.ndarray:
-    """The 0/1 matrix that folds a G+V image (row b: image bit b) through
-    each readout's noiseless map (``transfer``, over data then ancilla) and
-    then the readout tag matrix (one row per readout image bit).  Each
-    readout adds its three fields: the syndrome bits the image's ancilla
-    share leaves, then the syndromes of the X and of the Z errors it
-    copies into the data."""
-    m = len(readout_tags) // 2        # data then ancilla qubits
-    n, nbytes = m // 2, (2 * m + 7) // 8
-    tags = readout_tags.astype(np.int64)
-    fields = []
-    for table in readouts:
-        # end-of-readout images of an X, then a Z, on each ancilla qubit
-        words = [table.transfer[b] for b in [*range(n, m), *range(m + n, 2 * m)]]
-        end = np.unpackbits(np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in words),
-                                          np.uint8).reshape(m, nbytes), axis=1, bitorder="little")
-        fields.append(end[:, :2 * m] @ tags)
-    m_prep = len(prep.qubits)         # ancilla then verification qubits
-    out = np.zeros((2 * m_prep, len(fields) * tags.shape[1]), np.uint8)
-    out[[*range(n), *range(m_prep, m_prep + n)]] = np.hstack(fields) & 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -634,38 +588,16 @@ class SimEngine:
         self.rows = self.networks.rows
         self.t = code.t
         self.t_r = self._resting_time()
-        self._prep, self._readout = _phase_tables(self.networks, noise)
-        # data noise has no circuit after it: identity images on the data
-        data = list(range(self.n))
-        self._data_rest = _fault_table([], data, noise,
+        # a tag's three fields are w bits each, w the check rows
+        checks = self.code.H
+        self.syndrome_bits = w = len(checks)
+        self._prep, self._readout = _phase_tables(self.networks, checks, noise)
+        # data noise has no circuit after it: its tags are the data's ends
+        data, ends = list(range(self.n)), _data_ends(checks)
+        self._data_rest = _fault_table([], data, noise, ends,
                                        (data, idle_flip_probability(noise.eps, self.t_r)))
-        self._logical_gate = _fault_table([], data, noise, (data, noise.gamma))
-        # a readout fault's tag is the syndrome bits it flips, which read
-        # the ancilla X bits (readout bits n..2n-1) of the check rows, then
-        # the syndromes of its data X (bits 0..n-1) and Z (2n..3n-1) bits; a
-        # data fault's tag has no syndrome bits.  A G+V fault's tag is its
-        # fold through the Z and then the X readout, then its X bits on the
-        # verification qubits (G+V bits n..n+rows-1), which a verified
-        # sample leaves at 0
-        n, checks = self.n, self.code.H
-        self.syndrome_bits = r = len(checks)
-        readout = np.zeros((4 * n, 3 * r), np.uint8)
-        readout[n:2 * n, :r] = readout[:n, r:2 * r] = readout[2 * n:3 * n, 2 * r:] = checks.T
-        self._readout_tags = _GF2Map(readout)
-        # the data's X and Z bits (data image bits 0..n-1, n..2n-1)
-        self._data_tags = _GF2Map(readout[[*range(n), *range(2 * n, 3 * n)]])
-        fold = _fold_checks(self._prep, [self._readout["Z"], self._readout["X"]], readout)
-        verify = np.zeros((len(fold), self.rows), np.uint8)
-        verify[n + np.arange(self.rows), np.arange(self.rows)] = 1
-        self._prep_tags = _GF2Map(np.hstack([fold, verify]))
-        self._verify_word = _word_mask(range(6 * r, 6 * r + self.rows), 6 * r + self.rows)
-        # every fault row's tag, beside its image: a pool XORs these
-        self._row_tags = {
-            "prep": _row_tags(self._prep, self._prep_tags),
-            "Z": _row_tags(self._readout["Z"], self._readout_tags),
-            "X": _row_tags(self._readout["X"], self._readout_tags),
-            "rest": _row_tags(self._data_rest, self._data_tags),
-            "gate": _row_tags(self._logical_gate, self._data_tags)}
+        self._logical_gate = _fault_table([], data, noise, ends, (data, noise.gamma))
+        self._verify_word = _word_mask(range(6 * w, 6 * w + self.rows), 6 * w + self.rows)
 
     def _resting_time(self) -> float:
         pp = self.protocol
@@ -687,13 +619,11 @@ class SimEngine:
         the data's rest and the logical gate, each on its own child stream
         of ``rng`` in that order."""
         prep, z, x, rest, gate = rng.spawn(5)
-        tags = self._row_tags
-        return {"prep": _PrepPool(self._prep, prep, tags["prep"], self._verify_word,
-                                  6 * self.syndrome_bits),
-                "Z": _Pool(self._readout["Z"], z, tags["Z"]),
-                "X": _Pool(self._readout["X"], x, tags["X"]),
-                "rest": _Pool(self._data_rest, rest, tags["rest"]),
-                "gate": _Pool(self._logical_gate, gate, tags["gate"])}
+        return {"prep": _PrepPool(self._prep, prep, self._verify_word, 6 * self.syndrome_bits),
+                "Z": _Pool(self._readout["Z"], z),
+                "X": _Pool(self._readout["X"], x),
+                "rest": _Pool(self._data_rest, rest),
+                "gate": _Pool(self._logical_gate, gate)}
 
     # -- one syndrome extraction ---------------------------------------------
     def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
@@ -702,7 +632,7 @@ class SimEngine:
         an extraction prepares its own ancilla."""
         lanes = _lanes(mask)
         sample, row = _faults(self._prep, rng, len(lanes))
-        tags = _xor_rows(len(lanes), sample, self._row_tags["prep"][row])
+        tags = _xor_rows(len(lanes), sample, self._prep.tags[row])
         failed = (tags & self._verify_word).any(axis=1).tolist()
         return mask & ~sum(1 << lane for lane, bad in zip(lanes, failed) if bad)
 

@@ -8,9 +8,14 @@ and read single lanes; ``plane_syndromes`` reduces a plane to the per-lane
 syndromes the simulator keeps, and ``plant`` puts one qubit's error into
 an ``ErrorFrame`` as its check-matrix column.  ``extract_by_rounds`` runs
 a recovery's later extractions one round at a time, the reference for the
-simulator's one-pass ``extract_rounds``.  ``draw`` gives a phase's fault
-images and ``products`` their GF(2) products, the image path that the
-simulator's pools replace with per-row tags.
+simulator's one-pass ``extract_rounds``.
+
+The simulator's fault tables hold tags, each fault's end-of-phase image
+under the engine's map.  ``image_tables`` sweeps an engine's phases again
+from identity ends, so each row is the fault's image itself, and
+``tag_matrices`` holds that map as dense 0/1 matrices, the tests' reference
+for the tags.  ``draw`` gives a phase's drawn samples and
+``dense_products`` their products under a matrix.
 """
 from dataclasses import dataclass, field
 
@@ -18,7 +23,8 @@ import numpy as np
 
 from ftqec import network
 from ftqec.network import GateEvent
-from ftqec.simulator import ErrorFrame, _faults, _values, _xor_rows
+from ftqec.noise import idle_flip_probability
+from ftqec.simulator import ErrorFrame, _fault_table, _faults, _values, _xor_rows
 
 MASK_ALL = (1 << 64) - 1
 
@@ -91,15 +97,75 @@ def draw(table, rng, rows: int) -> np.ndarray:
     (``simulator._faults``, so the pools' draws on the same stream).
 
     Returns one row of little-endian uint64 words per sample: the XOR of
-    the images of the faults that struck it.
+    the rows (images or tags) of the faults that struck it.
     """
     sample, row = _faults(table, rng, rows)
-    return np.ascontiguousarray(_xor_rows(rows, sample, table.images[row]))
+    return np.ascontiguousarray(_xor_rows(rows, sample, table.tags[row]))
 
 
-def products(gf2_map, images: np.ndarray) -> list[int]:
-    """One product per image row under a ``simulator._GF2Map``, as an int."""
-    return _values(gf2_map.words(images))
+def identity_ends(m: int) -> list[tuple[int, int]]:
+    """Ends that make a fault table's rows images: bit j is an X and bit
+    m + j a Z on the table's j-th qubit."""
+    return [(1 << j, 1 << (m + j)) for j in range(m)]
+
+
+def engine_tables(engine) -> dict:
+    """The engine's fault tables by phase, in the order of its pools."""
+    return {"prep": engine._prep, "Z": engine._readout["Z"], "X": engine._readout["X"],
+            "rest": engine._data_rest, "gate": engine._logical_gate}
+
+
+def image_tables(engine) -> dict:
+    """The engine's five phases swept again from identity ends, with the
+    engine's programs, noise and idles: rows in the engine's order, each
+    the fault's end-of-phase image."""
+    noise, data = engine.noise, list(range(engine.n))
+    wait = (list(engine.networks.ancilla_qubits), idle_flip_probability(noise.eps, noise.t_m))
+    idles = {"prep": ((), 0.0), "Z": wait, "X": wait,
+             "rest": (data, idle_flip_probability(noise.eps, engine.t_r)),
+             "gate": (data, noise.gamma)}
+    return {phase: _fault_table(table.program, table.qubits, noise,
+                                identity_ends(len(table.qubits)), idles[phase])
+            for phase, table in engine_tables(engine).items()}
+
+
+def pack(values, words: int) -> np.ndarray:
+    """Ints as rows of ``words`` little-endian uint64 words."""
+    return np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in values),
+                         "<u8").reshape(len(values), words)
+
+
+def unpack(values, width: int) -> np.ndarray:
+    """Ints as rows of 0/1 entries, column b bit b, ``width`` columns."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in values), np.uint8)
+    return np.unpackbits(raw.reshape(-1, nbytes), axis=1, bitorder="little")[:, :width]
+
+
+def tag_matrices(engine, images: dict) -> dict:
+    """Each phase's tag map as a dense 0/1 matrix, one row per image bit
+    and one column per tag bit.
+
+    A readout image's tag is the syndrome bits its ancilla X flips (image
+    bits n..2n-1), then the syndromes of its data X (0..n-1) and Z
+    (2n..3n-1); a data image's tag the latter two.  A G+V image's tag is
+    its fold, its ancilla share pushed through the noiseless map of the Z
+    and then of the X readout (``images[...].transfer``) and tagged there,
+    followed by its X bits on the verification qubits."""
+    n, checks, w = engine.n, engine.code.H, engine.syndrome_bits
+    readout = np.zeros((4 * n, 3 * w), np.uint8)
+    readout[n:2 * n, :w] = readout[:n, w:2 * w] = readout[2 * n:3 * n, 2 * w:] = checks.T
+    m = len(images["prep"].qubits)       # ancilla then verification qubits
+    ancilla = [*range(n), *range(m, m + n)]
+    prep = np.zeros((2 * m, 6 * w + engine.rows), np.uint8)
+    for i, phase in enumerate(("Z", "X")):
+        # end-of-readout images of an X, then a Z, on each ancilla qubit
+        transfer = images[phase].transfer
+        end = unpack([transfer[b] for b in [*range(n, 2 * n), *range(3 * n, 4 * n)]], 4 * n)
+        prep[ancilla, 3 * w * i:3 * w * (i + 1)] = (end.astype(np.int64) @ readout) & 1
+    prep[n + np.arange(engine.rows), 6 * w + np.arange(engine.rows)] = 1
+    data = readout[[*range(n), *range(2 * n, 3 * n)]]
+    return {"prep": prep, "Z": readout, "X": readout, "rest": data, "gate": data}
 
 
 def plane_syndromes(plane: list[int], checks: np.ndarray, mask: int = MASK_ALL,
@@ -113,13 +179,20 @@ def plane_syndromes(plane: list[int], checks: np.ndarray, mask: int = MASK_ALL,
             for lane in range(lanes)]
 
 
-def dense_products(images: np.ndarray, matrix: np.ndarray) -> list[int]:
+def dense_products(images: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Each image row's product under a 0/1 matrix (one row per image bit,
-    one column per output bit) by a dense int64 matmul mod 2, column j
-    packed as bit j."""
-    bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")[:, :len(matrix)]
-    products = (bits.astype(np.int64) @ matrix.astype(np.int64)) & 1
-    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in products]
+    one column per output bit) by a dense float32 matmul mod 2, 1,024 rows
+    at a time so that the scratch stays small.  Returns the products as
+    rows of little-endian uint64 words, column j as bit j."""
+    bits, width = matrix.shape
+    out = np.zeros((len(images), (width + 63) // 64 * 8), np.uint8)
+    weights = matrix.astype(np.float32)
+    for lo in range(0, len(images), 1024):
+        part = np.unpackbits(images[lo:lo + 1024].view(np.uint8), axis=1,
+                             bitorder="little")[:, :bits]
+        product = (part.astype(np.float32) @ weights).astype(np.int64) & 1
+        out[lo:lo + 1024, :(width + 7) // 8] = np.packbits(product, axis=1, bitorder="little")
+    return out.view("<u8")
 
 
 def extract_by_rounds(engine, frame: ErrorFrame, rounds: list[list[int]], error_type: str,

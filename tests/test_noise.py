@@ -1,6 +1,7 @@
 """The failure model as the simulator samples it: a phase's single-fault
-table (``simulator._fault_table``) drawn by ``frame_helpers.draw`` and XORed
-into a lane-packed bit-plane frame, 64 trial lanes per call."""
+table (``simulator._fault_table``), swept from identity ends so that its
+rows are images, drawn by ``frame_helpers.draw`` and XORed into a
+lane-packed bit-plane frame, 64 trial lanes per call."""
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -12,7 +13,7 @@ from ftqec.noise import (NoiseParams, Pauli, TWO_QUBIT_FAILURES,
 from ftqec.protocol import ProtocolParams
 from ftqec.simulator import SimEngine, _fault_table, _program
 
-from frame_helpers import MASK_ALL, PlaneFrame, draw, scatter
+from frame_helpers import MASK_ALL, PlaneFrame, draw, identity_ends, image_tables, scatter
 
 
 def inject(table, frame: PlaneFrame, rng) -> None:
@@ -38,17 +39,19 @@ def flip_count(frame: PlaneFrame) -> int:
 def cnot_table(gamma: float, idle_rate: float = 0.0):
     """One CNOT(0, 1), optionally after an idle on qubit 0."""
     return _fault_table(_program([GateEvent(CNOT, (0, 1), 0)]), [0, 1],
-                        NoiseParams(gamma), ([0], idle_rate))
+                        NoiseParams(gamma), identity_ends(2), ([0], idle_rate))
 
 
 def idle_table(qubits, rate: float):
     """Three-Pauli idles and nothing after them: identity images."""
-    return _fault_table([], list(qubits), NoiseParams(), (list(qubits), rate))
+    return _fault_table([], list(qubits), NoiseParams(), identity_ends(len(qubits)),
+                        (list(qubits), rate))
 
 
 def hole_table(slots: int, register, eps: float):
     """One gate-free step with ``slots`` holes spread over ``register``."""
-    return _fault_table([([], slots, register)], list(register), NoiseParams(eps=eps))
+    return _fault_table([([], slots, register)], list(register), NoiseParams(eps=eps),
+                        identity_ends(len(register)))
 
 
 def test_params_validation():
@@ -112,7 +115,7 @@ def test_prep_measure_marginals(kind):
     # a |0> preparation keeps only its X flips (rate 2 gamma / 3), a
     # measurement fails at gamma
     table = _fault_table([([GateEvent(kind, (0,), 0)], 0, ())], [0],
-                         NoiseParams(0.09))
+                         NoiseParams(0.09), identity_ends(1))
     rate = 2 * 0.09 / 3 if kind == PREP_ZERO else 0.09
     rng = stream(4, 0)
     n = 200_000
@@ -194,11 +197,12 @@ def test_preparation_matches_per_gate_sampler():
     ref_alpha, ref_corrupt = 118_625 / 192_000, 18_451 / 118_625
     eng = SimEngine(codes.construct_code("golay"), NoiseParams(3e-3, 3e-4, 1),
                     ProtocolParams(1, 1, 1, parallel_corrections=1.0))
-    n, m = eng.n, len(eng._prep.qubits)
+    prep = image_tables(eng)["prep"]
+    n, m = eng.n, len(prep.qubits)
     attempts = verified = corrupt = 0
     for b in range(300):
         # the draw of one attempt on 64 lanes, as attempt_preparation makes it
-        bits = np.unpackbits(draw(eng._prep, stream(7, b), 64).view(np.uint8), axis=1,
+        bits = np.unpackbits(draw(prep, stream(7, b), 64).view(np.uint8), axis=1,
                              bitorder="little")
         # verification X bits follow the ancilla's; the ancilla's Z bits
         # start at bit m

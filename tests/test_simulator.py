@@ -18,12 +18,12 @@ from ftqec import analytic, codes, gf2, network, simulator
 from ftqec.network import GateEvent, CNOT, CPHASE, HADAMARD
 from ftqec.noise import NoiseParams, Pauli, stream
 from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
-                             SimConfig, SimEngine, estimate_pbar_mc,
+                             SimConfig, SimEngine, _values, _xor_rows, estimate_pbar_mc,
                              judge_syndromes, recover_block, run_batch)
 
-from frame_helpers import (PlaneFrame, column, dense_products, draw, extract_by_rounds,
-                           plane_syndromes, plant, products, propagate, set_lane, x_bits,
-                           z_bits)
+from frame_helpers import (PlaneFrame, column, dense_products, draw, engine_tables,
+                           extract_by_rounds, image_tables, pack, plane_syndromes, plant,
+                           propagate, set_lane, tag_matrices, x_bits, z_bits)
 
 
 def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
@@ -143,7 +143,7 @@ def test_unverified_lanes_counted(monkeypatch):
     # says how many
     eng = engine(gamma=0.3, eps=0.3)
     mask = (1 << 64) - 1
-    images = draw(eng._prep, stream(5, 0).spawn(5)[0], simulator.POOL_ROWS)
+    images = draw(image_tables(eng)["prep"], stream(5, 0).spawn(5)[0], simulator.POOL_ROWS)
     bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
     # X bits of the verification qubits, which follow the ancilla
     verified = ~bits[:, eng.n:eng.n + eng.rows].any(axis=1)
@@ -171,14 +171,17 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     # syndromes of 3 bits, span only 2^8 values.  The samples enter the
     # pool as their tags, the fold then the verification bits.  The spell
     # and the number of masks grow with ``POOL_ROWS``, so the lanes cross
-    # the first refill whatever its size.
+    # the first refill whatever its size.  The tags are the samples'
+    # images under the dense tag map.
     monkeypatch.setattr(simulator, "MAX_ATTEMPTS", limit)
     eng = engine("golay")
     n = eng.n
     pool_rows = simulator.POOL_ROWS
+    images = image_tables(eng)
+    matrix = tag_matrices(eng, images)["prep"]
     m = len(eng._prep.qubits)
     fold_bits = 6 * eng.syndrome_bits
-    _, pivots, _ = gf2.rref(eng._prep_tags.matrix[:, :fold_bits].T)
+    _, pivots, _ = gf2.rref(matrix[:, :fold_bits].T)
     bits = (3 * pool_rows - 1).bit_length()     # 2^bits >= 3 * POOL_ROWS
     spell = pivots[:bits]
     assert len(spell) == bits and all(b < n or m <= b < m + n for b in spell)
@@ -188,16 +191,13 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     fails[pool_rows - 12:pool_rows + 8] = True
     values = [sum(1 << b for i, b in enumerate(spell) if k >> i & 1) | int(fails[k]) << n
               for k in range(3 * pool_rows)]
-    words = eng._prep.images.shape[1]
-    images = np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in values),
-                           "<u8").reshape(len(values), words)
-    tags = dense_products(images, eng._prep_tags.matrix)
+    tag_rows = dense_products(pack(values, images["prep"].tags.shape[1]), matrix)
+    assert tag_rows.shape[1] == eng._prep.tags.shape[1]
+    tags = _values(tag_rows)
     want = [t & (1 << fold_bits) - 1 for t in tags]
     assert len(set(want)) == len(want)
     assert [t >> fold_bits != 0 for t in tags] == fails.tolist()
-    words = eng._row_tags["prep"].shape[1]
-    chunks = iter(np.split(np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in tags),
-                                         "<u8").reshape(len(tags), words), 3))
+    chunks = iter(np.split(tag_rows, 3))
 
     def sample(pool):
         assert pool.table is eng._prep
@@ -229,15 +229,13 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["hamming", "golay", "bch31"])
-def test_preparation_draws_every_hole(name):
+def test_preparation_draws_every_hole(name, monkeypatch):
     # one preparation attempt charges memory noise on all N_h holes,
-    # including those of gate-free G and V steps
-    code = codes.construct_code(name)
-    sf = codes.standard_form(codes.standardized_code(code))
-    params = codes.derived_params(sf, code.n, code.k, code.d, name=name)
-    prep, _ = simulator._phase_tables(network.synthesize_networks(sf, params),
-                                      NoiseParams(1e-3, 1e-3, 1))
-    assert prep.slots[~prep.distinct].sum() == params.N_h
+    # including those of gate-free G and V steps; the engine's tables never
+    # decode, so it builds no decoder
+    monkeypatch.setattr(codes, "decoder_for", lambda code: None)
+    eng = engine(name, gamma=1e-3, eps=1e-3)
+    assert eng._prep.slots[~eng._prep.distinct].sum() == eng.params.N_h
 
 
 def _forward_images(table) -> np.ndarray:
@@ -247,7 +245,7 @@ def _forward_images(table) -> np.ndarray:
     is injected at its own point of the phase and pushed forward through
     the rest of it with ``propagate``.  One extra lane starts with
     an X and a Z on every phase qubit, to follow an incoming error."""
-    rows = table.images.shape[0]
+    rows = table.tags.shape[0]
     lanes = (1 << (rows + 1)) - 1
     top = max(table.qubits) + 1
     frame = PlaneFrame(n=top)
@@ -287,19 +285,18 @@ def _forward_images(table) -> np.ndarray:
 
 
 @pytest.mark.parametrize("name", codes.code_names())
-def test_fault_table_matches_forward_propagation(name):
-    code = codes.construct_code(name)
-    sf = codes.standard_form(codes.standardized_code(code))
-    params = codes.derived_params(sf, code.n, code.k, code.d, name=name)
-    ns = network.synthesize_networks(sf, params)
-    prep, readout = simulator._phase_tables(ns, NoiseParams(1e-3, 1e-4, 5))
-    for label, table in (("G+V", prep), ("X", readout["X"]), ("Z", readout["Z"])):
-        rows = table.images.shape[0]
+def test_fault_table_matches_forward_propagation(name, monkeypatch):
+    # the engine's phases swept from identity ends, whose rows are images;
+    # an engine's tables never decode, so codes without a decoder run too
+    monkeypatch.setattr(codes, "decoder_for", lambda code: None)
+    images = image_tables(engine(name, gamma=1e-3, eps=1e-4, t_m=5))
+    for label, table in (("G+V", images["prep"]), ("X", images["X"]), ("Z", images["Z"])):
+        rows = table.tags.shape[0]
         starts = sorted(row + p for _, _, _, paulis, row in table.sites
                         for p in range(len(paulis)))
         assert starts == list(range(rows)), label
         m = len(table.qubits)
-        compiled = np.unpackbits(table.images.view(np.uint8), axis=1,
+        compiled = np.unpackbits(table.tags.view(np.uint8), axis=1,
                                  bitorder="little")[:, :2 * m]
         forward = _forward_images(table)
         assert np.array_equal(compiled, forward[:rows]), label
@@ -319,13 +316,15 @@ def test_readout_map_matches_propagation(name, monkeypatch):
     # readout's noiseless schedule.  On the masked lanes the extraction
     # must read the reference's syndromes, and afterwards the frame must
     # hold H times the reference's data planes on every lane.  The G+V
-    # samples are noisy draws with their verification X bits cleared, fed
-    # to the pool as their tags, so each lane keeps the next one; the
-    # readout is fault-free.  An extraction never decodes, so codes without
-    # a decoder run too.
+    # samples are noisy draws with their verification X bits cleared: the
+    # reference takes their images, and the pool their tags, drawn on the
+    # same stream from a noisy engine's table, so each lane keeps the next
+    # one; the readout is fault-free.  An extraction never decodes, so
+    # codes without a decoder run too.
     monkeypatch.setattr(codes, "decoder_for", lambda code: None)
     eng = engine(name)
-    noisy, readout = simulator._phase_tables(eng.networks, NoiseParams(0.02, 0.02, 1))
+    noisy_eng = engine(name, gamma=0.02, eps=0.02)
+    noisy, image = noisy_eng._prep, image_tables(noisy_eng)["prep"]
     n, m, checks = eng.n, len(noisy.qubits), eng.code.H
     ancilla_only = ~simulator._word_mask(range(n, m), 2 * m)
     gen = np.random.default_rng(n)
@@ -338,9 +337,9 @@ def test_readout_map_matches_propagation(name, monkeypatch):
                                sx=plane_syndromes(ref.x[:n], checks),
                                sz=plane_syndromes(ref.z[:n], checks))
             lanes = simulator._lanes(mask)
-            images = draw(noisy, stream(n, 1), len(lanes)) & ancilla_only
-            tags = np.zeros((simulator.POOL_ROWS, eng._row_tags["prep"].shape[1]), "<u8")
-            tags[:len(lanes)] = eng._prep_tags.words(images)
+            images = draw(image, stream(n, 1), len(lanes)) & ancilla_only
+            tags = np.zeros((simulator.POOL_ROWS, noisy.tags.shape[1]), "<u8")
+            tags[:len(lanes)] = draw(noisy, stream(n, 1), len(lanes)) & ~eng._verify_word
             monkeypatch.setattr(simulator._PrepPool, "_sample", lambda pool, tags=tags: tags)
             bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
             assert bits[:, :n].any() and bits[:, m:m + n].any()
@@ -350,7 +349,7 @@ def test_readout_map_matches_propagation(name, monkeypatch):
                 for j in np.flatnonzero(row[m:m + n]):
                     ref.z[n + j] |= 1 << lane
             got = eng.couple_and_measure(frame, mask, error_type)
-            for gates, _, _ in readout[error_type].program:
+            for gates, _, _ in eng._readout[error_type].program:
                 for ev in gates:
                     propagate(ev, ref, mask)
             assert got == plane_syndromes(ref.x[n:2 * n], checks, mask), error_type
@@ -385,62 +384,33 @@ def test_engine_cache_bounded(monkeypatch):
     assert simulator._engine_for(configs[1]) is not built[1]
 
 
-def _lane_syndromes(plane: list[int], checks: np.ndarray, mask: int) -> list[int]:
-    """Per-lane loop: bit l of lane L's syndrome is the parity of lane L of
-    ``plane`` over check row l; lanes outside the mask read 0."""
-    out = [0] * 64
-    for lane in range(64):
-        if (mask >> lane) & 1:
-            for l in range(len(checks)):
-                parity = sum((plane[q] >> lane) & 1 for q in np.flatnonzero(checks[l]))
-                out[lane] |= (parity & 1) << l
-    return out
-
-
-@pytest.mark.parametrize("rows,n", [(12, 23), (85, 127)])
-def test_syndromes_match_per_lane_reference(rows, n):
-    # the byte-table syndrome reduction against a per-lane loop, on both
-    # sides of the 64-row packing boundary: lane L's image is the qubits
-    # whose plane words have bit L set, and a plane clean on the mask
-    # leaves the masked lanes at 0
-    gen = np.random.default_rng(rows)
-    checks = gen.integers(0, 2, (rows, n), dtype=np.uint8)
-    syndromes = simulator._GF2Map(checks.T)
-    plane = [int(v) for v in gen.integers(0, 2**63, n)]
-    mask = int(gen.integers(0, 2**63)) | (1 << 63)
-    for words in (plane, [v & ~mask for v in plane]):
-        images = np.zeros((64, (n + 63) // 64), "<u8")
-        for q, word in enumerate(words):
-            for lane in range(64):
-                images[lane, q // 64] |= np.uint64((word >> lane & 1) << q % 64)
-        got = [s if mask >> lane & 1 else 0
-               for lane, s in enumerate(products(syndromes, images))]
-        assert got == _lane_syndromes(words, checks, mask)
+# rows each table checks on the large codes, a fixed sample
+DENSE_SAMPLE = 2048
 
 
 @pytest.mark.parametrize("name", codes.code_names())
-def test_byte_tables_match_dense_products(name, monkeypatch):
-    # each of the engine's three GF(2) maps (G+V tags, readout tags, data
-    # tags) against a dense int64 matmul mod 2 of its matrix, on drawn
-    # images (several words each on the large codes) and on the image with
-    # every bit set
+def test_tables_hold_dense_tags(name, monkeypatch):
+    # every row of each engine table is the tag of its fault's image: the
+    # phase swept from identity ends has the same sites and rates, and the
+    # dense tag map takes each of its rows, and each of its noiseless
+    # map's images, to the engine's.  A table longer than DENSE_SAMPLE
+    # rows checks a fixed sample of them, its last row among them, so
+    # the dense products stay quick
     monkeypatch.setattr(codes, "decoder_for", lambda code: None)
-    eng = engine(name)
-    maps = {"prep": eng._prep_tags, "readout": eng._readout_tags, "data": eng._data_tags}
-
-    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
-    @given(st.data())
-    def check(data):
-        for label, gf2_map in maps.items():
-            bits = len(gf2_map.matrix)
-            values = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=6), label)
-            values.append((1 << bits) - 1)
-            words = (bits + 63) // 64
-            images = np.frombuffer(b"".join(v.to_bytes(8 * words, "little") for v in values),
-                                   "<u8").reshape(len(values), words)
-            assert products(gf2_map, images) == dense_products(images, gf2_map.matrix), label
-
-    check()
+    eng = engine(name, gamma=1e-3, eps=1e-4, t_m=5)
+    images = image_tables(eng)
+    matrices = tag_matrices(eng, images)
+    gen = np.random.default_rng(eng.n)
+    for phase, table in engine_tables(eng).items():
+        image, matrix = images[phase], matrices[phase]
+        assert table.sites == image.sites and table.rates == image.rates, phase
+        rows = np.arange(len(table.tags))
+        if len(rows) > DENSE_SAMPLE:
+            rows = np.append(np.sort(gen.choice(len(rows) - 1, DENSE_SAMPLE - 1,
+                                                replace=False)), len(rows) - 1)
+        assert np.array_equal(dense_products(image.tags[rows], matrix), table.tags[rows]), phase
+        assert np.array_equal(dense_products(pack(image.transfer, image.tags.shape[1]), matrix),
+                              pack(table.transfer, table.tags.shape[1])), phase
 
 
 def _sequential_schedule(ok: list[bool], failed: int, limit: int) -> tuple[list[int], int]:
@@ -459,17 +429,18 @@ def _sequential_schedule(ok: list[bool], failed: int, limit: int) -> tuple[list[
 
 @pytest.mark.parametrize("name", codes.code_names())
 def test_pool_tags_match_drawn_images(name, monkeypatch):
-    # each pool's refill against the image path it replaced, on the same
-    # stream: ``draw``'s images tagged by the engine's byte tables.  The
-    # hits are the samples whose image is not 0 less those whose tag is 0.
-    # The G+V pool keeps the samples a per-sample retry loop keeps, with
-    # their folds, whether or not each image's verification X bits are 0
+    # each pool's refill against one draw of its faults on the same
+    # stream, which gives each sample both its image (the XOR of the
+    # faults' rows of the phase swept from identity ends) and its tag (the
+    # XOR of their rows of the engine's table).  The hits are the samples
+    # whose image is not 0 less those whose tag is 0.  The G+V pool keeps
+    # the samples a per-sample retry loop keeps, with their folds, whether
+    # or not each image's verification X bits are 0
     monkeypatch.setattr(codes, "decoder_for", lambda code: None)
     eng = engine(name, gamma=1e-3, eps=1e-3)
     n, rows, w = eng.n, eng.rows, eng.syndrome_bits
     seen = dict.fromkeys(["hit", "dropped", "forced", "fold"], 0)
-    maps = {"prep": eng._prep_tags, "Z": eng._readout_tags, "X": eng._readout_tags,
-            "rest": eng._data_tags, "gate": eng._data_tags}
+    image_rows = {phase: table.tags for phase, table in image_tables(eng).items()}
     low = (1 << 6 * w) - 1
 
     @settings(derandomize=True, database=None, max_examples=4, deadline=None)
@@ -491,8 +462,10 @@ def test_pool_tags_match_drawn_images(name, monkeypatch):
             failed = 0
             for _ in range(refills):
                 pool.refill()
-                images = draw(table, rng, simulator.POOL_ROWS)
-                tags = products(maps[phase], images)
+                sample, row = simulator._faults(table, rng, simulator.POOL_ROWS)
+                images = np.ascontiguousarray(
+                    _xor_rows(simulator.POOL_ROWS, sample, image_rows[phase][row]))
+                tags = _values(_xor_rows(simulator.POOL_ROWS, sample, table.tags[row]))
                 if phase != "prep":
                     drawn = np.flatnonzero(images.any(axis=1)).tolist()
                     assert pool.keys == [i for i in drawn if tags[i]]
@@ -1076,9 +1049,12 @@ def test_qr47_engine_fits_in_4gb():
         "simulator.SimEngine(codes.construct_code('qr47'),\n"
         "                    NoiseParams(1e-3, 1e-5, 25),\n"
         "                    ProtocolParams(4, 3, 3, parallel_corrections=1.0))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        # the child's own peak: a forked child's ru_maxrss also counts the
+        # resident size of the process that forked it
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))\n")
     src = str(Path(simulator.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout.split()[-1]) < 1 << 20     # peak RSS under 1 GiB, in KiB
+    assert int(done.stdout.split()[-1]) < 1 << 20     # peak RSS under 1 GiB, in kB
