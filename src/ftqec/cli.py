@@ -72,9 +72,6 @@ class RunConfig:
                               n_rep=self.n_rep,
                               parallel_corrections=self.parallel_corrections)
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
     @staticmethod
     def from_json(text: str) -> "RunConfig":
         data = json.loads(text)

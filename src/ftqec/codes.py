@@ -151,11 +151,6 @@ class ClassicalCode:
     generator: np.ndarray
 
     @property
-    def dim(self) -> int:
-        """Dimension of C."""
-        return (self.n - self.k) // 2
-
-    @property
     def t(self) -> int:
         return (self.d - 1) // 2
 

@@ -37,17 +37,21 @@ lane's kept G+V sample and its readout sample and applies both, so no fold
 waits in the frame between a preparation and its coupling.
 
 Phase faults never depend on the frame, so they are drawn ahead of use.
-Each batch of a frame has its own fault pool per phase table, made from
-the batch's stream (``SimEngine.pools``) and drawn from its own child
-stream ``POOL_ROWS`` lane-samples at a time (``_faults``, a few vectorised
-draws per refill, whose faults' tags one ``np.bitwise_xor.at`` combines).
-A refill's cost is mostly fixed at low noise, and ``POOL_ROWS`` covers what
-one 64-lane batch takes from a pool there, so each pool refills once per
-batch.  A call hands the next sample of a batch's pool to each of the
-batch's masked lanes in lane order and applies only the samples whose tag
-is not 0.  A preparation hands a lane samples in pool order until one
-verifies; both kinds of pool share one hand-out.  So a batch draws the
-same samples whichever batches share its frame.  A recovery's
+Each batch of a frame has its own fault pool per phase table
+(``SimEngine.pools``), which holds ``POOL_ROWS`` lane-samples at a time
+(``_faults``, a few vectorised draws, whose faults' tags one
+``np.bitwise_xor.at`` combines).  A draw's cost is mostly fixed at low
+noise, so the batch's five pools take their first samples from one draw
+on the batch's stream over the five tables joined (``_join``), split by
+pool.  ``POOL_ROWS`` covers what one 64-lane batch takes from a pool
+there, so that draw is the batch's only one.  A pool that runs out refills
+alone from its own stream, a child of the batch's made at that refill, so
+no pool's draws depend on when another runs out.  A call hands the next
+sample of a batch's pool to each of the batch's masked lanes in lane
+order and applies only the samples whose tag is not 0.  A preparation
+hands a lane samples in pool order until one verifies; both kinds of
+pool share one hand-out.  So a batch draws the same samples whichever
+batches share its frame.  A recovery's
 extractions after the first go out in one pass per batch
 (``SimEngine.extract_rounds``): each pool hands out once over the rounds'
 lane lists joined in round order, which gives every lane the samples that
@@ -65,7 +69,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import compress
 from typing import Optional
@@ -180,6 +184,9 @@ class _FaultTable:
     offsets: np.ndarray
     distinct: np.ndarray
     slot_row: np.ndarray
+    # the phase tables a joined table joins, in order (``_join``); empty
+    # for one phase's table
+    parts: tuple = ()
 
 
 def _fault_table(program, qubits, noise: NoiseParams, ends,
@@ -338,11 +345,12 @@ def _batch_lanes(frame: ErrorFrame, mask: int) -> list[tuple[dict, tuple[int, ..
 def _faults(table: _FaultTable, rng, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample every fault of one phase in ``rows`` independent lane-samples.
 
-    Returns the sample and the tag row of each fault that struck.
+    Returns the sample and the tag row of each fault that struck.  The
+    phases of a joined table (``_join``) draw ``rows`` samples each, phase
+    k's numbered k * ``rows`` on.
     """
-    counts = [rng.binomial(s * rows, r)
-              for s, r in zip(table.slots.tolist(), table.rates)]
-    if not any(counts):
+    counts = rng.binomial(table.slots * rows, table.rates)
+    if not counts.any():
         return _NO_FAULTS
     g = np.repeat(np.arange(len(counts)), counts)
     span = table.span[g]
@@ -362,10 +370,57 @@ def _faults(table: _FaultTable, rng, rows: int) -> tuple[np.ndarray, np.ndarray]
             pick = rng.choice(table.slots[h] * rows, size=counts[h], replace=False)
             slot[at], row[at] = np.divmod(pick, rows)
             slot[at] += table.offsets[h]
+    if table.parts:
+        # faults come in group order, and each phase's groups in a run
+        first = np.cumsum([0] + [len(t.slots) for t in table.parts[:-1]])
+        row += np.repeat(rows * np.arange(len(first)), np.add.reduceat(counts, first))
     return row, table.slot_row[slot] + rest % span
 
 
 _NO_FAULTS = (np.zeros(0, np.intp), np.zeros(0, np.intp))
+
+
+def _join(tables) -> _FaultTable:
+    """One table over the phases of ``tables``, for one draw of them all:
+    their groups in order, each phase's slots and tag rows numbered on
+    from the phase before, and its tags padded with 0 words to the widest.
+    A group's law reads only its own entries, so the draw samples each
+    phase as its own table would.  Its ``parts`` are the phases' tables
+    with their tags read from the joined ones, so the tags are held once."""
+    words = max(t.tags.shape[1] for t in tables)
+    tags = np.zeros((sum(len(t.tags) for t in tables), words), "<u8")
+    parts, offsets, slot_row, slot, row = [], [], [], 0, 0
+    for t in tables:
+        mine = tags[row:row + len(t.tags), :t.tags.shape[1]]
+        mine[:] = t.tags
+        parts.append(replace(t, tags=mine))
+        offsets.append(t.offsets + slot)
+        slot_row.append(t.slot_row + row)
+        slot, row = slot + len(t.slot_row), row + len(t.tags)
+    return _FaultTable([], [], [], tags, [], [r for t in tables for r in t.rates],
+                       np.concatenate([t.slots for t in tables]),
+                       np.concatenate([t.span for t in tables]), np.concatenate(offsets),
+                       np.concatenate([t.distinct for t in tables]),
+                       np.concatenate(slot_row), tuple(parts))
+
+
+def _draw_tags(table: _FaultTable, rng) -> list[np.ndarray]:
+    """The tags of ``POOL_ROWS`` fresh samples of each phase that ``table``
+    joins (one phase's own table joins only itself), one row of words each,
+    from one draw of ``table``'s faults on ``rng``."""
+    parts = table.parts or (table,)
+    sample, row = _faults(table, rng, POOL_ROWS)
+    tags = _xor_rows(len(parts) * POOL_ROWS, sample, table.tags[row])
+    return [tags[k * POOL_ROWS:(k + 1) * POOL_ROWS, :t.tags.shape[1]]
+            for k, t in enumerate(parts)]
+
+
+def _child(seq: np.random.SeedSequence, index: int) -> np.random.Generator:
+    """Stream ``index`` under the stream seeded by ``seq``: the generator
+    that ``spawn`` gives as child ``index`` of a stream that spawned none,
+    made alone."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        seq.entropy, spawn_key=seq.spawn_key + (index,), pool_size=seq.pool_size)))
 
 
 def _xor_rows(rows: int, sample: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -388,8 +443,14 @@ def _values(rows: np.ndarray) -> list[int]:
 
 
 class _Pool:
-    """Lane-samples of one phase, drawn ``POOL_ROWS`` at a time from the
-    pool's own stream and handed out in draw order.
+    """Lane-samples of one phase, handed out in draw order.
+
+    ``SimEngine.pools`` fills a batch's pools with their first
+    ``POOL_ROWS`` samples from one draw on the batch stream; a pool that
+    runs out refills alone, ``POOL_ROWS`` samples at a time, from its own
+    stream, child ``index`` of the batch stream (``_child`` of ``seq``),
+    made at that refill.  So no pool's draws depend on when another runs
+    out.
 
     A sample's tag is the XOR of the tags (``table.tags``) of the faults
     that struck it.  A tag has three fields of one syndrome's width: the
@@ -400,19 +461,21 @@ class _Pool:
     i's tag as an int.
     """
 
-    def __init__(self, table: _FaultTable, rng):
-        self.table, self.rng = table, rng
+    def __init__(self, table: _FaultTable, seq: np.random.SeedSequence, index: int):
+        self.table, self.seq, self.index = table, seq, index
+        self.rng = None            # the pool's own stream, made at first use
         self.at = self.size = 0    # next sample; the pool starts empty
 
-    def _sample(self) -> np.ndarray:
-        """The tags of the next ``POOL_ROWS`` samples, one row of words each."""
-        sample, row = _faults(self.table, self.rng, POOL_ROWS)
-        return _xor_rows(POOL_ROWS, sample, self.table.tags[row])
+    def draw(self) -> np.ndarray:
+        """The tags of ``POOL_ROWS`` fresh samples from the pool's own stream."""
+        if self.rng is None:
+            self.rng = _child(self.seq, self.index)
+        return _draw_tags(self.table, self.rng)[0]
 
-    def refill(self) -> None:
-        tags = self._sample()
+    def refill(self, tags: np.ndarray) -> None:
+        """Hand out next the samples whose tags are the rows of ``tags``."""
         hit = np.flatnonzero(tags.any(axis=1))
-        self.at, self.size = 0, POOL_ROWS
+        self.at, self.size = 0, len(tags)
         self.keys = hit.tolist()
         self.values = _values(tags[hit])
 
@@ -423,7 +486,7 @@ class _Pool:
         out, done, count = [], 0, len(lanes)
         while done < count:
             if self.at == self.size:
-                self.refill()
+                self.refill(self.draw())
             keys = self.keys
             stop = min(self.size, self.at + count - done)
             lo = bisect_left(keys, self.at)
@@ -453,8 +516,9 @@ class _PrepPool(_Pool):
     ``spent`` counts the unverified samples that earlier refills handed out.
     """
 
-    def __init__(self, table: _FaultTable, rng, verify: np.ndarray, fold_bits: int):
-        super().__init__(table, rng)
+    def __init__(self, table: _FaultTable, seq: np.random.SeedSequence, index: int,
+                 verify: np.ndarray, fold_bits: int):
+        super().__init__(table, seq, index)
         self.verify, self.fold_bits = verify, fold_bits
         self.failed = self.spent = 0
         self.forced: list[int] = []
@@ -464,14 +528,13 @@ class _PrepPool(_Pool):
         """The unverified samples handed out so far."""
         return self.spent + bisect_left(self.forced, self.at)
 
-    def refill(self) -> None:
+    def refill(self, tags: np.ndarray) -> None:
         self.spent = self.unverified
-        tags = self._sample()
         ok = ~(tags & self.verify).any(axis=1)
-        at = np.arange(POOL_ROWS)
+        at = np.arange(len(tags))
         last_ok = np.maximum.accumulate(np.where(ok, at, -1 - self.failed))
         keep = ok | ((at - last_ok) % MAX_ATTEMPTS == 0)
-        self.failed = int(POOL_ROWS - 1 - last_ok[-1]) % MAX_ATTEMPTS
+        self.failed = int(len(tags) - 1 - last_ok[-1]) % MAX_ATTEMPTS
         rank = np.cumsum(keep) - 1
         self.at, self.size = 0, int(rank[-1]) + 1
         self.forced = rank[keep & ~ok].tolist()
@@ -591,12 +654,16 @@ class SimEngine:
         # a tag's three fields are w bits each, w the check rows
         checks = self.code.H
         self.syndrome_bits = w = len(checks)
-        self._prep, self._readout = _phase_tables(self.networks, checks, noise)
+        prep, readout = _phase_tables(self.networks, checks, noise)
         # data noise has no circuit after it: its tags are the data's ends
         data, ends = list(range(self.n)), _data_ends(checks)
-        self._data_rest = _fault_table([], data, noise, ends,
-                                       (data, idle_flip_probability(noise.eps, self.t_r)))
-        self._logical_gate = _fault_table([], data, noise, ends, (data, noise.gamma))
+        rest = _fault_table([], data, noise, ends,
+                            (data, idle_flip_probability(noise.eps, self.t_r)))
+        gate = _fault_table([], data, noise, ends, (data, noise.gamma))
+        # the pools' phases in their order, joined for a batch's first draw
+        self._joined = _join([prep, readout["Z"], readout["X"], rest, gate])
+        self._prep, z, x, self._data_rest, self._logical_gate = self._joined.parts
+        self._readout = {"Z": z, "X": x}
         self._verify_word = _word_mask(range(6 * w, 6 * w + self.rows), 6 * w + self.rows)
 
     def _resting_time(self) -> float:
@@ -616,14 +683,18 @@ class SimEngine:
 
     def pools(self, rng) -> dict:
         """Fresh fault pools for one batch of a frame: G+V, the two readouts,
-        the data's rest and the logical gate, each on its own child stream
-        of ``rng`` in that order."""
-        prep, z, x, rest, gate = rng.spawn(5)
-        return {"prep": _PrepPool(self._prep, prep, self._verify_word, 6 * self.syndrome_bits),
-                "Z": _Pool(self._readout["Z"], z),
-                "X": _Pool(self._readout["X"], x),
-                "rest": _Pool(self._data_rest, rest),
-                "gate": _Pool(self._logical_gate, gate)}
+        the data's rest and the logical gate, pool k of them refilling from
+        child k of the batch stream ``rng``.  One draw on ``rng`` over the
+        phases joined (``_join``) fills each with its first ``POOL_ROWS``
+        samples."""
+        seq = rng.bit_generator.seed_seq
+        prep, z, x, rest, gate = self._joined.parts
+        pools = {"prep": _PrepPool(prep, seq, 0, self._verify_word, 6 * self.syndrome_bits),
+                 "Z": _Pool(z, seq, 1), "X": _Pool(x, seq, 2),
+                 "rest": _Pool(rest, seq, 3), "gate": _Pool(gate, seq, 4)}
+        for pool, tags in zip(pools.values(), _draw_tags(self._joined, rng)):
+            pool.refill(tags)
+        return pools
 
     # -- one syndrome extraction ---------------------------------------------
     def attempt_preparation(self, frame: ErrorFrame, rng, mask: int) -> int:
@@ -881,7 +952,9 @@ def _run_batch_range(config: SimConfig, seed: int, lo: int, hi: int) -> TrialSta
 def estimate_pbar_mc(config: SimConfig, seed: int = 0,
                      workers: int = 1) -> TrialStats:
     """Repeat ``Q_MAX``-step trials until the crash count at step
-    ``Q_MAX`` reaches the target.
+    ``Q_MAX`` reaches the target.  The run stops, censored, at the trial
+    cap, or once 8,192 trials show a crash rate per step at which too few
+    of the cap's lanes would reach step ``Q_MAX`` to give the target.
 
     Work is sharded into 64-trial batches, one RNG stream per batch, and the
     stopping rule is evaluated at fixed chunk boundaries, so the aggregate
@@ -927,11 +1000,17 @@ def estimate_pbar_mc(config: SimConfig, seed: int = 0,
             if total.trials >= config.max_trials:
                 total.censored = True
                 break
-            # saturation: nothing ever survives to the last step
-            deep = total.n_f[Q_MAX] + total.n_s[Q_MAX]
-            if total.trials >= 8192 and deep == 0:
-                total.censored = True
-                break
+            # saturation: at the pooled hazard per step h, a lane reaches
+            # step Q_MAX with probability (1 - h)^(Q_MAX - 1), too seldom
+            # for the trial cap to give the target there.  A target above
+            # the cap is out of reach at any noise: that run asks for
+            # ``max_trials`` trials
+            if total.trials >= 8192 and config.target_failures <= config.max_trials:
+                hazard = total.n_f.sum() / (total.n_f.sum() + total.n_s.sum())
+                reach = (1.0 - hazard) ** (Q_MAX - 1)
+                if config.target_failures > config.max_trials * reach:
+                    total.censored = True
+                    break
     finally:
         if pool is not None:
             pool.shutdown()

@@ -35,10 +35,6 @@ class SyndromeCensus:
     def probability(self, syndrome: int) -> float:
         return self.counts.get(syndrome, 0) / self.trials
 
-    def nonzero_fraction(self) -> float:
-        good = self.counts.get(0, 0)
-        return 1.0 - good / self.trials
-
     def weight_class_probabilities(self, decoder) -> dict[int, float]:
         """Total probability of the syndromes of each coset-leader weight."""
         totals: dict[int, int] = {}
@@ -157,12 +153,6 @@ def c_s_histogram(fit: PowerLawFit, decoder, weight: int) -> dict[float, int]:
         center = (math.floor(c / C_S_BIN_WIDTH) + 0.5) * C_S_BIN_WIDTH
         hist[round(center, 6)] = hist.get(round(center, 6), 0) + 1
     return hist
-
-
-def histogram_mode(hist: dict[float, int]) -> Optional[float]:
-    if not hist:
-        return None
-    return max(sorted(hist.items()), key=lambda kv: kv[1])[0]
 
 
 def repeated_error_collision(census: SyndromeCensus, decoder,

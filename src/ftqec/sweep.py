@@ -48,16 +48,6 @@ class Surface:
         if cur is None or point.kq > cur.kq:
             self.cells[key] = point
 
-    def best_in(self, gamma: float, max_scale_up: Optional[float] = None) -> float:
-        best = 0.0
-        for (b, g), pt in self.cells.items():
-            if g != gamma:
-                continue
-            if max_scale_up is not None and pt.scale_up > max_scale_up:
-                continue
-            best = max(best, pt.kq)
-        return best
-
     def rows(self) -> list[dict]:
         out = []
         for (b, g), pt in sorted(self.cells.items()):

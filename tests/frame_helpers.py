@@ -14,8 +14,9 @@ The simulator's fault tables hold tags, each fault's end-of-phase image
 under the engine's map.  ``image_tables`` sweeps an engine's phases again
 from identity ends, so each row is the fault's image itself, and
 ``tag_matrices`` holds that map as dense 0/1 matrices, the tests' reference
-for the tags.  ``draw`` gives a phase's drawn samples and
-``dense_products`` their products under a matrix.
+for the tags.  ``draw`` gives a phase's drawn samples, ``joined_faults``
+each phase's share of a batch's first draw, and ``dense_products`` their
+products under a matrix.
 """
 from dataclasses import dataclass, field
 
@@ -24,7 +25,8 @@ import numpy as np
 from ftqec import network
 from ftqec.network import GateEvent
 from ftqec.noise import idle_flip_probability
-from ftqec.simulator import ErrorFrame, _fault_table, _faults, _values, _xor_rows
+from ftqec.simulator import (POOL_ROWS, ErrorFrame, _fault_table, _faults, _join, _values,
+                             _xor_rows)
 
 MASK_ALL = (1 << 64) - 1
 
@@ -94,13 +96,28 @@ def scatter(frame: PlaneFrame, table, images: np.ndarray, lanes) -> None:
 
 def draw(table, rng, rows: int) -> np.ndarray:
     """Sample every fault of one phase in ``rows`` independent lane-samples
-    (``simulator._faults``, so the pools' draws on the same stream).
+    (``simulator._faults``, so a pool's later refills on the same stream).
 
     Returns one row of little-endian uint64 words per sample: the XOR of
     the rows (images or tags) of the faults that struck it.
     """
     sample, row = _faults(table, rng, rows)
     return np.ascontiguousarray(_xor_rows(rows, sample, table.tags[row]))
+
+
+def joined_faults(tables: dict, rng) -> dict:
+    """Each phase's faults in its first ``POOL_ROWS`` samples, as
+    ``SimEngine.pools`` draws them on the batch stream ``rng``: one draw of
+    the tables joined in order, split by the tag rows each phase owns
+    there.  Returns (sample, tag row of the phase's own table) per phase."""
+    sample, row = _faults(_join(list(tables.values())), rng, POOL_ROWS)
+    out, start = {}, 0
+    for k, (phase, table) in enumerate(tables.items()):
+        mine = (start <= row) & (row < start + len(table.tags))
+        assert (sample[mine] // POOL_ROWS == k).all(), phase
+        out[phase] = sample[mine] % POOL_ROWS, row[mine] - start
+        start += len(table.tags)
+    return out
 
 
 def identity_ends(m: int) -> list[tuple[int, int]]:

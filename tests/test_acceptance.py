@@ -15,6 +15,7 @@ from ftqec.noise import NoiseParams
 from ftqec.simulator import ProtocolParams, SimConfig, estimate_pbar_mc
 
 from frame_helpers import plant
+from result_helpers import best_kq, histogram_mode, nonzero_fraction
 
 SEED = 20260808
 
@@ -267,9 +268,9 @@ def test_criterion_7_surface():
     cfg = sweep.SweepConfig(gammas=(1e-4, 5e-3), eps_over_gamma=0.01, t_m=25,
                             protocol_family="catalog")
     surface = sweep.build_surface(cfg)
-    small = surface.best_in(1e-4, max_scale_up=25)
-    big = surface.best_in(1e-4, max_scale_up=3000)
-    cliff = surface.best_in(5e-3)
+    small = best_kq(surface, 1e-4, max_scale_up=25)
+    big = best_kq(surface, 1e-4, max_scale_up=3000)
+    cliff = best_kq(surface, 5e-3)
     concat_cells = [pt for (b, g), pt in surface.cells.items()
                     if g == 1e-4 and pt.code.startswith("golay+bch")
                     and pt.scale_up <= 3000]
@@ -294,7 +295,7 @@ def test_criterion_8_census():
     code = codes.standardized_code(codes.construct_code("golay"))
     decoder = codes.decoder_for(code)
     fit = stats.weight_class_fit(censuses, decoder)
-    mode = stats.histogram_mode(stats.c_s_histogram(fit, decoder, 1))
+    mode = histogram_mode(stats.c_s_histogram(fit, decoder, 1))
 
     sim_code = codes.construct_code("golay")
     sf = codes.standard_form(sim_code)
@@ -303,7 +304,7 @@ def test_criterion_8_census():
     for census in censuses:
         noise = NoiseParams(census.gamma, census.eps, census.t_m)
         p_za = analytic.preparation_stats(sim_params, noise)["p_za"]
-        track_ok &= (0.7 <= census.nonzero_fraction() / p_za <= 1.3)
+        track_ok &= (0.7 <= nonzero_fraction(census) / p_za <= 1.3)
 
     checks = {
         # compared on the histogram's 6-decimal bin grid: abs(0.85 - 1.0)

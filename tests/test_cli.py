@@ -11,6 +11,8 @@ import pytest
 from ftqec import cli
 from ftqec.cli import RunConfig, run
 
+from result_helpers import config_json
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -19,7 +21,7 @@ def read_csv(path):
 
 def test_runconfig_roundtrip():
     cfg = RunConfig(subcommand="estimate", code="golay", gamma=2e-4, seed=9)
-    clone = RunConfig.from_json(cfg.to_json())
+    clone = RunConfig.from_json(config_json(cfg))
     assert clone == cfg
 
 
@@ -272,7 +274,7 @@ def test_config_file_with_flag_override(tmp_path):
     cfg = RunConfig(subcommand="estimate", code="hamming", gamma=1e-3,
                     eps=1e-5, t_m=1, r=2, r_prime=2, r_dprime=2, n_rep=2.5)
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(cfg.to_json())
+    cfg_path.write_text(config_json(cfg))
     rc = run(["--config", str(cfg_path), "estimate", "--code", "golay",
               "--out-dir", str(tmp_path)])
     assert rc == cli.EXIT_OK

@@ -7,6 +7,8 @@ import pytest
 from ftqec import codes, gf2
 from ftqec.codes import CodeConstructionError, CodeSpec
 
+from result_helpers import code_dim
+
 
 def span_min_weight(h):
     """Minimum weight over the nonzero row span of h (exhaustive)."""
@@ -34,13 +36,13 @@ def test_decoder_shared_between_equal_codes():
 
 def test_hamming_shape(hamming):
     assert (hamming.n, hamming.k, hamming.d) == (7, 1, 3)
-    assert hamming.dim == 3
+    assert code_dim(hamming) == 3
     assert hamming.H.shape == (4, 7)
 
 
 def test_golay_shape(golay):
     assert (golay.n, golay.k, golay.d) == (23, 1, 7)
-    assert golay.dim == 11
+    assert code_dim(golay) == 11
     assert golay.H.shape == (12, 23)
 
 

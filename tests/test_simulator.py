@@ -22,8 +22,9 @@ from ftqec.simulator import (ErrorFrame, ProtocolParams, ProtocolError,
                              judge_syndromes, recover_block, run_batch)
 
 from frame_helpers import (PlaneFrame, column, dense_products, draw, engine_tables,
-                           extract_by_rounds, image_tables, pack, plane_syndromes, plant,
-                           propagate, set_lane, tag_matrices, x_bits, z_bits)
+                           extract_by_rounds, image_tables, joined_faults, pack,
+                           plane_syndromes, plant, propagate, set_lane, tag_matrices, x_bits,
+                           z_bits)
 
 
 def engine(code_name="hamming", gamma=0.0, eps=0.0, t_m=1,
@@ -139,11 +140,14 @@ def _sequential_unverified(verified: np.ndarray, lanes: int, max_attempts: int) 
 
 def test_unverified_lanes_counted(monkeypatch):
     # heavy noise leaves lanes unverified; the batch's G+V pool, replayed
-    # from its stream (the first of five spawned from the batch stream),
-    # says how many
+    # from the batch stream's first draw (its own stream, the first child
+    # of the batch stream, starts at its second refill, which these 64
+    # lanes never reach), says how many
     eng = engine(gamma=0.3, eps=0.3)
     mask = (1 << 64) - 1
-    images = draw(image_tables(eng)["prep"], stream(5, 0).spawn(5)[0], simulator.POOL_ROWS)
+    tables = image_tables(eng)
+    sample, row = joined_faults(tables, stream(5, 0))["prep"]
+    images = np.ascontiguousarray(_xor_rows(simulator.POOL_ROWS, sample, tables["prep"].tags[row]))
     bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
     # X bits of the verification qubits, which follow the ancilla
     verified = ~bits[:, eng.n:eng.n + eng.rows].any(axis=1)
@@ -198,12 +202,13 @@ def test_prepare_verified_matches_sequential_retries(limit, monkeypatch):
     assert len(set(want)) == len(want)
     assert [t >> fold_bits != 0 for t in tags] == fails.tolist()
     chunks = iter(np.split(tag_rows, 3))
+    refill = simulator._PrepPool.refill
 
-    def sample(pool):
-        assert pool.table is eng._prep
-        return next(chunks)
+    def fixed(pool, tags):
+        assert pool.table is eng._prep and tags.shape == (pool_rows, tag_rows.shape[1])
+        refill(pool, next(chunks))
 
-    monkeypatch.setattr(simulator._PrepPool, "_sample", sample)
+    monkeypatch.setattr(simulator._PrepPool, "refill", fixed)
     gen = np.random.default_rng(9)
     scale = pool_rows // 512
     masks = [(1 << 64) - 1] * 4 * scale + [int(v) for v in gen.integers(1, 2**63, 8 * scale)]
@@ -340,7 +345,7 @@ def test_readout_map_matches_propagation(name, monkeypatch):
             images = draw(image, stream(n, 1), len(lanes)) & ancilla_only
             tags = np.zeros((simulator.POOL_ROWS, noisy.tags.shape[1]), "<u8")
             tags[:len(lanes)] = draw(noisy, stream(n, 1), len(lanes)) & ~eng._verify_word
-            monkeypatch.setattr(simulator._PrepPool, "_sample", lambda pool, tags=tags: tags)
+            frame.pools[0]["prep"].refill(tags)
             bits = np.unpackbits(images.view(np.uint8), axis=1, bitorder="little")
             assert bits[:, :n].any() and bits[:, m:m + n].any()
             for lane, row in zip(lanes, bits):
@@ -429,18 +434,20 @@ def _sequential_schedule(ok: list[bool], failed: int, limit: int) -> tuple[list[
 
 @pytest.mark.parametrize("name", codes.code_names())
 def test_pool_tags_match_drawn_images(name, monkeypatch):
-    # each pool's refill against one draw of its faults on the same
-    # stream, which gives each sample both its image (the XOR of the
-    # faults' rows of the phase swept from identity ends) and its tag (the
-    # XOR of their rows of the engine's table).  The hits are the samples
-    # whose image is not 0 less those whose tag is 0.  The G+V pool keeps
-    # the samples a per-sample retry loop keeps, with their folds, whether
-    # or not each image's verification X bits are 0
+    # each pool's refills against one draw of its faults, which gives each
+    # sample both its image (the XOR of the faults' rows of the phase
+    # swept from identity ends) and its tag (the XOR of their rows of the
+    # engine's table): the first refill against the pool's share of the
+    # joined draw on the batch stream, the later ones against draws on
+    # the pool's child of the batch stream, as ``spawn`` numbers them.  The
+    # hits are the samples whose image is not 0 less those whose tag is 0.
+    # The G+V pool keeps the samples a per-sample retry loop keeps, with
+    # their folds, whether or not each image's verification X bits are 0
     monkeypatch.setattr(codes, "decoder_for", lambda code: None)
     eng = engine(name, gamma=1e-3, eps=1e-3)
     n, rows, w = eng.n, eng.rows, eng.syndrome_bits
     seen = dict.fromkeys(["hit", "dropped", "forced", "fold"], 0)
-    image_rows = {phase: table.tags for phase, table in image_tables(eng).items()}
+    images_of = {phase: table.tags for phase, table in image_tables(eng).items()}
     low = (1 << 6 * w) - 1
 
     @settings(derandomize=True, database=None, max_examples=4, deadline=None)
@@ -452,19 +459,26 @@ def test_pool_tags_match_drawn_images(name, monkeypatch):
             check_pools(seed, faults, refills, limit)
 
     def check_pools(seed, faults, refills, limit):
-        pools = eng.pools(stream(seed, 0))
-        for (phase, pool), rng in zip(pools.items(), stream(seed, 0).spawn(5)):
+        tables = {}
+        for phase, table in engine_tables(eng).items():
             # rates scaled to a mean of ``faults`` faults per sample
-            table = pool.table
             scale = faults / float(np.dot(table.slots, table.rates) or 1.0)
-            pool.table = table = dataclasses.replace(
+            tables[phase] = dataclasses.replace(
                 table, rates=[min(1.0, r * scale) for r in table.rates])
+        monkeypatch.setattr(eng, "_joined", simulator._join(list(tables.values())))
+        pools = eng.pools(stream(seed, 0))
+        first = joined_faults(tables, stream(seed, 0))
+        for (phase, pool), rng in zip(pools.items(), stream(seed, 0).spawn(5)):
+            table = tables[phase]
             failed = 0
-            for _ in range(refills):
-                pool.refill()
-                sample, row = simulator._faults(table, rng, simulator.POOL_ROWS)
+            for refill in range(refills):
+                if refill:
+                    pool.refill(pool.draw())
+                    sample, row = simulator._faults(table, rng, simulator.POOL_ROWS)
+                else:
+                    sample, row = first[phase]
                 images = np.ascontiguousarray(
-                    _xor_rows(simulator.POOL_ROWS, sample, image_rows[phase][row]))
+                    _xor_rows(simulator.POOL_ROWS, sample, images_of[phase][row]))
                 tags = _values(_xor_rows(simulator.POOL_ROWS, sample, table.tags[row]))
                 if phase != "prep":
                     drawn = np.flatnonzero(images.any(axis=1)).tolist()
@@ -490,6 +504,76 @@ def test_pool_tags_match_drawn_images(name, monkeypatch):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("name", codes.code_names())
+def test_joined_draw_splits_by_pool(name, monkeypatch):
+    # a batch's pools fill from one draw over the five tables joined.
+    # Split by the tag rows each phase owns, that draw's faults give each
+    # pool what a fresh pool of its own table makes of exactly its own
+    # faults: keys, values and size, and for G+V forced and failed too,
+    # at the default attempt limit and at 2, where runs of failures keep
+    # unverified samples
+    monkeypatch.setattr(codes, "decoder_for", lambda code: None)
+    eng = engine(name, gamma=3e-3, eps=3e-3)
+    tables = engine_tables(eng)
+    seen = {"hit": 0, "forced": 0}
+    for limit in (simulator.MAX_ATTEMPTS, 2):
+        monkeypatch.setattr(simulator, "MAX_ATTEMPTS", limit)
+        pools = eng.pools(stream(eng.n, 3))
+        faults = joined_faults(tables, stream(eng.n, 3))
+        for phase, pool in pools.items():
+            sample, row = faults[phase]
+            tags = _xor_rows(simulator.POOL_ROWS, sample, tables[phase].tags[row])
+            if phase == "prep":
+                alone = simulator._PrepPool(pool.table, None, 0, eng._verify_word,
+                                            6 * eng.syndrome_bits)
+            else:
+                alone = simulator._Pool(pool.table, None, 0)
+            alone.refill(tags)
+            assert (pool.keys, pool.values, pool.size) == (alone.keys, alone.values,
+                                                           alone.size), phase
+            seen["hit"] += len(pool.keys)
+            if phase == "prep":
+                assert (pool.forced, pool.failed) == (alone.forced, alone.failed)
+                seen["forced"] += len(pool.forced)
+    assert all(seen.values()), seen
+
+
+def test_quiet_batch_builds_no_child_stream(monkeypatch):
+    # at gamma = 1e-4 the batch stream's one draw covers what a golay batch
+    # takes from each pool, so the batch makes no other generator; at
+    # 3e-3 the G+V pool refills, from the generator that ``spawn`` gives
+    # as child 0 of the batch stream, made only then
+    built = []
+
+    class Counted(np.random.PCG64):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    pp = ProtocolParams(4, 3, 3, parallel_corrections=1.0)
+    quiet = engine("golay", gamma=1e-4, eps=1e-6, t_m=25, pp=pp)
+    noisy = engine("golay", gamma=3e-3, eps=3e-5, t_m=25, pp=pp)
+    rngs = [stream(101, 0), stream(101, 1)]
+    monkeypatch.setattr(np.random, "PCG64", Counted)
+    assert run_batch(quiet, rngs[:1]).trials == 64
+    assert built == [] and rngs[0].bit_generator.seed_seq.n_children_spawned == 0
+    frame = ErrorFrame(pools=[noisy.pools(rngs[1])])
+    assert built == []
+    noisy.couple_and_measure(frame, (1 << 64) - 1, "X")
+    prep = frame.pools[0]["prep"]
+    assert built == [] and prep.rng is None
+    prep.hand_out(range(prep.size - prep.at + 1))
+    assert len(built) == 1 and rngs[1].bit_generator.seed_seq.n_children_spawned == 0
+    monkeypatch.undo()
+    for k in range(5):
+        assert (simulator._child(stream(101, 1).bit_generator.seed_seq, k).bit_generator.state
+                == stream(101, 1).spawn(5)[k].bit_generator.state)
+    # the pool's generator has made one draw on child 0's stream
+    child = stream(101, 1).spawn(5)[0]
+    simulator._draw_tags(prep.table, child)
+    assert prep.rng.bit_generator.state["state"] == child.bit_generator.state["state"]
+
+
 @pytest.mark.parametrize("name", ["hamming", "golay"])
 def test_one_pass_rounds_match_round_by_round(name, monkeypatch):
     # a recovery's later rounds in one hand-out per batch against the
@@ -504,7 +588,9 @@ def test_one_pass_rounds_match_round_by_round(name, monkeypatch):
     def state(frame):
         cursors = [(p.at, p.size, p.failed) if k == "prep" else p.at
                    for pools in frame.pools for k, p in pools.items()]
-        streams = [p.rng.bit_generator.state for pools in frame.pools for p in pools.values()]
+        # a pool makes its own stream at its second refill
+        streams = [p.rng and p.rng.bit_generator.state
+                   for pools in frame.pools for p in pools.values()]
         return frame.sx, frame.sz, frame.unverified, cursors, streams
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -725,6 +811,19 @@ def test_degenerate_stats_flagged():
     assert math.isnan(stats.pbar)
 
 
+def test_run_stops_when_step_q_max_is_out_of_reach():
+    # hamming at gamma = eps = 3e-3, t_m = 25 crashes about half its lanes
+    # per step: its first 8,192 trials leave a few lanes at step Q_MAX, but
+    # 100 crashes there take about 5e4 trials, beyond a cap of 16,384, so
+    # the run stops at 8,192 trials, censored
+    cfg = SimConfig("hamming", NoiseParams(3e-3, 3e-3, 25),
+                    ProtocolParams(2, 2, 2, parallel_corrections=1.0),
+                    target_failures=100, max_trials=16384)
+    stats = estimate_pbar_mc(cfg, seed=20260808)
+    assert stats.censored and stats.trials == 8192
+    assert stats.n_f[simulator.Q_MAX] + stats.n_s[simulator.Q_MAX] > 0
+
+
 def test_stationarity_and_stderr():
     cfg = SimConfig("hamming", NoiseParams(3e-3, 3e-3, 1),
                     ProtocolParams(2, 2, 2, parallel_corrections=1.0),
@@ -812,18 +911,18 @@ def test_trial_cap_is_exact():
 # 33 batches in two frames; the last one runs out of preparation attempts.
 PINNED_COUNTS = [
     (("golay", (3e-3, 3e-5, 25), (4, 3, 3), 128, 2, 101),
-     ([0, 0, 2, 1, 1, 1, 2, 1, 0, 2, 0],
-      [0, 128, 126, 125, 124, 123, 121, 120, 120, 118, 118], 128, 0)),
+     ([0, 1, 1, 0, 0, 5, 2, 1, 2, 2, 1],
+      [0, 127, 126, 126, 126, 121, 119, 118, 116, 114, 113], 128, 0)),
     (("golay", (1e-4, 1e-6, 25), (4, 3, 3), 128, 2, 101),
      ([0] * 11, [0] + [128] * 10, 128, 0)),
     (("hamming", (1e-2, 1e-4, 1), (2, 2, 2), 2112, 33, 101),
-     ([0, 36, 76, 94, 82, 67, 88, 72, 81, 70, 61],
-      [0, 2076, 2000, 1906, 1824, 1757, 1669, 1597, 1516, 1446, 1385], 2112, 0)),
+     ([0, 50, 88, 75, 85, 73, 69, 72, 62, 74, 48],
+      [0, 2062, 1974, 1899, 1814, 1741, 1672, 1600, 1538, 1464, 1416], 2112, 0)),
     (("bch31", (2e-3, 2e-5, 1), (3, 2, 2), 128, 2, 101),
-     ([0, 1, 0, 1, 1, 3, 3, 2, 1, 1, 1],
-      [0, 127, 127, 126, 125, 122, 119, 117, 116, 115, 114], 128, 0)),
+     ([0, 0, 2, 0, 1, 0, 1, 1, 1, 0, 1],
+      [0, 128, 126, 126, 125, 125, 124, 123, 122, 122, 121], 128, 0)),
     (("hamming", (0.3, 0.3, 1), (2, 2, 2), 128, 2, 4),
-     ([0, 97, 24, 5, 0, 2, 0, 0, 0, 0, 0], [0, 31, 7, 2, 2, 0, 0, 0, 0, 0, 0], 128, 10)),
+     ([0, 95, 29, 4, 0, 0, 0, 0, 0, 0, 0], [0, 33, 4, 0, 0, 0, 0, 0, 0, 0, 0], 128, 11)),
 ]
 
 
@@ -1018,8 +1117,8 @@ def test_bch127_43_batch_pinned():
                     NoiseParams(1e-3, 1e-5, 25),
                     ProtocolParams(4, 3, 3, parallel_corrections=1.0))
     stats = run_batch(eng, [stream(1, 0)])
-    assert stats.n_f.tolist() == [0, 24, 10, 12, 4, 9, 3, 1, 1, 0, 0]
-    assert stats.n_s.tolist() == [0, 40, 30, 18, 14, 5, 2, 1, 0, 0, 0]
+    assert stats.n_f.tolist() == [0, 23, 11, 9, 10, 3, 6, 2, 0, 0, 0]
+    assert stats.n_s.tolist() == [0, 41, 30, 21, 11, 8, 2, 0, 0, 0, 0]
 
 
 def test_single_worker_never_imports_process_pool():

@@ -25,11 +25,6 @@ UNCALLED = {
     # checks the MC census against the model's p_ws floor; its caller is
     # the model-MC tallies still to come
     "stats.repeated_error_collision": "waiting for the model-MC tallies",
-    "codes.ClassicalCode.dim": "test helper",
-    "cli.RunConfig.to_json": "test helper",
-    "sweep.Surface.best_in": "test helper",
-    "stats.SyndromeCensus.nonzero_fraction": "test helper",
-    "stats.histogram_mode": "test helper",
 }
 
 
