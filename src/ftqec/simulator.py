@@ -48,11 +48,13 @@ there, so that draw is the batch's only one.  A pool that runs out refills
 alone from its own stream, a child of the batch's made at that refill, so
 no pool's draws depend on when another runs out.  A call hands the next
 sample of a batch's pool to each of the batch's masked lanes in lane
-order and applies only the samples whose tag is not 0.  A preparation
-hands a lane samples in pool order until one verifies; both kinds of
-pool share one hand-out.  So a batch draws the same samples whichever
-batches share its frame.  A recovery's
-extractions after the first go out in one pass per batch
+order and applies only the samples whose tag is not 0.  A pool keeps a
+cursor into its struck samples, so a hand-out whose window holds none
+costs O(1), and one that holds some costs one bisect from the cursor.
+A preparation hands a lane samples in pool order until one verifies;
+both kinds of pool share one hand-out.  So a batch draws the same
+samples whichever batches share its frame.  A recovery's extractions
+after the first go out in one pass per batch
 (``SimEngine.extract_rounds``): each pool hands out once over the rounds'
 lane lists joined in round order, which gives every lane the samples that
 round-by-round calls would.
@@ -458,13 +460,20 @@ class _Pool:
     syndromes of the X and of the Z errors they leave on the data.  A
     refill leaves ``size`` samples to hand out; ``keys`` lists, in
     increasing order, those whose tag is not 0, and ``values[i]`` is key
-    i's tag as an int.
+    i's tag as an int.  ``at`` is the next sample to hand out, and the
+    cursor ``lo`` the index in ``keys`` of the first key at or after it:
+    a refill sets both to 0, and every hand-out leaves ``lo`` equal to
+    ``bisect_left(keys, at)``.  So a window that ends inside the refill
+    and holds no key costs O(1), and one that holds keys costs one bisect
+    from ``lo``.
     """
 
     def __init__(self, table: _FaultTable, seq: np.random.SeedSequence, index: int):
         self.table, self.seq, self.index = table, seq, index
         self.rng = None            # the pool's own stream, made at first use
-        self.at = self.size = 0    # next sample; the pool starts empty
+        self.at = self.size = self.lo = 0    # the pool starts empty
+        self.keys: list[int] = []
+        self.values: list[int] = []
 
     def draw(self) -> np.ndarray:
         """The tags of ``POOL_ROWS`` fresh samples from the pool's own stream."""
@@ -475,7 +484,7 @@ class _Pool:
     def refill(self, tags: np.ndarray) -> None:
         """Hand out next the samples whose tags are the rows of ``tags``."""
         hit = np.flatnonzero(tags.any(axis=1))
-        self.at, self.size = 0, len(tags)
+        self.at, self.size, self.lo = 0, len(tags), 0
         self.keys = hit.tolist()
         self.values = _values(tags[hit])
 
@@ -483,18 +492,27 @@ class _Pool:
         """Hand the next samples to ``lanes``, one each in turn; return
         ``(i, value)`` for each sample among the keys, ``lanes[i]`` the lane
         that took it."""
-        out, done, count = [], 0, len(lanes)
+        at, count = self.at, len(lanes)
+        stop = at + count
+        if stop <= self.size:
+            # the window ends inside this refill
+            keys, lo = self.keys, self.lo
+            self.at = stop
+            if lo == len(keys) or keys[lo] >= stop:
+                return []
+            self.lo = hi = bisect_left(keys, stop, lo)
+            return [(k - at, v) for k, v in zip(keys[lo:hi], self.values[lo:hi])]
+        out, done = [], 0
         while done < count:
             if self.at == self.size:
                 self.refill(self.draw())
-            keys = self.keys
-            stop = min(self.size, self.at + count - done)
-            lo = bisect_left(keys, self.at)
+            at, keys, lo = self.at, self.keys, self.lo
+            stop = min(self.size, at + count - done)
             hi = bisect_left(keys, stop, lo)
-            shift = done - self.at
+            shift = done - at
             out += [(k + shift, v) for k, v in zip(keys[lo:hi], self.values[lo:hi])]
-            done += stop - self.at
-            self.at = stop
+            done += stop - at
+            self.at, self.lo = stop, hi
         return out
 
 
@@ -536,7 +554,7 @@ class _PrepPool(_Pool):
         keep = ok | ((at - last_ok) % MAX_ATTEMPTS == 0)
         self.failed = int(len(tags) - 1 - last_ok[-1]) % MAX_ATTEMPTS
         rank = np.cumsum(keep) - 1
-        self.at, self.size = 0, int(rank[-1]) + 1
+        self.at, self.size, self.lo = 0, int(rank[-1]) + 1, 0
         self.forced = rank[keep & ~ok].tolist()
         kept_hit = np.flatnonzero(keep & tags.any(axis=1))
         low = (1 << self.fold_bits) - 1

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from bisect import bisect_left
 from collections import OrderedDict
 from pathlib import Path
 
@@ -586,7 +587,7 @@ def test_one_pass_rounds_match_round_by_round(name, monkeypatch):
     w = eng.syndrome_bits
 
     def state(frame):
-        cursors = [(p.at, p.size, p.failed) if k == "prep" else p.at
+        cursors = [(p.at, p.lo, p.size, p.failed) if k == "prep" else (p.at, p.lo)
                    for pools in frame.pools for k, p in pools.items()]
         # a pool makes its own stream at its second refill
         streams = [p.rng and p.rng.bit_generator.state
@@ -628,6 +629,85 @@ def test_one_pass_rounds_match_round_by_round(name, monkeypatch):
         check()
     finally:
         eng.protocol = ProtocolParams(2, 2, 2, parallel_corrections=1.0)
+
+
+def _hand_out_as_written(pool, lanes) -> list[tuple[int, int]]:
+    """``_Pool.hand_out`` as first written: one loop over the refills the
+    window reaches, each bisecting ``keys`` from scratch, with no cursor."""
+    out, done, count = [], 0, len(lanes)
+    while done < count:
+        if pool.at == pool.size:
+            pool.refill(pool.draw())
+        keys = pool.keys
+        stop = min(pool.size, pool.at + count - done)
+        lo = bisect_left(keys, pool.at)
+        hi = bisect_left(keys, stop, lo)
+        shift = done - pool.at
+        out += [(k + shift, v) for k, v in zip(keys[lo:hi], pool.values[lo:hi])]
+        done += stop - pool.at
+        pool.at = stop
+    return out
+
+
+def test_hand_out_cursor_matches_bisecting_loop():
+    # two copies of a batch's pools, one handing out with the cursor and
+    # one with the loop as first written, driven through one random
+    # sequence of lane counts (None: to the end of the current refill):
+    # windows inside a refill, with and without keys, ending exactly at
+    # its end, and crossing one or more refills.  Every pool kind must
+    # return the same and keep the same samples and G+V tallies, and after
+    # every call the cursor is the first key at or after ``at``
+    engines = [engine("golay", gamma=g, eps=g) for g in (1e-4, 3e-3, 3e-2)]
+    engines.append(engine("hamming", gamma=1e-2, eps=1e-2))
+    seen = dict.fromkeys(["empty", "inside", "to the end", "across one", "across more"], 0)
+
+    def state(pool):
+        out = (pool.at, pool.size, pool.keys, pool.values)
+        if isinstance(pool, simulator._PrepPool):
+            out += (pool.failed, pool.forced, pool.unverified)
+        return out
+
+    def counted(pool, draws):
+        draw = pool.draw
+
+        def counting():
+            draws.append(pool)
+            return draw()
+        pool.draw = counting
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(eng=st.sampled_from(engines), seed=st.integers(0, 2**32 - 1),
+           counts=st.lists(st.integers(0, 300) | st.none(), min_size=1, max_size=40))
+    def check(eng, seed, counts):
+        new, old = eng.pools(stream(seed, 0)), eng.pools(stream(seed, 0))
+        draws = []
+        for pool in new.values():
+            counted(pool, draws)
+        for count in counts:
+            for kind, pool in new.items():
+                left = pool.size - pool.at
+                lanes = range(left if count is None else count)
+                del draws[:]
+                got = pool.hand_out(lanes)
+                assert got == _hand_out_as_written(old[kind], lanes), kind
+                assert state(pool) == state(old[kind]), kind
+                assert pool.lo == bisect_left(pool.keys, pool.at), kind
+                if draws:
+                    seen["across one" if len(draws) == 1 else "across more"] += 1
+                elif len(lanes) == left and left:
+                    seen["to the end"] += 1
+                else:
+                    seen["inside" if got else "empty"] += 1
+
+    check()
+    assert all(seen.values()), seen
+    # a zero-lane hand-out on a fresh pool changes nothing
+    eng = engines[1]
+    for pools in (eng.pools(stream(3, 0)),
+                  {"bare": simulator._Pool(eng._logical_gate, None, 4)}):
+        for kind, pool in pools.items():
+            before = state(pool)
+            assert pool.hand_out([]) == [] and state(pool) == before and pool.lo == 0, kind
 
 
 # -- recovery ------------------------------------------------------------------
