@@ -415,17 +415,15 @@ def _floor_holds(base: EstimateBreakdown, terms: dict) -> bool:
 
 
 def optimize_protocol(code: CodeParams, noise: NoiseParams,
-                      r_values=range(1, 7), n_rep: float = 1.0,
+                      n_rep: float = 1.0,
                       parallel_corrections: Optional[float] = None,
-                      rest_scale: float = 1.0,
-                      constraint=None) -> tuple[ProtocolParams, float]:
-    """Minimize pbar over the grid of r in ``r_values`` and 1 <= r', r'' <= r
-    by an exact bounded search.
+                      rest_scale: float = 1.0) -> tuple[ProtocolParams, float]:
+    """Minimize pbar over the 91 triples r <= 6, 1 <= r', r'' <= r by an
+    exact bounded search.
 
     Returns the triple of least (pbar, r, r', r''), so ties break toward
-    smaller (r, r', r'').  ``constraint`` optionally filters triples, e.g.
-    the catalog's r-1 = r' = r''+1 family.  The grid is kept as (r, r', r'')
-    ints; a ``ProtocolParams`` is built only for one representative per r
+    smaller (r, r', r'').  The grid is kept as (r, r', r'') ints; a
+    ``ProtocolParams`` is built only for one representative per r, (r, 1, 1),
     and for the triples that get finished.  What depends on r alone is
     computed once per r, and ``_per_r_terms`` evaluates the binomial series
     of every r together, one 2-D pass per rate; the agreement sums (per
@@ -442,22 +440,17 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
     stops at the first floor key above the best key found: no later triple
     can beat it.  The answer is bit for bit that of finishing every triple.
     """
-    triples = [(r, rp, rpp) for r in r_values for rp in range(1, r + 1)
-               for rpp in range(1, r + 1)
-               if constraint is None or constraint(r, rp, rpp)]
-    if not triples:
-        raise ProtocolError("empty protocol grid")
+    rs = range(1, 7)
+    triples = [(r, rp, rpp) for r in rs for rp in range(1, r + 1)
+               for rpp in range(1, r + 1)]
 
     def protocol(r: int, rp: int, rpp: int) -> ProtocolParams:
         return ProtocolParams(r=r, r_prime=rp, r_dprime=rpp, n_rep=n_rep,
                               parallel_corrections=parallel_corrections)
 
-    reps = {}
-    for triple in triples:
-        reps.setdefault(triple[0], triple)
-    per_r = dict(zip(reps, _per_r_terms(
-        code, noise, [protocol(*triple) for triple in reps.values()], rest_scale)))
-    agree, ws = _agreement(code, noise, per_r[triples[0][0]].p_za, triples)
+    per_r = dict(zip(rs, _per_r_terms(
+        code, noise, [protocol(r, 1, 1) for r in rs], rest_scale)))
+    agree, ws = _agreement(code, noise, per_r[1].p_za, triples)
     queue = []
     for r, rp, rpp in triples:
         base = per_r[r]
@@ -482,11 +475,10 @@ def optimize_protocol(code: CodeParams, noise: NoiseParams,
 # model-curve emission (the Monte-Carlo comparison grid)
 # ---------------------------------------------------------------------------
 
-def model_curves(gammas=None) -> list[dict]:
+def model_curves() -> list[dict]:
     """pbar over the standard comparison grid, as CSV-ready dicts."""
     from .codes import params_from_catalog
-    if gammas is None:
-        gammas = np.logspace(-4, -2, 13)
+    gammas = np.logspace(-4, -2, 13)
     runs = [
         ("hamming", ProtocolParams(2, 2, 2, parallel_corrections=1.0)),
         ("golay", ProtocolParams(4, 3, 3, parallel_corrections=1.0)),

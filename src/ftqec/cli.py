@@ -226,7 +226,7 @@ def _cmd_codes(cfg: RunConfig) -> int:
 def _cmd_simulate(cfg: RunConfig) -> int:
     sim_cfg = SimConfig(cfg.code, cfg.noise(), cfg.protocol(),
                         target_failures=cfg.target_failures,
-                        max_trials=cfg.trials if cfg.trials else 4_000_000)
+                        max_trials=cfg.trials or SimConfig.max_trials)
     stats = simulator.estimate_pbar_mc(sim_cfg, seed=cfg.seed,
                                        workers=cfg.workers)
     rows = simulator.stats_csv_rows(sim_cfg, stats)

@@ -54,8 +54,7 @@ def eta_factor(outer: CodeParams) -> float:
     return 1.0 + outer.N_h / (2.0 * outer.N_GV)
 
 
-def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
-                    r_values=range(1, 7), constraint=None) -> ConcatEstimate:
+def concat_estimate(spec: ConcatSpec, gamma: float, eps: float) -> ConcatEstimate:
     """Crash probability per recovery of the two-level code.
 
     Repetition parameters are optimized independently per level.
@@ -63,8 +62,7 @@ def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
     eta = eta_factor(spec.outer)
     noise_in = NoiseParams(gamma, eps, spec.t_m)
     inner_protocol, inner_pbar = analytic.optimize_protocol(
-        spec.inner, noise_in, r_values=r_values, n_rep=spec.n_rep,
-        rest_scale=eta, constraint=constraint)
+        spec.inner, noise_in, n_rep=spec.n_rep, rest_scale=eta)
     if inner_pbar >= 0.5:
         return ConcatEstimate(pbar=1.0, inner_pbar=inner_pbar, eta=eta,
                               below_breakeven=True,
@@ -72,8 +70,8 @@ def concat_estimate(spec: ConcatSpec, gamma: float, eps: float,
                               outer_protocol=ProtocolParams(1, 1, 1))
     noise_out = NoiseParams(inner_pbar, inner_pbar, t_m=1)
     outer_protocol, outer_pbar = analytic.optimize_protocol(
-        _without_holes(spec.outer), noise_out, r_values=r_values,
-        n_rep=spec.n_rep, rest_scale=1.0 / eta, constraint=constraint)
+        _without_holes(spec.outer), noise_out, n_rep=spec.n_rep,
+        rest_scale=1.0 / eta)
     return ConcatEstimate(pbar=outer_pbar, inner_pbar=inner_pbar, eta=eta,
                           below_breakeven=False,
                           inner_protocol=inner_protocol,

@@ -136,7 +136,6 @@ def edge_color(a) -> dict[tuple[int, int], int]:
                 cur = nxt
                 col = cu if col == cv else cv
             for (x, y, c) in chain:
-                d = cu if c == cv else cv
                 del slot[x][c]
                 del slot[y][c]
             for (x, y, c) in chain:
@@ -149,7 +148,7 @@ def edge_color(a) -> dict[tuple[int, int], int]:
         slot.setdefault(v, {})[cu] = u
         color_of[(i, j)] = cu
 
-    # sanity: adjacency constraint
+    # sanity: no more colors than the degree bound
     n_colors = max(color_of.values()) + 1
     if n_colors > max_deg:
         raise NetworkSchedulingError(

@@ -611,6 +611,7 @@ class TrialStats:
     seed: int = 0
     # lane-preparations that ran out of attempts and coupled unverified
     unverified: int = 0
+    # read by perfbench/record_reference.py
     q_max = Q_MAX
 
     @staticmethod
@@ -630,7 +631,7 @@ class TrialStats:
 
     @property
     def pbar(self) -> float:
-        vals = [self.p(q) for q in range(self.q_max - 3, self.q_max + 1)]
+        vals = [self.p(q) for q in range(Q_MAX - 3, Q_MAX + 1)]
         if any(np.isnan(v) for v in vals):
             return float("nan")
         return float(np.mean(vals))
@@ -638,7 +639,7 @@ class TrialStats:
     @property
     def stderr(self) -> float:
         var = 0.0
-        for q in range(self.q_max - 3, self.q_max + 1):
+        for q in range(Q_MAX - 3, Q_MAX + 1):
             tot = self.n_f[q] + self.n_s[q]
             if tot == 0:
                 return float("nan")

@@ -1,9 +1,11 @@
 """Maximum-computation-size surface over codes, provisioning and noise.
 
-For every candidate encoding (bare catalog codes and single concatenations)
-and every provisioning level, the repetition parameters are optimized, the
-crash probability per recovery evaluated, and the achievable computation
-size KQ = 1/pbar (0.5/pbar for multi-qubit blocks) recorded against the
+One fixed sweep: every candidate encoding (the bare catalog codes, and each
+concatenated under a hamming or golay inner code) runs at every
+provisioning level n_rep in ``N_REP_GRID``.  At each point the repetition
+parameters are optimized over r <= 6, 1 <= r', r'' <= r, the crash
+probability per recovery evaluated, and the achievable computation size
+KQ = 1/pbar (0.5/pbar for multi-qubit blocks) recorded against the
 physical scale-up N/K = (n + n_rep (3n + k))/k.  Scale-ups are binned at
 5 bins per decade and each cell keeps its best KQ.
 """
@@ -39,7 +41,8 @@ class SweepPoint:
 
 @dataclass
 class Surface:
-    """Best KQ per (scale-up bin, gamma) cell."""
+    """Best KQ per (scale-up bin, gamma) cell; of points with equal KQ the
+    cell keeps the one offered first."""
     cells: dict[tuple[int, float], SweepPoint] = field(default_factory=dict)
 
     def offer(self, point: SweepPoint) -> None:
@@ -90,10 +93,10 @@ def kq_value(k: int, pbar: float) -> float:
     return min(kq, KQ_CAP)
 
 
-DEFAULT_N_REP_GRID = (0.5, 1.0, 2.5, 5.0, 10.0)
-# the inner codes of the concatenations, and the r values every sweep tries
+# the provisioning levels and the inner codes of the concatenations every
+# sweep runs
+N_REP_GRID = (0.5, 1.0, 2.5, 5.0, 10.0)
 INNER_CODES = ("hamming", "golay")
-R_VALUES = (1, 2, 3, 4, 5, 6)
 
 
 @dataclass(frozen=True)
@@ -101,46 +104,24 @@ class SweepConfig:
     gammas: tuple[float, ...]
     eps_over_gamma: float = 0.01
     t_m: int = 25
-    n_rep_grid: tuple[float, ...] = DEFAULT_N_REP_GRID
     codes: Optional[tuple[str, ...]] = None        # default: whole catalog
-    include_concatenations: bool = True
-    # "full": free (r, r', r'') grid; "catalog": the nested family
-    # r-1 = r' = r''+1 that the code catalog's r_opt column reports
-    protocol_family: str = "full"
-
-    def __post_init__(self):
-        if self.protocol_family not in ("full", "catalog"):
-            raise ValueError("protocol_family must be 'full' or 'catalog', "
-                             f"got {self.protocol_family!r}")
-
-    def family_constraint(self):
-        if self.protocol_family == "catalog":
-            return lambda r, rp, rpp: rp == r - 1 and rpp == r - 2
-        return None
-
-    def family_r_values(self) -> tuple[int, ...]:
-        if self.protocol_family == "catalog":
-            return tuple(r for r in R_VALUES if r >= 3)
-        return R_VALUES
 
 
 def build_surface(config: SweepConfig) -> Surface:
-    """Exhaustive sweep; cell maxima are merge-order independent."""
+    """Exhaustive sweep.  Where points tie on KQ (as at ``KQ_CAP``), a
+    cell's best code follows the offer order: per gamma, bare codes before
+    concatenations, each in catalog order."""
     from .codes import code_names
     surface = Surface()
     names = config.codes if config.codes is not None else tuple(code_names())
     code_params = {nm: params_from_catalog(nm) for nm in names}
-    constraint = config.family_constraint()
-    r_values = config.family_r_values()
 
     for gamma in config.gammas:
         eps = gamma * config.eps_over_gamma
         noise = NoiseParams(gamma, eps, config.t_m)
         for nm, code in code_params.items():
-            for n_rep in config.n_rep_grid:
-                pp, pbar = analytic.optimize_protocol(
-                    code, noise, r_values=r_values, n_rep=n_rep,
-                    constraint=constraint)
+            for n_rep in N_REP_GRID:
+                pp, pbar = analytic.optimize_protocol(code, noise, n_rep=n_rep)
                 if pbar >= 1.0:
                     continue
                 surface.offer(SweepPoint(
@@ -149,25 +130,22 @@ def build_surface(config: SweepConfig) -> Surface:
                     r_dprime=pp.r_dprime,
                     scale_up=scale_up(code, n_rep), pbar=pbar,
                     kq=kq_value(code.k, pbar)))
-        if config.include_concatenations:
-            for inner_nm in INNER_CODES:
-                inner = code_params.get(inner_nm) or params_from_catalog(inner_nm)
-                for nm, outer in code_params.items():
-                    for n_rep in config.n_rep_grid:
-                        spec = ConcatSpec(inner=inner, outer=outer,
-                                          n_rep=n_rep, t_m=config.t_m)
-                        est = concat_mod.concat_estimate(
-                            spec, gamma, eps, r_values=r_values,
-                            constraint=constraint)
-                        if est.below_breakeven or est.pbar >= 1.0:
-                            continue
-                        pp = est.outer_protocol
-                        surface.offer(SweepPoint(
-                            code=f"{inner_nm}+{nm}", gamma=gamma, eps=eps,
-                            t_m=config.t_m, n_rep=n_rep,
-                            r=pp.r, r_prime=pp.r_prime, r_dprime=pp.r_dprime,
-                            scale_up=concat_scale_up(inner, outer, n_rep),
-                            pbar=est.pbar, kq=kq_value(outer.k, est.pbar)))
+        for inner_nm in INNER_CODES:
+            inner = code_params.get(inner_nm) or params_from_catalog(inner_nm)
+            for nm, outer in code_params.items():
+                for n_rep in N_REP_GRID:
+                    spec = ConcatSpec(inner=inner, outer=outer,
+                                      n_rep=n_rep, t_m=config.t_m)
+                    est = concat_mod.concat_estimate(spec, gamma, eps)
+                    if est.below_breakeven or est.pbar >= 1.0:
+                        continue
+                    pp = est.outer_protocol
+                    surface.offer(SweepPoint(
+                        code=f"{inner_nm}+{nm}", gamma=gamma, eps=eps,
+                        t_m=config.t_m, n_rep=n_rep,
+                        r=pp.r, r_prime=pp.r_prime, r_dprime=pp.r_dprime,
+                        scale_up=concat_scale_up(inner, outer, n_rep),
+                        pbar=est.pbar, kq=kq_value(outer.k, est.pbar)))
     return surface
 
 

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from ftqec import codes, sweep
+from ftqec.analytic import optimize_protocol
+from ftqec.noise import NoiseParams
 from ftqec.sweep import (Surface, SweepConfig, SweepPoint, build_surface,
                          concat_scale_up, kq_value, scale_up, scale_up_bin)
 
@@ -52,33 +54,42 @@ def test_surface_keeps_cell_maximum():
     surf.offer(b)
     key = (scale_up_bin(29.0), 1e-4)
     assert surf.cells[key].code == "b"
+    # on equal KQ the point offered first stays, so a tie follows offer order
+    c = SweepPoint("c", 1e-4, 1e-6, 25, 1.0, 2, 2, 2, 31.0, 1e-10, 1e10)
+    surf.offer(c)
+    assert surf.cells[key].code == "b"
 
 
 def test_surface_grows_with_code_list():
-    small = build_surface(SweepConfig(gammas=(1e-4,), codes=("hamming",),
-                                      include_concatenations=False,
-                                      n_rep_grid=(1.0,)))
+    small = build_surface(SweepConfig(gammas=(1e-4,), codes=("hamming",)))
     big = build_surface(SweepConfig(gammas=(1e-4,),
-                                    codes=("hamming", "golay", "bch127-29"),
-                                    include_concatenations=False,
-                                    n_rep_grid=(1.0,)))
+                                    codes=("hamming", "golay", "bch127-29")))
     for key, pt in small.cells.items():
         assert big.cells[key].kq >= pt.kq
     assert len(big.cells) >= len(small.cells)
 
 
+def _bare_surface(gamma):
+    """Each catalog code's optimized point at n_rep 1, and nothing else."""
+    surf = Surface()
+    noise = NoiseParams(gamma, gamma * 0.01, 25)
+    for name in codes.code_names():
+        code = codes.params_from_catalog(name)
+        pp, pbar = optimize_protocol(code, noise, n_rep=1.0)
+        surf.offer(SweepPoint(name, gamma, noise.eps, 25, 1.0, pp.r,
+                              pp.r_prime, pp.r_dprime, scale_up(code, 1.0),
+                              pbar, kq_value(code.k, pbar)))
+    return surf
+
+
 def test_code_ordering_high_vs_low_noise():
-    cfg_lo = SweepConfig(gammas=(1e-5,), codes=tuple(codes.code_names()),
-                         include_concatenations=False, n_rep_grid=(1.0,))
-    lo = build_surface(cfg_lo)
+    lo = _bare_surface(1e-5)
     # the efficient large-block codes own their scale-up bins at low noise
     for name in ("bch127-29", "bch127-43"):
         code = codes.params_from_catalog(name)
         cell = lo.cells[(scale_up_bin(scale_up(code, 1.0)), 1e-5)]
         assert cell.code == name
-    cfg_hi = SweepConfig(gammas=(1e-3,), codes=tuple(codes.code_names()),
-                         include_concatenations=False, n_rep_grid=(1.0,))
-    hi = build_surface(cfg_hi)
+    hi = _bare_surface(1e-3)
     best_hi = max(hi.cells.values(), key=lambda p: p.kq)
     low_n_codes = {"hamming", "golay", "golay21", "bch31", "qr47", "qr45",
                    "qr43", "bch63-27", "bch63-39"}
@@ -86,9 +97,7 @@ def test_code_ordering_high_vs_low_noise():
 
 
 def test_rows_schema():
-    surf = build_surface(SweepConfig(gammas=(1e-4,), codes=("golay",),
-                                     include_concatenations=False,
-                                     n_rep_grid=(1.0, 2.5)))
+    surf = build_surface(SweepConfig(gammas=(1e-4,), codes=("golay",)))
     rows = surf.rows()
     assert rows
     assert set(rows[0]) == {"bin_lo", "bin_hi", "gamma", "best_code", "n_rep",
@@ -102,19 +111,13 @@ def test_plot_script_mentions_csv():
     assert "surface.csv" in script
 
 
-def test_unknown_protocol_family_refused():
-    # a misspelt family would otherwise sweep the full grid
-    with pytest.raises(ValueError, match="catlog"):
-        SweepConfig(gammas=(1e-4,), protocol_family="catlog")
-
-
-@pytest.mark.parametrize("family,digest", [
-    ("full", "72ddd417f3ca352d224ae94d22b60a4e08507265adff4837e154c55829b50d5e"),
-    ("catalog", "c68a25f5671a13015cda668a9ccc44ca833bb71a26daf78a9f7c8e85c58d77d0"),
-], ids=["full", "catalog"])
-def test_surface_pinned(family, digest):
+# a single case under a fixed id, so the pinned test keeps its name
+@pytest.mark.parametrize("digest", [
+    "72ddd417f3ca352d224ae94d22b60a4e08507265adff4837e154c55829b50d5e",
+], ids=["full"])
+def test_surface_pinned(digest):
     # every code of the catalog and every concatenation at two noise levels,
     # as the sha256 of the rows' repr: a change that only makes the model
     # faster must keep them bit for bit
-    rows = build_surface(SweepConfig(gammas=(1e-4, 1e-3), protocol_family=family)).rows()
+    rows = build_surface(SweepConfig(gammas=(1e-4, 1e-3))).rows()
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
